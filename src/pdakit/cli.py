@@ -13,11 +13,11 @@ import sys
 from pathlib import Path
 
 from .constructions import (ConstructionSpec, ParameterRow, closed_form_row,
-                            construct_pda, _t_design_of)
+                            construct_pda, mn_baseline, _t_design_of)
 from .designs import (certify_configuration, certify_t_design, design_from_json,
                       design_to_json, from_reference)
-from .pda import (Pda, PdaFormatError, format_pda, parse_pda, pda_from_json,
-                  pda_to_json, validate_pda)
+from .pda import (InvalidPdaError, Pda, PdaFormatError, format_pda, parse_pda,
+                  pda_from_json, pda_to_json, scheme_parameters, validate_pda)
 from .sim import DecodeError, verify_scheme
 from .triples import ConditionError, direct_product
 
@@ -39,7 +39,10 @@ class SystemExit_(Exception):
 
 
 def _read_pda(path: str) -> Pda:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise PdaFormatError(f"{path} is not UTF-8 text: {exc}") from None
     if text.lstrip().startswith("{"):
         return pda_from_json(json.loads(text))
     return parse_pda(text)
@@ -125,30 +128,16 @@ def cmd_validate(args) -> int:
 
 def cmd_simulate(args) -> int:
     p = _read_pda(args.path)
-    rep = validate_pda(p)
-    if not rep.ok:
-        print(f"refusing to simulate: {rep.condition} violated: {rep.detail}",
-              file=sys.stderr)
-        return FAIL_VALIDATE
-    report = verify_scheme(p, args.files, mode=args.mode, samples=args.samples,
+    n_files = min(p.k, 4) if args.files is None else args.files
+    report = verify_scheme(p, n_files, mode=args.mode, samples=args.samples,
                            seed=args.seed, packet_size=args.packet_size)
     print(json.dumps(report.to_json(), indent=2))
     return OK if report.ok else FAIL_DECODE
 
 
 def cmd_product(args) -> int:
-    a, b = _read_pda(args.a), _read_pda(args.b)
-    for name, p in (("first", a), ("second", b)):
-        rep = validate_pda(p)
-        if not rep.ok:
-            print(f"{name} factor invalid: {rep.condition} violated: {rep.detail}",
-                  file=sys.stderr)
-            return FAIL_VALIDATE
-    prod = direct_product(a, b)
-    from .constructions import mn_baseline
-    from fractions import Fraction
-    mn = Fraction(prod.q, prod.f)
-    rate = Fraction(prod.s, prod.f)
+    prod = direct_product(_read_pda(args.a), _read_pda(args.b))
+    _, _, mn, rate = scheme_parameters(prod)
     r_star, _ = mn_baseline(prod.k, mn)
     summary = sys.stdout if args.out else sys.stderr
     print(f"product K={prod.k} F={prod.f} Q={prod.q} S={prod.s} "
@@ -300,9 +289,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.fn is cmd_simulate and args.files is None:
-            p = _read_pda(args.path)
-            args.files = min(p.k, 4)
         return args.fn(args)
     except SystemExit_ as exc:
         if exc.message:
@@ -311,6 +297,9 @@ def main(argv=None) -> int:
     except PdaFormatError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return FAIL_PARSE
+    except InvalidPdaError as exc:
+        print(exc, file=sys.stderr)
+        return FAIL_VALIDATE
     except DecodeError as exc:
         print(f"decode failure: {exc}", file=sys.stderr)
         return FAIL_DECODE

@@ -12,6 +12,7 @@ broadcast transmission.  The validator checks the three defining conditions:
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 STAR = 0  # grid sentinel for '*'; real symbols are 1..s
 
@@ -29,13 +30,30 @@ class Pda:
     grid: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        # type() rather than isinstance(): bool is an int subclass
+        if any(type(v) is not int for v in (self.k, self.f, self.q, self.s)):
+            raise ValueError("K, F, Q, S must be ints")
         if len(self.grid) != self.f:
             raise ValueError(f"grid has {len(self.grid)} rows, declared F={self.f}")
         for row in self.grid:
             if len(row) != self.k:
                 raise ValueError(f"grid row has {len(row)} entries, declared K={self.k}")
-            if any(not isinstance(v, int) or v < 0 for v in row):
+            if any(type(v) is not int or v < 0 for v in row):
                 raise ValueError("grid entries must be STAR or positive symbol ints")
+
+    # The cache materializes the instance __dict__, which slows every later
+    # attribute load on the array: per-cell loops read p.grid into a local.
+    @cached_property
+    def symbol_cells(self) -> dict[int, list[tuple[int, int]]]:
+        """Each symbol that occurs -> its (row, column) cells, row-major.
+
+        Keys in first-occurrence order; only occurring symbols get one."""
+        out: dict[int, list[tuple[int, int]]] = {}
+        for j, row in enumerate(self.grid):
+            for k, v in enumerate(row):
+                if v != STAR:
+                    out.setdefault(v, []).append((j, k))
+        return out
 
 
 @dataclass(frozen=True)
@@ -48,27 +66,39 @@ class ValidationReport:
         return self.ok
 
 
+class InvalidPdaError(ValueError):
+    """An array failed validation; carries the failing ValidationReport."""
+
+    def __init__(self, what: str, report: ValidationReport):
+        self.report = report
+        super().__init__(f"{what} ({report.condition}: {report.detail})")
+
+
+def require_valid(p: Pda, what: str) -> None:
+    """Validate p once, raising InvalidPdaError prefixed by what on failure."""
+    rep = validate_pda(p)
+    if not rep:
+        raise InvalidPdaError(what, rep)
+
+
 def validate_pda(p: Pda) -> ValidationReport:
     """Exhaustively check the declared parameters and conditions C1, C2, C3."""
     if min(p.k, p.f, p.q, p.s) < 1:
         return ValidationReport(False, "params", "K, F, Q, S must all be positive")
     if p.q >= p.f:
         return ValidationReport(False, "params", f"need Q < F, got Q={p.q}, F={p.f}")
-    for j, row in enumerate(p.grid):
+    grid, s = p.grid, p.s
+    for j, row in enumerate(grid):
         for k, v in enumerate(row):
-            if v != STAR and not 1 <= v <= p.s:
+            if v != STAR and not 1 <= v <= s:
                 return ValidationReport(False, "range",
-                    f"cell ({j},{k}) holds {v}, outside 1..{p.s}")
+                    f"cell ({j},{k}) holds {v}, outside 1..{s}")
     for k in range(p.k):
-        stars = sum(1 for j in range(p.f) if p.grid[j][k] == STAR)
+        stars = sum(1 for row in grid if row[k] == STAR)
         if stars != p.q:
             return ValidationReport(False, "C1",
                 f"column {k} has {stars} stars, declared Q={p.q}")
-    cells: dict[int, list[tuple[int, int]]] = {}
-    for j, row in enumerate(p.grid):
-        for k, v in enumerate(row):
-            if v != STAR:
-                cells.setdefault(v, []).append((j, k))
+    cells = p.symbol_cells
     for sym in range(1, p.s + 1):
         if sym not in cells:
             return ValidationReport(False, "C2", f"symbol {sym} never occurs")
@@ -80,7 +110,7 @@ def validate_pda(p: Pda) -> ValidationReport:
                 if j1 == j2 or k1 == k2:
                     return ValidationReport(False, "C3",
                         f"symbol {sym} repeats in a row or column at ({j1},{k1}) and ({j2},{k2})")
-                if p.grid[j1][k2] != STAR or p.grid[j2][k1] != STAR:
+                if grid[j1][k2] != STAR or grid[j2][k1] != STAR:
                     return ValidationReport(False, "C3",
                         f"cells ({j1},{k1}) and ({j2},{k2}) share symbol {sym} "
                         f"but a crossing cell is not a star")
@@ -111,8 +141,9 @@ def canonical_relabel(p: Pda) -> Pda:
 
 # --- text format ----------------------------------------------------------
 #
-# First line: "K F Q S".  Then F lines of K whitespace-separated tokens, each
-# "*" or a decimal symbol.
+# First line: "K F Q S", each an ASCII decimal.  Then F lines of K
+# whitespace-separated tokens, each "*" or an ASCII decimal symbol without
+# leading zeros.
 
 
 def format_pda(p: Pda) -> str:
@@ -130,7 +161,9 @@ def parse_pda(text: str) -> Pda:
     if len(header) != 4:
         raise PdaFormatError(f"header must be 'K F Q S', got {lines[0]!r}")
     try:
-        k, f, q, s = (int(x) for x in header)
+        if not all(x.isascii() and x.isdigit() for x in header):
+            raise ValueError
+        k, f, q, s = (int(x) for x in header)  # int() also caps the digit count
     except ValueError:
         raise PdaFormatError(f"non-integer header field in {lines[0]!r}") from None
     if len(lines) - 1 != f:
@@ -141,7 +174,7 @@ def parse_pda(text: str) -> Pda:
         for tok in ln.split():
             if tok == "*":
                 row.append(STAR)
-            elif tok.isdigit() and tok[0] != "0":
+            elif tok.isascii() and tok.isdigit() and tok[0] != "0":
                 row.append(int(tok))
             else:
                 raise PdaFormatError(f"bad token {tok!r}; want '*' or a positive decimal")
@@ -166,14 +199,16 @@ def pda_to_json(p: Pda, provenance: dict | None = None) -> dict:
 
 def pda_from_json(obj: dict) -> Pda:
     try:
-        k, f, q, s = (int(obj[key]) for key in ("K", "F", "Q", "S"))
+        k, f, q, s = (obj[key] for key in ("K", "F", "Q", "S"))  # Pda checks types
         grid = []
         for row in obj["grid"]:
+            if not isinstance(row, list):
+                raise PdaFormatError(f"grid row must be a list, got {row!r}")
             cells = []
             for v in row:
                 if v == "*":
                     cells.append(STAR)
-                elif isinstance(v, int) and v > 0:
+                elif type(v) is int and v > 0:
                     cells.append(v)
                 else:
                     raise PdaFormatError(f"bad grid value {v!r}")

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .pda import STAR, Pda, validate_pda
+from .pda import STAR, Pda, require_valid
 
 
 class DecodeError(RuntimeError):
@@ -53,15 +53,6 @@ def _xor(a: bytes, b: bytes) -> bytes:
     return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
 
 
-def _cells_by_symbol(p: Pda) -> dict[int, list[tuple[int, int]]]:
-    out: dict[int, list[tuple[int, int]]] = {s: [] for s in range(1, p.s + 1)}
-    for j, row in enumerate(p.grid):
-        for k, v in enumerate(row):
-            if v != STAR:
-                out[v].append((j, k))
-    return out
-
-
 def place(p: Pda, lib: FileLibrary) -> list[CacheContents]:
     """Fill every user's cache: the starred rows of every file."""
     if lib.f != p.f:
@@ -69,8 +60,8 @@ def place(p: Pda, lib: FileLibrary) -> list[CacheContents]:
     caches = []
     for k in range(p.k):
         stash = {}
-        for j in range(p.f):
-            if p.grid[j][k] == STAR:
+        for j, row in enumerate(p.grid):
+            if row[k] == STAR:
                 for i in range(lib.n):
                     stash[(i, j)] = lib.packets[i][j]
         caches.append(CacheContents(k, stash))
@@ -86,9 +77,10 @@ def deliver(p: Pda, lib: FileLibrary, demand) -> list[bytes]:
         raise ValueError("demand entry outside the library")
     zero = bytes(lib.packet_size)
     log = []
-    for s, cells in _cells_by_symbol(p).items():
+    cells = p.symbol_cells
+    for s in range(1, p.s + 1):
         payload = zero
-        for j, k in cells:
+        for j, k in cells.get(s, ()):
             payload = _xor(payload, lib.packets[demand[k]][j])
         log.append(payload)
     return log
@@ -99,7 +91,7 @@ def decode(p: Pda, cache: CacheContents, transmissions: list[bytes],
     """Reassemble the user's demanded file from cache plus transmissions."""
     demand = tuple(demand)
     want = demand[user]
-    cells = _cells_by_symbol(p)
+    cells = p.symbol_cells
     parts = []
     for j in range(p.f):
         v = p.grid[j][user]
@@ -176,20 +168,17 @@ def verify_scheme(p: Pda, n_files: int, mode: str = "auto", samples: int = 200,
     otherwise runs seeded samples plus the adversarial demands (all users
     alike, and all distinct when the library allows it).
     """
-    rep = validate_pda(p)
-    if not rep:
-        raise ValueError(f"refusing to simulate an invalid PDA "
-                         f"({rep.condition}: {rep.detail})")
+    require_valid(p, "refusing to simulate an invalid PDA")
     rng = random.Random(seed)
     lib = FileLibrary.random(n_files, p.f, packet_size, seed=rng.randrange(2 ** 32))
     demands, mode_used = _demand_set(p, n_files, mode, samples, rng)
 
     # int-valued packets for cheap XOR in the inner loop
     ints = [[int.from_bytes(pk, "big") for pk in file] for file in lib.packets]
-    star_rows = [[j for j in range(p.f) if p.grid[j][k] == STAR] for k in range(p.k)]
-    coded_rows = [[(j, p.grid[j][k]) for j in range(p.f) if p.grid[j][k] != STAR]
+    grid, cells = p.grid, p.symbol_cells
+    star_rows = [[j for j in range(p.f) if grid[j][k] == STAR] for k in range(p.k)]
+    coded_rows = [[(j, grid[j][k]) for j in range(p.f) if grid[j][k] != STAR]
                   for k in range(p.k)]
-    cells = _cells_by_symbol(p)
 
     # caches hold exact library slices; checked here once, then read directly
     caches = place(p, lib)
@@ -213,7 +202,7 @@ def verify_scheme(p: Pda, n_files: int, mode: str = "auto", samples: int = 200,
                 for j2, k2 in cells[sym]:
                     if (j2, k2) == (j, user):
                         continue
-                    if p.grid[j2][user] != STAR:
+                    if grid[j2][user] != STAR:
                         raise DecodeError(
                             f"user {user}, symbol {sym}: side packet row {j2} is not "
                             f"a starred row; condition C3 is broken")

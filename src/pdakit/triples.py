@@ -23,7 +23,7 @@ thinned to per-z perfect matchings (complete_matching).
 
 from dataclasses import dataclass, field
 
-from .pda import STAR, Pda, validate_pda
+from .pda import STAR, Pda, canonical_relabel, require_valid
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -200,21 +200,13 @@ def pda_to_triple(p: Pda) -> TripleSystem:
     X = row indices, Y = symbols 1..S, Z = column indices.  C_XZ marks the
     non-star cells; C_XY and C_YZ mark each symbol's rows and columns.
     """
-    rep = validate_pda(p)
-    if not rep:
-        raise ValueError(f"not a valid PDA ({rep.condition}: {rep.detail})")
+    require_valid(p, "not a valid PDA")
     c_xz = tuple(tuple(0 if v == STAR else 1 for v in row) for row in p.grid)
-    rows_of = {y: set() for y in range(1, p.s + 1)}
-    cols_of = {y: set() for y in range(1, p.s + 1)}
-    for j, row in enumerate(p.grid):
-        for k, v in enumerate(row):
-            if v != STAR:
-                rows_of[v].add(j)
-                cols_of[v].add(k)
-    c_xy = tuple(tuple(1 if j in rows_of[y] else 0 for y in range(1, p.s + 1))
-                 for j in range(p.f))
-    c_yz = tuple(tuple(1 if k in cols_of[y] else 0 for k in range(p.k))
-                 for y in range(1, p.s + 1))
+    cells = [p.symbol_cells[y] for y in range(1, p.s + 1)]
+    rows_of = [{j for j, _ in occ} for occ in cells]
+    cols_of = [{k for _, k in occ} for occ in cells]
+    c_xy = tuple(tuple(1 if j in rows else 0 for rows in rows_of) for j in range(p.f))
+    c_yz = tuple(tuple(1 if k in cols else 0 for k in range(p.k)) for cols in cols_of)
     return TripleSystem(tuple(range(p.f)), tuple(range(1, p.s + 1)),
                         tuple(range(p.k)), c_xy, c_xz, c_yz)
 
@@ -222,9 +214,9 @@ def pda_to_triple(p: Pda) -> TripleSystem:
 def triple_to_pda(t: TripleSystem) -> Pda:
     """Build the array a triple system describes; requires E1-E5.
 
-    Cell (x,z) is a star where C_XZ is 0, else the unique y incident to both
-    (uniqueness is asserted cell by cell, not assumed).  Symbols are compacted
-    to 1..S in first-occurrence row-major order.
+    Cell (x,z) is a star where C_XZ is 0, else the y incident to both, which
+    E4 makes unique.  Symbols are compacted to 1..S in first-occurrence
+    row-major order.
     """
     rep = check_conditions(t)
     for name, ok in (("E1", rep.e1), ("E2", rep.e2), ("E3", rep.e3),
@@ -232,31 +224,25 @@ def triple_to_pda(t: TripleSystem) -> Pda:
         if not ok:
             raise ConditionError(name, "triple system does not describe an array",
                                  rep.witnesses.get(name))
-    nx, ny, nz = len(t.labels_x), len(t.labels_y), len(t.labels_z)
-    if not nx or not nz:
+    f, k = len(t.labels_x), len(t.labels_z)
+    if not f or not k:
         raise ValueError("empty row or column set")
     rows_xy = _bitrows(t.c_xy)
-    cols_yz = _bitcols(t.c_yz, nz)
-    f = nx
-    k = nz
-    q = f - sum(t.c_xz[x][0] for x in range(nx))
+    cols_yz = _bitcols(t.c_yz, k)
+    q = f - sum(row[0] for row in t.c_xz)
     if q < 1:
         raise ValueError("degenerate array: some column has no stars (Q = 0)")
     if q >= f:
         raise ValueError("degenerate array: no symbol cells (Q = F)")
     symbol_of: dict[int, int] = {}
     grid = []
-    for x in range(nx):
+    for x in range(f):
         out = []
         for z in range(k):
             if t.c_xz[x][z] == 0:
                 out.append(STAR)
                 continue
-            hits = rows_xy[x] & cols_yz[z]
-            if hits.bit_count() != 1:
-                raise ConditionError("E4", f"cell ({t.labels_x[x]}, {t.labels_z[z]}) "
-                                     f"has {hits.bit_count()} candidate symbols")
-            y = hits.bit_length() - 1
+            y = (rows_xy[x] & cols_yz[z]).bit_length() - 1
             if y not in symbol_of:
                 symbol_of[y] = len(symbol_of) + 1
             out.append(symbol_of[y])
@@ -296,18 +282,32 @@ def bipartite_perfect_matching(left, right, edges) -> dict:
 
     owner = [-1] * len(right)
 
-    def augment(u: int, seen: set) -> bool:
-        for v in adj[u]:
-            if v in seen:
-                continue
-            seen.add(v)
-            if owner[v] < 0 or augment(owner[v], seen):
-                owner[v] = u
-                return True
+    def augment(root: int) -> bool:
+        # Depth-first search on an explicit stack, free of the recursion
+        # limit; path[i] is the right vertex from stack[i] to stack[i + 1].
+        seen = set()
+        stack = [(root, iter(adj[root]))]
+        path = []
+        while stack:
+            for v in stack[-1][1]:
+                if v in seen:
+                    continue
+                seen.add(v)
+                if owner[v] < 0:
+                    for (u, _), w in zip(stack, path + [v]):
+                        owner[w] = u
+                    return True
+                path.append(v)
+                stack.append((owner[v], iter(adj[owner[v]])))
+                break
+            else:
+                stack.pop()
+                if path:
+                    path.pop()
         return False
 
     for u in range(len(left)):
-        if not augment(u, set()):
+        if not augment(u):
             raise ValueError("no perfect matching found in a regular bipartite graph")
     return {left[owner[v]]: right[v] for v in range(len(right)) if owner[v] >= 0}
 
@@ -365,47 +365,32 @@ def orientations(t: TripleSystem) -> tuple[TripleSystem, TripleSystem, TripleSys
       2: K=|X|, F=|Z|, Q=|Z|-D_X, S=|Y|
       3: K=|Z|, F=|X|, Q=|X|-D_Z, S=|Y|  (the system as given)
     """
-    rep = check_conditions(t)
-    for name, ok in (("E1'", rep.e1p), ("E2'", rep.e2p), ("E7", rep.e7)):
-        if not ok:
+    t_xy, t_xz, t_yz = _transpose(t.c_xy), _transpose(t.c_xz), _transpose(t.c_yz)
+    # degrees D_Z (columns of C_XZ), D_Y (rows of C_YZ), D_X (rows of C_XZ)
+    for name, mat in (("E1'", t_xz), ("E2'", t.c_yz), ("E7", t.c_xz)):
+        degrees = {sum(r) for r in mat}
+        if len(degrees) != 1 or 0 in degrees:
             raise ConditionError(name, "degrees are not constant and positive")
-    set1 = TripleSystem(t.labels_y, t.labels_z, t.labels_x,
-                        t.c_yz, _transpose(t.c_xy), _transpose(t.c_xz))
-    set2 = TripleSystem(t.labels_z, t.labels_y, t.labels_x,
-                        _transpose(t.c_yz), _transpose(t.c_xz), _transpose(t.c_xy))
+    set1 = TripleSystem(t.labels_y, t.labels_z, t.labels_x, t.c_yz, t_xy, t_xz)
+    set2 = TripleSystem(t.labels_z, t.labels_y, t.labels_x, t_yz, t_xz, t_xy)
     return set1, set2, t
 
 
 def direct_product(a: Pda, b: Pda) -> Pda:
     """Componentwise product of two valid arrays.
 
-    Rows, columns, and symbols become pairs; a product cell is incident iff
-    both factor cells are.  Parameters come out as K = K1*K2, F = F1*F2,
-    Q = F1*Q2 + F2*Q1 - Q1*Q2, with symbols compacted after the build.
+    Rows and columns become pairs, (j1, j2) and (k1, k2) in lexicographic
+    order.  A product cell is a star if either factor cell is; otherwise its
+    symbol is the pair of factor symbols.  Parameters come out as K = K1*K2,
+    F = F1*F2, Q = F1*Q2 + F2*Q1 - Q1*Q2, S = S1*S2, with symbols compacted
+    to first-occurrence row-major order.
     """
-    for name, p in (("first", a), ("second", b)):
-        rep = validate_pda(p)
-        if not rep:
-            raise ValueError(f"{name} factor is not a valid PDA "
-                             f"({rep.condition}: {rep.detail})")
-    ta, tb = pda_to_triple(a), pda_to_triple(b)
-
-    def pairs(la, lb):
-        return tuple((x, y) for x in la for y in lb)
-
-    def product(ma, mb):
-        out = []
-        for ra in ma:
-            for rb in mb:
-                out.append(tuple(va & vb for va in ra for vb in rb))
-        return tuple(out)
-
-    combined = TripleSystem(
-        pairs(ta.labels_x, tb.labels_x),
-        pairs(ta.labels_y, tb.labels_y),
-        pairs(ta.labels_z, tb.labels_z),
-        product(ta.c_xy, tb.c_xy),
-        product(ta.c_xz, tb.c_xz),
-        product(ta.c_yz, tb.c_yz),
-    )
-    return triple_to_pda(combined)
+    require_valid(a, "first factor is not a valid PDA")
+    require_valid(b, "second factor is not a valid PDA")
+    grid = tuple(tuple(STAR if va == STAR or vb == STAR else (va - 1) * b.s + vb
+                       for va in ra for vb in rb)
+                 for ra in a.grid for rb in b.grid)
+    prod = canonical_relabel(Pda(a.k * b.k, a.f * b.f, a.f * b.q + b.f * a.q - a.q * b.q,
+                                 a.s * b.s, grid))
+    require_valid(prod, "product is not a valid PDA")
+    return prod

@@ -1,10 +1,14 @@
 import csv
 import io
 import json
+import sys
 
 import pytest
 
+import pdakit.cli
+import pdakit.pda
 from pdakit.cli import main
+from pdakit.constructions import ConstructionSpec, construct_pda
 from pdakit.designs import catalog_lookup, design_to_json
 from pdakit.pda import format_pda, parse_pda
 
@@ -32,6 +36,27 @@ def bad_file(tmp_path):
     path = tmp_path / "bad.pda"
     path.write_text("2 2 2 1\n* *\n1 1\n")
     return str(path)
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """Record every file the CLI reads and every array any module validates."""
+    calls = {"read": [], "validate": []}
+    real_read, real_validate = pdakit.cli._read_pda, pdakit.pda.validate_pda
+
+    def read(path):
+        calls["read"].append(path)
+        return real_read(path)
+
+    def validate(p):
+        calls["validate"].append(p)
+        return real_validate(p)
+
+    monkeypatch.setattr(pdakit.cli, "_read_pda", read)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("pdakit") and hasattr(module, "validate_pda"):
+            monkeypatch.setattr(module, "validate_pda", validate)
+    return calls
 
 
 # --- construct ------------------------------------------------------------
@@ -111,6 +136,13 @@ def test_validate_parse_error(run, tmp_path):
     assert code == 3 and "parse error" in err
 
 
+def test_validate_non_utf8_file(run, tmp_path):
+    path = tmp_path / "latin1.pda"
+    path.write_bytes(b"2 2 1 1\n* 1\n1 *\n# caf\xe9\n")
+    code, _, err = run("validate", str(path))
+    assert code == 3 and err.startswith("parse error:")
+
+
 def test_validate_missing_file(run, tmp_path):
     code, _, err = run("validate", str(tmp_path / "nope.pda"))
     assert code == 3
@@ -147,6 +179,18 @@ def test_simulate_refuses_invalid(run, bad_file):
     assert code == 2 and "refusing" in err
 
 
+def test_simulate_rejects_empty_library(run, tiny_file):
+    code, _, err = run("simulate", tiny_file, "--files", "0")
+    assert code == 3 and "error" in err
+
+
+def test_simulate_reads_and_validates_once(run, tiny_file, counted):
+    code, _, _ = run("simulate", tiny_file)
+    assert code == 0
+    assert counted["read"] == [tiny_file]
+    assert counted["validate"] == [TINY]
+
+
 # --- product --------------------------------------------------------------
 
 
@@ -167,7 +211,19 @@ def test_product_to_file(run, tiny_file, tmp_path):
 
 def test_product_invalid_factor(run, tiny_file, bad_file):
     code, _, err = run("product", tiny_file, bad_file)
-    assert code == 2 and "second factor invalid" in err
+    assert code == 2 and "second factor is not a valid PDA" in err
+
+
+def test_product_validates_each_factor_once(run, tiny_file, tmp_path, counted):
+    pg7 = construct_pda(ConstructionSpec("pg", 1, q=2, k=3, m=1, t=1))
+    pg7_file = tmp_path / "pg7.pda"
+    pg7_file.write_text(format_pda(pg7))
+    code, out, _ = run("product", tiny_file, str(pg7_file))
+    assert code == 0
+    assert counted["read"] == [tiny_file, str(pg7_file)]
+    # each factor once, then the product once
+    assert counted["validate"][:2] == [TINY, pg7]
+    assert counted["validate"][2:] == [parse_pda(out)]
 
 
 # --- tabulate -------------------------------------------------------------

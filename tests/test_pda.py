@@ -124,3 +124,59 @@ def test_json_malformed():
         pda_from_json({"K": 2, "F": 2, "Q": 1, "grid": [["*", 1], [1, "*"]]})
     with pytest.raises(PdaFormatError):
         pda_from_json({"K": 2, "F": 2, "Q": 1, "S": 1, "grid": [["*", "x"], [1, "*"]]})
+
+
+@pytest.mark.parametrize("text", [
+    "2 2 1 1\n* ١\n١ *\n",   # Arabic-Indic digit one as a symbol
+    "2 2 1 1\n* ²\n1 *\n",        # superscript two as a symbol
+    "2 2 1 1_0\n* 1\n1 *\n",           # digit separator in a header field
+    "2 ٢ 1 1\n* 1\n1 *\n",        # non-ASCII digit in the header
+    "2 2 1 +1\n* 1\n1 *\n",            # sign in a header field
+])
+def test_parse_accepts_only_ascii_decimals(text):
+    with pytest.raises(PdaFormatError):
+        parse_pda(text)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("K", 2.9), ("F", "2"), ("Q", True), ("S", 1.0), ("K", None),
+])
+def test_json_header_must_be_int(field, value):
+    obj = pda_to_json(TINY)
+    obj[field] = value
+    with pytest.raises(PdaFormatError):
+        pda_from_json(obj)
+
+
+@pytest.mark.parametrize("grid", [
+    [["*", True], [True, "*"]],
+    [["*", 1.0], [1, "*"]],
+    ["*1", [1, "*"]],
+    [["*", "*"], "**"],
+])
+def test_json_grid_values_must_be_int_or_star(grid):
+    with pytest.raises(PdaFormatError):
+        pda_from_json({"K": 2, "F": 2, "Q": 1, "S": 1, "grid": grid})
+
+
+def test_pda_rejects_bool_and_non_int_fields():
+    with pytest.raises(ValueError):
+        Pda(2, 2, 1, 1, ((STAR, True), (True, STAR)))
+    with pytest.raises(ValueError):
+        Pda(2, 2, True, 1, ((STAR, 1), (1, STAR)))
+    with pytest.raises(ValueError):
+        Pda(2.0, 2, 1, 1, ((STAR, 1), (1, STAR)))
+
+
+def test_symbol_cells():
+    assert TINY.symbol_cells == {1: [(0, 1), (1, 0)]}
+    p = Pda(3, 3, 2, 1, ((STAR, STAR, 1), (STAR, 1, STAR), (1, STAR, STAR)))
+    assert p.symbol_cells is p.symbol_cells  # built once per array
+    assert p.symbol_cells == {1: [(0, 2), (1, 1), (2, 0)]}
+
+
+def test_huge_declared_symbol_count_is_cheap():
+    # only occurring symbols get a map entry, so S = 10**9 costs nothing
+    p = parse_pda("2 2 1 1000000000\n* 1\n1 *\n")
+    rep = validate_pda(p)
+    assert rep.condition == "C2" and "symbol 2" in rep.detail

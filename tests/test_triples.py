@@ -1,14 +1,16 @@
+import random
+
 import pytest
 
 from pdakit.constructions import configuration_triple, pg_triple, tdesign_b_triple
 from pdakit.designs import catalog_lookup, complete_design
-from pdakit.pda import Pda, STAR, canonical_relabel, validate_pda
+from pdakit.pda import InvalidPdaError, Pda, STAR, canonical_relabel, validate_pda
 from pdakit.triples import (ConditionError, TripleSystem,
                             bipartite_perfect_matching, check_conditions,
                             complete_matching, direct_product, orientations,
                             pda_to_triple, triple_to_pda)
 
-from conftest import TINY
+from conftest import TINY, all_pdas
 
 
 def _ts(c_xy, c_xz, c_yz):
@@ -143,6 +145,53 @@ def test_matching_deterministic_cycle():
     assert bipartite_perfect_matching(left, right, reversed(edges)) == got
 
 
+def _recursive_matching(left, right, edges) -> dict:
+    """Reference: the recursive augmenting-path search, same visiting order."""
+    li = {lab: i for i, lab in enumerate(left)}
+    ri = {lab: i for i, lab in enumerate(right)}
+    adj = [[] for _ in left]
+    for l, r in edges:
+        adj[li[l]].append(ri[r])
+    for a in adj:
+        a.sort()
+    owner = [-1] * len(right)
+
+    def augment(u, seen):
+        for v in adj[u]:
+            if v not in seen:
+                seen.add(v)
+                if owner[v] < 0 or augment(owner[v], seen):
+                    owner[v] = u
+                    return True
+        return False
+
+    for u in range(len(left)):
+        assert augment(u, set())
+    return {left[owner[v]]: right[v] for v in range(len(right))}
+
+
+def test_matching_equals_recursive_reference():
+    rng = random.Random(5)
+    for _ in range(200):
+        n, d = rng.randint(1, 12), rng.randint(1, 4)
+        left = rng.sample(range(100), n)
+        right = rng.sample(range(100), n)
+        perm = rng.sample(right, n)
+        shifts = rng.sample(range(n), min(d, n))
+        edges = [(left[i], perm[(i + s) % n]) for i in range(n) for s in shifts]
+        rng.shuffle(edges)
+        assert (bipartite_perfect_matching(left, right, edges)
+                == _recursive_matching(left, right, edges))
+
+
+def test_matching_long_cycle_has_no_recursion_limit():
+    # the last vertex's augmenting path runs around the whole cycle
+    n = 2000
+    edges = [(i, i) for i in range(n)] + [(i, (i + 1) % n) for i in range(n)]
+    got = bipartite_perfect_matching(range(n), range(n), edges)
+    assert got == {i: (i + 1) % n for i in range(n)}
+
+
 def test_matching_input_validation():
     with pytest.raises(ValueError, match="sides differ"):
         bipartite_perfect_matching((1, 2), (1,), [(1, 1), (2, 1)])
@@ -224,6 +273,33 @@ def test_direct_product_rejects_invalid_factor():
     bad = Pda(2, 2, 1, 1, ((1, 1), (STAR, STAR)))
     with pytest.raises(ValueError, match="factor is not a valid PDA"):
         direct_product(TINY, bad)
+    with pytest.raises(InvalidPdaError, match="^first factor") as exc:
+        direct_product(bad, TINY)
+    assert exc.value.report == validate_pda(bad)
+
+
+def _triple_route_product(a: Pda, b: Pda) -> Pda:
+    """Reference: componentwise product of the three incidence matrices."""
+    ta, tb = pda_to_triple(a), pda_to_triple(b)
+
+    def pairs(la, lb):
+        return tuple((x, y) for x in la for y in lb)
+
+    def product(ma, mb):
+        return tuple(tuple(va & vb for va in ra for vb in rb) for ra in ma for rb in mb)
+
+    return triple_to_pda(TripleSystem(
+        pairs(ta.labels_x, tb.labels_x), pairs(ta.labels_y, tb.labels_y),
+        pairs(ta.labels_z, tb.labels_z), product(ta.c_xy, tb.c_xy),
+        product(ta.c_xz, tb.c_xz), product(ta.c_yz, tb.c_yz)))
+
+
+def test_direct_product_equals_triple_route(sweep):
+    pool = [p for p in all_pdas(sweep) if p.k * p.f <= 30]
+    assert len(pool) >= 14
+    for a in pool:
+        for b in pool:
+            assert direct_product(a, b) == _triple_route_product(a, b)
 
 
 def test_condition_error_carries_witness():
