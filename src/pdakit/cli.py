@@ -41,11 +41,10 @@ class SystemExit_(Exception):
 def _read_pda(path: str) -> Pda:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise PdaFormatError(f"{path} is not UTF-8 text: {exc}") from None
-    if text.lstrip().startswith("{"):
-        return pda_from_json(json.loads(text))
-    return parse_pda(text)
+        obj = json.loads(text) if text.lstrip().startswith("{") else None
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or JSON too deep
+        raise PdaFormatError(f"{path}: {exc}") from None
+    return parse_pda(text) if obj is None else pda_from_json(obj)
 
 
 def _write_pda(p: Pda, out: str | None, as_json: bool, provenance: dict | None = None):

@@ -174,10 +174,14 @@ def parse_pda(text: str) -> Pda:
         for tok in ln.split():
             if tok == "*":
                 row.append(STAR)
-            elif tok.isascii() and tok.isdigit() and tok[0] != "0":
-                row.append(int(tok))
-            else:
-                raise PdaFormatError(f"bad token {tok!r}; want '*' or a positive decimal")
+                continue
+            try:
+                if not (tok.isascii() and tok.isdigit() and tok[0] != "0"):
+                    raise ValueError
+                row.append(int(tok))  # int() also caps the digit count
+            except ValueError:
+                raise PdaFormatError(
+                    f"bad token {tok!r}; want '*' or a positive decimal") from None
         if len(row) != k:
             raise PdaFormatError(f"row {ln!r} has {len(row)} entries, expected {k}")
         grid.append(tuple(row))

@@ -3,9 +3,9 @@
 Placement: user k caches packet row j of every file iff cell (j,k) is a star,
 so caches are filled before any demand exists.  Delivery: one XOR transmission
 per symbol, combining the demanded packets at that symbol's cells.  Decoding
-peels a transmission with side packets that condition C3 guarantees are
-cached; the lookup is instrumented, so a structural gap raises instead of
-silently reading garbage.
+peels each transmission with side packets that condition C3 guarantees are
+cached, read from the user's own cache, so a corrupt or missing packet is a
+failure that `verify_scheme` records.
 """
 
 import itertools
@@ -17,7 +17,7 @@ from .pda import STAR, Pda, require_valid
 
 
 class DecodeError(RuntimeError):
-    """A needed side packet was not in cache: the array breaks C3."""
+    """A packet the decoder needs is not in the user's cache."""
 
 
 @dataclass(frozen=True)
@@ -49,10 +49,6 @@ class CacheContents:
         return sum(len(v) for v in self.packets.values())
 
 
-def _xor(a: bytes, b: bytes) -> bytes:
-    return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(len(a), "big")
-
-
 def place(p: Pda, lib: FileLibrary) -> list[CacheContents]:
     """Fill every user's cache: the starred rows of every file."""
     if lib.f != p.f:
@@ -68,6 +64,58 @@ def place(p: Pda, lib: FileLibrary) -> list[CacheContents]:
     return caches
 
 
+def _packet_ints(lib: FileLibrary) -> list[list[int]]:
+    return [[int.from_bytes(pk, "big") for pk in file] for file in lib.packets]
+
+
+def _transmit(p: Pda, ints: list[list[int]], demand: tuple) -> list[int]:
+    """The S payloads as ints: per symbol, the XOR of the demanded packets."""
+    cells = p.symbol_cells
+    out = []
+    for s in range(1, p.s + 1):
+        acc = 0
+        for j, k in cells.get(s, ()):
+            acc ^= ints[demand[k]][j]
+        out.append(acc)
+    return out
+
+
+def _row_decoder(p: Pda, cache: CacheContents, user: int):
+    """rows(transmissions, demand) -> the user's demanded rows as ints, all
+    packets read from the cache: a starred row directly, a coded row by peeling
+    its transmission with file demand[k2] row j2 for each other cell (j2, k2)."""
+    by_row: dict[int, dict[int, int]] = {}  # row -> file -> packet
+    for (i, j), pk in cache.packets.items():
+        by_row.setdefault(j, {})[i] = int.from_bytes(pk, "big")
+    grid, cells = p.grid, p.symbol_cells
+    plan = []
+    for j, row in enumerate(grid):
+        v = row[user]
+        side = by_row.get(j, {}) if v == STAR else [
+            (j2, k2, by_row.get(j2, {})) for j2, k2 in cells[v] if (j2, k2) != (j, user)]
+        plan.append((j, v, side))
+
+    def rows(tx: list[int], demand: tuple) -> list[int]:
+        want = demand[user]
+        out = []
+        try:
+            for j, v, side in plan:
+                if v == STAR:
+                    out.append(side[want])
+                else:
+                    acc = tx[v - 1]
+                    for j2, k2, pks in side:
+                        acc ^= pks[demand[k2]]
+                    out.append(acc)
+        except KeyError:
+            i, j, k = (want, j, user) if v == STAR else (demand[k2], j2, k2)
+            gap = "" if grid[j][user] == STAR else "; condition C3 is broken"
+            raise DecodeError(f"user {user}: packet ({i},{j}) for cell ({j},{k}) "
+                              f"missing from cache{gap}") from None
+        return out
+    return rows
+
+
 def deliver(p: Pda, lib: FileLibrary, demand) -> list[bytes]:
     """The S broadcast payloads for a demand vector (file index per user)."""
     demand = tuple(demand)
@@ -75,44 +123,16 @@ def deliver(p: Pda, lib: FileLibrary, demand) -> list[bytes]:
         raise ValueError(f"demand vector needs {p.k} entries")
     if any(not 0 <= d < lib.n for d in demand):
         raise ValueError("demand entry outside the library")
-    zero = bytes(lib.packet_size)
-    log = []
-    cells = p.symbol_cells
-    for s in range(1, p.s + 1):
-        payload = zero
-        for j, k in cells.get(s, ()):
-            payload = _xor(payload, lib.packets[demand[k]][j])
-        log.append(payload)
-    return log
+    return [x.to_bytes(lib.packet_size, "big") for x in _transmit(p, _packet_ints(lib), demand)]
 
 
 def decode(p: Pda, cache: CacheContents, transmissions: list[bytes],
            demand, user: int) -> bytes:
     """Reassemble the user's demanded file from cache plus transmissions."""
-    demand = tuple(demand)
-    want = demand[user]
-    cells = p.symbol_cells
-    parts = []
-    for j in range(p.f):
-        v = p.grid[j][user]
-        if v == STAR:
-            try:
-                parts.append(cache.packets[(want, j)])
-            except KeyError:
-                raise DecodeError(f"user {user}: cached packet ({want},{j}) missing") from None
-        else:
-            payload = transmissions[v - 1]
-            for j2, k2 in cells[v]:
-                if (j2, k2) == (j, user):
-                    continue
-                try:
-                    payload = _xor(payload, cache.packets[(demand[k2], j2)])
-                except KeyError:
-                    raise DecodeError(
-                        f"user {user}, symbol {v}: side packet ({demand[k2]},{j2}) "
-                        f"not cached; condition C3 is broken at cell ({j2},{k2})") from None
-            parts.append(payload)
-    return b"".join(parts)
+    tx = [int.from_bytes(t, "big") for t in transmissions]
+    size = len(transmissions[0])
+    rows = _row_decoder(p, cache, user)(tx, tuple(demand))
+    return b"".join(x.to_bytes(size, "big") for x in rows)
 
 
 @dataclass
@@ -166,51 +186,25 @@ def verify_scheme(p: Pda, n_files: int, mode: str = "auto", samples: int = 200,
 
     auto mode sweeps every demand vector when there are at most 4096 of them,
     otherwise runs seeded samples plus the adversarial demands (all users
-    alike, and all distinct when the library allows it).
+    alike, and all distinct when the library allows it).  A wrong or
+    undecodable file is a (demand, user) failure, listed demand-major.
     """
     require_valid(p, "refusing to simulate an invalid PDA")
     rng = random.Random(seed)
     lib = FileLibrary.random(n_files, p.f, packet_size, seed=rng.randrange(2 ** 32))
     demands, mode_used = _demand_set(p, n_files, mode, samples, rng)
-
-    # int-valued packets for cheap XOR in the inner loop
-    ints = [[int.from_bytes(pk, "big") for pk in file] for file in lib.packets]
-    grid, cells = p.grid, p.symbol_cells
-    star_rows = [[j for j in range(p.f) if grid[j][k] == STAR] for k in range(p.k)]
-    coded_rows = [[(j, grid[j][k]) for j in range(p.f) if grid[j][k] != STAR]
-                  for k in range(p.k)]
-
-    # caches hold exact library slices; checked here once, then read directly
-    caches = place(p, lib)
-    for k in range(p.k):
-        expect = {(i, j): lib.packets[i][j] for i in range(n_files) for j in star_rows[k]}
-        if caches[k].packets != expect:
-            raise AssertionError(f"placement for user {k} does not match its star rows")
-
-    failures = []
-    for demand in demands:
-        log = [0] * p.s
-        for s in range(1, p.s + 1):
-            acc = 0
-            for j, k in cells[s]:
-                acc ^= ints[demand[k]][j]
-            log[s - 1] = acc
-        for user, want in enumerate(demand):
-            good = True
-            for j, sym in coded_rows[user]:
-                acc = log[sym - 1]
-                for j2, k2 in cells[sym]:
-                    if (j2, k2) == (j, user):
-                        continue
-                    if grid[j2][user] != STAR:
-                        raise DecodeError(
-                            f"user {user}, symbol {sym}: side packet row {j2} is not "
-                            f"a starred row; condition C3 is broken")
-                    acc ^= ints[demand[k2]][j2]
-                if acc != ints[want][j]:
-                    good = False
-                    break
+    ints = _packet_ints(lib)
+    sent = [_transmit(p, ints, demand) for demand in demands]
+    bad = []
+    for user, cache in enumerate(place(p, lib)):
+        rows = _row_decoder(p, cache, user)  # one user's plan alive at a time
+        for d, demand in enumerate(demands):
+            try:
+                good = rows(sent[d], demand) == ints[demand[user]]
+            except DecodeError:
+                good = False
             if not good:
-                failures.append((demand, user))
+                bad.append((d, user))
+    failures = [(demands[d], user) for d, user in sorted(bad)]
     return SimReport((p.k, p.f, p.q, p.s), mode_used, len(demands), failures,
                      Fraction(p.s, p.f), p.s * packet_size)

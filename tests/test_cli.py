@@ -7,6 +7,7 @@ import pytest
 
 import pdakit.cli
 import pdakit.pda
+import pdakit.sim
 from pdakit.cli import main
 from pdakit.constructions import ConstructionSpec, construct_pda
 from pdakit.designs import catalog_lookup, design_to_json
@@ -143,6 +144,18 @@ def test_validate_non_utf8_file(run, tmp_path):
     assert code == 3 and err.startswith("parse error:")
 
 
+@pytest.mark.parametrize("text", [
+    '{"K": 2, "F": 2,',
+    '{"K": 2, "F": 2, "Q": 1, "S": ' + "1" * 5000 + "}",
+    '{"grid": ' + "[" * 100_000 + "]" * 100_000 + "}",
+], ids=["truncated", "past-int-digit-limit", "past-recursion-limit"])
+def test_validate_malformed_json(run, tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, _, err = run("validate", str(path))
+    assert code == 3 and err.startswith("parse error:")
+
+
 def test_validate_missing_file(run, tmp_path):
     code, _, err = run("validate", str(tmp_path / "nope.pda"))
     assert code == 3
@@ -182,6 +195,23 @@ def test_simulate_refuses_invalid(run, bad_file):
 def test_simulate_rejects_empty_library(run, tiny_file):
     code, _, err = run("simulate", tiny_file, "--files", "0")
     assert code == 3 and "error" in err
+
+
+def test_simulate_corrupt_cache_exits_4(run, tiny_file, monkeypatch):
+    real_place = pdakit.sim.place
+
+    def place(p, lib):
+        caches = real_place(p, lib)
+        caches[0].packets[(0, 0)] = bytes(lib.packet_size)  # user 0's file-0 star packet
+        return caches
+
+    monkeypatch.setattr(pdakit.sim, "place", place)
+    code, out, _ = run("simulate", tiny_file, "--files", "2")
+    assert code == 4
+    # user 0 reads file 0 row 0 as its own row when it wants file 0, and as
+    # the side packet of symbol 1 when user 1 wants file 0
+    assert json.loads(out)["failures"] == [{"demand": d, "user": 0}
+                                           for d in ([0, 0], [0, 1], [1, 0])]
 
 
 def test_simulate_reads_and_validates_once(run, tiny_file, counted):

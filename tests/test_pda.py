@@ -132,6 +132,7 @@ def test_json_malformed():
     "2 2 1 1_0\n* 1\n1 *\n",           # digit separator in a header field
     "2 ٢ 1 1\n* 1\n1 *\n",        # non-ASCII digit in the header
     "2 2 1 +1\n* 1\n1 *\n",            # sign in a header field
+    pytest.param("2 2 1 1\n* " + "1" * 5000 + "\n1 *\n", id="past-int-digit-limit"),
 ])
 def test_parse_accepts_only_ascii_decimals(text):
     with pytest.raises(PdaFormatError):

@@ -1,0 +1,117 @@
+"""Property tests: the validator against the definitions of C1-C3, the file
+formats' round trips, the text parser's failure mode, and the simulator on
+random valid arrays.  Examples are derandomized, so every run sees the same
+inputs."""
+
+import itertools
+import json
+
+from hypothesis import given, settings, strategies as st
+
+from pdakit.pda import (Pda, PdaFormatError, STAR, format_pda, parse_pda,
+                        pda_from_json, pda_to_json, validate_pda)
+from pdakit.sim import verify_scheme
+
+FIXED = settings(derandomize=True, database=None, deadline=None)
+
+
+def oracle(p: Pda) -> str:
+    """The first condition p breaks, straight from the definitions; '' if none."""
+    cells = [(j, k, v) for j, row in enumerate(p.grid) for k, v in enumerate(row)]
+    if min(p.k, p.f, p.q, p.s) < 1 or p.q >= p.f:
+        return "params"
+    if any(v != STAR and v > p.s for _, _, v in cells):
+        return "range"
+    if any([row[k] for row in p.grid].count(STAR) != p.q for k in range(p.k)):
+        return "C1"
+    if {v for _, _, v in cells} - {STAR} != set(range(1, p.s + 1)):
+        return "C2"
+    for j1, k1, v1 in cells:
+        for j2, k2, v2 in cells:
+            if v1 == v2 != STAR and (j1, k1) != (j2, k2) and (
+                    j1 == j2 or k1 == k2
+                    or p.grid[j1][k2] != STAR or p.grid[j2][k1] != STAR):
+                return "C3"
+    return ""
+
+
+@st.composite
+def valid_pdas(draw):
+    """Q stars per column at random rows, then each other cell, row-major,
+    joins a symbol it is C3-compatible with or opens a new one."""
+    k, f = draw(st.integers(1, 5)), draw(st.integers(2, 5))
+    q = draw(st.integers(1, f - 1))
+    stars = [set(draw(st.permutations(range(f)))[:q]) for _ in range(k)]
+    groups: list[list[tuple[int, int]]] = []
+    grid = [[STAR] * k for _ in range(f)]
+    for j in range(f):
+        for c in range(k):
+            if j in stars[c]:
+                continue
+            fits = [i for i, g in enumerate(groups) if all(
+                j != j2 and c != k2 and j in stars[k2] and j2 in stars[c] for j2, k2 in g)]
+            pick = draw(st.integers(0, len(fits)))
+            if pick == len(fits):
+                groups.append([])
+                fits.append(len(groups) - 1)
+            groups[fits[pick]].append((j, c))
+            grid[j][c] = fits[pick] + 1
+    return Pda(k, f, q, len(groups), tuple(map(tuple, grid)))
+
+
+@st.composite
+def any_pdas(draw):
+    """Well-formed grids of up to 5x5 with arbitrary declared Q and S."""
+    k, f = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    cell = st.sampled_from([STAR, 1, 2, 3, 4, 5, 6])
+    grid = tuple(tuple(draw(cell) for _ in range(k)) for _ in range(f))
+    return Pda(k, f, draw(st.integers(0, 6)), draw(st.integers(0, 6)), grid)
+
+
+@st.composite
+def mutated_pdas(draw):
+    """A valid array with one symbol cell rewritten: close to the C1-C3 boundary."""
+    p = draw(valid_pdas())
+    j, c = draw(st.sampled_from([(j, c) for j, c in itertools.product(range(p.f), range(p.k))
+                                 if p.grid[j][c] != STAR]))
+    grid = [list(row) for row in p.grid]
+    grid[j][c] = draw(st.integers(STAR, p.s + 1))
+    return Pda(p.k, p.f, p.q, p.s, tuple(map(tuple, grid)))
+
+
+@settings(FIXED, max_examples=400)
+@given(st.one_of(valid_pdas(), mutated_pdas(), any_pdas()))
+def test_validator_matches_definitions(p):
+    rep = validate_pda(p)
+    assert (rep.ok, rep.condition) == (oracle(p) == "", oracle(p))
+
+
+@settings(FIXED, max_examples=150)
+@given(st.one_of(valid_pdas(), any_pdas()))
+def test_text_and_json_round_trip(p):
+    assert parse_pda(format_pda(p)) == p
+    assert pda_from_json(json.loads(json.dumps(pda_to_json(p)))) == p
+
+
+# Any code points, lone surrogates included, drawn without Hypothesis's
+# Unicode tables, which cost seconds to build on a cold cache.
+ANY_TEXT = st.lists(st.integers(0, 0x10FFFF)).map(lambda cs: "".join(map(chr, cs)))
+NEAR_PDA = st.text(alphabet="0123456789* \n\t\x0b\u2028\u3000+-_١²").map(
+    lambda t: "2 2 1 1\n" + t)
+
+
+@settings(FIXED, max_examples=300)
+@given(st.one_of(ANY_TEXT, NEAR_PDA))
+def test_parse_fails_only_with_format_error(text):
+    try:
+        parse_pda(text)
+    except PdaFormatError:
+        pass
+
+
+@settings(FIXED, max_examples=60)
+@given(valid_pdas())
+def test_verify_scheme_decodes_every_valid_array(p):
+    assert oracle(p) == ""
+    rep = verify_scheme(p, 2)
+    assert rep.ok and rep.demands_tested == 2 ** p.k

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import pdakit.sim as sim
 from pdakit.constructions import ConstructionSpec, construct_pda
 from pdakit.pda import Pda, STAR
 from pdakit.sim import (CacheContents, DecodeError, FileLibrary, decode,
@@ -144,3 +145,59 @@ def test_report_json():
     assert obj["mode"] == "exhaustive"
     assert obj["demands_tested"] == 4
     assert obj["bytes"] == 16
+
+
+# --- fault injection: verify_scheme reads what place and delivery produced ---
+
+FANO_PG = construct_pda(ConstructionSpec("pg", 1, q=2, k=3, m=1, t=1))  # K=F=7
+
+
+def _reads(p, user, demand):
+    """Every cached (file, row) the user's decode of this demand reads."""
+    out = set()
+    for j, row in enumerate(p.grid):
+        if row[user] == STAR:
+            out.add((demand[user], j))
+        else:
+            out |= {(demand[k2], j2) for j2, k2 in p.symbol_cells[row[user]]
+                    if (j2, k2) != (j, user)}
+    return out
+
+
+@pytest.mark.parametrize("fault", ["corrupt", "drop"])
+def test_verify_records_faulty_cached_packet(monkeypatch, fault):
+    user, file = 3, 1
+    row = next(j for j, r in enumerate(FANO_PG.grid) if r[user] == STAR)
+    real_place = sim.place
+
+    def place(p, lib):
+        caches = real_place(p, lib)
+        pk = caches[user].packets.pop((file, row))
+        if fault == "corrupt":
+            caches[user].packets[(file, row)] = bytes([pk[0] ^ 1]) + pk[1:]
+        return caches
+
+    monkeypatch.setattr(sim, "place", place)
+    rep = verify_scheme(FANO_PG, 3, mode="exhaustive")
+    expect = [(d, user) for d in itertools.product(range(3), repeat=7)
+              if (file, row) in _reads(FANO_PG, user, d)]
+    assert not rep.ok
+    assert rep.failures == expect
+    assert 0 < len(expect) < rep.demands_tested
+
+
+def test_verify_records_corrupt_transmission(monkeypatch):
+    symbol = 2
+    real_transmit = sim._transmit
+
+    def transmit(p, ints, demand):
+        payloads = real_transmit(p, ints, demand)
+        payloads[symbol - 1] ^= 1 << 7
+        return payloads
+
+    monkeypatch.setattr(sim, "_transmit", transmit)
+    rep = verify_scheme(FANO_PG, 2, mode="exhaustive")
+    listeners = sorted({k for _, k in FANO_PG.symbol_cells[symbol]})
+    assert 0 < len(listeners) < FANO_PG.k
+    assert rep.failures == [(d, u) for d in itertools.product(range(2), repeat=7)
+                            for u in listeners]
