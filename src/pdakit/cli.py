@@ -203,7 +203,11 @@ def cmd_designs(args) -> int:
     # certify: a JSON file path or a reference
     path = Path(args.ref)
     if path.exists():
-        design = design_from_json(json.loads(path.read_text()))
+        try:
+            obj = json.loads(path.read_text(encoding="utf-8"))
+        except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, or JSON too deep
+            raise SystemExit_(FAIL_PARSE, f"parse error: {path}: {exc}") from None
+        design = design_from_json(obj)
     else:
         design = from_reference(args.ref)
     checked = []

@@ -15,16 +15,18 @@ Families (ids are the CLI tokens):
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import reduce
 from math import comb
+from operator import and_, or_
 
 from .designs import (Design, blocks_containing, certify_configuration,
                       certify_t_design, from_reference, lambda_s)
 from .gf import FieldSpec
 from .pda import Pda
 from .subspaces import enumerate_subspaces, gaussian_binomial
-from .triples import (ConditionError, TripleSystem, complete_matching,
+from .triples import (ConditionError, TripleSystem, complete_matching, set_bits,
                       orientations, triple_to_pda)
 
 FAMILIES = ("pg", "config", "tdesign-a", "tdesign-b", "tdesign-lambda")
@@ -195,23 +197,66 @@ def _check_tdesign_lambda(t: int, k: int, t0: int, t1: int, t2: int):
 # --- triple builders ------------------------------------------------------
 
 
+def _relation(rows, cols, holds) -> tuple[int, ...]:
+    """Row masks of a relation: bit j of row i is set iff holds(rows[i], cols[j])."""
+    return tuple(sum(1 << j for j, c in enumerate(cols) if holds(r, c)) for r in rows)
+
+
+def _block_triple(design: Design, size_x: int, size_y: int) -> TripleSystem:
+    """Rows are the size_x-subsets of the points, symbols the size_y-subsets,
+    columns the blocks.  A row and a symbol are incident when they are
+    disjoint and some block holds both; each is incident to the blocks
+    holding it."""
+    xs = list(itertools.combinations(range(design.v), size_x))
+    ys = list(itertools.combinations(range(design.v), size_y))
+    ix = {sub: i for i, sub in enumerate(xs)}
+    iy = {sub: i for i, sub in enumerate(ys)}
+    xy, xz, yz = [0] * len(xs), [0] * len(xs), [0] * len(ys)
+    for i, blk in enumerate(design.blocks):
+        for x in itertools.combinations(blk, size_x):
+            xz[ix[x]] |= 1 << i
+            rest = [p for p in blk if p not in x]
+            for y in itertools.combinations(rest, size_y):
+                xy[ix[x]] |= 1 << iy[y]
+        for y in itertools.combinations(blk, size_y):
+            yz[iy[y]] |= 1 << i
+    return TripleSystem(tuple(xs), tuple(ys), tuple(range(design.b)),
+                        tuple(xy), tuple(xz), tuple(yz))
+
+
+def _holders(subspaces, npoints: int) -> list[int]:
+    """For each point, the mask of the subspaces that hold it."""
+    out = [0] * npoints
+    for i, s in enumerate(subspaces):
+        for point in set_bits(s.points_mask()):
+            out[point] |= 1 << i
+    return out
+
+
 def pg_triple(q: int, k: int, m: int, t: int) -> TripleSystem:
     """Rows = t-dim, symbols = m-dim, columns = (m+t)-dim subspaces of F_q^k.
 
     A row and symbol are incident when the subspaces meet trivially; rows and
-    symbols are incident to the columns containing them.
+    symbols are incident to the columns containing them.  With each subspace
+    a bitmask over the q^k points (zero vector at bit 0), a subspace lies in
+    exactly the columns that hold all its points, and meets trivially exactly
+    the symbols that hold none of its nonzero points.
     """
     field = _check_pg(q, k, m, t)
     xs = enumerate_subspaces(field, k, t)
     ys = enumerate_subspaces(field, k, m)
     zs = enumerate_subspaces(field, k, m + t)
-    vx = [x.vectors() for x in xs]
-    vy = [y.vectors() for y in ys]
-    vz = [z.vectors() for z in zs]
-    c_xy = tuple(tuple(1 if len(a & b) == 1 else 0 for b in vy) for a in vx)
-    c_xz = tuple(tuple(1 if a <= c else 0 for c in vz) for a in vx)
-    c_yz = tuple(tuple(1 if b <= c else 0 for c in vz) for b in vy)
-    return TripleSystem(tuple(xs), tuple(ys), tuple(zs), c_xy, c_xz, c_yz)
+    in_y, in_z = _holders(ys, q ** k), _holders(zs, q ** k)
+    all_y = (1 << len(ys)) - 1
+
+    def meets_trivially(x):
+        return all_y & ~reduce(or_, (in_y[p] for p in set_bits(x.points_mask() ^ 1)))
+
+    def within(s):
+        return reduce(and_, (in_z[p] for p in set_bits(s.points_mask())))
+
+    return TripleSystem(tuple(xs), tuple(ys), tuple(zs), tuple(map(meets_trivially, xs)),
+                        tuple(map(within, xs)), tuple(map(within, ys)))
 
 
 def configuration_triple(design: Design) -> TripleSystem:
@@ -219,55 +264,20 @@ def configuration_triple(design: Design) -> TripleSystem:
 
     Distinct points are incident when some block holds both.
     """
-    v, r, b, k = _configuration_of(design)
-    in_block = set()
-    for blk in design.blocks:
-        in_block.update(itertools.combinations(blk, 2))
-    c_xy = tuple(tuple(1 if x != y and (min(x, y), max(x, y)) in in_block else 0
-                       for y in range(v)) for x in range(v))
-    blocksets = [set(blk) for blk in design.blocks]
-    member = tuple(tuple(1 if x in blk else 0 for blk in blocksets)
-                   for x in range(v))
-    return TripleSystem(tuple(range(v)), tuple(range(v)),
-                        tuple(range(b)), c_xy, member, member)
+    v = _configuration_of(design)[0]
+    return replace(_block_triple(design, 1, 1), labels_x=tuple(range(v)),
+                   labels_y=tuple(range(v)))
 
 
 def tdesign_a_triple(design: Design, t0: int) -> TripleSystem:
     """Rows and symbols are the t0-subsets of the points of a t-(v,k,1) design.
 
     Two subsets are incident when they are disjoint and some block covers
-    their union (a single map probe: the union's first t points determine the
-    only candidate block).
+    their union.
     """
     t, v, k, lam = _t_design_of(design)
     _check_tdesign_a(t, k, lam, t0)
-    subsets = list(itertools.combinations(range(v), t0))
-    index = {sub: i for i, sub in enumerate(subsets)}
-    block_of = {}
-    for i, blk in enumerate(design.blocks):
-        for sub in itertools.combinations(blk, t):
-            block_of[sub] = i
-    blocksets = [set(blk) for blk in design.blocks]
-
-    def covered(u: tuple) -> bool:
-        i = block_of.get(u[:t])
-        return i is not None and set(u) <= blocksets[i]
-
-    n = len(subsets)
-    c_xy = [[0] * n for _ in range(n)]
-    for xi, x in enumerate(subsets):
-        xset = set(x)
-        for yi, y in enumerate(subsets):
-            if xset.isdisjoint(y) and covered(tuple(sorted(x + y))):
-                c_xy[xi][yi] = 1
-    member = [[0] * design.b for _ in range(n)]
-    for i, blk in enumerate(design.blocks):
-        for sub in itertools.combinations(blk, t0):
-            member[index[sub]][i] = 1
-    labels = tuple(subsets)
-    member = tuple(tuple(r) for r in member)
-    return TripleSystem(labels, labels, tuple(range(design.b)),
-                        tuple(tuple(r) for r in c_xy), member, member)
+    return _block_triple(design, t0, t0)
 
 
 def tdesign_b_triple(design: Design, t1: int, t2: int) -> TripleSystem:
@@ -278,22 +288,7 @@ def tdesign_b_triple(design: Design, t1: int, t2: int) -> TripleSystem:
     """
     t, v, k, lam = _t_design_of(design)
     _check_tdesign_b(t, k, lam, t1, t2)
-    xs = list(itertools.combinations(range(v), t1))
-    ys = list(itertools.combinations(range(v), t2))
-    block_index = {blk: i for i, blk in enumerate(design.blocks)}
-    c_xy = tuple(tuple(1 if set(x).isdisjoint(y) and tuple(sorted(x + y)) in block_index
-                       else 0 for y in ys) for x in xs)
-
-    def membership(subsets, size):
-        idx = {sub: i for i, sub in enumerate(subsets)}
-        mat = [[0] * design.b for _ in subsets]
-        for i, blk in enumerate(design.blocks):
-            for sub in itertools.combinations(blk, size):
-                mat[idx[sub]][i] = 1
-        return tuple(tuple(r) for r in mat)
-
-    return TripleSystem(tuple(xs), tuple(ys), tuple(range(design.b)),
-                        c_xy, membership(xs, t1), membership(ys, t2))
+    return _block_triple(design, t1, t2)
 
 
 def tdesign_lambda_triple(design: Design, t0: int, t1: int, t2: int) -> TripleSystem:
@@ -311,13 +306,10 @@ def tdesign_lambda_triple(design: Design, t0: int, t1: int, t2: int) -> TripleSy
                 for bi in blocks_containing(design, sub)]
 
     xs, ys, zs = flags(t1), flags(t2), flags(t0)
-    c_xy = tuple(tuple(1 if b1 == b2 and set(a1).isdisjoint(a2) else 0
-                       for (a2, b2) in ys) for (a1, b1) in xs)
-    c_xz = tuple(tuple(1 if b1 == b0 and set(a1) <= set(a0) else 0
-                       for (a0, b0) in zs) for (a1, b1) in xs)
-    c_yz = tuple(tuple(1 if b2 == b0 and set(a2) <= set(a0) else 0
-                       for (a0, b0) in zs) for (a2, b2) in ys)
-    return TripleSystem(tuple(xs), tuple(ys), tuple(zs), c_xy, c_xz, c_yz)
+    xy = _relation(xs, ys, lambda a, b: a[1] == b[1] and set(a[0]).isdisjoint(b[0]))
+    xz = _relation(xs, zs, lambda a, c: a[1] == c[1] and set(a[0]) <= set(c[0]))
+    yz = _relation(ys, zs, lambda b, c: b[1] == c[1] and set(b[0]) <= set(c[0]))
+    return TripleSystem(tuple(xs), tuple(ys), tuple(zs), xy, xz, yz)
 
 
 # --- closed-form parameter rows ------------------------------------------

@@ -284,19 +284,22 @@ def design_to_json(d: Design) -> dict:
     return out
 
 
+def _int(v) -> int:
+    if type(v) is not int:  # not isinstance(): bool is an int subclass
+        raise ValueError(f"expected an int, got {v!r}")
+    return v
+
+
 def design_from_json(obj: dict) -> Design:
     try:
-        v = int(obj["v"])
-        blocks = tuple(tuple(int(p) for p in blk) for blk in obj["blocks"])
+        v = _int(obj["v"])
+        blocks = tuple(tuple(map(_int, blk)) for blk in obj["blocks"])
+        tag = obj.get("tag", {})
+        t_params = config_params = None
+        if "t-design" in tag:
+            t_params = tuple(_int(tag["t-design"][key]) for key in ("t", "v", "k", "lambda"))
+        if "configuration" in tag:
+            config_params = tuple(_int(tag["configuration"][key]) for key in ("v", "r", "b", "k"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed design object: {exc}") from None
-    tag = obj.get("tag", {})
-    t_params = None
-    config_params = None
-    if "t-design" in tag:
-        td = tag["t-design"]
-        t_params = (int(td["t"]), int(td["v"]), int(td["k"]), int(td["lambda"]))
-    if "configuration" in tag:
-        c = tag["configuration"]
-        config_params = (int(c["v"]), int(c["r"]), int(c["b"]), int(c["k"]))
     return Design(v, blocks, t_params=t_params, config_params=config_params)

@@ -113,9 +113,14 @@ class Subspace:
         stacked, _ = rref(self.field, self.basis + other.basis)
         return len(stacked) == self.dim + other.dim
 
-    def vectors(self) -> frozenset:
-        """All vectors of the subspace, as coordinate tuples."""
-        return _span_vectors(self)
+    def points_mask(self) -> int:
+        """The subspace's vectors as a bitmask over the q^ambient points.
+
+        Vector v is bit sum(v[i] * q**i), so the zero vector is bit 0, two
+        subspaces meet trivially iff a & b == 1, and a lies in c iff
+        a & c == a.
+        """
+        return _points_mask(self)
 
     def _check_compatible(self, other):
         if self.field != other.field or self.ambient != other.ambient:
@@ -132,16 +137,15 @@ def span(field: FieldSpec, ambient: int, rows) -> Subspace:
 
 
 @functools.lru_cache(maxsize=None)
-def _span_vectors(s: Subspace) -> frozenset:
-    f = s.field
-    out = set()
-    for coeffs in itertools.product(f.elements(), repeat=s.dim):
-        v = [0] * s.ambient
-        for c, row in zip(coeffs, s.basis):
-            if c:
-                v = [f.add(x, f.mul(c, y)) for x, y in zip(v, row)]
-        out.add(tuple(v))
-    return frozenset(out)
+def _points_mask(s: Subspace) -> int:
+    f, els = s.field, s.field.elements()
+    add = [[f.add(a, b) for b in els] for a in els]
+    vectors = [(0,) * s.ambient]
+    for row in s.basis:
+        multiples = [[f.mul(c, b) for b in row] for c in els]
+        vectors = [tuple(add[a][b] for a, b in zip(v, w)) for v in vectors for w in multiples]
+    weights = [f.q ** i for i in range(s.ambient)]
+    return sum(1 << sum(w * a for w, a in zip(weights, v)) for v in vectors)
 
 
 def enumerate_subspaces(field: FieldSpec, ambient: int, dim: int) -> list[Subspace]:

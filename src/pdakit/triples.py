@@ -5,6 +5,11 @@ index sets X (rows), Y (symbols), Z (columns):
 
   C_XY on X x Y, C_XZ on X x Z, C_YZ on Y x Z.
 
+A TripleSystem stores each matrix only as row bitmasks (fields xy, xz, yz):
+bit j of row i is entry (i, j).  Column masks are derived once per system;
+the 0/1 tuples c_xy, c_xz, c_yz are views built on demand, which no stage
+reads.  An orientation is a relabeling that swaps rows for columns.
+
 Conditions checked here, all by exhaustive scan:
 
   E1: every column of C_XZ sums to the same value (|X| - Q),
@@ -22,9 +27,11 @@ thinned to per-z perfect matchings (complete_matching).
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .pda import STAR, Pda, canonical_relabel, require_valid
 
+Masks = tuple[int, ...]  # one bitmask per row: bit j of row i is entry (i, j)
 Matrix = tuple[tuple[int, ...], ...]
 
 
@@ -45,19 +52,29 @@ class TripleSystem:
     labels_x: tuple
     labels_y: tuple
     labels_z: tuple
-    c_xy: Matrix
-    c_xz: Matrix
-    c_yz: Matrix
+    xy: Masks
+    xz: Masks
+    yz: Masks
 
     def __post_init__(self):
         nx, ny, nz = len(self.labels_x), len(self.labels_y), len(self.labels_z)
-        for name, mat, rows, cols in (("c_xy", self.c_xy, nx, ny),
-                                      ("c_xz", self.c_xz, nx, nz),
-                                      ("c_yz", self.c_yz, ny, nz)):
-            if len(mat) != rows or any(len(r) != cols for r in mat):
-                raise ValueError(f"{name} must be {rows}x{cols}")
-            if any(v not in (0, 1) for r in mat for v in r):
-                raise ValueError(f"{name} entries must be 0 or 1")
+        for name, rows, nrows, ncols in (("xy", self.xy, nx, ny),
+                                         ("xz", self.xz, nx, nz),
+                                         ("yz", self.yz, ny, nz)):
+            if len(rows) != nrows:
+                raise ValueError(f"{name} must have {nrows} rows, got {len(rows)}")
+            limit = 1 << ncols
+            if any(type(r) is not int or not 0 <= r < limit for r in rows):
+                raise ValueError(f"{name} rows must be int masks below 1 << {ncols}")
+
+    # Column masks, each derived from the rows once per system.
+    cols_xy = cached_property(lambda self: _columns(self.xy, len(self.labels_y)))
+    cols_xz = cached_property(lambda self: _columns(self.xz, len(self.labels_z)))
+    cols_yz = cached_property(lambda self: _columns(self.yz, len(self.labels_z)))
+    # 0/1 row tuples, rebuilt on every access and never stored.
+    c_xy = property(lambda self: _dense(self.xy, len(self.labels_y)))
+    c_xz = property(lambda self: _dense(self.xz, len(self.labels_z)))
+    c_yz = property(lambda self: _dense(self.yz, len(self.labels_z)))
 
 
 @dataclass(frozen=True)
@@ -93,101 +110,89 @@ class ConditionReport:
         return self.e1p and self.e2p and self.e3 and self.e6 and self.e7
 
 
-def _bitrows(mat: Matrix) -> list[int]:
-    return [sum(1 << j for j, v in enumerate(row) if v) for row in mat]
-
-
-def _bitcols(mat: Matrix, ncols: int) -> list[int]:
-    out = [0] * ncols
-    for i, row in enumerate(mat):
-        bit = 1 << i
-        for j, v in enumerate(row):
-            if v:
-                out[j] |= bit
+def set_bits(mask: int) -> list[int]:
+    """Indices of the set bits of mask, ascending."""
+    # Taken from the top, so each step works on a shorter int.
+    out = []
+    while mask:
+        top = mask.bit_length() - 1
+        out.append(top)
+        mask ^= 1 << top
+    out.reverse()
     return out
 
 
-def _iter_bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+def _columns(rows: Masks, ncols: int) -> Masks:
+    """Column masks of the matrix with these row masks: its transpose."""
+    out = [0] * ncols
+    for i, row in enumerate(rows):
+        bit = 1 << i
+        for j in set_bits(row):
+            out[j] |= bit
+    return tuple(out)
+
+
+def _dense(rows: Masks, ncols: int) -> Matrix:
+    # bin() of row | 1 << ncols is "0b1" and then the ncols entries, last first
+    return tuple(tuple(int(c) for c in reversed(bin(row | 1 << ncols)[3:])) for row in rows)
+
+
+def _degree(masks) -> int | None:
+    """The popcount all masks share, if it is one and positive; else None."""
+    counts = {m.bit_count() for m in masks}
+    return counts.pop() if len(counts) == 1 and 0 not in counts else None
+
+
+def _not_single(rows, a, b, labels_a, labels_b):
+    """The first (labels_a[i], labels_b[j]), row-major, with bit j of rows[i]
+    set and a[i] & b[j] other than a single bit; None if there is none."""
+    for i, row in enumerate(rows):
+        for j in set_bits(row):
+            if (a[i] & b[j]).bit_count() != 1:
+                return labels_a[i], labels_b[j]
+    return None
 
 
 def check_conditions(t: TripleSystem) -> ConditionReport:
     """Evaluate every condition by exhaustive scan; never sampled."""
-    nx, ny, nz = len(t.labels_x), len(t.labels_y), len(t.labels_z)
-    rows_xy, rows_xz, rows_yz = _bitrows(t.c_xy), _bitrows(t.c_xz), _bitrows(t.c_yz)
-    cols_xy = _bitcols(t.c_xy, ny)
-    cols_xz = _bitcols(t.c_xz, nz)
-    cols_yz = _bitcols(t.c_yz, nz)
+    lx, ly, lz = t.labels_x, t.labels_y, t.labels_z
+    rows_xy, cols_xy, cols_xz, cols_yz = t.xy, t.cols_xy, t.cols_xz, t.cols_yz
     wit: dict = {}
 
-    col_sums = [m.bit_count() for m in cols_xz]
-    e1 = len(set(col_sums)) <= 1
+    col_sums = {m.bit_count() for m in cols_xz}
+    e1 = len(col_sums) <= 1
     if not e1:
-        wit["E1"] = tuple(sorted(set(col_sums)))
-    d_z = col_sums[0] if e1 and nz else None
-    e1p = e1 and d_z is not None and d_z > 0
+        wit["E1"] = tuple(sorted(col_sums))
+    d_z = min(col_sums) if e1 and col_sums else None
+    e2 = all(t.yz)
+    if not e2:
+        wit["E2"] = (ly[t.yz.index(0)],)
+    d_y, d_x = _degree(t.yz), _degree(t.xz)
 
-    e2 = True
-    for y in range(ny):
-        if not rows_yz[y]:
-            e2 = False
-            wit["E2"] = (t.labels_y[y],)
-            break
-    row_sums_yz = [m.bit_count() for m in rows_yz]
-    e2p = len(set(row_sums_yz)) <= 1 and bool(ny) and row_sums_yz[0] > 0
-    d_y = row_sums_yz[0] if e2p else None
-
-    row_sums_xz = [m.bit_count() for m in rows_xz]
-    e7 = len(set(row_sums_xz)) <= 1 and bool(nx) and row_sums_xz[0] > 0
-    d_x = row_sums_xz[0] if e7 else None
-
-    e3 = True
-    for x in range(nx):
-        for y in _iter_bits(rows_xy[x]):
-            if (rows_xz[x] & rows_yz[y]).bit_count() != 1:
-                e3 = False
-                wit.setdefault("E3", (t.labels_x[x], t.labels_y[y]))
-        if not e3:
-            break
-
-    e4 = True
-    for x in range(nx):
-        for z in _iter_bits(rows_xz[x]):
-            if (rows_xy[x] & cols_yz[z]).bit_count() != 1:
-                e4 = False
-                wit.setdefault("E4", (t.labels_x[x], t.labels_z[z]))
-        if not e4:
-            break
-
-    e5 = True
-    for y in range(ny):
-        for z in _iter_bits(rows_yz[y]):
-            if (cols_xy[y] & cols_xz[z]).bit_count() != 1:
-                e5 = False
-                wit.setdefault("E5", (t.labels_y[y], t.labels_z[z]))
-        if not e5:
-            break
+    for name, args in (("E3", (rows_xy, t.xz, t.yz, lx, ly)),
+                       ("E4", (t.xz, rows_xy, cols_yz, lx, lz)),
+                       ("E5", (t.yz, cols_xy, cols_xz, ly, lz))):
+        witness = _not_single(*args)
+        if witness is not None:
+            wit[name] = witness
 
     e6 = True
     degrees = []
-    for z in range(nz):
-        u1, u2 = cols_xz[z], cols_yz[z]
+    for z, (u1, u2) in enumerate(zip(cols_xz, cols_yz)):
         if not u1 or not u2:
             degrees.append(0)
             continue
-        degs = {(rows_xy[x] & u2).bit_count() for x in _iter_bits(u1)}
-        degs |= {(cols_xy[y] & u1).bit_count() for y in _iter_bits(u2)}
+        degs = {(rows_xy[x] & u2).bit_count() for x in set_bits(u1)}
+        degs |= {(cols_xy[y] & u1).bit_count() for y in set_bits(u2)}
         if len(degs) == 1 and 0 not in degs:
             degrees.append(degs.pop())
         else:
             degrees.append(None)
             e6 = False
-            wit.setdefault("E6", (t.labels_z[z],))
+            wit.setdefault("E6", (lz[z],))
 
-    return ConditionReport(e1, e2, e3, e4, e5, e6, e1p, e2p, e7,
+    return ConditionReport(e1, e2, "E3" not in wit, "E4" not in wit, "E5" not in wit, e6,
+                           bool(d_z), d_y is not None, d_x is not None,
                            d_x, d_y, d_z, tuple(degrees), wit)
 
 
@@ -201,14 +206,12 @@ def pda_to_triple(p: Pda) -> TripleSystem:
     non-star cells; C_XY and C_YZ mark each symbol's rows and columns.
     """
     require_valid(p, "not a valid PDA")
-    c_xz = tuple(tuple(0 if v == STAR else 1 for v in row) for row in p.grid)
-    cells = [p.symbol_cells[y] for y in range(1, p.s + 1)]
-    rows_of = [{j for j, _ in occ} for occ in cells]
-    cols_of = [{k for _, k in occ} for occ in cells]
-    c_xy = tuple(tuple(1 if j in rows else 0 for rows in rows_of) for j in range(p.f))
-    c_yz = tuple(tuple(1 if k in cols else 0 for k in range(p.k)) for cols in cols_of)
+    # C3 puts a symbol at most once in any row or column, so sums are unions
+    xy = tuple(sum(1 << (v - 1) for v in row if v != STAR) for row in p.grid)
+    xz = tuple(sum(1 << z for z, v in enumerate(row) if v != STAR) for row in p.grid)
+    yz = tuple(sum(1 << z for _, z in p.symbol_cells[y]) for y in range(1, p.s + 1))
     return TripleSystem(tuple(range(p.f)), tuple(range(1, p.s + 1)),
-                        tuple(range(p.k)), c_xy, c_xz, c_yz)
+                        tuple(range(p.k)), xy, xz, yz)
 
 
 def triple_to_pda(t: TripleSystem) -> Pda:
@@ -227,25 +230,19 @@ def triple_to_pda(t: TripleSystem) -> Pda:
     f, k = len(t.labels_x), len(t.labels_z)
     if not f or not k:
         raise ValueError("empty row or column set")
-    rows_xy = _bitrows(t.c_xy)
-    cols_yz = _bitcols(t.c_yz, k)
-    q = f - sum(row[0] for row in t.c_xz)
+    q = f - t.cols_xz[0].bit_count()
     if q < 1:
         raise ValueError("degenerate array: some column has no stars (Q = 0)")
     if q >= f:
         raise ValueError("degenerate array: no symbol cells (Q = F)")
+    cols_yz = t.cols_yz
     symbol_of: dict[int, int] = {}
     grid = []
-    for x in range(f):
-        out = []
-        for z in range(k):
-            if t.c_xz[x][z] == 0:
-                out.append(STAR)
-                continue
-            y = (rows_xy[x] & cols_yz[z]).bit_length() - 1
-            if y not in symbol_of:
-                symbol_of[y] = len(symbol_of) + 1
-            out.append(symbol_of[y])
+    for row_xy, row_xz in zip(t.xy, t.xz):
+        out = [STAR] * k
+        for z in set_bits(row_xz):
+            y = (row_xy & cols_yz[z]).bit_length() - 1
+            out[z] = symbol_of.setdefault(y, len(symbol_of) + 1)
         grid.append(tuple(out))
     return Pda(k, f, q, len(symbol_of), tuple(grid))
 
@@ -323,36 +320,26 @@ def complete_matching(t: TripleSystem) -> TripleSystem:
     for name, ok in (("E1", rep.e1), ("E2", rep.e2), ("E3", rep.e3), ("E6", rep.e6)):
         if not ok:
             raise ConditionError(name, witness=rep.witnesses.get(name))
-    nx, ny, nz = len(t.labels_x), len(t.labels_y), len(t.labels_z)
-    rows_xy = _bitrows(t.c_xy)
-    cols_xz = _bitcols(t.c_xz, nz)
-    cols_yz = _bitcols(t.c_yz, nz)
-    chosen = [[0] * ny for _ in range(nx)]
-    for z in range(nz):
-        u1 = list(_iter_bits(cols_xz[z]))
-        u2 = list(_iter_bits(cols_yz[z]))
+    rows_xy = t.xy
+    chosen = [0] * len(t.labels_x)
+    for z, (mask1, mask2) in enumerate(zip(t.cols_xz, t.cols_yz)):
+        u1, u2 = set_bits(mask1), set_bits(mask2)
         if not u1 and not u2:
             continue
         if len(u1) != len(u2):
             raise ConditionError("E6", f"column {t.labels_z[z]} pairs {len(u1)} rows "
                                  f"with {len(u2)} symbols")
-        mask2 = cols_yz[z]
-        edges = [(x, y) for x in u1 for y in _iter_bits(rows_xy[x] & mask2)]
+        edges = [(x, y) for x in u1 for y in set_bits(rows_xy[x] & mask2)]
         try:
             matched = bipartite_perfect_matching(u1, u2, edges)
         except ValueError as exc:
             raise ConditionError("E6", f"column {t.labels_z[z]}: {exc}") from None
         for x, y in matched.items():
-            chosen[x][y] = 1
-    return TripleSystem(t.labels_x, t.labels_y, t.labels_z,
-                        tuple(tuple(r) for r in chosen), t.c_xz, t.c_yz)
+            chosen[x] |= 1 << y
+    return TripleSystem(t.labels_x, t.labels_y, t.labels_z, tuple(chosen), t.xz, t.yz)
 
 
 # --- orientations and products -------------------------------------------
-
-
-def _transpose(mat: Matrix) -> Matrix:
-    return tuple(zip(*mat)) if mat else ()
 
 
 def orientations(t: TripleSystem) -> tuple[TripleSystem, TripleSystem, TripleSystem]:
@@ -364,15 +351,16 @@ def orientations(t: TripleSystem) -> tuple[TripleSystem, TripleSystem, TripleSys
       1: K=|X|, F=|Y|, Q=|Y|-D_X, S=|Z|
       2: K=|X|, F=|Z|, Q=|Z|-D_X, S=|Y|
       3: K=|Z|, F=|X|, Q=|X|-D_Z, S=|Y|  (the system as given)
+
+    A rotation only relabels: the column masks of one matrix are the row
+    masks of its transpose.
     """
-    t_xy, t_xz, t_yz = _transpose(t.c_xy), _transpose(t.c_xz), _transpose(t.c_yz)
     # degrees D_Z (columns of C_XZ), D_Y (rows of C_YZ), D_X (rows of C_XZ)
-    for name, mat in (("E1'", t_xz), ("E2'", t.c_yz), ("E7", t.c_xz)):
-        degrees = {sum(r) for r in mat}
-        if len(degrees) != 1 or 0 in degrees:
+    for name, masks in (("E1'", t.cols_xz), ("E2'", t.yz), ("E7", t.xz)):
+        if _degree(masks) is None:
             raise ConditionError(name, "degrees are not constant and positive")
-    set1 = TripleSystem(t.labels_y, t.labels_z, t.labels_x, t.c_yz, t_xy, t_xz)
-    set2 = TripleSystem(t.labels_z, t.labels_y, t.labels_x, t_yz, t_xz, t_xy)
+    set1 = TripleSystem(t.labels_y, t.labels_z, t.labels_x, t.yz, t.cols_xy, t.cols_xz)
+    set2 = TripleSystem(t.labels_z, t.labels_y, t.labels_x, t.cols_yz, t.cols_xz, t.cols_xy)
     return set1, set2, t
 
 

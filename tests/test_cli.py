@@ -345,6 +345,53 @@ def test_designs_certify_untagged(run, tmp_path):
     assert code == 3 and "no parameters" in err
 
 
+def _fano_with(**changes) -> dict:
+    obj = design_to_json(catalog_lookup("fano"))
+    for path, value in changes.items():
+        *outer, last = path.split("__")
+        target = obj
+        for key in outer:
+            target = target[key]
+        if value is KeyError:
+            del target[last]
+        else:
+            target[last] = value
+    return obj
+
+
+@pytest.mark.parametrize("obj", [
+    _fano_with(v=True),
+    _fano_with(v=7.0),
+    _fano_with(v="7"),
+    _fano_with(blocks=[[0, True, 2]]),
+    _fano_with(blocks=[[0, 1.7, 3]]),
+    _fano_with(blocks=[[0, "1", 3]]),
+    _fano_with(**{"tag__t-design__lambda": True}),
+    _fano_with(**{"tag__configuration__r": 3.0}),
+    _fano_with(**{"tag__t-design__lambda": KeyError}),
+    _fano_with(**{"tag__t-design__v": KeyError}),
+    _fano_with(**{"tag__configuration__k": KeyError}),
+], ids=["v-bool", "v-float", "v-string", "point-bool", "point-float", "point-string",
+        "lambda-bool", "r-float", "lambda-missing", "tag-v-missing", "config-k-missing"])
+def test_designs_certify_rejects_non_int_and_missing_keys(run, tmp_path, obj):
+    path = tmp_path / "design.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run("designs", "certify", str(path))
+    assert code == 3 and "malformed design object" in err and out == ""
+
+
+@pytest.mark.parametrize("payload", [
+    b'{"v": 3, "blocks": ' + b"[" * 100000 + b"]" * 100000 + b"}",
+    b'{"v": 3, "blocks": [[0, 1]',
+    b'{"v": 3, "blocks": [[0, 1]], "tag": "\xff"}',
+], ids=["nested-past-recursion-limit", "truncated", "not-utf-8"])
+def test_designs_certify_unreadable_file_is_parse_error(run, tmp_path, payload):
+    path = tmp_path / "design.json"
+    path.write_bytes(payload)
+    code, _, err = run("designs", "certify", str(path))
+    assert code == 3 and err.startswith("parse error:")
+
+
 # --- argparse plumbing ----------------------------------------------------
 
 

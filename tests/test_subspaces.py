@@ -130,10 +130,22 @@ def test_contains_and_trivial_intersection():
         plane.contains(span(F2, 4, [(1, 0, 0, 0)]))
 
 
-def test_vectors():
+def test_points_mask():
+    # vector v is bit v[0] + 3 v[1]: (0, 0), (1, 2), (2, 1) are bits 0, 7, 5
     line = span(F3, 2, [(1, 2)])
-    assert line.vectors() == {(0, 0), (1, 2), (2, 1)}
-    assert len(span(F2, 3, [(1, 0, 0), (0, 1, 0)]).vectors()) == 4
+    assert line.points_mask() == 1 | 1 << 7 | 1 << 5
+    assert span(F2, 3, [(1, 0, 0), (0, 1, 0)]).points_mask() == 0b1111
+
+
+def test_points_mask_meets_and_containment_agree_with_rref():
+    for field in (F3, FieldSpec.for_order(4)):
+        lines = enumerate_subspaces(field, 3, 1)
+        planes = enumerate_subspaces(field, 3, 2)
+        for a in lines + planes:
+            for b in lines + planes:
+                ma, mb = a.points_mask(), b.points_mask()
+                assert (ma & mb == 1) == a.intersects_trivially(b)
+                assert (ma & mb == ma) == b.contains(a)
 
 
 def test_enumeration_counts_and_uniqueness():

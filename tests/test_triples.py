@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from pdakit.constructions import configuration_triple, pg_triple, tdesign_b_triple
+from pdakit.constructions import (build_triple, configuration_triple, pg_triple,
+                                  tdesign_b_triple)
 from pdakit.designs import catalog_lookup, complete_design
 from pdakit.pda import InvalidPdaError, Pda, STAR, canonical_relabel, validate_pda
 from pdakit.triples import (ConditionError, TripleSystem,
@@ -13,12 +14,21 @@ from pdakit.triples import (ConditionError, TripleSystem,
 from conftest import TINY, all_pdas
 
 
+def _masks(mat):
+    """Row bitmasks of a dense 0/1 matrix: bit j of row i is entry (i, j)."""
+    return tuple(sum(v << j for j, v in enumerate(row)) for row in mat)
+
+
+def _transpose(mat):
+    return tuple(zip(*mat))
+
+
 def _ts(c_xy, c_xz, c_yz):
     nx = len(c_xz)
     nz = len(c_xz[0]) if c_xz else 0
     ny = len(c_yz)
     return TripleSystem(tuple(range(nx)), tuple(f"y{i}" for i in range(ny)),
-                        tuple(range(nz)), c_xy, c_xz, c_yz)
+                        tuple(range(nz)), _masks(c_xy), _masks(c_xz), _masks(c_yz))
 
 
 def test_pda_to_triple_matrices():
@@ -123,7 +133,7 @@ def test_triple_to_pda_rejects_degenerate():
     with pytest.raises(ValueError, match="Q = 0"):
         triple_to_pda(full)
     # no incident cells at all: nothing but stars
-    empty = TripleSystem((0,), (), (0,), ((),), ((0,),), ())
+    empty = TripleSystem((0,), (), (0,), _masks(((),)), _masks(((0,),)), ())
     with pytest.raises(ValueError, match="Q = F"):
         triple_to_pda(empty)
 
@@ -203,6 +213,47 @@ def test_matching_input_validation():
         bipartite_perfect_matching((1, 1), (2, 3), [(1, 2), (1, 3)])
 
 
+def test_matching_sizes_equal_networkx():
+    import networkx as nx  # test-only dependency
+    rng = random.Random(11)
+    for _ in range(200):
+        n, d = rng.randint(1, 15), rng.randint(1, 5)
+        perm = rng.sample(range(n), n)
+        shifts = rng.sample(range(n), min(d, n))
+        edges = [(i, n + perm[(i + s) % n]) for i in range(n) for s in shifts]
+        got = bipartite_perfect_matching(range(n), range(n, 2 * n), edges)
+        g = nx.Graph(edges)
+        want = nx.bipartite.hopcroft_karp_matching(g, top_nodes=range(n))
+        assert len(got) == len(want) // 2 == n
+        assert all(g.has_edge(l, r) for l, r in got.items())
+        assert sorted(got.values()) == list(range(n, 2 * n))
+
+
+def _sweep_triples(sweep) -> list:
+    """(spec, raw triple, matched triple) once per distinct sweep triple."""
+    out = {}
+    for spec, _, _ in sweep["built"]:
+        key = (spec.family, spec.label())
+        if key not in out:
+            raw = build_triple(spec)
+            out[key] = (spec, raw, complete_matching(raw))
+    return list(out.values())
+
+
+def test_complete_matching_is_perfect_per_column(sweep):
+    for spec, raw, t in _sweep_triples(sweep):
+        for z, (xs, ys) in enumerate(zip(t.cols_xz, t.cols_yz)):
+            # within column z every row meets exactly one symbol, and back,
+            # along an edge of the raw system
+            for x in range(len(t.labels_x)):
+                if xs >> x & 1:
+                    assert (t.xy[x] & ys).bit_count() == 1, (spec, z, x)
+                    assert t.xy[x] & ys & raw.xy[x]
+            for y in range(len(t.labels_y)):
+                if ys >> y & 1:
+                    assert (t.cols_xy[y] & xs).bit_count() == 1, (spec, z, y)
+
+
 def test_complete_matching_thins_to_constant_degree():
     raw = pg_triple(2, 3, 1, 1)
     before = check_conditions(raw)
@@ -245,6 +296,41 @@ def test_orientations_identity_and_params():
         p = triple_to_pda(s)
         assert (p.k, p.f, p.q, p.s) == (7, 7, 4, 7)
         assert validate_pda(p).ok
+
+
+def test_orientations_equal_dense_transposes(sweep):
+    # reference: the dense rotations, each matrix transposed as a whole
+    triples = _sweep_triples(sweep)
+    assert len(triples) >= 30
+    for _, _, t in triples:
+        s1, s2, s3 = orientations(t)
+        assert (s1.c_xy, s1.c_xz, s1.c_yz) == (t.c_yz, _transpose(t.c_xy), _transpose(t.c_xz))
+        assert (s2.c_xy, s2.c_xz, s2.c_yz) == (_transpose(t.c_yz), _transpose(t.c_xz),
+                                               _transpose(t.c_xy))
+        assert (s3.c_xy, s3.c_xz, s3.c_yz) == (t.c_xy, t.c_xz, t.c_yz)
+        assert (s1.labels_x, s1.labels_y, s1.labels_z) == (t.labels_y, t.labels_z, t.labels_x)
+        assert (s2.labels_x, s2.labels_y, s2.labels_z) == (t.labels_z, t.labels_y, t.labels_x)
+        for s in (t, s1, s2):
+            assert s.cols_xy == _masks(_transpose(s.c_xy))
+            assert s.cols_xz == _masks(_transpose(s.c_xz))
+            assert s.cols_yz == _masks(_transpose(s.c_yz))
+
+
+def test_triple_system_rejects_bad_masks():
+    ok = (1, 2)
+    TripleSystem((0, 1), ("a",), (0, 1), (1, 1), ok, (3,))
+    with pytest.raises(ValueError, match="xz rows must be int masks below 1 << 2"):
+        TripleSystem((0, 1), ("a",), (0, 1), (1, 1), (1, 4), (3,))  # bit 2 of 2 columns
+    with pytest.raises(ValueError, match="yz rows"):
+        TripleSystem((0, 1), ("a",), (0, 1), (1, 1), ok, (1 << 5,))
+    with pytest.raises(ValueError, match="xy rows"):
+        TripleSystem((0, 1), ("a",), (0, 1), (1, -1), ok, (3,))
+    with pytest.raises(ValueError, match="xy rows"):
+        TripleSystem((0, 1), ("a",), (0, 1), (True, 1), ok, (3,))
+    with pytest.raises(ValueError, match="xy rows"):
+        TripleSystem((0, 1), ("a",), (0, 1), ((1,), (1,)), ok, (3,))  # dense rows
+    with pytest.raises(ValueError, match="xz must have 2 rows, got 1"):
+        TripleSystem((0, 1), ("a",), (0, 1), (1, 1), (1,), (3,))
 
 
 def test_orientations_require_constant_degrees():
@@ -290,8 +376,8 @@ def _triple_route_product(a: Pda, b: Pda) -> Pda:
 
     return triple_to_pda(TripleSystem(
         pairs(ta.labels_x, tb.labels_x), pairs(ta.labels_y, tb.labels_y),
-        pairs(ta.labels_z, tb.labels_z), product(ta.c_xy, tb.c_xy),
-        product(ta.c_xz, tb.c_xz), product(ta.c_yz, tb.c_yz)))
+        pairs(ta.labels_z, tb.labels_z), _masks(product(ta.c_xy, tb.c_xy)),
+        _masks(product(ta.c_xz, tb.c_xz)), _masks(product(ta.c_yz, tb.c_yz))))
 
 
 def test_direct_product_equals_triple_route(sweep):
