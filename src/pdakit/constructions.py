@@ -26,8 +26,8 @@ from .designs import (Design, blocks_containing, certify_configuration,
 from .gf import FieldSpec
 from .pda import Pda
 from .subspaces import enumerate_subspaces, gaussian_binomial
-from .triples import (ConditionError, TripleSystem, complete_matching, set_bits,
-                      orientations, triple_to_pda)
+from .triples import (TripleSystem, _emit_pda, complete_matching, orientations,
+                      set_bits)
 
 FAMILIES = ("pg", "config", "tdesign-a", "tdesign-b", "tdesign-lambda")
 
@@ -463,13 +463,16 @@ def closed_form_row(spec: ConstructionSpec) -> ParameterRow:
 
 
 def construct_pda(spec: ConstructionSpec) -> Pda:
-    """Full pipeline: build the triple, complete it, orient it, emit the array."""
+    """Full pipeline: build the triple, complete it, orient it, emit the array.
+
+    The conditions are scanned once, by complete_matching: E3 on the built
+    system gives E4/E5 once C_XY is thinned, and orientations checks the
+    degrees, so every orientation of the result satisfies E1-E5.
+    """
     matched = complete_matching(build_triple(spec))
     oriented = orientations(matched)[spec.orientation - 1]
     try:
-        return triple_to_pda(oriented)
-    except ConditionError:
-        raise
+        return _emit_pda(oriented)
     except ValueError as exc:
         raise ValueError(f"orientation {spec.orientation} of {spec.family} "
                          f"({spec.label()}) is inadmissible: {exc}") from None

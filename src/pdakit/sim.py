@@ -6,6 +6,11 @@ per symbol, combining the demanded packets at that symbol's cells.  Decoding
 peels each transmission with side packets that condition C3 guarantees are
 cached, read from the user's own cache, so a corrupt or missing packet is a
 failure that `verify_scheme` records.
+
+One decode plan per user serves `decode` and `verify_scheme`.  A starred row
+decodes to the cached packet of the demanded file whatever the other users
+want, so `verify_scheme` checks each user's starred rows once per (user, file)
+and peels only the coded rows once per demand.
 """
 
 import itertools
@@ -53,15 +58,12 @@ def place(p: Pda, lib: FileLibrary) -> list[CacheContents]:
     """Fill every user's cache: the starred rows of every file."""
     if lib.f != p.f:
         raise ValueError(f"library has {lib.f} packets per file, array needs {p.f}")
-    caches = []
-    for k in range(p.k):
-        stash = {}
-        for j, row in enumerate(p.grid):
-            if row[k] == STAR:
-                for i in range(lib.n):
-                    stash[(i, j)] = lib.packets[i][j]
-        caches.append(CacheContents(k, stash))
-    return caches
+    # One (file, row) key per packet, shared by every cache that holds it.
+    entries = [[((i, j), lib.packets[i][j]) for i in range(lib.n)] for j in range(p.f)]
+    grid = p.grid
+    return [CacheContents(k, dict(itertools.chain.from_iterable(
+                entries[j] for j, row in enumerate(grid) if row[k] == STAR)))
+            for k in range(p.k)]
 
 
 def _packet_ints(lib: FileLibrary) -> list[list[int]]:
@@ -80,40 +82,34 @@ def _transmit(p: Pda, ints: list[list[int]], demand: tuple) -> list[int]:
     return out
 
 
-def _row_decoder(p: Pda, cache: CacheContents, user: int):
-    """rows(transmissions, demand) -> the user's demanded rows as ints, all
-    packets read from the cache: a starred row directly, a coded row by peeling
-    its transmission with file demand[k2] row j2 for each other cell (j2, k2)."""
+def _plan(p: Pda, cache: CacheContents, user: int):
+    """The user's decode plan, every packet read from the cache as an int.
+
+    Starred rows: star_rows lists them, and stars[i] holds the cached packets
+    of file i at those rows (None where one is missing), so what they decode
+    to depends on the demanded file alone.  Coded rows: per non-star row j,
+    in order, (j, s, side) with s the symbol index and side each other cell
+    (j2, k2) of the symbol as (j2, k2, the cached packets of row j2 by file);
+    row j is transmission s XOR file demand[k2] row j2 over the side.
+    """
     by_row: dict[int, dict[int, int]] = {}  # row -> file -> packet
     for (i, j), pk in cache.packets.items():
-        by_row.setdefault(j, {})[i] = int.from_bytes(pk, "big")
-    grid, cells = p.grid, p.symbol_cells
-    plan = []
-    for j, row in enumerate(grid):
+        got = by_row.get(j)  # not setdefault, which builds a dict per packet
+        if got is None:
+            got = by_row[j] = {}
+        got[i] = int.from_bytes(pk, "big")
+    none: dict[int, int] = {}
+    star_rows, coded = [], []
+    for j, row in enumerate(p.grid):
         v = row[user]
-        side = by_row.get(j, {}) if v == STAR else [
-            (j2, k2, by_row.get(j2, {})) for j2, k2 in cells[v] if (j2, k2) != (j, user)]
-        plan.append((j, v, side))
-
-    def rows(tx: list[int], demand: tuple) -> list[int]:
-        want = demand[user]
-        out = []
-        try:
-            for j, v, side in plan:
-                if v == STAR:
-                    out.append(side[want])
-                else:
-                    acc = tx[v - 1]
-                    for j2, k2, pks in side:
-                        acc ^= pks[demand[k2]]
-                    out.append(acc)
-        except KeyError:
-            i, j, k = (want, j, user) if v == STAR else (demand[k2], j2, k2)
-            gap = "" if grid[j][user] == STAR else "; condition C3 is broken"
-            raise DecodeError(f"user {user}: packet ({i},{j}) for cell ({j},{k}) "
-                              f"missing from cache{gap}") from None
-        return out
-    return rows
+        if v == STAR:
+            star_rows.append(j)
+        else:
+            coded.append((j, v - 1, [(j2, k2, by_row.get(j2, none))
+                                     for j2, k2 in p.symbol_cells[v] if j2 != j or k2 != user]))
+    cached = [by_row.get(j, none) for j in star_rows]
+    stars = {i: [got.get(i) for got in cached] for i in set().union(*cached)}
+    return star_rows, stars, coded
 
 
 def deliver(p: Pda, lib: FileLibrary, demand) -> list[bytes]:
@@ -128,11 +124,34 @@ def deliver(p: Pda, lib: FileLibrary, demand) -> list[bytes]:
 
 def decode(p: Pda, cache: CacheContents, transmissions: list[bytes],
            demand, user: int) -> bytes:
-    """Reassemble the user's demanded file from cache plus transmissions."""
+    """Reassemble the user's demanded file from cache plus transmissions.
+
+    Raises DecodeError naming the first packet, in row order, that the
+    user's cache lacks."""
     tx = [int.from_bytes(t, "big") for t in transmissions]
     size = len(transmissions[0])
-    rows = _row_decoder(p, cache, user)(tx, tuple(demand))
-    return b"".join(x.to_bytes(size, "big") for x in rows)
+    demand = tuple(demand)
+    want = demand[user]
+    star_rows, stars, coded = _plan(p, cache, user)
+    rows = dict(zip(star_rows, stars.get(want, ())))
+    peel = {j: (s, side) for j, s, side in coded}
+    out = []
+    for j in range(p.f):
+        if j in peel:
+            s, side = peel[j]
+            acc = tx[s]
+            for j2, k2, pks in side:
+                if demand[k2] not in pks:
+                    raise DecodeError(f"user {user}: packet ({demand[k2]},{j2}) for cell "
+                                      f"({j2},{k2}) missing from cache; condition C3 is broken")
+                acc ^= pks[demand[k2]]
+        else:
+            acc = rows.get(j)
+            if acc is None:
+                raise DecodeError(f"user {user}: packet ({want},{j}) for cell ({j},{user}) "
+                                  f"missing from cache")
+        out.append(acc)
+    return b"".join(x.to_bytes(size, "big") for x in out)
 
 
 @dataclass
@@ -160,12 +179,18 @@ class SimReport:
         }
 
 
+MAX_EXHAUSTIVE = 1 << 20  # most demand vectors an explicit exhaustive run takes
+
+
 def _demand_set(p: Pda, n: int, mode: str, samples: int, rng: random.Random):
     """Resolve the demand vectors to run and the mode label actually used."""
     exhaustive_size = n ** p.k
     if mode == "auto":
         mode = "exhaustive" if exhaustive_size <= 4096 else "sampled"
     if mode == "exhaustive":
+        if exhaustive_size > MAX_EXHAUSTIVE:
+            raise ValueError(f"exhaustive mode needs {n}^{p.k} demand vectors, more than "
+                             f"the limit of 2^20; sample them or use fewer files")
         return list(itertools.product(range(n), repeat=p.k)), "exhaustive"
     adversarial = [(i,) * p.k for i in range(n)]
     if n >= p.k:
@@ -186,7 +211,9 @@ def verify_scheme(p: Pda, n_files: int, mode: str = "auto", samples: int = 200,
 
     auto mode sweeps every demand vector when there are at most 4096 of them,
     otherwise runs seeded samples plus the adversarial demands (all users
-    alike, and all distinct when the library allows it).  A wrong or
+    alike, and all distinct when the library allows it).  An explicit
+    exhaustive run takes at most 2^20 (MAX_EXHAUSTIVE) demand vectors and
+    raises ValueError beyond that, before building any.  A wrong or
     undecodable file is a (demand, user) failure, listed demand-major.
     """
     require_valid(p, "refusing to simulate an invalid PDA")
@@ -197,12 +224,26 @@ def verify_scheme(p: Pda, n_files: int, mode: str = "auto", samples: int = 200,
     sent = [_transmit(p, ints, demand) for demand in demands]
     bad = []
     for user, cache in enumerate(place(p, lib)):
-        rows = _row_decoder(p, cache, user)  # one user's plan alive at a time
+        star_rows, stars, coded = _plan(p, cache, user)  # one user's plan alive at a time
+        # Starred rows decode to the cached packets whatever the others want:
+        # check them once per file.  A missing packet (None) is never equal.
+        star_ok = [stars.get(i, [None] * len(star_rows)) == [file[j] for j in star_rows]
+                   for i, file in enumerate(ints)]
         for d, demand in enumerate(demands):
-            try:
-                good = rows(sent[d], demand) == ints[demand[user]]
-            except DecodeError:
-                good = False
+            want = demand[user]
+            good = star_ok[want]
+            if good:
+                tx, truth = sent[d], ints[want]
+                try:
+                    for j, s, side in coded:
+                        acc = tx[s]
+                        for _, k2, pks in side:
+                            acc ^= pks[demand[k2]]
+                        if acc != truth[j]:
+                            good = False
+                            break
+                except KeyError:  # a side packet missing from the cache
+                    good = False
             if not good:
                 bad.append((d, user))
     failures = [(demands[d], user) for d, user in sorted(bad)]

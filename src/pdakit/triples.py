@@ -227,6 +227,12 @@ def triple_to_pda(t: TripleSystem) -> Pda:
         if not ok:
             raise ConditionError(name, "triple system does not describe an array",
                                  rep.witnesses.get(name))
+    return _emit_pda(t)
+
+
+def _emit_pda(t: TripleSystem) -> Pda:
+    """triple_to_pda without the E1-E5 scan, for a system known to pass it:
+    an orientation of a complete_matching result."""
     f, k = len(t.labels_x), len(t.labels_z)
     if not f or not k:
         raise ValueError("empty row or column set")

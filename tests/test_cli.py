@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import json
 import sys
 
@@ -195,6 +196,19 @@ def test_simulate_refuses_invalid(run, bad_file):
 def test_simulate_rejects_empty_library(run, tiny_file):
     code, _, err = run("simulate", tiny_file, "--files", "0")
     assert code == 3 and "error" in err
+
+
+def test_simulate_exhaustive_limit_exits_3(run, tmp_path, monkeypatch):
+    path = tmp_path / "wide.pda"
+    path.write_text(format_pda(construct_pda(ConstructionSpec("pg", 1, q=2, k=4, m=1, t=1))))
+
+    def product(*args, **kwargs):  # 4^15 tuples must never be asked for
+        raise AssertionError("demand product built")
+
+    monkeypatch.setattr(itertools, "product", product)
+    code, out, err = run("simulate", str(path), "--mode", "exhaustive")
+    assert code == 3 and out == ""
+    assert "4^15 demand vectors" in err
 
 
 def test_simulate_corrupt_cache_exits_4(run, tiny_file, monkeypatch):

@@ -1,16 +1,17 @@
 """Property tests: the validator against the definitions of C1-C3, the file
 formats' round trips, the text parser's failure mode, and the simulator on
-random valid arrays.  Examples are derandomized, so every run sees the same
-inputs."""
+random valid arrays, with and without a faulty cached packet.  Examples are
+derandomized, so every run sees the same inputs."""
 
 import itertools
 import json
 
 from hypothesis import given, settings, strategies as st
 
+import pdakit.sim as sim
 from pdakit.pda import (Pda, PdaFormatError, STAR, format_pda, parse_pda,
                         pda_from_json, pda_to_json, validate_pda)
-from pdakit.sim import verify_scheme
+from pdakit.sim import DecodeError, decode, deliver, verify_scheme
 
 FIXED = settings(derandomize=True, database=None, deadline=None)
 
@@ -115,3 +116,41 @@ def test_verify_scheme_decodes_every_valid_array(p):
     assert oracle(p) == ""
     rep = verify_scheme(p, 2)
     assert rep.ok and rep.demands_tested == 2 ** p.k
+
+
+@settings(FIXED, max_examples=80)
+@given(valid_pdas(), st.integers(1, 3), st.sampled_from(["corrupt", "drop"]),
+       st.integers(0, 2 ** 16), st.integers(0, 127))
+def test_verify_scheme_agrees_with_decode_on_a_faulty_cache(p, n, fault, pick, bit):
+    """verify_scheme's failures are exactly the (demand, user) pairs for which
+    deliver then decode, on the same caches, raises or returns a wrong file."""
+    real_place, seen = sim.place, {}
+
+    def faulty_place(p, lib):
+        caches = real_place(p, lib)
+        cache = caches[pick % p.k]
+        key = sorted(cache.packets)[pick % len(cache.packets)]
+        pk = cache.packets.pop(key)
+        if fault == "corrupt":
+            cache.packets[key] = (int.from_bytes(pk, "big") ^ 1 << bit).to_bytes(len(pk), "big")
+        seen.update(lib=lib, caches=caches)
+        return caches
+
+    sim.place = faulty_place
+    try:
+        rep = verify_scheme(p, n, mode="exhaustive")
+    finally:
+        sim.place = real_place
+    lib, caches = seen["lib"], seen["caches"]
+    expect = []
+    for demand in itertools.product(range(n), repeat=p.k):
+        tx = deliver(p, lib, demand)
+        for user in range(p.k):
+            try:
+                good = decode(p, caches[user], tx, demand, user) == lib.file(demand[user])
+            except DecodeError:
+                good = False
+            if not good:
+                expect.append((demand, user))
+    assert rep.failures == expect
+    assert rep.demands_tested == n ** p.k

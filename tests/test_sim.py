@@ -40,6 +40,17 @@ def test_place_fills_starred_rows():
     assert caches[0].size_bytes() == 2 * 16
 
 
+def test_place_shares_keys_across_users():
+    p = construct_pda(ConstructionSpec("pg", 1, q=2, k=3, m=1, t=1))
+    lib = FileLibrary.random(3, p.f, seed=0)
+    keys = {}
+    for cache in place(p, lib):
+        assert list(cache.packets) == [(i, j) for j, row in enumerate(p.grid)
+                                       if row[cache.user] == STAR for i in range(3)]
+        for key in cache.packets:
+            assert keys.setdefault(key, key) is key
+
+
 def test_place_rejects_mismatched_library():
     with pytest.raises(ValueError, match="packets per file"):
         place(TINY, FileLibrary.random(2, 3))
@@ -114,6 +125,26 @@ def test_verify_scheme_modes():
     assert 3 <= samp.demands_tested <= 4  # dedup against only 4 possible demands
     with pytest.raises(ValueError, match="unknown mode"):
         verify_scheme(TINY, 2, mode="everything")
+
+
+def test_verify_scheme_exhaustive_limit(monkeypatch):
+    # K=20 columns, one star each, every symbol cell its own symbol
+    wide = Pda(20, 2, 1, 20, tuple(tuple(STAR if (k + j) % 2 else k + 1 for k in range(20))
+                                   for j in range(2)))
+    built = []
+
+    def product(values, repeat):  # stands in for the 2^20-tuple product
+        built.append((len(values), repeat))
+        return iter([(0,) * repeat])
+
+    monkeypatch.setattr(itertools, "product", product)
+    assert sim.MAX_EXHAUSTIVE == 2 ** 20
+    for n in (3, 4):
+        with pytest.raises(ValueError, match=rf"{n}\^20 demand vectors.*2\^20"):
+            verify_scheme(wide, n, mode="exhaustive")
+    assert built == []
+    assert verify_scheme(wide, 2, mode="exhaustive").demands_tested == 1
+    assert built == [(2, 20)]
 
 
 def test_verify_scheme_auto_switches_to_sampling():

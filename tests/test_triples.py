@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from pdakit.constructions import (build_triple, configuration_triple, pg_triple,
-                                  tdesign_b_triple)
+import pdakit.triples
+from pdakit.constructions import (ConstructionSpec, build_triple, configuration_triple,
+                                  construct_pda, pg_triple, tdesign_b_triple)
 from pdakit.designs import catalog_lookup, complete_design
 from pdakit.pda import InvalidPdaError, Pda, STAR, canonical_relabel, validate_pda
 from pdakit.triples import (ConditionError, TripleSystem,
@@ -252,6 +253,29 @@ def test_complete_matching_is_perfect_per_column(sweep):
             for y in range(len(t.labels_y)):
                 if ys >> y & 1:
                     assert (t.cols_xy[y] & xs).bit_count() == 1, (spec, z, y)
+
+
+def test_every_orientation_of_a_matched_system_passes_e1_to_e5(sweep):
+    # construct_pda emits the array without rescanning E1-E5; this is why
+    # it may: each orientation of a complete_matching result passes them.
+    triples = [t for _, _, t in _sweep_triples(sweep)]
+    triples += [complete_matching(pg_triple(2, k, m, t)) for k, m, t in ((6, 2, 2), (7, 1, 1))]
+    assert len(triples) == 43 + 2  # all 105 sweep arrays come from 43 systems
+    for t in triples:
+        for o in orientations(t):
+            assert check_conditions(o).necessary_ok
+
+
+def test_construct_pda_scans_conditions_once(monkeypatch):
+    scans = []
+    real = pdakit.triples.check_conditions
+    monkeypatch.setattr(pdakit.triples, "check_conditions",
+                        lambda t: scans.append(t) or real(t))
+    for o in (1, 2, 3):
+        scans.clear()
+        p = construct_pda(ConstructionSpec("pg", o, q=2, k=3, m=1, t=1))
+        assert validate_pda(p).ok
+        assert len(scans) == 1
 
 
 def test_complete_matching_thins_to_constant_degree():
