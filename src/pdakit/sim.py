@@ -7,10 +7,12 @@ peels each transmission with side packets that condition C3 guarantees are
 cached, read from the user's own cache, so a corrupt or missing packet is a
 failure that `verify_scheme` records.
 
-One decode plan per user serves `decode` and `verify_scheme`.  A starred row
-decodes to the cached packet of the demanded file whatever the other users
-want, so `verify_scheme` checks each user's starred rows once per (user, file)
-and peels only the coded rows once per demand.
+`decode` peels one user's rows from that user's cache.  `verify_scheme`
+peels only the users whose caches are faulty, on the same per-user plan.  By
+C3 every side packet a user needs sits in a starred row of its own cache, so
+for a user whose cache holds the library's packets a coded row decodes right
+iff its payload equals the library XOR over its symbol's cells, whoever the
+user is: `verify_scheme` checks each payload once per demand instead.
 """
 
 import itertools
@@ -183,7 +185,8 @@ MAX_EXHAUSTIVE = 1 << 20  # most demand vectors an explicit exhaustive run takes
 
 
 def _demand_set(p: Pda, n: int, mode: str, samples: int, rng: random.Random):
-    """Resolve the demand vectors to run and the mode label actually used."""
+    """Resolve the demand vectors to run, as an iterable to draw once, and
+    the mode label actually used.  Exhaustive mode draws them lazily."""
     exhaustive_size = n ** p.k
     if mode == "auto":
         mode = "exhaustive" if exhaustive_size <= 4096 else "sampled"
@@ -191,15 +194,14 @@ def _demand_set(p: Pda, n: int, mode: str, samples: int, rng: random.Random):
         if exhaustive_size > MAX_EXHAUSTIVE:
             raise ValueError(f"exhaustive mode needs {n}^{p.k} demand vectors, more than "
                              f"the limit of 2^20; sample them or use fewer files")
-        return list(itertools.product(range(n), repeat=p.k)), "exhaustive"
-    adversarial = [(i,) * p.k for i in range(n)]
+        return itertools.product(range(n), repeat=p.k), "exhaustive"
+    seen = dict.fromkeys((i,) * p.k for i in range(n))  # ordered, without repeats
     if n >= p.k:
-        adversarial.append(tuple(range(p.k)))
+        seen.setdefault(tuple(range(p.k)), None)  # already listed when K=1
     if mode == "adversarial":
-        return adversarial, "adversarial"
+        return list(seen), "adversarial"
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
-    seen = dict.fromkeys(adversarial)
     for _ in range(samples):
         seen.setdefault(tuple(rng.randrange(n) for _ in range(p.k)), None)
     return list(seen), "sampled"
@@ -215,25 +217,55 @@ def verify_scheme(p: Pda, n_files: int, mode: str = "auto", samples: int = 200,
     exhaustive run takes at most 2^20 (MAX_EXHAUSTIVE) demand vectors and
     raises ValueError beyond that, before building any.  A wrong or
     undecodable file is a (demand, user) failure, listed demand-major.
+
+    Demands are drawn one at a time and each is transmitted once, so neither
+    the demand set nor its payloads are held.  A user is clean when every
+    starred packet of every file in its cache equals the library.  By C3
+    each side packet a user needs sits in one of its starred rows, so a clean
+    user decodes coded row j with symbol s right iff payload s equals the
+    library XOR over all of s's cells: each payload is checked once per
+    demand and a wrong one fails every clean user in its columns.  Every
+    other user is peeled row by row from its own cache.
     """
     require_valid(p, "refusing to simulate an invalid PDA")
     rng = random.Random(seed)
     lib = FileLibrary.random(n_files, p.f, packet_size, seed=rng.randrange(2 ** 32))
     demands, mode_used = _demand_set(p, n_files, mode, samples, rng)
     ints = _packet_ints(lib)
-    sent = [_transmit(p, ints, demand) for demand in demands]
-    bad = []
+    grid = p.grid
+    keys = [[(i, j) for j in range(p.f)] for i in range(n_files)]  # (file, row), built once
+    faulty = []  # (user, star_ok, coded) for each user whose cache is not clean
     for user, cache in enumerate(place(p, lib)):
-        star_rows, stars, coded = _plan(p, cache, user)  # one user's plan alive at a time
+        star_rows = [j for j, row in enumerate(grid) if row[user] == STAR]
+        cached = cache.packets.get
+        if all([*map(cached, map(key.__getitem__, star_rows))]
+               == [*map(file.__getitem__, star_rows)] for key, file in zip(keys, lib.packets)):
+            continue  # clean; compared as bytes, so no packet is converted to an int
+        star_rows, stars, coded = _plan(p, cache, user)
         # Starred rows decode to the cached packets whatever the others want:
         # check them once per file.  A missing packet (None) is never equal.
         star_ok = [stars.get(i, [None] * len(star_rows)) == [file[j] for j in star_rows]
                    for i, file in enumerate(ints)]
-        for d, demand in enumerate(demands):
+        faulty.append((user, star_ok, coded))
+    not_clean = {user for user, _, _ in faulty}
+    cells_of = p.symbol_cells
+    symbols = [(cells_of[s], [k for _, k in cells_of[s] if k not in not_clean])
+               for s in range(1, p.s + 1)]  # (cells, clean users in its columns)
+    failures, tested = [], 0
+    for demand in demands:
+        tested += 1
+        tx = _transmit(p, ints, demand)
+        failed = set()
+        for acc, (cells, clean) in zip(tx, symbols):
+            for j, k in cells:
+                acc ^= ints[demand[k]][j]
+            if acc:  # payload differs from the library XOR over its cells
+                failed.update(clean)
+        for user, star_ok, coded in faulty:
             want = demand[user]
             good = star_ok[want]
             if good:
-                tx, truth = sent[d], ints[want]
+                truth = ints[want]
                 try:
                     for j, s, side in coded:
                         acc = tx[s]
@@ -245,7 +277,7 @@ def verify_scheme(p: Pda, n_files: int, mode: str = "auto", samples: int = 200,
                 except KeyError:  # a side packet missing from the cache
                     good = False
             if not good:
-                bad.append((d, user))
-    failures = [(demands[d], user) for d, user in sorted(bad)]
-    return SimReport((p.k, p.f, p.q, p.s), mode_used, len(demands), failures,
+                failed.add(user)
+        failures.extend((demand, user) for user in sorted(failed))
+    return SimReport((p.k, p.f, p.q, p.s), mode_used, tested, failures,
                      Fraction(p.s, p.f), p.s * packet_size)

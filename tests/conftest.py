@@ -5,11 +5,14 @@ k <= 4 for the geometry family; designs with at most 13 points).  Tests treat
 the resulting arrays as read-only.
 """
 
+import itertools
+
 import pytest
 
 from pdakit import (ConstructionSpec, closed_form_row, construct_pda,
                     direct_product, parse_pda)
 from pdakit.designs import as_t_design, complete_design
+from pdakit.sim import DecodeError, decode, deliver
 
 TINY = parse_pda("2 2 1 1\n* 1\n1 *\n")
 
@@ -87,3 +90,20 @@ def sweep():
 def all_pdas(sweep) -> list:
     return ([p for _, _, p in sweep["built"]]
             + [prod for _, _, _, prod in sweep["products"]] + [TINY])
+
+
+def decode_failures(p, lib, caches, n: int) -> list:
+    """Every (demand, user), demand-major over all n^K demands, for which
+    `deliver` then `decode` on these caches raises DecodeError or returns a
+    wrong file: the reference that `verify_scheme`'s failures must equal."""
+    out = []
+    for demand in itertools.product(range(n), repeat=p.k):
+        tx = deliver(p, lib, demand)
+        for user in range(p.k):
+            try:
+                good = decode(p, caches[user], tx, demand, user) == lib.file(demand[user])
+            except DecodeError:
+                good = False
+            if not good:
+                out.append((demand, user))
+    return out

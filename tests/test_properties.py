@@ -1,6 +1,6 @@
 """Property tests: the validator against the definitions of C1-C3, the file
 formats' round trips, the text parser's failure mode, and the simulator on
-random valid arrays, with and without a faulty cached packet.  Examples are
+random valid arrays, with and without a faulty cached packet or payload.  Examples are
 derandomized, so every run sees the same inputs."""
 
 import itertools
@@ -12,6 +12,8 @@ import pdakit.sim as sim
 from pdakit.pda import (Pda, PdaFormatError, STAR, format_pda, parse_pda,
                         pda_from_json, pda_to_json, validate_pda)
 from pdakit.sim import DecodeError, decode, deliver, verify_scheme
+
+from conftest import decode_failures
 
 FIXED = settings(derandomize=True, database=None, deadline=None)
 
@@ -152,5 +154,42 @@ def test_verify_scheme_agrees_with_decode_on_a_faulty_cache(p, n, fault, pick, b
                 good = False
             if not good:
                 expect.append((demand, user))
+    assert rep.failures == expect
+    assert rep.demands_tested == n ** p.k
+
+
+@settings(FIXED, max_examples=80)
+@given(valid_pdas(), st.integers(1, 3), st.sampled_from(["corrupt", "drop"]),
+       st.integers(0, 2 ** 16), st.integers(0, 2 ** 16), st.integers(0, 127))
+def test_verify_scheme_agrees_with_decode_on_a_faulty_cache_and_payload(
+        p, n, fault, pick, symbol, bit):
+    """One cached packet corrupted or dropped, and on about half the demands
+    one payload flipped in the same bit, so the faults sometimes cancel: users
+    peeled from a faulty cache and users judged by the payload check agree
+    with deliver then decode."""
+    real_place, real_transmit, seen = sim.place, sim._transmit, {}
+
+    def faulty_place(p, lib):
+        caches = real_place(p, lib)
+        cache = caches[pick % p.k]
+        key = sorted(cache.packets)[pick % len(cache.packets)]
+        pk = cache.packets.pop(key)
+        if fault == "corrupt":
+            cache.packets[key] = (int.from_bytes(pk, "big") ^ 1 << bit).to_bytes(len(pk), "big")
+        seen.update(lib=lib, caches=caches)
+        return caches
+
+    def faulty_transmit(p, ints, demand):
+        payloads = real_transmit(p, ints, demand)
+        if (sum(demand) + symbol) % 2:
+            payloads[symbol % p.s] ^= 1 << bit
+        return payloads
+
+    sim.place, sim._transmit = faulty_place, faulty_transmit
+    try:
+        rep = verify_scheme(p, n, mode="exhaustive")
+        expect = decode_failures(p, seen["lib"], seen["caches"], n)
+    finally:
+        sim.place, sim._transmit = real_place, real_transmit
     assert rep.failures == expect
     assert rep.demands_tested == n ** p.k

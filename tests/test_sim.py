@@ -9,7 +9,7 @@ from pdakit.pda import Pda, STAR
 from pdakit.sim import (CacheContents, DecodeError, FileLibrary, decode,
                         deliver, place, verify_scheme)
 
-from conftest import TINY
+from conftest import TINY, decode_failures
 
 
 def _xor(a: bytes, b: bytes) -> bytes:
@@ -127,6 +127,14 @@ def test_verify_scheme_modes():
         verify_scheme(TINY, 2, mode="everything")
 
 
+def test_adversarial_demands_are_distinct():
+    # with K=1 the all-distinct demand (0,) is also the first all-alike one
+    one_user = Pda(1, 2, 1, 1, ((STAR,), (1,)))
+    assert sim._demand_set(one_user, 2, "adversarial", 0, None) == ([(0,), (1,)], "adversarial")
+    assert verify_scheme(one_user, 2, mode="adversarial").demands_tested == 2
+    assert verify_scheme(one_user, 1, mode="adversarial").demands_tested == 1
+
+
 def test_verify_scheme_exhaustive_limit(monkeypatch):
     # K=20 columns, one star each, every symbol cell its own symbol
     wide = Pda(20, 2, 1, 20, tuple(tuple(STAR if (k + j) % 2 else k + 1 for k in range(20))
@@ -232,3 +240,62 @@ def test_verify_records_corrupt_transmission(monkeypatch):
     assert 0 < len(listeners) < FANO_PG.k
     assert rep.failures == [(d, u) for d in itertools.product(range(2), repeat=7)
                             for u in listeners]
+
+
+def test_verify_records_cancelling_double_fault(monkeypatch):
+    """A side packet in user 3's cache and the payload whose peel reads it,
+    flipped in the same bit, cancel in that user's decode of that row.  So a
+    user with a faulty cache must be peeled from its cache, never judged by
+    the payload check alone."""
+    user, file, bit = 3, 1, 5
+    j, s = next((j, row[user]) for j, row in enumerate(FANO_PG.grid) if row[user] != STAR)
+    j2, k2 = next(c for c in FANO_PG.symbol_cells[s] if c != (j, user))
+    real_place, real_transmit, seen = sim.place, sim._transmit, {}
+
+    def place(p, lib):
+        caches = real_place(p, lib)
+        pk = caches[user].packets[(file, j2)]
+        caches[user].packets[(file, j2)] = (
+            int.from_bytes(pk, "big") ^ 1 << bit).to_bytes(len(pk), "big")
+        seen.update(lib=lib, caches=caches)
+        return caches
+
+    def transmit(p, ints, demand):
+        payloads = real_transmit(p, ints, demand)
+        payloads[s - 1] ^= 1 << bit
+        return payloads
+
+    monkeypatch.setattr(sim, "place", place)
+    monkeypatch.setattr(sim, "_transmit", transmit)
+    rep = verify_scheme(FANO_PG, 2, mode="exhaustive")
+    expect = decode_failures(FANO_PG, seen["lib"], seen["caches"], 2)  # deliver reads the patch
+    assert rep.failures == expect
+    cancelled = [d for d in itertools.product(range(2), repeat=7)
+                 if d[k2] == file and (d, user) not in expect]
+    assert cancelled
+    # the other users in symbol s's columns have clean caches and always fail
+    others = {k for _, k in FANO_PG.symbol_cells[s]} - {user}
+    assert {(d, k) for d, k in expect if k in others} == {
+        (d, k) for d in itertools.product(range(2), repeat=7) for k in others}
+
+
+def test_verify_scheme_streams_demands(monkeypatch):
+    """Each demand is transmitted before the next one is drawn, so neither
+    the exhaustive demand set nor its payloads are held."""
+    events = []
+    real_product, real_transmit = itertools.product, sim._transmit
+
+    def product(values, repeat):
+        for demand in real_product(values, repeat=repeat):
+            events.append("draw")
+            yield demand
+
+    def transmit(p, ints, demand):
+        events.append("send")
+        return real_transmit(p, ints, demand)
+
+    monkeypatch.setattr(itertools, "product", product)
+    monkeypatch.setattr(sim, "_transmit", transmit)
+    rep = verify_scheme(FANO_PG, 2, mode="exhaustive")
+    assert rep.ok and rep.demands_tested == 2 ** 7
+    assert events == ["draw", "send"] * 2 ** 7
