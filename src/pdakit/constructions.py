@@ -26,8 +26,8 @@ from .designs import (Design, blocks_containing, certify_configuration,
 from .gf import FieldSpec
 from .pda import Pda
 from .subspaces import enumerate_subspaces, gaussian_binomial
-from .triples import (TripleSystem, _emit_pda, complete_matching, orientations,
-                      set_bits)
+from .triples import (TripleSystem, _emit_pda, complete_matching, mask_of,
+                      orientations, set_bits)
 
 FAMILIES = ("pg", "config", "tdesign-a", "tdesign-b", "tdesign-lambda")
 
@@ -226,11 +226,11 @@ def _block_triple(design: Design, size_x: int, size_y: int) -> TripleSystem:
 
 def _holders(subspaces, npoints: int) -> list[int]:
     """For each point, the mask of the subspaces that hold it."""
-    out = [0] * npoints
+    out: list[list[int]] = [[] for _ in range(npoints)]
     for i, s in enumerate(subspaces):
         for point in set_bits(s.points_mask()):
-            out[point] |= 1 << i
-    return out
+            out[point].append(i)
+    return [mask_of(held, len(subspaces)) for held in out]
 
 
 def pg_triple(q: int, k: int, m: int, t: int) -> TripleSystem:

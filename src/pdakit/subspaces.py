@@ -9,6 +9,7 @@ in counting order.
 import functools
 import itertools
 from dataclasses import dataclass
+from operator import mul
 
 from .gf import FieldSpec
 
@@ -139,13 +140,22 @@ def span(field: FieldSpec, ambient: int, rows) -> Subspace:
 @functools.lru_cache(maxsize=None)
 def _points_mask(s: Subspace) -> int:
     f, els = s.field, s.field.elements()
-    add = [[f.add(a, b) for b in els] for a in els]
-    vectors = [(0,) * s.ambient]
-    for row in s.basis:
-        multiples = [[f.mul(c, b) for b in row] for c in els]
-        vectors = [tuple(add[a][b] for a, b in zip(v, w)) for v in vectors for w in multiples]
     weights = [f.q ** i for i in range(s.ambient)]
-    return sum(1 << sum(w * a for w, a in zip(weights, v)) for v in vectors)
+    scale = [[f.mul(c, b) for b in els] for c in els[1:]]  # scale[c - 1][b] = c * b
+    if f.p == 2:
+        # F_{2^e} elements are e-bit strings added by XOR, so vector indices
+        # add by XOR: the span is the XOR closure of the rows' multiples
+        points = [0]
+        for row in s.basis:
+            multiples = [sum(map(mul, weights, map(by.__getitem__, row))) for by in scale]
+            points += [a ^ m for m in multiples for a in points]
+    else:
+        vectors = [(0,) * s.ambient]
+        for row in s.basis:
+            vectors += [tuple(f.add(a, by[b]) for a, b in zip(v, row))
+                        for by in scale for v in vectors]
+        points = [sum(map(mul, weights, v)) for v in vectors]
+    return sum([1 << i for i in points])
 
 
 def enumerate_subspaces(field: FieldSpec, ambient: int, dim: int) -> list[Subspace]:

@@ -6,11 +6,12 @@ index sets X (rows), Y (symbols), Z (columns):
   C_XY on X x Y, C_XZ on X x Z, C_YZ on Y x Z.
 
 A TripleSystem stores each matrix only as row bitmasks (fields xy, xz, yz):
-bit j of row i is entry (i, j).  Column masks are derived once per system;
-the 0/1 tuples c_xy, c_xz, c_yz are views built on demand, which no stage
-reads.  An orientation is a relabeling that swaps rows for columns.
+bit j of row i is entry (i, j).  Column masks are derived once per system,
+or handed down where a parent holds them: by complete_matching, and by an
+orientation, a relabeling that swaps rows for columns.  The 0/1 tuples
+c_xy, c_xz, c_yz are views built on demand, which no stage reads.
 
-Conditions checked here, all by exhaustive scan:
+Conditions checked here, all by exhaustive scan (E3-E5 one pass per row):
 
   E1: every column of C_XZ sums to the same value (|X| - Q),
   E2: every y meets some z,
@@ -23,7 +24,7 @@ Conditions checked here, all by exhaustive scan:
       C_XZ are constant and positive (degrees D_Z, D_Y, D_X).
 
 E1-E5 characterize valid arrays exactly; E1-E3 plus E6 suffice once C_XY is
-thinned to per-z perfect matchings (complete_matching).
+thinned to per-z perfect matchings (complete_matching, by augmenting paths).
 """
 
 from dataclasses import dataclass, field
@@ -122,14 +123,30 @@ def set_bits(mask: int) -> list[int]:
     return out
 
 
+def mask_of(indices, width: int) -> int:
+    """The mask with these bits set, all below width, built without a copy per bit."""
+    buf = bytearray(width + 7 >> 3)
+    for i in indices:
+        buf[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(buf, "little")
+
+
 def _columns(rows: Masks, ncols: int) -> Masks:
-    """Column masks of the matrix with these row masks: its transpose."""
+    """Column masks of the matrix with these row masks: its transpose.  A
+    matrix more than half ones is walked through its complement instead."""
+    flip = 2 * sum(map(int.bit_count, rows)) > len(rows) * ncols
+    full, every = ((1 << ncols) - 1) * flip, ((1 << len(rows)) - 1) * flip
     out = [0] * ncols
     for i, row in enumerate(rows):
         bit = 1 << i
-        for j in set_bits(row):
+        for j in set_bits(row ^ full):
             out[j] |= bit
-    return tuple(out)
+    return tuple(every ^ col for col in out) if flip else tuple(out)
+
+
+def _seeded(t: TripleSystem, **cols: Masks) -> TripleSystem:
+    vars(t).update(cols)  # cached column masks, from transposes the caller holds
+    return t
 
 
 def _dense(rows: Masks, ncols: int) -> Matrix:
@@ -143,13 +160,19 @@ def _degree(masks) -> int | None:
     return counts.pop() if len(counts) == 1 and 0 not in counts else None
 
 
-def _not_single(rows, a, b, labels_a, labels_b):
+def _first_not_single(rows, via, cols, labels_a, labels_b):
     """The first (labels_a[i], labels_b[j]), row-major, with bit j of rows[i]
-    set and a[i] & b[j] other than a single bit; None if there is none."""
+    set in cols[k] for other than exactly one k of via[i]; None if none.
+    One pass per row folds rows[i] & cols[k] into bits met once or again."""
     for i, row in enumerate(rows):
-        for j in set_bits(row):
-            if (a[i] & b[j]).bit_count() != 1:
-                return labels_a[i], labels_b[j]
+        seen = multi = 0
+        for k in set_bits(via[i]):
+            hit = row & cols[k]
+            multi |= seen & hit
+            seen |= hit
+        bad = row & ~seen | multi
+        if bad:
+            return labels_a[i], labels_b[(bad & -bad).bit_length() - 1]
     return None
 
 
@@ -169,14 +192,14 @@ def check_conditions(t: TripleSystem) -> ConditionReport:
         wit["E2"] = (ly[t.yz.index(0)],)
     d_y, d_x = _degree(t.yz), _degree(t.xz)
 
-    for name, args in (("E3", (rows_xy, t.xz, t.yz, lx, ly)),
-                       ("E4", (t.xz, rows_xy, cols_yz, lx, lz)),
-                       ("E5", (t.yz, cols_xy, cols_xz, ly, lz))):
-        witness = _not_single(*args)
+    # E3 walks the z of each xz[x], E4 the y of each xy[x], E5 the x of cols_xy[y]
+    for name, args in (("E3", (rows_xy, t.xz, cols_yz, lx, ly)),
+                       ("E4", (t.xz, rows_xy, t.yz, lx, lz)),
+                       ("E5", (t.yz, cols_xy, t.xz, ly, lz))):
+        witness = _first_not_single(*args)
         if witness is not None:
             wit[name] = witness
 
-    e6 = True
     degrees = []
     for z, (u1, u2) in enumerate(zip(cols_xz, cols_yz)):
         if not u1 or not u2:
@@ -188,12 +211,11 @@ def check_conditions(t: TripleSystem) -> ConditionReport:
             degrees.append(degs.pop())
         else:
             degrees.append(None)
-            e6 = False
             wit.setdefault("E6", (lz[z],))
 
-    return ConditionReport(e1, e2, "E3" not in wit, "E4" not in wit, "E5" not in wit, e6,
-                           bool(d_z), d_y is not None, d_x is not None,
-                           d_x, d_y, d_z, tuple(degrees), wit)
+    e3, e4, e5, e6 = ("E3" not in wit, "E4" not in wit, "E5" not in wit, "E6" not in wit)
+    return ConditionReport(e1, e2, e3, e4, e5, e6, bool(d_z), d_y is not None,
+                           d_x is not None, d_x, d_y, d_z, tuple(degrees), wit)
 
 
 # --- conversions ----------------------------------------------------------
@@ -256,63 +278,34 @@ def _emit_pda(t: TripleSystem) -> Pda:
 # --- matching -------------------------------------------------------------
 
 
-def bipartite_perfect_matching(left, right, edges) -> dict:
-    """Perfect matching of a regular bipartite graph, deterministically.
-
-    left and right are label sequences; edges is an iterable of (l, r) pairs.
-    Vertices are processed in sequence order and neighbors scanned ascending,
-    with augmenting paths, so the result is a pure function of the input.
-    Raises ValueError unless the graph is d-regular with d >= 1 and balanced.
-    """
-    left = list(left)
-    right = list(right)
-    li = {lab: i for i, lab in enumerate(left)}
-    ri = {lab: i for i, lab in enumerate(right)}
-    if len(li) != len(left) or len(ri) != len(right):
-        raise ValueError("duplicate vertex labels")
-    adj: list[list[int]] = [[] for _ in left]
-    rdeg = [0] * len(right)
-    for l, r in edges:
-        adj[li[l]].append(ri[r])
-        rdeg[ri[r]] += 1
-    if len(left) != len(right):
-        raise ValueError(f"sides differ in size: {len(left)} vs {len(right)}")
-    degs = {len(a) for a in adj} | set(rdeg)
-    if len(degs) != 1 or 0 in degs:
-        raise ValueError(f"graph is not regular with positive degree (degrees {sorted(degs)})")
-    for a in adj:
-        a.sort()
-
-    owner = [-1] * len(right)
-
-    def augment(root: int) -> bool:
-        # Depth-first search on an explicit stack, free of the recursion
-        # limit; path[i] is the right vertex from stack[i] to stack[i + 1].
-        seen = set()
-        stack = [(root, iter(adj[root]))]
-        path = []
+def _match_column(xs, ys: int, rows_xy: Masks) -> dict[int, int]:
+    """A perfect matching {y: x} of the rows xs with the symbols in mask ys
+    along rows_xy, whose induced graph E6 makes regular.  Kuhn's augmenting
+    paths on a stack: roots in ascending x; from each row, the lowest y not
+    yet seen from this root, taken if free, else followed into its owner.
+    path[i] is the symbol from stack[i] to stack[i + 1]."""
+    owner: dict[int, int] = {}
+    for root in xs:
+        unseen, x = ys, root
+        stack, path = [root], []
         while stack:
-            for v in stack[-1][1]:
-                if v in seen:
-                    continue
-                seen.add(v)
-                if owner[v] < 0:
-                    for (u, _), w in zip(stack, path + [v]):
-                        owner[w] = u
-                    return True
-                path.append(v)
-                stack.append((owner[v], iter(adj[owner[v]])))
-                break
-            else:
+            free = rows_xy[x] & unseen
+            if not free:
                 stack.pop()
                 if path:
                     path.pop()
-        return False
-
-    for u in range(len(left)):
-        if not augment(u):
-            raise ValueError("no perfect matching found in a regular bipartite graph")
-    return {left[owner[v]]: right[v] for v in range(len(right)) if owner[v] >= 0}
+                    x = stack[-1]
+                continue
+            bit = free & -free
+            unseen ^= bit
+            y = bit.bit_length() - 1
+            path.append(y)
+            x = owner.get(y, -1)
+            if x < 0:  # flip the path: each stack row takes the next symbol
+                owner.update(zip(path, stack))
+                break
+            stack.append(x)
+    return owner
 
 
 def complete_matching(t: TripleSystem) -> TripleSystem:
@@ -320,29 +313,23 @@ def complete_matching(t: TripleSystem) -> TripleSystem:
 
     Requires E1-E3 plus E6 (or the constant-degree variants).  In the result,
     (x,y) is incident iff the pair was matched within some z, which upgrades
-    the system to the full E1-E5 family.
+    the system to the full E1-E5 family.  Each column is matched on its
+    masks, and the result keeps t's C_XZ and C_YZ with their column masks.
     """
     rep = check_conditions(t)
     for name, ok in (("E1", rep.e1), ("E2", rep.e2), ("E3", rep.e3), ("E6", rep.e6)):
         if not ok:
             raise ConditionError(name, witness=rep.witnesses.get(name))
-    rows_xy = t.xy
-    chosen = [0] * len(t.labels_x)
+    chosen: list[list[int]] = [[] for _ in t.labels_x]
     for z, (mask1, mask2) in enumerate(zip(t.cols_xz, t.cols_yz)):
-        u1, u2 = set_bits(mask1), set_bits(mask2)
-        if not u1 and not u2:
-            continue
-        if len(u1) != len(u2):
-            raise ConditionError("E6", f"column {t.labels_z[z]} pairs {len(u1)} rows "
-                                 f"with {len(u2)} symbols")
-        edges = [(x, y) for x in u1 for y in set_bits(rows_xy[x] & mask2)]
-        try:
-            matched = bipartite_perfect_matching(u1, u2, edges)
-        except ValueError as exc:
-            raise ConditionError("E6", f"column {t.labels_z[z]}: {exc}") from None
-        for x, y in matched.items():
-            chosen[x] |= 1 << y
-    return TripleSystem(t.labels_x, t.labels_y, t.labels_z, tuple(chosen), t.xz, t.yz)
+        if mask1.bit_count() != mask2.bit_count():  # E6 passes one empty side
+            raise ConditionError("E6", f"column {t.labels_z[z]} pairs {mask1.bit_count()} "
+                                 f"rows with {mask2.bit_count()} symbols")
+        for y, x in _match_column(set_bits(mask1), mask2, t.xy).items():
+            chosen[x].append(y)
+    xy = tuple(mask_of(ys, len(t.labels_y)) for ys in chosen)
+    matched = TripleSystem(t.labels_x, t.labels_y, t.labels_z, xy, t.xz, t.yz)
+    return _seeded(matched, cols_xz=t.cols_xz, cols_yz=t.cols_yz)
 
 
 # --- orientations and products -------------------------------------------
@@ -365,8 +352,11 @@ def orientations(t: TripleSystem) -> tuple[TripleSystem, TripleSystem, TripleSys
     for name, masks in (("E1'", t.cols_xz), ("E2'", t.yz), ("E7", t.xz)):
         if _degree(masks) is None:
             raise ConditionError(name, "degrees are not constant and positive")
-    set1 = TripleSystem(t.labels_y, t.labels_z, t.labels_x, t.yz, t.cols_xy, t.cols_xz)
-    set2 = TripleSystem(t.labels_z, t.labels_y, t.labels_x, t.cols_yz, t.cols_xz, t.cols_xy)
+    lx, ly, lz = t.labels_x, t.labels_y, t.labels_z
+    set1 = _seeded(TripleSystem(ly, lz, lx, t.yz, t.cols_xy, t.cols_xz),
+                   cols_xy=t.cols_yz, cols_xz=t.xy, cols_yz=t.xz)
+    set2 = _seeded(TripleSystem(lz, ly, lx, t.cols_yz, t.cols_xz, t.cols_xy),
+                   cols_xy=t.yz, cols_xz=t.xz, cols_yz=t.xy)
     return set1, set2, t
 
 

@@ -137,6 +137,28 @@ def test_points_mask():
     assert span(F2, 3, [(1, 0, 0), (0, 1, 0)]).points_mask() == 0b1111
 
 
+def _tuple_points_mask(s: Subspace) -> int:
+    """Reference: every vector of the span built as a digit tuple, then
+    indexed as sum(v[i] * q**i)."""
+    f, els = s.field, s.field.elements()
+    vectors = [(0,) * s.ambient]
+    for row in s.basis:
+        multiples = [[f.mul(c, b) for b in row] for c in els]
+        vectors = [tuple(f.add(a, b) for a, b in zip(v, w)) for v in vectors for w in multiples]
+    return sum(1 << sum(a * f.q ** i for i, a in enumerate(v)) for v in vectors)
+
+
+def test_points_mask_equals_tuple_reference():
+    # F_4 takes the XOR path with two-bit digits, F_3 and F_5 the digit-wise one
+    cases = ((F2, 5), (F3, 3), (FieldSpec.for_order(4), 3), (F5, 2))
+    for field, ambient in cases:
+        for dim in range(ambient + 1):
+            for s in enumerate_subspaces(field, ambient, dim):
+                mask = s.points_mask()
+                assert mask == _tuple_points_mask(s), (field.q, s.basis)
+                assert mask.bit_count() == field.q ** dim
+
+
 def test_points_mask_meets_and_containment_agree_with_rref():
     for field in (F3, FieldSpec.for_order(4)):
         lines = enumerate_subspaces(field, 3, 1)

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -7,10 +8,10 @@ from pdakit.constructions import (ConstructionSpec, build_triple, configuration_
                                   construct_pda, pg_triple, tdesign_b_triple)
 from pdakit.designs import catalog_lookup, complete_design
 from pdakit.pda import InvalidPdaError, Pda, STAR, canonical_relabel, validate_pda
-from pdakit.triples import (ConditionError, TripleSystem,
-                            bipartite_perfect_matching, check_conditions,
-                            complete_matching, direct_product, orientations,
-                            pda_to_triple, triple_to_pda)
+from pdakit.triples import (ConditionError, TripleSystem, _columns, _match_column,
+                            check_conditions, complete_matching, direct_product,
+                            mask_of, orientations, pda_to_triple, set_bits,
+                            triple_to_pda)
 
 from conftest import TINY, all_pdas
 
@@ -148,12 +149,24 @@ def test_symbol_relabel_invariance():
     assert canonical_relabel(p) == canonical_relabel(swapped) == p
 
 
+def _label_matching(left, right, edges) -> dict:
+    """Label-keyed adapter over the column matcher: left are the rows, the
+    symbol mask holds all of right."""
+    li = {lab: i for i, lab in enumerate(left)}
+    ri = {lab: i for i, lab in enumerate(right)}
+    rows = [0] * len(li)
+    for l, r in edges:
+        rows[li[l]] |= 1 << ri[r]
+    owner = _match_column(range(len(rows)), (1 << len(ri)) - 1, tuple(rows))
+    return {left[x]: right[y] for y, x in owner.items()}
+
+
 def test_matching_deterministic_cycle():
     left = right = (1, 2, 3)
     edges = [(a, b) for a in left for b in right if a != b]
-    got = bipartite_perfect_matching(left, right, edges)
+    got = _label_matching(left, right, edges)
     assert got == {1: 2, 2: 3, 3: 1}
-    assert bipartite_perfect_matching(left, right, reversed(edges)) == got
+    assert _label_matching(left, right, reversed(edges)) == got
 
 
 def _recursive_matching(left, right, edges) -> dict:
@@ -191,7 +204,7 @@ def test_matching_equals_recursive_reference():
         shifts = rng.sample(range(n), min(d, n))
         edges = [(left[i], perm[(i + s) % n]) for i in range(n) for s in shifts]
         rng.shuffle(edges)
-        assert (bipartite_perfect_matching(left, right, edges)
+        assert (_label_matching(left, right, edges)
                 == _recursive_matching(left, right, edges))
 
 
@@ -199,19 +212,8 @@ def test_matching_long_cycle_has_no_recursion_limit():
     # the last vertex's augmenting path runs around the whole cycle
     n = 2000
     edges = [(i, i) for i in range(n)] + [(i, (i + 1) % n) for i in range(n)]
-    got = bipartite_perfect_matching(range(n), range(n), edges)
+    got = _label_matching(range(n), range(n), edges)
     assert got == {i: (i + 1) % n for i in range(n)}
-
-
-def test_matching_input_validation():
-    with pytest.raises(ValueError, match="sides differ"):
-        bipartite_perfect_matching((1, 2), (1,), [(1, 1), (2, 1)])
-    with pytest.raises(ValueError, match="not regular"):
-        bipartite_perfect_matching((1, 2), (3, 4), [(1, 3), (1, 4), (2, 3)])
-    with pytest.raises(ValueError, match="not regular"):
-        bipartite_perfect_matching((1,), (2,), [])
-    with pytest.raises(ValueError, match="duplicate"):
-        bipartite_perfect_matching((1, 1), (2, 3), [(1, 2), (1, 3)])
 
 
 def test_matching_sizes_equal_networkx():
@@ -222,7 +224,7 @@ def test_matching_sizes_equal_networkx():
         perm = rng.sample(range(n), n)
         shifts = rng.sample(range(n), min(d, n))
         edges = [(i, n + perm[(i + s) % n]) for i in range(n) for s in shifts]
-        got = bipartite_perfect_matching(range(n), range(n, 2 * n), edges)
+        got = _label_matching(range(n), range(n, 2 * n), edges)
         g = nx.Graph(edges)
         want = nx.bipartite.hopcroft_karp_matching(g, top_nodes=range(n))
         assert len(got) == len(want) // 2 == n
@@ -241,6 +243,47 @@ def _sweep_triples(sweep) -> list:
     return list(out.values())
 
 
+@pytest.fixture(scope="module")
+def k651():
+    """The raw and matched pg q=2 k=6 m=2 t=2 systems (K = F = S = 651)."""
+    raw = pg_triple(2, 6, 2, 2)
+    return raw, complete_matching(raw)
+
+
+def _not_single(rows, a, b, labels_a, labels_b):
+    """Reference: the pairwise scan, one AND per incident (i, j) pair, for
+    the first pair with a[i] & b[j] other than a single bit."""
+    for i, row in enumerate(rows):
+        for j in set_bits(row):
+            if (a[i] & b[j]).bit_count() != 1:
+                return labels_a[i], labels_b[j]
+    return None
+
+
+def test_row_scans_give_the_pairwise_first_witness(sweep, k651):
+    systems = [s for _, raw, t in _sweep_triples(sweep) for s in (raw, t)] + [k651[0]]
+    rng = random.Random(7)
+    failing = {"E3": 0, "E4": 0, "E5": 0}
+    for base in systems:
+        widths = {"xy": len(base.labels_y), "xz": len(base.labels_z),
+                  "yz": len(base.labels_z)}
+        for name, width in widths.items():
+            for _ in range(3):
+                rows = list(getattr(base, name))
+                rows[rng.randrange(len(rows))] ^= 1 << rng.randrange(width)
+                t = replace(base, **{name: tuple(rows)})
+                lx, ly, lz = t.labels_x, t.labels_y, t.labels_z
+                want = {"E3": _not_single(t.xy, t.xz, t.yz, lx, ly),
+                        "E4": _not_single(t.xz, t.xy, t.cols_yz, lx, lz),
+                        "E5": _not_single(t.yz, t.cols_xy, t.cols_xz, ly, lz)}
+                rep = check_conditions(t)
+                assert {c: rep.witnesses.get(c) for c in want} == want
+                assert (rep.e3, rep.e4, rep.e5) == tuple(w is None for w in want.values())
+                for c, w in want.items():
+                    failing[c] += w is not None
+    assert min(failing.values()) > 0, failing
+
+
 def test_complete_matching_is_perfect_per_column(sweep):
     for spec, raw, t in _sweep_triples(sweep):
         for z, (xs, ys) in enumerate(zip(t.cols_xz, t.cols_yz)):
@@ -255,11 +298,11 @@ def test_complete_matching_is_perfect_per_column(sweep):
                     assert (t.cols_xy[y] & xs).bit_count() == 1, (spec, z, y)
 
 
-def test_every_orientation_of_a_matched_system_passes_e1_to_e5(sweep):
+def test_every_orientation_of_a_matched_system_passes_e1_to_e5(sweep, k651):
     # construct_pda emits the array without rescanning E1-E5; this is why
     # it may: each orientation of a complete_matching result passes them.
     triples = [t for _, _, t in _sweep_triples(sweep)]
-    triples += [complete_matching(pg_triple(2, k, m, t)) for k, m, t in ((6, 2, 2), (7, 1, 1))]
+    triples += [k651[1], complete_matching(pg_triple(2, 7, 1, 1))]
     assert len(triples) == 43 + 2  # all 105 sweep arrays come from 43 systems
     for t in triples:
         for o in orientations(t):
@@ -307,9 +350,28 @@ def test_complete_matching_requires_conditions():
     with pytest.raises(ConditionError) as exc:
         complete_matching(_ts(((1,), (1,)), ((1, 0), (1, 0)), ((1, 1),)))
     assert exc.value.condition == "E1"
+    # z0 induces degrees 1 and 2 on its rows: the E6 scan's witness
     with pytest.raises(ConditionError) as exc:
         complete_matching(_ts(((1, 0), (1, 1)), ((1,), (1,)), ((1,), (1,))))
+    assert (exc.value.condition, exc.value.witness) == ("E6", (0,))
+
+
+def test_matching_input_validation():
+    # the column matcher takes no labels and checks nothing itself:
+    # complete_matching refuses each column it cannot match perfectly.
+    # Sides differ: z0 holds both rows and no symbol, which the degree scan
+    # lets pass; z1 pairs each row with its one symbol
+    with pytest.raises(ConditionError, match="column 0 pairs 2 rows with 0 symbols") as exc:
+        complete_matching(_ts(((1, 0), (0, 1)), ((1, 1), (1, 1)), ((0, 1), (0, 1))))
     assert exc.value.condition == "E6"
+    # not regular: in z0 row 0 meets both symbols, row 1 only the first
+    with pytest.raises(ConditionError) as exc:
+        complete_matching(_ts(((1, 1), (1, 0)), ((1,), (1,)), ((1,), (1,))))
+    assert (exc.value.condition, exc.value.witness) == ("E6", (0,))
+    # not regular: z0 pairs one row with one symbol along no edge
+    with pytest.raises(ConditionError) as exc:
+        complete_matching(_ts(((0,),), ((1,),), ((1,),)))
+    assert (exc.value.condition, exc.value.witness) == ("E6", (0,))
 
 
 def test_orientations_identity_and_params():
@@ -322,7 +384,7 @@ def test_orientations_identity_and_params():
         assert validate_pda(p).ok
 
 
-def test_orientations_equal_dense_transposes(sweep):
+def test_orientations_equal_dense_transposes(sweep, k651):
     # reference: the dense rotations, each matrix transposed as a whole
     triples = _sweep_triples(sweep)
     assert len(triples) >= 30
@@ -338,6 +400,39 @@ def test_orientations_equal_dense_transposes(sweep):
             assert s.cols_xy == _masks(_transpose(s.c_xy))
             assert s.cols_xz == _masks(_transpose(s.c_xz))
             assert s.cols_yz == _masks(_transpose(s.c_yz))
+    # seeded column masks against a fresh transpose, K = 651 included
+    for t in [t for _, _, t in triples] + [k651[1]]:
+        s1, s2, _ = orientations(t)
+        for s in (t, s1, s2):
+            assert s.cols_xy == _columns(s.xy, len(s.labels_y))
+            assert s.cols_xz == _columns(s.xz, len(s.labels_z))
+            assert s.cols_yz == _columns(s.yz, len(s.labels_z))
+
+
+def test_matching_and_orientations_transpose_only_matched_xy(sweep, monkeypatch):
+    # every other column mask is handed down from a system that holds it
+    calls = []
+    monkeypatch.setattr(pdakit.triples, "_columns",
+                        lambda rows, ncols: calls.append(rows) or _columns(rows, ncols))
+    for _, raw, _ in _sweep_triples(sweep):  # raw's column masks are cached
+        calls.clear()
+        matched = complete_matching(raw)
+        for s in orientations(matched):
+            for name in ("cols_xy", "cols_xz", "cols_yz"):
+                getattr(s, name)
+        assert len(calls) == 1 and calls[0] is matched.xy
+
+
+def test_columns_and_mask_of_equal_dense_reference():
+    rng = random.Random(3)
+    for density in (0.1, 0.5, 0.9):  # 0.9 is transposed through the complement
+        for _ in range(30):
+            nr, nc = rng.randint(1, 9), rng.randint(1, 9)
+            mat = tuple(tuple(int(rng.random() < density) for _ in range(nc)) for _ in range(nr))
+            assert _columns(_masks(mat), nc) == _masks(_transpose(mat))
+            for row in _masks(mat):
+                assert mask_of(set_bits(row), nc) == row
+    assert mask_of([], 0) == 0 and mask_of([70, 3], 71) == 1 << 70 | 1 << 3
 
 
 def test_triple_system_rejects_bad_masks():
