@@ -12,7 +12,7 @@ import json
 import sys
 from pathlib import Path
 
-from .constructions import (ConstructionSpec, ParameterRow, closed_form_row,
+from .constructions import (FAMILIES, ConstructionSpec, ParameterRow, closed_form_row,
                             construct_pda, mn_baseline, _t_design_of)
 from .designs import (certify_configuration, certify_t_design, design_from_json,
                       design_to_json, from_reference)
@@ -237,7 +237,7 @@ def _build_parser() -> _Parser:
     sub = top.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("construct", parents=[], help="build a PDA from a named family")
-    c.add_argument("family", choices=("pg", "config", "tdesign-a", "tdesign-b", "tdesign-lambda"))
+    c.add_argument("family", choices=FAMILIES)
     c.add_argument("--q", type=int, help="field order (pg)")
     c.add_argument("--k", type=int, help="ambient dimension (pg)")
     c.add_argument("--m", type=int, help="symbol subspace dimension (pg)")
@@ -267,7 +267,7 @@ def _build_parser() -> _Parser:
     s.set_defaults(fn=cmd_simulate)
 
     t = sub.add_parser("tabulate", help="closed-form parameter tables")
-    t.add_argument("family", choices=("pg", "config", "tdesign-a", "tdesign-b", "tdesign-lambda"))
+    t.add_argument("family", choices=FAMILIES)
     t.add_argument("--q", type=int)
     t.add_argument("--k", help="ambient dimension or range A..B (pg)")
     t.add_argument("--design")

@@ -1,10 +1,10 @@
 """PDA constructions from subspace geometry and block designs.
 
 Each family builds a TripleSystem whose conditions are then verified and
-completed by the generic machinery in triples.py, never assumed here.  The
-*_parameters functions evaluate the matching closed forms (exact rationals)
-for any of the three orientations so measured arrays can be checked against
-them.
+completed by the generic machinery in triples.py, never assumed here.  Its
+closed form is five invariants of that system, |X|, |Y|, |Z|, D_X and D_Z;
+closed_form_row turns them into any orientation's parameters by the one rule
+in triples.py, so measured arrays can be checked against them.
 
 Families (ids are the CLI tokens):
   pg              t-, m-, and (m+t)-dimensional subspaces of F_q^k
@@ -16,9 +16,10 @@ Families (ids are the CLI tokens):
 
 import itertools
 from dataclasses import dataclass, replace
+from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import reduce
-from math import comb
+from functools import partial, reduce
+from math import comb, factorial, log, pi
 from operator import and_, or_
 
 from .designs import (Design, blocks_containing, certify_configuration,
@@ -26,8 +27,8 @@ from .designs import (Design, blocks_containing, certify_configuration,
 from .gf import FieldSpec
 from .pda import Pda
 from .subspaces import enumerate_subspaces, gaussian_binomial
-from .triples import (TripleSystem, _emit_pda, complete_matching, mask_of,
-                      orientations, set_bits)
+from .triples import (TripleSystem, _emit_pda, _oriented_parameters, complete_matching,
+                      mask_of, orientations, set_bits)
 
 FAMILIES = ("pg", "config", "tdesign-a", "tdesign-b", "tdesign-lambda")
 
@@ -102,7 +103,7 @@ class ParameterRow:
     mn: Fraction
     rate: Fraction
     r_star: Fraction | None
-    f_mn: int | None
+    f_mn: int | str | None  # past EXACT_DIGITS digits, a short form like "~1.23e+5678"
     admissible: bool
     note: str = ""
 
@@ -111,18 +112,6 @@ class ParameterRow:
         if self.r_star:
             return self.rate / self.r_star
         return None
-
-
-def _row(family: str, label: str, orientation: int, k: int, f: int, q: int, s: int) -> ParameterRow:
-    mn = Fraction(q, f)
-    rate = Fraction(s, f)
-    admissible = k >= 1 and s >= 1 and 0 < q < f
-    note = "" if admissible else f"Q={q} outside 1..{f - 1}"
-    r_star = f_mn = None
-    if 0 <= mn <= 1:
-        r_star, f_mn = mn_baseline(k, mn)
-    return ParameterRow(family, label, orientation, k, f, q, s, mn, rate,
-                        r_star, f_mn, admissible, note)
 
 
 # --- hypothesis checks ----------------------------------------------------
@@ -312,100 +301,50 @@ def tdesign_lambda_triple(design: Design, t0: int, t1: int, t2: int) -> TripleSy
     return TripleSystem(tuple(xs), tuple(ys), tuple(zs), xy, xz, yz)
 
 
-# --- closed-form parameter rows ------------------------------------------
-
-
-def pg_parameters(q: int, k: int, m: int, t: int, orientation: int) -> ParameterRow:
-    _check_pg(q, k, m, t)
-    label = f"q={q},k={k},m={m},t={t}"
-    d_x = gaussian_binomial(k - t, m, q)
-    if orientation == 1:
-        kk, f = gaussian_binomial(k, t, q), gaussian_binomial(k, m, q)
-        qq, s = f - d_x, gaussian_binomial(k, m + t, q)
-    elif orientation == 2:
-        kk, f = gaussian_binomial(k, t, q), gaussian_binomial(k, m + t, q)
-        qq, s = f - d_x, gaussian_binomial(k, m, q)
-    else:
-        kk, f = gaussian_binomial(k, m + t, q), gaussian_binomial(k, t, q)
-        qq, s = f - gaussian_binomial(m + t, t, q), gaussian_binomial(k, m, q)
-    return _row("pg", label, orientation, kk, f, qq, s)
-
-
-def configuration_parameters(v: int, r: int, b: int, k: int,
-                             orientation: int, label: str = "") -> ParameterRow:
-    if b * k != v * r:
-        raise ValueError(f"inconsistent configuration counts: bk={b * k}, vr={v * r}")
-    label = label or f"({v}_{r},{b}_{k})"
-    if orientation == 1:
-        kk, f, qq, s = v, v, v - r, b
-    elif orientation == 2:
-        kk, f, qq, s = v, b, b - r, v
-    else:
-        kk, f, qq, s = b, v, v - k, v
-    return _row("config", label, orientation, kk, f, qq, s)
-
-
-def tdesign_a_parameters(t: int, v: int, k: int, t0: int,
-                         orientation: int, label: str = "") -> ParameterRow:
-    _check_tdesign_a(t, k, 1, t0)
-    label = label or f"{t}-({v},{k},1),t0={t0}"
-    b = lambda_s(t, v, k, 1, 0)
-    cover = lambda_s(t, v, k, 1, t0)
-    n = comb(v, t0)
-    if orientation == 1:
-        kk, f, qq, s = n, n, n - cover, b
-    elif orientation == 2:
-        kk, f, qq, s = n, b, b - cover, n
-    else:
-        kk, f, qq, s = b, n, n - comb(k, t0), n
-    return _row("tdesign-a", label, orientation, kk, f, qq, s)
-
-
-def tdesign_b_parameters(t: int, v: int, k: int, t1: int, t2: int,
-                         orientation: int, label: str = "") -> ParameterRow:
-    _check_tdesign_b(t, k, 1, t1, t2)
-    label = label or f"{t}-({v},{k},1),t1={t1},t2={t2}"
-    b = lambda_s(t, v, k, 1, 0)
-    cover = lambda_s(t, v, k, 1, t1)
-    if orientation == 1:
-        kk, f, qq, s = comb(v, t1), comb(v, t2), comb(v, t2) - cover, b
-    elif orientation == 2:
-        kk, f, qq, s = comb(v, t1), b, b - cover, comb(v, t2)
-    else:
-        kk, f, qq, s = b, comb(v, t1), comb(v, t1) - comb(k, t1), comb(v, t2)
-    return _row("tdesign-b", label, orientation, kk, f, qq, s)
-
-
-def tdesign_lambda_parameters(t: int, v: int, k: int, lam: int, t0: int, t1: int, t2: int,
-                              orientation: int, label: str = "") -> ParameterRow:
-    _check_tdesign_lambda(t, k, t0, t1, t2)
-    label = label or f"{t}-({v},{k},{lam}),t0={t0},t1={t1},t2={t2}"
-    nx = comb(v, t1) * lambda_s(t, v, k, lam, t1)
-    ny = comb(v, t2) * lambda_s(t, v, k, lam, t2)
-    nz = comb(v, t0) * lambda_s(t, v, k, lam, t0)
-    d_x = comb(k - t1, t2)
-    d_z = comb(t0, t1)
-    if orientation == 1:
-        kk, f, qq, s = nx, ny, ny - d_x, nz
-    elif orientation == 2:
-        kk, f, qq, s = nx, nz, nz - d_x, ny
-    else:
-        kk, f, qq, s = nz, nx, nx - d_z, ny
-    return _row("tdesign-lambda", label, orientation, kk, f, qq, s)
-
-
 # --- baselines ------------------------------------------------------------
 
 
-def mn_baseline(k_users: int, mn: Fraction) -> tuple[Fraction, int | None]:
+EXACT_DIGITS = 4300  # Python's default limit on the digits of an int turned into text
+_HALF_LN_2PI = Decimal(log(2 * pi) / 2)
+
+
+def _ln_factorial(n: int) -> Decimal:
+    """ln n!: exact below 20, else Stirling's series to its 1/(12n) term,
+    which leaves an error below 1/(360 n^3) < 4e-7."""
+    if n < 20:
+        return Decimal(factorial(n)).ln()
+    d = Decimal(n)
+    return (d + Decimal("0.5")) * d.ln() - d + _HALF_LN_2PI + 1 / (12 * d)
+
+
+def _binomial(n: int, k: int) -> int | str:
+    """C(n, k) exactly if it has at most EXACT_DIGITS digits, else in a short
+    form such as "~1.23e+5678", in time that does not grow with its digits."""
+    if n < EXACT_DIGITS * 3.32:  # then C(n, k) < 2^n < 10^EXACT_DIGITS
+        return comb(n, k)
+    with localcontext() as ctx:
+        ctx.prec = 30 + n.bit_length() // 3  # n's digits and then some, for n ln n
+        log10 = (_ln_factorial(n) - _ln_factorial(k) - _ln_factorial(n - k)) / Decimal(10).ln()
+        # the estimate is far closer than 1, so only a near miss computes C(n, k)
+        if log10 < EXACT_DIGITS + 1 and (exact := comb(n, k)) < 10 ** EXACT_DIGITS:
+            return exact
+        exponent = int(log10)
+        mantissa = f"{Decimal(10) ** (log10 - exponent):.2f}"
+    if mantissa == "10.00":
+        mantissa, exponent = "1.00", exponent + 1
+    return f"~{mantissa}e+{exponent}"
+
+
+def mn_baseline(k_users: int, mn: Fraction) -> tuple[Fraction, int | str | None]:
     """Benchmark rate K(1 - M/N)/(1 + K M/N) and, when K*M/N is an integer,
-    the benchmark subpacketization C(K, K*M/N)."""
+    the benchmark subpacketization C(K, K*M/N): exact up to EXACT_DIGITS
+    digits, else a short string such as "~1.23e+5678"."""
     mn = Fraction(mn)
     if k_users < 1 or not 0 <= mn <= 1:
         raise ValueError(f"need K >= 1 and 0 <= M/N <= 1, got K={k_users}, M/N={mn}")
     r_star = Fraction(k_users * (1 - mn), 1 + k_users * mn)
     cached = k_users * mn
-    f_star = comb(k_users, int(cached)) if cached.denominator == 1 else None
+    f_star = _binomial(k_users, int(cached)) if cached.denominator == 1 else None
     return r_star, f_star
 
 
@@ -445,21 +384,42 @@ def build_triple(spec: ConstructionSpec) -> TripleSystem:
     return tdesign_lambda_triple(design, spec.t0, spec.t1, spec.t2)
 
 
-def closed_form_row(spec: ConstructionSpec) -> ParameterRow:
-    label = spec.label()
+def _invariants(spec: ConstructionSpec) -> tuple[int, int, int, int, int]:
+    """|X|, |Y|, |Z|, D_X and D_Z of the family's system in closed form, after
+    the hypothesis check its triple builder runs."""
     if spec.family == "pg":
-        return pg_parameters(spec.q, spec.k, spec.m, spec.t, spec.orientation)
+        q, k, m, t = spec.q, spec.k, spec.m, spec.t
+        _check_pg(q, k, m, t)
+        g = partial(gaussian_binomial, q=q)
+        return g(k, t), g(k, m), g(k, m + t), g(k - t, m), g(m + t, t)
     design = spec.resolved_design()
     if spec.family == "config":
         v, r, b, k = _configuration_of(design)
-        return configuration_parameters(v, r, b, k, spec.orientation, label)
+        return v, v, b, r, k
     t, v, k, lam = _t_design_of(design)
+    t0, t1, t2 = spec.t0, spec.t1, spec.t2
+    lam_s = partial(lambda_s, t, v, k, lam)  # lam_s(s): blocks holding an s-subset
     if spec.family == "tdesign-a":
-        return tdesign_a_parameters(t, v, k, spec.t0, spec.orientation, label)
+        _check_tdesign_a(t, k, lam, t0)
+        return comb(v, t0), comb(v, t0), lam_s(0), lam_s(t0), comb(k, t0)
     if spec.family == "tdesign-b":
-        return tdesign_b_parameters(t, v, k, spec.t1, spec.t2, spec.orientation, label)
-    return tdesign_lambda_parameters(t, v, k, lam, spec.t0, spec.t1, spec.t2,
-                                     spec.orientation, label)
+        _check_tdesign_b(t, k, lam, t1, t2)
+        return comb(v, t1), comb(v, t2), lam_s(0), lam_s(t1), comb(k, t1)
+    _check_tdesign_lambda(t, k, t0, t1, t2)
+    return (comb(v, t1) * lam_s(t1), comb(v, t2) * lam_s(t2), comb(v, t0) * lam_s(t0),
+            comb(k - t1, t2), comb(t0, t1))
+
+
+def closed_form_row(spec: ConstructionSpec) -> ParameterRow:
+    """The scheme parameters of spec from its family's invariants, without
+    building anything."""
+    k, f, q, s = _oriented_parameters(*_invariants(spec), spec.orientation)
+    mn = Fraction(q, f)
+    admissible = k >= 1 and s >= 1 and 0 < q < f
+    note = "" if admissible else f"Q={q} outside 1..{f - 1}"
+    r_star, f_mn = mn_baseline(k, mn) if 0 <= mn <= 1 else (None, None)
+    return ParameterRow(spec.family, spec.label(), spec.orientation, k, f, q, s, mn,
+                        Fraction(s, f), r_star, f_mn, admissible, note)
 
 
 def construct_pda(spec: ConstructionSpec) -> Pda:

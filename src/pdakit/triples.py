@@ -335,15 +335,20 @@ def complete_matching(t: TripleSystem) -> TripleSystem:
 # --- orientations and products -------------------------------------------
 
 
+def _oriented_parameters(nx: int, ny: int, nz: int, d_x: int, d_z: int,
+                         orientation: int) -> tuple[int, int, int, int]:
+    """(K, F, Q, S) of an orientation of a matched system with |X| = nx,
+    |Y| = ny, |Z| = nz, and row degree D_X and column degree D_Z of C_XZ."""
+    return ((nx, ny, ny - d_x, nz), (nx, nz, nz - d_x, ny),
+            (nz, nx, nx - d_z, ny))[orientation - 1]
+
+
 def orientations(t: TripleSystem) -> tuple[TripleSystem, TripleSystem, TripleSystem]:
     """The three role-rotations of a constant-degree system.
 
     Given the matched system, each rotation is again an E1-E5 system and
-    yields one parameter set when turned into an array:
-
-      1: K=|X|, F=|Y|, Q=|Y|-D_X, S=|Z|
-      2: K=|X|, F=|Z|, Q=|Z|-D_X, S=|Y|
-      3: K=|Z|, F=|X|, Q=|X|-D_Z, S=|Y|  (the system as given)
+    yields one parameter set when turned into an array, in the order
+    _oriented_parameters gives them; the third is the system as given.
 
     A rotation only relabels: the column masks of one matrix are the row
     masks of its transpose.

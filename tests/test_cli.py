@@ -3,6 +3,8 @@ import io
 import itertools
 import json
 import sys
+import time
+from collections import Counter
 
 import pytest
 
@@ -317,6 +319,21 @@ def test_tabulate_no_admissible_combo(run):
     # a plain 2-design leaves tdesign-b with no (t1, t2) split
     code, _, err = run("tabulate", "tdesign-b", "--design", "fano")
     assert code == 3 and "no admissible" in err
+
+
+def test_tabulate_pg_huge_f_star(run):
+    # an exact F*(MN) past 4300 digits crashed the text conversion or took minutes
+    for q in (2, 3):
+        start = time.perf_counter()
+        code, out, _ = run("tabulate", "pg", "--q", str(q), "--k", "8", "--format", "csv")
+        assert code == 0 and time.perf_counter() - start < 5
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        assert Counter(r[1] for r in rows) == {f"q={q},k=8,m={m},t={t}": 3
+                                               for m in range(1, 8) for t in range(1, 9 - m)}
+        assert all(len(r[11]) <= 4300 for r in rows)
+        if q == 2:
+            f_star = {(r[1], r[2]): r[11] for r in rows}
+            assert f_star["q=2,k=8,m=1,t=5", "1"] == "~3.01e+5304"  # C(97155, 94489)
 
 
 # --- designs --------------------------------------------------------------

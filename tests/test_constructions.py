@@ -1,18 +1,20 @@
+from dataclasses import replace
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from pdakit.constructions import (ConstructionSpec, bibd_rate_identity,
-                                  build_triple, closed_form_row,
+from pdakit.constructions import (ConstructionSpec, _binomial, _invariants,
+                                  bibd_rate_identity, build_triple, closed_form_row,
                                   configuration_rate_bound,
                                   configuration_triple, construct_pda,
                                   mn_baseline, pg_triple, tdesign_a_triple,
                                   tdesign_b_triple, tdesign_lambda_triple)
-from pdakit.designs import catalog_lookup, complete_design
+from pdakit.designs import as_t_design, catalog_lookup, complete_design
 from pdakit.pda import validate_pda
 from pdakit.triples import check_conditions
 
-from conftest import _BIBD_5_3_3
+from conftest import _BIBD_5_3_3, sweep_specs
 
 
 def _params(spec):
@@ -83,6 +85,17 @@ def test_tdesign_b_hypotheses():
         tdesign_b_triple(fano, 1, 2)  # max(t1,t2) = 2 = t
     with pytest.raises(ValueError, match="lambda = 1"):
         tdesign_b_triple(_BIBD_5_3_3, 1, 2)
+
+
+def test_tdesign_a_b_closed_forms_check_the_designs_lambda():
+    # a 2-(7,3,5) and a 3-(6,4,3) design: the closed form refuses what the builder refuses
+    for spec in (ConstructionSpec("tdesign-a", 1, t0=1,
+                                  design=as_t_design(complete_design(7, 3), 2)),
+                 ConstructionSpec("tdesign-b", 1, t1=2, t2=2,
+                                  design=as_t_design(complete_design(6, 4), 3))):
+        for fn in (closed_form_row, construct_pda):
+            with pytest.raises(ValueError, match="needs lambda = 1"):
+                fn(spec)
 
 
 def test_tdesign_lambda_hypotheses():
@@ -180,6 +193,15 @@ def test_tdesign_lambda_rows_frozen():
         assert _params(fano(o)) == (21, 21, 19, 21)
 
 
+def test_invariants_equal_built_systems():
+    # every distinct sweep system, so also orientations no array is emitted for
+    for spec in dict.fromkeys(replace(s, orientation=1) for s in sweep_specs()):
+        t = build_triple(spec)
+        rep = check_conditions(t)
+        assert _invariants(spec) == (len(t.labels_x), len(t.labels_y), len(t.labels_z),
+                                     rep.d_x, rep.d_z), spec
+
+
 def test_measured_matches_closed_form(sweep):
     for spec, row, p in sweep["built"]:
         assert (p.k, p.f, p.q, p.s) == (row.k, row.f, row.q, row.s), spec
@@ -208,6 +230,15 @@ def test_mn_baseline():
         mn_baseline(0, Fraction(1, 2))
     with pytest.raises(ValueError):
         mn_baseline(3, Fraction(3, 2))
+
+
+def test_binomial_is_exact_up_to_4300_digits():
+    assert _binomial(14300, 6944) == comb(14300, 6944)  # 4300 digits
+    assert _binomial(14300, 6945) == "~1.00e+4300"  # 4301 digits
+    assert _binomial(14463, 7130) == "~1.00e+4351"  # 9.99866e+4350 rounds up
+    assert _binomial(10 ** 8, 3) == comb(10 ** 8, 3)
+    assert _binomial(10 ** 8, 3 * 10 ** 7) == "~3.14e+26529495"
+    assert _binomial(2 ** 200, 2 ** 199).startswith("~9.62e+4837365524955702646129578850")
 
 
 def test_configuration_rate_bound():
