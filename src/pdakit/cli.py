@@ -148,12 +148,10 @@ def cmd_product(args) -> int:
 
 def _parse_span(text: str) -> range:
     lo, sep, hi = text.partition("..")
-    try:
-        if sep:
-            return range(int(lo), int(hi) + 1)
-        return range(int(lo), int(lo) + 1)
-    except ValueError:
-        raise SystemExit_(FAIL_PARSE, f"bad range {text!r}; want N or A..B") from None
+    ends = (lo, hi) if sep else (lo, lo)
+    if not all(x.isascii() and x.isdigit() for x in ends):  # int() takes "+3", "3_0", "٣"
+        raise SystemExit_(FAIL_PARSE, f"bad range {text!r}; want N or A..B")
+    return range(int(ends[0]), int(ends[1]) + 1)
 
 
 def cmd_tabulate(args) -> int:

@@ -254,10 +254,10 @@ def from_reference(ref: str) -> Design:
     if ref in _CATALOG:
         return catalog_lookup(ref)
     head, _, tail = ref.partition(":")
-    try:
-        args = [int(x) for x in tail.split(":")] if tail else []
-    except ValueError:
-        raise ValueError(f"malformed design reference {ref!r}") from None
+    fields = tail.split(":") if tail else []
+    if not all(x.isascii() and x.isdigit() for x in fields):  # int() takes "+4", "4_0", "٤"
+        raise ValueError(f"malformed design reference {ref!r}")
+    args = [int(x) for x in fields]
     if head == "complete" and len(args) == 2:
         return complete_design(*args)
     if head == "sts" and len(args) == 1:

@@ -7,12 +7,12 @@ peels each transmission with side packets that condition C3 guarantees are
 cached, read from the user's own cache, so a corrupt or missing packet is a
 failure that `verify_scheme` records.
 
-`decode` peels one user's rows from that user's cache.  `verify_scheme`
-peels only the users whose caches are faulty, on the same per-user plan.  By
-C3 every side packet a user needs sits in a starred row of its own cache, so
-for a user whose cache holds the library's packets a coded row decodes right
-iff its payload equals the library XOR over its symbol's cells, whoever the
-user is: `verify_scheme` checks each payload once per demand instead.
+There is one peel, `_decoder`.  `decode` runs it for one user, and
+`verify_scheme` for each user whose cache is faulty.  By C3 every side packet
+a user needs sits in a starred row of its own cache, so for a user whose
+cache holds the library's packets a coded row decodes right iff its payload
+equals the library XOR over its symbol's cells: `verify_scheme` checks each
+payload once per demand instead of peeling those users.
 """
 
 import itertools
@@ -84,15 +84,14 @@ def _transmit(p: Pda, ints: list[list[int]], demand: tuple) -> list[int]:
     return out
 
 
-def _plan(p: Pda, cache: CacheContents, user: int):
-    """The user's decode plan, every packet read from the cache as an int.
+def _decoder(p: Pda, cache: CacheContents, user: int):
+    """The user's decoder: a function of (transmissions as ints, demand) that
+    gives the demanded file's packets as ints, in row order.
 
-    Starred rows: star_rows lists them, and stars[i] holds the cached packets
-    of file i at those rows (None where one is missing), so what they decode
-    to depends on the demanded file alone.  Coded rows: per non-star row j,
-    in order, (j, s, side) with s the symbol index and side each other cell
-    (j2, k2) of the symbol as (j2, k2, the cached packets of row j2 by file);
-    row j is transmission s XOR file demand[k2] row j2 over the side.
+    A starred row is read from the cache.  A coded row j with symbol s is
+    payload s XOR, over each other cell (j2, k2) of s, the cached packet
+    (demand[k2], j2).  The cache is grouped by row once, here.  Raises
+    DecodeError at the first packet, in row order, that the cache lacks.
     """
     by_row: dict[int, dict[int, int]] = {}  # row -> file -> packet
     for (i, j), pk in cache.packets.items():
@@ -101,17 +100,36 @@ def _plan(p: Pda, cache: CacheContents, user: int):
             got = by_row[j] = {}
         got[i] = int.from_bytes(pk, "big")
     none: dict[int, int] = {}
-    star_rows, coded = [], []
+    plan = []  # per row: (j, None, cached packets by file) or (j, s, side cells)
     for j, row in enumerate(p.grid):
         v = row[user]
         if v == STAR:
-            star_rows.append(j)
+            plan.append((j, None, by_row.get(j, none)))
         else:
-            coded.append((j, v - 1, [(j2, k2, by_row.get(j2, none))
-                                     for j2, k2 in p.symbol_cells[v] if j2 != j or k2 != user]))
-    cached = [by_row.get(j, none) for j in star_rows]
-    stars = {i: [got.get(i) for got in cached] for i in set().union(*cached)}
-    return star_rows, stars, coded
+            plan.append((j, v - 1, [(j2, k2, by_row.get(j2, none))
+                                    for j2, k2 in p.symbol_cells[v] if j2 != j or k2 != user]))
+
+    def rows(tx: list[int], demand: tuple) -> list[int]:
+        want = demand[user]
+        out = []
+        for j, s, side in plan:
+            if s is None:
+                acc = side.get(want)
+                if acc is None:
+                    raise DecodeError(f"user {user}: packet ({want},{j}) for cell ({j},{user}) "
+                                      f"missing from cache")
+            else:
+                acc = tx[s]
+                for j2, k2, pks in side:
+                    pk = pks.get(demand[k2])
+                    if pk is None:
+                        raise DecodeError(f"user {user}: packet ({demand[k2]},{j2}) for cell "
+                                          f"({j2},{k2}) missing from cache; condition C3 is broken")
+                    acc ^= pk
+            out.append(acc)
+        return out
+
+    return rows
 
 
 def deliver(p: Pda, lib: FileLibrary, demand) -> list[bytes]:
@@ -128,32 +146,20 @@ def decode(p: Pda, cache: CacheContents, transmissions: list[bytes],
            demand, user: int) -> bytes:
     """Reassemble the user's demanded file from cache plus transmissions.
 
-    Raises DecodeError naming the first packet, in row order, that the
-    user's cache lacks."""
-    tx = [int.from_bytes(t, "big") for t in transmissions]
-    size = len(transmissions[0])
+    Raises ValueError unless user is a column of p, demand has K entries and
+    there are S transmissions, and DecodeError naming the first packet, in
+    row order, that the user's cache lacks."""
     demand = tuple(demand)
-    want = demand[user]
-    star_rows, stars, coded = _plan(p, cache, user)
-    rows = dict(zip(star_rows, stars.get(want, ())))
-    peel = {j: (s, side) for j, s, side in coded}
-    out = []
-    for j in range(p.f):
-        if j in peel:
-            s, side = peel[j]
-            acc = tx[s]
-            for j2, k2, pks in side:
-                if demand[k2] not in pks:
-                    raise DecodeError(f"user {user}: packet ({demand[k2]},{j2}) for cell "
-                                      f"({j2},{k2}) missing from cache; condition C3 is broken")
-                acc ^= pks[demand[k2]]
-        else:
-            acc = rows.get(j)
-            if acc is None:
-                raise DecodeError(f"user {user}: packet ({want},{j}) for cell ({j},{user}) "
-                                  f"missing from cache")
-        out.append(acc)
-    return b"".join(x.to_bytes(size, "big") for x in out)
+    if not 0 <= user < p.k:
+        raise ValueError(f"user {user} outside 0..{p.k - 1}")
+    if len(demand) != p.k:
+        raise ValueError(f"demand vector needs {p.k} entries")
+    if len(transmissions) != p.s or not transmissions:
+        raise ValueError(f"decoding needs the array's S={p.s} transmissions, "
+                         f"got {len(transmissions)}")
+    size = len(transmissions[0])
+    tx = [int.from_bytes(t, "big") for t in transmissions]
+    return b"".join(x.to_bytes(size, "big") for x in _decoder(p, cache, user)(tx, demand))
 
 
 @dataclass
@@ -220,12 +226,13 @@ def verify_scheme(p: Pda, n_files: int, mode: str = "auto", samples: int = 200,
 
     Demands are drawn one at a time and each is transmitted once, so neither
     the demand set nor its payloads are held.  A user is clean when every
-    starred packet of every file in its cache equals the library.  By C3
-    each side packet a user needs sits in one of its starred rows, so a clean
-    user decodes coded row j with symbol s right iff payload s equals the
-    library XOR over all of s's cells: each payload is checked once per
-    demand and a wrong one fails every clean user in its columns.  Every
-    other user is peeled row by row from its own cache.
+    starred packet of every file in its cache equals the library (compared
+    as bytes).  By C3 each side packet a user needs sits in one of its
+    starred rows, so a clean user decodes coded row j with symbol s right iff
+    payload s equals the library XOR over all of s's cells: each payload is
+    checked once per demand and a wrong one fails every clean user in its
+    columns.  Clean users are never peeled.  Every other user gets one
+    `_decoder` on its own cache, which runs on every demand.
     """
     require_valid(p, "refusing to simulate an invalid PDA")
     rng = random.Random(seed)
@@ -234,20 +241,14 @@ def verify_scheme(p: Pda, n_files: int, mode: str = "auto", samples: int = 200,
     ints = _packet_ints(lib)
     grid = p.grid
     keys = [[(i, j) for j in range(p.f)] for i in range(n_files)]  # (file, row), built once
-    faulty = []  # (user, star_ok, coded) for each user whose cache is not clean
+    faulty = []  # (user, its decoder) for each user whose cache is not clean
     for user, cache in enumerate(place(p, lib)):
         star_rows = [j for j, row in enumerate(grid) if row[user] == STAR]
         cached = cache.packets.get
-        if all([*map(cached, map(key.__getitem__, star_rows))]
-               == [*map(file.__getitem__, star_rows)] for key, file in zip(keys, lib.packets)):
-            continue  # clean; compared as bytes, so no packet is converted to an int
-        star_rows, stars, coded = _plan(p, cache, user)
-        # Starred rows decode to the cached packets whatever the others want:
-        # check them once per file.  A missing packet (None) is never equal.
-        star_ok = [stars.get(i, [None] * len(star_rows)) == [file[j] for j in star_rows]
-                   for i, file in enumerate(ints)]
-        faulty.append((user, star_ok, coded))
-    not_clean = {user for user, _, _ in faulty}
+        if not all([*map(cached, map(key.__getitem__, star_rows))]
+                   == [*map(file.__getitem__, star_rows)] for key, file in zip(keys, lib.packets)):
+            faulty.append((user, _decoder(p, cache, user)))
+    not_clean = {user for user, _ in faulty}
     cells_of = p.symbol_cells
     symbols = [(cells_of[s], [k for _, k in cells_of[s] if k not in not_clean])
                for s in range(1, p.s + 1)]  # (cells, clean users in its columns)
@@ -261,22 +262,11 @@ def verify_scheme(p: Pda, n_files: int, mode: str = "auto", samples: int = 200,
                 acc ^= ints[demand[k]][j]
             if acc:  # payload differs from the library XOR over its cells
                 failed.update(clean)
-        for user, star_ok, coded in faulty:
-            want = demand[user]
-            good = star_ok[want]
-            if good:
-                truth = ints[want]
-                try:
-                    for j, s, side in coded:
-                        acc = tx[s]
-                        for _, k2, pks in side:
-                            acc ^= pks[demand[k2]]
-                        if acc != truth[j]:
-                            good = False
-                            break
-                except KeyError:  # a side packet missing from the cache
-                    good = False
-            if not good:
+        for user, rows in faulty:
+            try:
+                if rows(tx, demand) != ints[demand[user]]:
+                    failed.add(user)
+            except DecodeError:
                 failed.add(user)
         failures.extend((demand, user) for user in sorted(failed))
     return SimReport((p.k, p.f, p.q, p.s), mode_used, tested, failures,

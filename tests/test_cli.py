@@ -313,6 +313,13 @@ def test_tabulate_missing_args(run):
     assert code == 3 and "--design" in err
     code, _, err = run("tabulate", "pg", "--q", "2", "--k", "x..3")
     assert code == 3 and "bad range" in err
+    # ASCII decimals only; int() reads each of these
+    for span in ("\u0663", "+3", " 3", "3_0", "2..\u0663", "\uff12..3"):
+        code, out, err = run("tabulate", "pg", "--q", "2", "--k", span)
+        assert code == 3 and "bad range" in err and out == ""
+    for ref in ("complete:\u0664:2", "complete:+4:2", "complete:4_0:2", "td:3:\uff13"):
+        code, out, err = run("tabulate", "config", "--design", ref)
+        assert code == 3 and "malformed design reference" in err and out == ""
 
 
 def test_tabulate_no_admissible_combo(run):

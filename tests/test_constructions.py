@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 from fractions import Fraction
 from math import comb
@@ -11,8 +12,8 @@ from pdakit.constructions import (ConstructionSpec, _binomial, _invariants,
                                   mn_baseline, pg_triple, tdesign_a_triple,
                                   tdesign_b_triple, tdesign_lambda_triple)
 from pdakit.designs import as_t_design, catalog_lookup, complete_design
-from pdakit.pda import validate_pda
-from pdakit.triples import check_conditions
+from pdakit.pda import STAR, validate_pda
+from pdakit.triples import check_conditions, complete_matching, orientations
 
 from conftest import _BIBD_5_3_3, sweep_specs
 
@@ -279,3 +280,62 @@ def test_cross_family_agreement():
                                            t1=1, t2=1))
     assert row.rate == row.r_star == Fraction(3, 2)
     assert row.f == row.f_mn == 4
+
+
+# --- special cases as arrays: tdesign-b on complete:v:k is the MN scheme ----
+
+
+def _mn_reference(v: int, t: int) -> dict:
+    """The MN PDA in the Yan et al. form, as {(T, u): cell}: a row per
+    t-subset T of the v users, a star where u is in T, else the symbol T + {u}."""
+    return {(rows, u): STAR if u in rows else rows | {u}
+            for rows in map(frozenset, itertools.combinations(range(v), t))
+            for u in range(v)}
+
+
+def _equals_reference(p, row_sets, users, ref) -> bool:
+    """Whether p is ref once row j is read as the set row_sets[j] and column k
+    as user users[k], with p's symbols mapped one to one onto ref's."""
+    if {(r, u) for r in row_sets for u in users} != ref.keys() or p.f * p.k != len(ref):
+        return False
+    to_ref = {}
+    for r, row in zip(row_sets, p.grid):
+        for u, cell in zip(users, row):
+            want = ref[r, u]
+            if (cell == STAR) != (want == STAR) or (
+                    cell != STAR and to_ref.setdefault(cell, want) != want):
+                return False
+    return len(to_ref) == len(set(to_ref.values())) == p.s
+
+
+def _swap_one_star(ref: dict) -> dict:
+    """ref with a star and a symbol of user 0's column exchanged."""
+    star = next(key for key, cell in ref.items() if key[1] == 0 and cell == STAR)
+    coded = next(key for key, cell in ref.items() if key[1] == 0 and cell != STAR)
+    return {**ref, star: ref[coded], coded: STAR}
+
+
+# Every complete:v:k with v <= 12 and 2 <= k <= min(8, v - 1); the largest
+# builds in about 0.02 s.
+MN_CASES = [(v, k) for v in range(3, 13) for k in range(2, min(8, v - 1) + 1)]
+
+
+@pytest.mark.parametrize("v, k", MN_CASES)
+def test_tdesign_b_on_complete_designs_is_the_mn_array(v, k):
+    """tdesign-b with t1 = 1 is MN with t = k - 1 in orientation 1 and with
+    t = v - k in orientation 2.  The triple labels give the bijection: in
+    orientation 1 the rows are (k-1)-subsets; in orientation 2 they are
+    blocks, read as their complements.  Columns are the 1-subsets."""
+    spec = ConstructionSpec("tdesign-b", 1, design=f"complete:{v}:{k}", t1=1, t2=k - 1)
+    blocks = spec.resolved_design().blocks
+    everyone = frozenset(range(v))
+    matched = complete_matching(build_triple(spec))
+    for o, t, rows_of in ((1, k - 1, frozenset),
+                          (2, v - k, lambda b: everyone - frozenset(blocks[b]))):
+        oriented = orientations(matched)[o - 1]
+        p = construct_pda(replace(spec, orientation=o))
+        row_sets = [rows_of(x) for x in oriented.labels_x]
+        users = [u for (u,) in oriented.labels_z]
+        ref = _mn_reference(v, t)
+        assert _equals_reference(p, row_sets, users, ref)
+        assert not _equals_reference(p, row_sets, users, _swap_one_star(ref))

@@ -168,6 +168,11 @@ def test_from_reference():
     for bad in ("complete:4", "sts:x", "nope", "td:3:3:3"):
         with pytest.raises(ValueError):
             from_reference(bad)
+    # ASCII decimals only, as in the PDA grammar; int() reads each of these
+    for bad in ("complete:\u0664:2", "complete:+4:2", "complete: 4:2", "complete:4_0:2",
+                "td:3:\uff13", "sts:\u0669"):
+        with pytest.raises(ValueError, match="malformed design reference"):
+            from_reference(bad)
 
 
 def test_json_round_trip():

@@ -299,3 +299,53 @@ def test_verify_scheme_streams_demands(monkeypatch):
     rep = verify_scheme(FANO_PG, 2, mode="exhaustive")
     assert rep.ok and rep.demands_tested == 2 ** 7
     assert events == ["draw", "send"] * 2 ** 7
+
+
+def test_clean_users_are_never_peeled(monkeypatch):
+    """verify_scheme builds a decoder only for users whose cache is faulty."""
+    calls = []
+    real_decoder, real_place = sim._decoder, sim.place
+
+    def decoder(p, cache, user):
+        calls.append(user)
+        return real_decoder(p, cache, user)
+
+    monkeypatch.setattr(sim, "_decoder", decoder)
+    assert verify_scheme(FANO_PG, 3, mode="exhaustive").ok
+    assert calls == []
+
+    user, file = 3, 1
+    row = next(j for j, r in enumerate(FANO_PG.grid) if r[user] == STAR)
+
+    def place(p, lib):
+        caches = real_place(p, lib)
+        pk = caches[user].packets[(file, row)]
+        caches[user].packets[(file, row)] = bytes([pk[0] ^ 1]) + pk[1:]
+        return caches
+
+    monkeypatch.setattr(sim, "place", place)
+    rep = verify_scheme(FANO_PG, 3, mode="exhaustive")
+    assert calls == [user]
+    assert rep.failures == [(d, user) for d in itertools.product(range(3), repeat=7)
+                            if (file, row) in _reads(FANO_PG, user, d)]
+
+
+# --- decode checks its inputs as deliver does ---
+
+_LIB = FileLibrary.random(2, FANO_PG.f, seed=5)
+_TX = deliver(FANO_PG, _LIB, (0,) * 7)
+
+
+@pytest.mark.parametrize("user, demand, tx, match", [
+    (-1, (0,) * 7, _TX, "user -1 outside 0..6"),
+    (7, (0,) * 7, _TX, "user 7 outside"),
+    (0, (0,) * 6, _TX, "needs 7 entries"),
+    (0, (0,) * 8, _TX, "needs 7 entries"),
+    (0, (0,) * 7, _TX[:-1], "S=7 transmissions, got 6"),
+    (0, (0,) * 7, _TX + _TX[:1], "S=7 transmissions, got 8"),
+    (0, (0,) * 7, [], "S=7 transmissions, got 0"),
+])
+def test_decode_checks_its_inputs(user, demand, tx, match):
+    caches = place(FANO_PG, _LIB)
+    with pytest.raises(ValueError, match=match):
+        decode(FANO_PG, caches[user % 7], tx, demand, user)
