@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .constructions import (FAMILIES, ConstructionSpec, ParameterRow, closed_form_row,
-                            construct_pda, mn_baseline, _t_design_of)
+                            construct_pda, design_table, mn_baseline)
 from .designs import (certify_configuration, certify_t_design, design_from_json,
                       design_to_json, from_reference)
 from .pda import (InvalidPdaError, Pda, PdaFormatError, format_pda, parse_pda,
@@ -165,31 +165,17 @@ def cmd_tabulate(args) -> int:
                     for o in (1, 2, 3):
                         rows.append(closed_form_row(ConstructionSpec(
                             "pg", o, q=args.q, k=k, m=m, t=t)))
+        if not rows:
+            raise SystemExit_(FAIL_PARSE, f"no admissible parameter choices for pg "
+                              f"with --k {args.k}: the span holds no k >= 2")
     else:
         if args.design is None:
             raise SystemExit_(FAIL_PARSE, f"tabulate {args.family} needs --design")
-        design = from_reference(args.design)
-        if args.family == "config":
-            combos = [{}]
-        else:
-            t, v, k, lam = _t_design_of(design)
-            if args.family == "tdesign-a":
-                combos = [{"t0": t0} for t0 in range(1, t) if 2 * t0 >= t]
-            elif args.family == "tdesign-b":
-                combos = [{"t1": t1, "t2": k - t1} for t1 in range(1, k)
-                          if max(t1, k - t1) < t]
-            else:
-                combos = [{"t0": t1 + t2, "t1": t1, "t2": t2}
-                          for t1 in range(1, t) for t2 in range(1, t - t1 + 1)
-                          if t1 + t2 <= t]
-        if not combos:
+        rows = design_table(args.family, args.design)
+        if not rows:
             raise SystemExit_(FAIL_PARSE,
                               f"no admissible parameter choices for {args.family} "
                               f"on design {args.design}")
-        for combo in combos:
-            for o in (1, 2, 3):
-                rows.append(closed_form_row(ConstructionSpec(
-                    args.family, o, design=args.design, **combo)))
     _print_rows(rows, args.format)
     return OK
 

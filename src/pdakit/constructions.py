@@ -384,19 +384,28 @@ def build_triple(spec: ConstructionSpec) -> TripleSystem:
     return tdesign_lambda_triple(design, spec.t0, spec.t1, spec.t2)
 
 
-def _invariants(spec: ConstructionSpec) -> tuple[int, int, int, int, int]:
+def _design_params(family: str, design: Design) -> tuple[int, int, int, int]:
+    """The certified parameters of a design family's design: (v, r, b, k)
+    for config, else (t, v, k, lambda)."""
+    return _configuration_of(design) if family == "config" else _t_design_of(design)
+
+
+def _invariants(spec: ConstructionSpec,
+                params: tuple | None = None) -> tuple[int, int, int, int, int]:
     """|X|, |Y|, |Z|, D_X and D_Z of the family's system in closed form, after
-    the hypothesis check its triple builder runs."""
+    the hypothesis check its triple builder runs.  params, if given, are
+    _design_params of spec's own design, which is then not certified again."""
     if spec.family == "pg":
         q, k, m, t = spec.q, spec.k, spec.m, spec.t
         _check_pg(q, k, m, t)
         g = partial(gaussian_binomial, q=q)
         return g(k, t), g(k, m), g(k, m + t), g(k - t, m), g(m + t, t)
-    design = spec.resolved_design()
+    if params is None:
+        params = _design_params(spec.family, spec.resolved_design())
     if spec.family == "config":
-        v, r, b, k = _configuration_of(design)
+        v, r, b, k = params
         return v, v, b, r, k
-    t, v, k, lam = _t_design_of(design)
+    t, v, k, lam = params
     t0, t1, t2 = spec.t0, spec.t1, spec.t2
     lam_s = partial(lambda_s, t, v, k, lam)  # lam_s(s): blocks holding an s-subset
     if spec.family == "tdesign-a":
@@ -413,7 +422,35 @@ def _invariants(spec: ConstructionSpec) -> tuple[int, int, int, int, int]:
 def closed_form_row(spec: ConstructionSpec) -> ParameterRow:
     """The scheme parameters of spec from its family's invariants, without
     building anything."""
-    k, f, q, s = _oriented_parameters(*_invariants(spec), spec.orientation)
+    return _row(spec, _invariants(spec))
+
+
+def design_table(family: str, reference: str) -> list[ParameterRow]:
+    """closed_form_row for every admissible parameter choice of a design
+    family on one design, in orientations 1-3; empty when there is none.
+    The design is resolved and certified once for the whole table, and each
+    row's spec keeps the reference string."""
+    params = _design_params(family, from_reference(reference))
+    if family == "config":
+        combos = [{}]
+    else:
+        t, v, k, lam = params
+        if family == "tdesign-a":
+            combos = [{"t0": t0} for t0 in range(1, t) if 2 * t0 >= t]
+        elif family == "tdesign-b":
+            combos = [{"t1": t1, "t2": k - t1} for t1 in range(1, k)
+                      if max(t1, k - t1) < t]
+        else:
+            combos = [{"t0": t1 + t2, "t1": t1, "t2": t2}
+                      for t1 in range(1, t) for t2 in range(1, t - t1 + 1)
+                      if t1 + t2 <= t]
+    specs = [ConstructionSpec(family, o, design=reference, **combo)
+             for combo in combos for o in (1, 2, 3)]
+    return [_row(spec, _invariants(spec, params)) for spec in specs]
+
+
+def _row(spec: ConstructionSpec, invariants: tuple) -> ParameterRow:
+    k, f, q, s = _oriented_parameters(*invariants, spec.orientation)
     mn = Fraction(q, f)
     admissible = k >= 1 and s >= 1 and 0 < q < f
     note = "" if admissible else f"Q={q} outside 1..{f - 1}"

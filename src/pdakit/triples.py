@@ -29,6 +29,7 @@ thinned to per-z perfect matchings (complete_matching, by augmenting paths).
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 
 from .pda import STAR, Pda, canonical_relabel, require_valid
 
@@ -313,20 +314,41 @@ def complete_matching(t: TripleSystem) -> TripleSystem:
 
     Requires E1-E3 plus E6 (or the constant-degree variants).  In the result,
     (x,y) is incident iff the pair was matched within some z, which upgrades
-    the system to the full E1-E5 family.  Each column is matched on its
-    masks, and the result keeps t's C_XZ and C_YZ with their column masks.
+    the system to the full E1-E5 family.  The result keeps t's C_XZ and C_YZ
+    with their column masks.
+
+    Column z's graph is keyed in local indices, as its n x n adjacency in
+    row-major chars: row i and symbol j are adjacent iff bit ys[j] of
+    xy[xs[i]] is set, for its rows xs and symbols ys in ascending order.
+    _match_column runs once per distinct key, on the local masks, and each
+    column with that key takes its pairs through its own xs and ys.  Kuhn
+    reads only order and adjacency, so every column gets the matching its
+    global masks would give.  Every pg system tried has a single key.
     """
     rep = check_conditions(t)
     for name, ok in (("E1", rep.e1), ("E2", rep.e2), ("E3", rep.e3), ("E6", rep.e6)):
         if not ok:
             raise ConditionError(name, witness=rep.witnesses.get(name))
     chosen: list[list[int]] = [[] for _ in t.labels_x]
+    # char j of bits[x] is bit j of xy[x]
+    bits = [format(row, f"0{len(t.labels_y)}b")[::-1] for row in t.xy]
+    memo: dict[str, dict[int, int]] = {}
     for z, (mask1, mask2) in enumerate(zip(t.cols_xz, t.cols_yz)):
         if mask1.bit_count() != mask2.bit_count():  # E6 passes one empty side
             raise ConditionError("E6", f"column {t.labels_z[z]} pairs {mask1.bit_count()} "
                                  f"rows with {mask2.bit_count()} symbols")
-        for y, x in _match_column(set_bits(mask1), mask2, t.xy).items():
-            chosen[x].append(y)
+        if not mask2:  # nothing to match, and itemgetter needs an index
+            continue
+        xs, ys = set_bits(mask1), set_bits(mask2)
+        n = len(xs)  # = len(ys), so the key's length n * n gives n
+        pick = itemgetter(*ys)  # a char, or a tuple of chars, per row
+        key = "".join(map("".join, map(pick, map(bits.__getitem__, xs))))
+        pairs = memo.get(key)
+        if pairs is None:
+            local = [int(key[i * n:(i + 1) * n][::-1], 2) for i in range(n)]
+            pairs = memo[key] = _match_column(range(n), (1 << n) - 1, local)
+        for j, i in pairs.items():
+            chosen[xs[i]].append(ys[j])
     xy = tuple(mask_of(ys, len(t.labels_y)) for ys in chosen)
     matched = TripleSystem(t.labels_x, t.labels_y, t.labels_z, xy, t.xz, t.yz)
     return _seeded(matched, cols_xz=t.cols_xz, cols_yz=t.cols_yz)

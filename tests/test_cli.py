@@ -9,6 +9,7 @@ from collections import Counter
 import pytest
 
 import pdakit.cli
+import pdakit.constructions
 import pdakit.pda
 import pdakit.sim
 from pdakit.cli import main
@@ -326,6 +327,38 @@ def test_tabulate_no_admissible_combo(run):
     # a plain 2-design leaves tdesign-b with no (t1, t2) split
     code, _, err = run("tabulate", "tdesign-b", "--design", "fano")
     assert code == 3 and "no admissible" in err
+
+
+@pytest.mark.parametrize("span", ["3..2", "0", "1"])
+def test_tabulate_pg_empty_span(run, span):
+    # a reversed range, and k < 2, which has no (m, t): no row, so no table
+    code, out, err = run("tabulate", "pg", "--q", "2", "--k", span)
+    assert (code, out) == (3, "")
+    assert "no admissible" in err and f"--k {span}:" in err
+
+
+def test_tabulate_resolves_and_certifies_the_design_once(run, monkeypatch):
+    calls = Counter()
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    # the hypothesis checks; a catalog design's self-check of its fixed
+    # blocks runs inside from_reference, which is counted as a whole
+    for module in (pdakit.cli, pdakit.constructions):
+        for fn in ("from_reference", "certify_t_design", "certify_configuration"):
+            monkeypatch.setattr(module, fn, counting(fn, getattr(module, fn)))
+    code, out, _ = run("tabulate", "tdesign-lambda", "--design", "sqs8")
+    assert code == 0 and calls == {"from_reference": 1, "certify_t_design": 1}
+    rows = out.splitlines()[1:]
+    assert len(rows) == 9 and all("design=sqs8," in r for r in rows)
+    calls.clear()
+    code, out, _ = run("tabulate", "config", "--design", "fano")
+    assert code == 0 and calls == {"from_reference": 1, "certify_configuration": 1}
+    assert all(r.split()[1] == "design=fano" for r in out.splitlines()[1:])
 
 
 def test_tabulate_pg_huge_f_star(run):

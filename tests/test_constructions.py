@@ -12,7 +12,7 @@ from pdakit.constructions import (ConstructionSpec, _binomial, _invariants,
                                   mn_baseline, pg_triple, tdesign_a_triple,
                                   tdesign_b_triple, tdesign_lambda_triple)
 from pdakit.designs import as_t_design, catalog_lookup, complete_design
-from pdakit.pda import STAR, validate_pda
+from pdakit.pda import STAR, Pda, canonical_relabel, format_pda, validate_pda
 from pdakit.triples import check_conditions, complete_matching, orientations
 
 from conftest import _BIBD_5_3_3, sweep_specs
@@ -280,6 +280,34 @@ def test_cross_family_agreement():
                                            t1=1, t2=1))
     assert row.rate == row.r_star == Fraction(3, 2)
     assert row.f == row.f_mn == 4
+
+
+# --- special cases as arrays: the two Fano arrays are one array -----------
+
+
+def _same_array(a: Pda, b: Pda) -> bool:
+    """Equal grids once symbols are renumbered in first-occurrence order."""
+    return format_pda(canonical_relabel(a)) == format_pda(canonical_relabel(b))
+
+
+def _swap_one_star_in_grid(p: Pda) -> Pda:
+    """p with its first star and first symbol of column 0 exchanged."""
+    grid = [list(row) for row in p.grid]
+    star = next(i for i, row in enumerate(grid) if row[0] == STAR)
+    coded = next(i for i, row in enumerate(grid) if row[0] != STAR)
+    grid[star][0], grid[coded][0] = grid[coded][0], STAR
+    return Pda(p.k, p.f, p.q, p.s, tuple(map(tuple, grid)))
+
+
+@pytest.mark.parametrize("orientation", [1, 2, 3])
+def test_config_and_tdesign_a_on_fano_build_one_array(orientation):
+    # on the Fano plane, points and their 1-subsets give the same system
+    config = construct_pda(ConstructionSpec("config", orientation, design="fano"))
+    one_subsets = construct_pda(ConstructionSpec("tdesign-a", orientation,
+                                                 design="fano", t0=1))
+    assert (config.k, config.f, config.q, config.s) == (7, 7, 4, 7)
+    assert _same_array(config, one_subsets)
+    assert not _same_array(config, _swap_one_star_in_grid(one_subsets))
 
 
 # --- special cases as arrays: tdesign-b on complete:v:k is the MN scheme ----

@@ -321,6 +321,48 @@ def test_construct_pda_scans_conditions_once(monkeypatch):
         assert len(scans) == 1
 
 
+def _per_column_matching(t: TripleSystem) -> tuple:
+    """Reference: the matched xy masks from one _match_column call per
+    column on the global masks, with no memo."""
+    chosen = [0] * len(t.labels_x)
+    for xs, ys in zip(t.cols_xz, t.cols_yz):
+        for y, x in _match_column(set_bits(xs), ys, t.xy).items():
+            chosen[x] |= 1 << y
+    return tuple(chosen)
+
+
+def test_complete_matching_equals_per_column_reference(sweep, k651):
+    # complete_matching runs Kuhn once per distinct column graph, in local
+    # indices; every column must still get its global-mask matching
+    systems = [raw for _, raw, _ in _sweep_triples(sweep)]
+    systems += [k651[0], pg_triple(2, 7, 1, 1)]
+    assert len(systems) == 43 + 2
+    for raw in systems:
+        assert complete_matching(raw).xy == _per_column_matching(raw)
+
+
+def test_complete_matching_tells_equal_sized_column_graphs_apart():
+    # Both columns pair 4 rows with 4 symbols in a 2-regular graph: z0 is one
+    # 8-cycle (row i meets symbols i and i+1 mod 4), z1 two 4-cycles (rows
+    # 4, 5 meet symbols 6, 7 and rows 6, 7 meet symbols 4, 5).  z0's matching,
+    # row i to symbol i + 1 mod 4 once row 3 reroutes the path, holds no edge
+    # of z1 in local indices.
+    xy = [0] * 8
+    for i in range(4):
+        xy[i] = 1 << i | 1 << (i + 1) % 4
+    xy[4] = xy[5] = 0b11000000
+    xy[6] = xy[7] = 0b00110000
+    first, second = 0b00001111, 0b11110000
+    t = TripleSystem(tuple(range(8)), tuple(range(8)), (0, 1), tuple(xy),
+                     tuple(1 if x < 4 else 2 for x in range(8)),
+                     tuple(1 if y < 4 else 2 for y in range(8)))
+    assert (t.cols_xz, t.cols_yz) == ((first, second), (first, second))
+    matched = complete_matching(t)
+    assert matched.xy == (1 << 1, 1 << 2, 1 << 3, 1 << 0,
+                          1 << 7, 1 << 6, 1 << 5, 1 << 4)
+    assert matched.xy == _per_column_matching(t)
+
+
 def test_complete_matching_thins_to_constant_degree():
     raw = pg_triple(2, 3, 1, 1)
     before = check_conditions(raw)

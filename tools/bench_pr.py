@@ -1,0 +1,145 @@
+"""Write a BENCH_<pr>.json: perfbench medians and the construct ladder, for a
+parent checkout against this one.
+
+    python3 tools/bench_pr.py --parent ../parent --out BENCH_10.json
+
+--parent is a plain copy of the parent commit's tree (`git archive` it into a
+directory).  The script runs RUNS rounds; the side that goes first alternates,
+parent first in round 1.  In a round each side runs every perfbench workload
+in its own process (`perfbench/run.py --workload NAME --seed SEED --seconds
+SECONDS`, the gated settings; reference-speed seconds), then every ladder
+rung in a fresh process: stage seconds of construct_pda (build_triple;
+complete_matching with its condition scan; orientations plus _emit_pda), the
+array's SHA-256 digest and ru_maxrss.  Rung times are raw wall seconds.  Each
+rung process then builds the array again with construct_pda itself and
+exits non-zero unless the digest matches, so the timed stages stay the
+pipeline's own.  Every metric is reported with each side's runs, median and
+quartiles, and the number of rounds in which the change read lower.
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+RUNS = 10  # the fewest pairs a claimed gain may rest on
+SEED = 7
+SECONDS = 30
+WORKLOADS = ("construct", "simulate", "sweep")
+GATED = ("setup_s", "wall_s", "array_p50_s", "peak_rss_mb", "error_rate")
+# name -> (q, k, m, t), each built in orientation 1
+RUNGS = {"pg_q2_k6_m2_t2": (2, 6, 2, 2), "pg_q2_k7_m2_t1": (2, 7, 2, 1),
+         "pg_q2_k8_m2_t1": (2, 8, 2, 1)}
+STAGES = ("build_s", "match_s", "orient_emit_s", "total_s", "peak_rss_mb")
+
+RUNG_CODE = """
+import hashlib, json, resource, sys, time
+from pdakit.constructions import ConstructionSpec, build_triple, construct_pda
+from pdakit.pda import format_pda
+from pdakit.triples import _emit_pda, complete_matching, orientations
+q, k, m, t = map(int, sys.argv[1:])
+spec = ConstructionSpec("pg", 1, q=q, k=k, m=m, t=t)
+t0 = time.perf_counter()
+raw = build_triple(spec)
+t1 = time.perf_counter()
+matched = complete_matching(raw)
+t2 = time.perf_counter()
+p = _emit_pda(orientations(matched)[0])
+t3 = time.perf_counter()
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+digest = hashlib.sha256(format_pda(p).encode()).hexdigest()
+row = {"params_kfqs": [p.k, p.f, p.q, p.s], "digest": digest,
+       "build_s": round(t1 - t0, 3), "match_s": round(t2 - t1, 3),
+       "orient_emit_s": round(t3 - t2, 3), "total_s": round(t3 - t0, 3),
+       "peak_rss_mb": round(rss, 1)}
+del raw, matched, p
+if hashlib.sha256(format_pda(construct_pda(spec)).encode()).hexdigest() != digest:
+    sys.exit("the timed stages build another array than construct_pda")
+print(json.dumps(row))
+"""
+
+
+def _stdout_lines(cmd: list, tree: Path) -> list:
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
+    if proc.returncode:
+        sys.exit(f"{' '.join(cmd[1:4])} in {tree} exited {proc.returncode}:\n{proc.stderr}")
+    return proc.stdout.strip().splitlines()
+
+
+def perfbench(tree: Path, workload: str) -> dict:
+    """The gated end-to-end figures of one perfbench run."""
+    lines = _stdout_lines([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seed", str(SEED), "--seconds", str(SECONDS)], tree)
+    report = json.loads(lines[-2])["info"]["report"]
+    return {name: report[name]["value"] for name in GATED}
+
+
+def rung(tree: Path, params: tuple) -> dict:
+    lines = _stdout_lines([sys.executable, "-c", RUNG_CODE, *map(str, params)], tree)
+    return json.loads(lines[-1])
+
+
+def summarize(parent_runs: list, change_runs: list) -> dict:
+    """Both sides' runs, medians and quartiles; the rounds (pairs) in which
+    the change read lower, ties counting for neither side."""
+    p, c = statistics.median(parent_runs), statistics.median(change_runs)
+    return {"parent_runs": parent_runs, "change_runs": change_runs,
+            "parent_median": p, "change_median": c,
+            "change_pct": round(100 * (c - p) / p, 1) if p else 0.0,
+            "parent_quartiles": statistics.quantiles(parent_runs, n=4)[::2],
+            "change_quartiles": statistics.quantiles(change_runs, n=4)[::2],
+            "change_lower_in": sum(b < a for a, b in zip(parent_runs, change_runs))}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", type=Path, required=True)
+    ap.add_argument("--out", type=Path, required=True)
+    args = ap.parse_args(argv)
+    sides = {"parent": args.parent.resolve(), "change": ROOT}
+    bench = {side: {w: [] for w in WORKLOADS} for side in sides}
+    ladder = {side: {name: [] for name in RUNGS} for side in sides}
+    for i in range(RUNS):
+        for side in sorted(sides, reverse=i % 2 == 0):  # parent, change; then change, parent
+            for w in WORKLOADS:
+                bench[side][w].append(perfbench(sides[side], w))
+            for name, params in RUNGS.items():
+                ladder[side][name].append(rung(sides[side], params))
+            print(f"round {i + 1}/{RUNS}: {side} done", file=sys.stderr)
+
+    out = {"command": f"python3 tools/bench_pr.py --parent PARENT --out {args.out.name}",
+           "runs_per_side": RUNS,
+           "order": "alternating: parent first in odd rounds, change first in even ones",
+           "host": {"python": platform.python_version(), "nproc": os.cpu_count()},
+           "perfbench": {"command": f"python3 perfbench/run.py --workload W --seed "
+                                    f"{SEED} --seconds {SECONDS}",
+                         "time_unit": "reference-speed seconds (perfbench/README.md)"},
+           "end_to_end": {w: {m: summarize([r[m] for r in bench["parent"][w]],
+                                           [r[m] for r in bench["change"][w]])
+                              for m in GATED} for w in WORKLOADS},
+           "ladder": {"what": "construct_pda(pg, set 1) stage by stage, one fresh process "
+                              "per rung and run; raw wall seconds and ru_maxrss",
+                      "columns": list(STAGES)}}
+    for name, params in RUNGS.items():
+        runs = {side: ladder[side][name] for side in sides}
+        digests = {r["digest"] for side in sides for r in runs[side]}
+        out["ladder"][name] = {
+            "q_k_m_t": list(params), "params_kfqs": runs["change"][0]["params_kfqs"],
+            "digests_equal": len(digests) == 1, "digest": min(digests),
+            **{f"{side}_runs": [{s: r[s] for s in STAGES} for r in runs[side]]
+               for side in sides},
+            **{stat: summarize([r[stat] for r in runs["parent"]],
+                               [r[stat] for r in runs["change"]])
+               for stat in ("total_s", "peak_rss_mb")}}
+    args.out.write_text(json.dumps(out, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
