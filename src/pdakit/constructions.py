@@ -27,8 +27,7 @@ from .designs import (Design, blocks_containing, certify_configuration,
 from .gf import FieldSpec
 from .pda import Pda
 from .subspaces import enumerate_subspaces, gaussian_binomial
-from .triples import (TripleSystem, _emit_pda, _oriented_parameters, complete_matching,
-                      mask_of, orientations, set_bits)
+from .triples import TripleSystem, _matched_pda, _oriented_parameters, mask_of, set_bits
 
 FAMILIES = ("pg", "config", "tdesign-a", "tdesign-b", "tdesign-lambda")
 
@@ -460,16 +459,10 @@ def _row(spec: ConstructionSpec, invariants: tuple) -> ParameterRow:
 
 
 def construct_pda(spec: ConstructionSpec) -> Pda:
-    """Full pipeline: build the triple, complete it, orient it, emit the array.
+    """Full pipeline: build the triple, match it, emit the orientation's array.
 
-    The conditions are scanned once, by complete_matching: E3 on the built
-    system gives E4/E5 once C_XY is thinned, and orientations checks the
-    degrees, so every orientation of the result satisfies E1-E5.
+    The conditions are scanned once, on the built system; the array is
+    emitted from its matched cells, in the orientation's roles.
     """
-    matched = complete_matching(build_triple(spec))
-    oriented = orientations(matched)[spec.orientation - 1]
-    try:
-        return _emit_pda(oriented)
-    except ValueError as exc:
-        raise ValueError(f"orientation {spec.orientation} of {spec.family} "
-                         f"({spec.label()}) is inadmissible: {exc}") from None
+    return _matched_pda(build_triple(spec), spec.orientation,
+                        f"orientation {spec.orientation} of {spec.family} ({spec.label()})")

@@ -230,13 +230,10 @@ _CATALOG = {"fano": _fano, "sqs8": _sqs8, "affine-9": _affine9}
 
 
 def catalog_lookup(name: str) -> Design:
+    """A catalog design; its constant blocks are certified by the tests, not here."""
     if name not in _CATALOG:
         raise ValueError(f"unknown catalog design {name!r}; have {sorted(_CATALOG)}")
-    d = _CATALOG[name]()
-    t, v, k, lam = d.t_params
-    cert = certify_t_design(d, t, v, k, lam)
-    assert cert.ok, cert
-    return d
+    return _CATALOG[name]()
 
 
 def as_t_design(d: Design, t: int) -> Design:

@@ -122,9 +122,12 @@ def _decoder(p: Pda, cache: CacheContents, user: int):
                 acc = tx[s]
                 for j2, k2, pks in side:
                     pk = pks.get(demand[k2])
-                    if pk is None:
-                        raise DecodeError(f"user {user}: packet ({demand[k2]},{j2}) for cell "
-                                          f"({j2},{k2}) missing from cache; condition C3 is broken")
+                    if pk is None:  # by C3, cached for every file of the library
+                        f = demand[k2]
+                        why = ("condition C3 is broken" if any(f in got for got in by_row.values())
+                               else f"the cache holds no packet of file {f}")
+                        raise DecodeError(f"user {user}: packet ({f},{j2}) for cell "
+                                          f"({j2},{k2}) missing from cache; {why}")
                     acc ^= pk
             out.append(acc)
         return out
@@ -146,9 +149,9 @@ def decode(p: Pda, cache: CacheContents, transmissions: list[bytes],
            demand, user: int) -> bytes:
     """Reassemble the user's demanded file from cache plus transmissions.
 
-    Raises ValueError unless user is a column of p, demand has K entries and
-    there are S transmissions, and DecodeError naming the first packet, in
-    row order, that the user's cache lacks."""
+    Raises ValueError unless user is a column of p, demand has K entries,
+    there are S transmissions and no entry is negative, and DecodeError naming
+    the first packet, in row order, that the user's cache lacks."""
     demand = tuple(demand)
     if not 0 <= user < p.k:
         raise ValueError(f"user {user} outside 0..{p.k - 1}")
@@ -157,6 +160,8 @@ def decode(p: Pda, cache: CacheContents, transmissions: list[bytes],
     if len(transmissions) != p.s or not transmissions:
         raise ValueError(f"decoding needs the array's S={p.s} transmissions, "
                          f"got {len(transmissions)}")
+    if any(d < 0 for d in demand):
+        raise ValueError("demand entry outside the library")
     size = len(transmissions[0])
     tx = [int.from_bytes(t, "big") for t in transmissions]
     return b"".join(x.to_bytes(size, "big") for x in _decoder(p, cache, user)(tx, demand))

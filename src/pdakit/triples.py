@@ -7,9 +7,8 @@ index sets X (rows), Y (symbols), Z (columns):
 
 A TripleSystem stores each matrix only as row bitmasks (fields xy, xz, yz):
 bit j of row i is entry (i, j).  Column masks are derived once per system,
-or handed down where a parent holds them: by complete_matching, and by an
-orientation, a relabeling that swaps rows for columns.  The 0/1 tuples
-c_xy, c_xz, c_yz are views built on demand, which no stage reads.
+on first use.  The 0/1 tuples c_xy, c_xz, c_yz are views built on demand,
+which no stage reads.
 
 Conditions checked here, all by exhaustive scan (E3-E5 one pass per row):
 
@@ -25,16 +24,19 @@ Conditions checked here, all by exhaustive scan (E3-E5 one pass per row):
 
 E1-E5 characterize valid arrays exactly; E1-E3 plus E6 suffice once C_XY is
 thinned to per-z perfect matchings (complete_matching, by augmenting paths).
+Their cells, one triple (x, y, z) per non-star cell, are what every array is
+emitted from; an orientation picks which of x, y, z is row, column, symbol.
 """
 
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass, field, replace
 from functools import cached_property
-from operator import itemgetter
+from itertools import repeat
+from operator import add, itemgetter
 
 from .pda import STAR, Pda, canonical_relabel, require_valid
 
 Masks = tuple[int, ...]  # one bitmask per row: bit j of row i is entry (i, j)
-Matrix = tuple[tuple[int, ...], ...]
 
 
 class ConditionError(ValueError):
@@ -145,12 +147,7 @@ def _columns(rows: Masks, ncols: int) -> Masks:
     return tuple(every ^ col for col in out) if flip else tuple(out)
 
 
-def _seeded(t: TripleSystem, **cols: Masks) -> TripleSystem:
-    vars(t).update(cols)  # cached column masks, from transposes the caller holds
-    return t
-
-
-def _dense(rows: Masks, ncols: int) -> Matrix:
+def _dense(rows: Masks, ncols: int) -> tuple[tuple[int, ...], ...]:
     # bin() of row | 1 << ncols is "0b1" and then the ncols entries, last first
     return tuple(tuple(int(c) for c in reversed(bin(row | 1 << ncols)[3:])) for row in rows)
 
@@ -219,6 +216,14 @@ def check_conditions(t: TripleSystem) -> ConditionReport:
                            d_x is not None, d_x, d_y, d_z, tuple(degrees), wit)
 
 
+def _require(rep: ConditionReport, names: tuple, detail: str = "") -> ConditionReport:
+    """rep, or ConditionError for the first of the conditions names that fails."""
+    for name in names:
+        if not getattr(rep, name.lower().replace("'", "p")):  # E1' is rep.e1p
+            raise ConditionError(name, detail, rep.witnesses.get(name))
+    return rep
+
+
 # --- conversions ----------------------------------------------------------
 
 
@@ -241,39 +246,37 @@ def triple_to_pda(t: TripleSystem) -> Pda:
     """Build the array a triple system describes; requires E1-E5.
 
     Cell (x,z) is a star where C_XZ is 0, else the y incident to both, which
-    E4 makes unique.  Symbols are compacted to 1..S in first-occurrence
-    row-major order.
+    E4 makes unique; E4 and E5 make each column's graph the matching _cells
+    returns.  Symbols are compacted to 1..S in first-occurrence row-major order.
     """
-    rep = check_conditions(t)
-    for name, ok in (("E1", rep.e1), ("E2", rep.e2), ("E3", rep.e3),
-                     ("E4", rep.e4), ("E5", rep.e5)):
-        if not ok:
-            raise ConditionError(name, "triple system does not describe an array",
-                                 rep.witnesses.get(name))
-    return _emit_pda(t)
+    _require(check_conditions(t), ("E1", "E2", "E3", "E4", "E5"),
+             "triple system does not describe an array")
+    x, y, z = _cells(t)
+    return _emit(len(t.labels_x), len(t.labels_z), x, z, y)
 
 
-def _emit_pda(t: TripleSystem) -> Pda:
-    """triple_to_pda without the E1-E5 scan, for a system known to pass it:
-    an orientation of a complete_matching result."""
-    f, k = len(t.labels_x), len(t.labels_z)
+def _emit(f: int, k: int, rows, cols, syms) -> Pda:
+    """The F x K array with symbol syms[i] at cell (rows[i], cols[i]), stars
+    elsewhere, for cells that give every column as many symbols.  Symbols are
+    renumbered 1..S in first-occurrence row-major order, one int per symbol."""
     if not f or not k:
         raise ValueError("empty row or column set")
-    q = f - t.cols_xz[0].bit_count()
+    q = f - cols.count(0)
     if q < 1:
         raise ValueError("degenerate array: some column has no stars (Q = 0)")
     if q >= f:
         raise ValueError("degenerate array: no symbol cells (Q = F)")
-    cols_yz = t.cols_yz
-    symbol_of: dict[int, int] = {}
-    grid = []
-    for row_xy, row_xz in zip(t.xy, t.xz):
-        out = [STAR] * k
-        for z in set_bits(row_xz):
-            y = (row_xy & cols_yz[z]).bit_length() - 1
-            out[z] = symbol_of.setdefault(y, len(symbol_of) + 1)
-        grid.append(tuple(out))
-    return Pda(k, f, q, len(symbol_of), tuple(grid))
+    first: dict[int, int] = {}  # symbol -> row-major position of its first cell
+    for pos, s in zip(map(add, map(k.__mul__, rows), cols), syms):
+        if s not in first or pos < first[s]:
+            first[s] = pos
+    label = {s: n for n, s in enumerate(sorted(first, key=first.__getitem__), 1)}
+    grid = [[STAR] * k for _ in range(f)]
+    for r, c, s in zip(rows, cols, syms):
+        grid[r][c] = label[s]
+    for r, row in enumerate(grid):  # in place, so that one list row is alive at a time
+        grid[r] = tuple(row)
+    return Pda(k, f, q, len(label), tuple(grid))
 
 
 # --- matching -------------------------------------------------------------
@@ -309,13 +312,9 @@ def _match_column(xs, ys: int, rows_xy: Masks) -> dict[int, int]:
     return owner
 
 
-def complete_matching(t: TripleSystem) -> TripleSystem:
-    """Thin C_XY to a union of per-z perfect matchings.
-
-    Requires E1-E3 plus E6 (or the constant-degree variants).  In the result,
-    (x,y) is incident iff the pair was matched within some z, which upgrades
-    the system to the full E1-E5 family.  The result keeps t's C_XZ and C_YZ
-    with their column masks.
+def _cells(t: TripleSystem) -> tuple[array, array, array]:
+    """The cells of per-z perfect matchings of C_XY, as three arrays x, y, z:
+    cell i is the triple (x[i], y[i], z[i]), one per matched pair.
 
     Column z's graph is keyed in local indices, as its n x n adjacency in
     row-major chars: row i and symbol j are adjacent iff bit ys[j] of
@@ -325,11 +324,7 @@ def complete_matching(t: TripleSystem) -> TripleSystem:
     reads only order and adjacency, so every column gets the matching its
     global masks would give.  Every pg system tried has a single key.
     """
-    rep = check_conditions(t)
-    for name, ok in (("E1", rep.e1), ("E2", rep.e2), ("E3", rep.e3), ("E6", rep.e6)):
-        if not ok:
-            raise ConditionError(name, witness=rep.witnesses.get(name))
-    chosen: list[list[int]] = [[] for _ in t.labels_x]
+    cells = cx, cy, cz = array("l"), array("l"), array("l")
     # char j of bits[x] is bit j of xy[x]
     bits = [format(row, f"0{len(t.labels_y)}b")[::-1] for row in t.xy]
     memo: dict[str, dict[int, int]] = {}
@@ -347,44 +342,72 @@ def complete_matching(t: TripleSystem) -> TripleSystem:
         if pairs is None:
             local = [int(key[i * n:(i + 1) * n][::-1], 2) for i in range(n)]
             pairs = memo[key] = _match_column(range(n), (1 << n) - 1, local)
-        for j, i in pairs.items():
-            chosen[xs[i]].append(ys[j])
-    xy = tuple(mask_of(ys, len(t.labels_y)) for ys in chosen)
-    matched = TripleSystem(t.labels_x, t.labels_y, t.labels_z, xy, t.xz, t.yz)
-    return _seeded(matched, cols_xz=t.cols_xz, cols_yz=t.cols_yz)
+        cx.extend(map(xs.__getitem__, pairs.values()))
+        cy.extend(map(ys.__getitem__, pairs))
+        cz.extend(repeat(z, len(pairs)))
+    return cells
+
+
+def complete_matching(t: TripleSystem) -> TripleSystem:
+    """Thin C_XY to a union of per-z perfect matchings (_cells).
+
+    Requires E1-E3 plus E6 (or the constant-degree variants).  In the result,
+    (x,y) is incident iff the pair was matched within some z, which upgrades
+    the system to the full E1-E5 family.  The result keeps t's C_XZ and C_YZ.
+    """
+    _require(check_conditions(t), ("E1", "E2", "E3", "E6"))
+    xs, ys, _ = _cells(t)
+    rows = [bytearray(len(t.labels_y) + 7 >> 3) for _ in t.labels_x]
+    for x, y in zip(xs, ys):
+        rows[x][y >> 3] |= 1 << (y & 7)
+    return replace(t, xy=tuple(int.from_bytes(row, "little") for row in rows))
 
 
 # --- orientations and products -------------------------------------------
+
+# (row, column, symbol) roles of X, Y, Z (0, 1, 2) per orientation; 3 is the identity
+_ROLES = ((1, 0, 2), (2, 0, 1), (0, 2, 1))
 
 
 def _oriented_parameters(nx: int, ny: int, nz: int, d_x: int, d_z: int,
                          orientation: int) -> tuple[int, int, int, int]:
     """(K, F, Q, S) of an orientation of a matched system with |X| = nx,
-    |Y| = ny, |Z| = nz, and row degree D_X and column degree D_Z of C_XZ."""
-    return ((nx, ny, ny - d_x, nz), (nx, nz, nz - d_x, ny),
-            (nz, nx, nx - d_z, ny))[orientation - 1]
+    |Y| = ny, |Z| = nz, and row degree D_X and column degree D_Z of C_XZ.
+    A column holds one symbol per triple on it: D_X on an x, D_Z on a z."""
+    (row, col, sym), sizes = _ROLES[orientation - 1], (nx, ny, nz)
+    return sizes[col], sizes[row], sizes[row] - (d_x, None, d_z)[col], sizes[sym]
 
 
 def orientations(t: TripleSystem) -> tuple[TripleSystem, TripleSystem, TripleSystem]:
-    """The three role-rotations of a constant-degree system.
+    """The three role-rotations of a constant-degree system, in _ROLES order.
 
-    Given the matched system, each rotation is again an E1-E5 system and
-    yields one parameter set when turned into an array, in the order
-    _oriented_parameters gives them; the third is the system as given.
-
-    A rotation only relabels: the column masks of one matrix are the row
-    masks of its transpose.
+    Given the matched system, each rotation is again an E1-E5 system, whose
+    array has the parameters _oriented_parameters gives; the third is the
+    system as given.  A rotation only relabels: the column masks of one
+    matrix are the row masks of its transpose.
     """
     # degrees D_Z (columns of C_XZ), D_Y (rows of C_YZ), D_X (rows of C_XZ)
     for name, masks in (("E1'", t.cols_xz), ("E2'", t.yz), ("E7", t.xz)):
         if _degree(masks) is None:
             raise ConditionError(name, "degrees are not constant and positive")
     lx, ly, lz = t.labels_x, t.labels_y, t.labels_z
-    set1 = _seeded(TripleSystem(ly, lz, lx, t.yz, t.cols_xy, t.cols_xz),
-                   cols_xy=t.cols_yz, cols_xz=t.xy, cols_yz=t.xz)
-    set2 = _seeded(TripleSystem(lz, ly, lx, t.cols_yz, t.cols_xz, t.cols_xy),
-                   cols_xy=t.yz, cols_xz=t.xz, cols_yz=t.xy)
-    return set1, set2, t
+    return (TripleSystem(ly, lz, lx, t.yz, t.cols_xy, t.cols_xz),
+            TripleSystem(lz, ly, lx, t.cols_yz, t.cols_xz, t.cols_xy), t)
+
+
+def _matched_pda(t: TripleSystem, orientation: int, what: str) -> Pda:
+    """triple_to_pda(orientations(complete_matching(t))[orientation - 1]) from
+    one scan of t and its matched cells, read in the orientation's roles.  An
+    inadmissible orientation raises ValueError prefixed by what."""
+    rep = _require(check_conditions(t), ("E1", "E2", "E3", "E6"))
+    cells, sizes = _cells(t), (len(t.labels_x), len(t.labels_y), len(t.labels_z))
+    del t  # a caller that passes the built system on has it freed here
+    _require(rep, ("E1'", "E2'", "E7"), "degrees are not constant and positive")
+    row, col, sym = _ROLES[orientation - 1]
+    try:
+        return _emit(sizes[row], sizes[col], cells[row], cells[col], cells[sym])
+    except ValueError as exc:
+        raise ValueError(f"{what} is inadmissible: {exc}") from None
 
 
 def direct_product(a: Pda, b: Pda) -> Pda:

@@ -5,6 +5,7 @@ from math import comb
 
 import pytest
 
+from pdakit import constructions, designs
 from pdakit.constructions import (ConstructionSpec, _binomial, _invariants,
                                   bibd_rate_identity, build_triple, closed_form_row,
                                   configuration_rate_bound,
@@ -268,8 +269,27 @@ def test_build_triple_dispatch():
 
 
 def test_construct_pda_inadmissible_orientation():
-    with pytest.raises(ValueError, match="inadmissible"):
+    with pytest.raises(ValueError, match="inadmissible") as exc:
         construct_pda(ConstructionSpec("pg", 2, q=2, k=3, m=1, t=2))
+    assert str(exc.value) == ("orientation 2 of pg (q=2,k=3,m=1,t=2) is inadmissible: "
+                              "degenerate array: some column has no stars (Q = 0)")
+
+
+def test_a_catalog_design_is_certified_once_per_call(monkeypatch):
+    calls = []
+    real = constructions.certify_t_design
+
+    def count(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(constructions, "certify_t_design", count)
+    monkeypatch.setattr(designs, "certify_t_design", count)
+    spec = ConstructionSpec("tdesign-a", 1, design="sqs8", t0=2)
+    for fn in (construct_pda, closed_form_row):
+        calls.clear()
+        fn(spec)
+        assert calls == [(spec.resolved_design(), 3, 8, 4, 1)], fn
 
 
 def test_cross_family_agreement():

@@ -1,6 +1,6 @@
 import pytest
 
-from pdakit.designs import (Design, as_t_design, blocks_containing,
+from pdakit.designs import (_CATALOG, Design, as_t_design, blocks_containing,
                             catalog_lookup, certify_configuration,
                             certify_t_design, complete_design, design_from_json,
                             design_to_json, from_reference, lambda_s,
@@ -134,6 +134,18 @@ def test_catalog():
         assert certify_t_design(d, *params).ok
     with pytest.raises(ValueError, match="unknown catalog design"):
         catalog_lookup("petersen")
+
+
+def test_catalog_designs_certify_as_declared():
+    # catalog_lookup does not certify its constant designs; this does, once
+    # per parameter set each one declares
+    for name, make in _CATALOG.items():
+        d = make()
+        assert d.t_params or d.config_params, name
+        if d.t_params:
+            assert certify_t_design(d, *d.t_params).ok, name
+        if d.config_params:
+            assert certify_configuration(d, *d.config_params).ok, name
 
 
 def test_sqs8_shape():

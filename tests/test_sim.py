@@ -191,6 +191,25 @@ def test_report_json():
 FANO_PG = construct_pda(ConstructionSpec("pg", 1, q=2, k=3, m=1, t=1))  # K=F=7
 
 
+def test_decode_demand_outside_the_library():
+    p = FANO_PG
+    lib = FileLibrary.random(2, p.f, seed=0)
+    caches = place(p, lib)
+    tx = deliver(p, lib, (0,) * 7)
+    # file 9 is in no row of the cache: a side packet of it is not blamed on C3
+    with pytest.raises(DecodeError) as exc:
+        decode(p, caches[0], tx, (0, 0, 0, 0, 0, 0, 9), 0)
+    assert str(exc.value) == ("user 0: packet (9,0) for cell (0,6) missing from cache; "
+                              "the cache holds no packet of file 9")
+    with pytest.raises(DecodeError) as exc:
+        decode(p, caches[0], tx, (9, 0, 0, 0, 0, 0, 0), 0)  # the user's own position
+    assert str(exc.value) == "user 0: packet (9,0) for cell (0,0) missing from cache"
+    # a negative entry is outside every library, in either position
+    for demand in ((0, 0, 0, 0, 0, 0, -1), (-1, 0, 0, 0, 0, 0, 0)):
+        with pytest.raises(ValueError, match="^demand entry outside the library$"):
+            decode(p, caches[0], tx, demand, 0)
+
+
 def _reads(p, user, demand):
     """Every cached (file, row) the user's decode of this demand reads."""
     out = set()

@@ -1,8 +1,11 @@
 import random
+import sys
+import weakref
 from dataclasses import replace
 
 import pytest
 
+import pdakit.constructions
 import pdakit.triples
 from pdakit.constructions import (ConstructionSpec, build_triple, configuration_triple,
                                   construct_pda, pg_triple, tdesign_b_triple)
@@ -310,15 +313,58 @@ def test_every_orientation_of_a_matched_system_passes_e1_to_e5(sweep, k651):
 
 
 def test_construct_pda_scans_conditions_once(monkeypatch):
-    scans = []
+    # and transposes only in that scan: C_XY, C_XZ and C_YZ of the built
+    # system, with no column mask of a matched or rotated system
+    scans, transposed = [], []
     real = pdakit.triples.check_conditions
     monkeypatch.setattr(pdakit.triples, "check_conditions",
                         lambda t: scans.append(t) or real(t))
+    monkeypatch.setattr(pdakit.triples, "_columns",
+                        lambda rows, ncols: transposed.append(rows) or _columns(rows, ncols))
     for o in (1, 2, 3):
         scans.clear()
+        transposed.clear()
         p = construct_pda(ConstructionSpec("pg", o, q=2, k=3, m=1, t=1))
         assert validate_pda(p).ok
         assert len(scans) == 1
+        assert transposed == [scans[0].xy, scans[0].xz, scans[0].yz]
+
+
+def test_construct_pda_equals_the_staged_pipeline(sweep, k651):
+    # construct_pda emits from the matched cells in the orientation's roles;
+    # the staged route builds the matched system and its rotation
+    def staged(spec, matched=None):
+        matched = matched or complete_matching(build_triple(spec))
+        return triple_to_pda(orientations(matched)[spec.orientation - 1])
+
+    for spec, _, p in sweep["built"]:
+        assert p == staged(spec), spec
+    for k, m, t, matched in ((6, 2, 2, k651[1]), (7, 1, 1, None)):
+        for o in (1, 2, 3):
+            spec = ConstructionSpec("pg", o, q=2, k=k, m=m, t=t)
+            assert construct_pda(spec) == staged(spec, matched), spec
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="CPython 3.10 keeps call arguments alive on the caller's stack")
+def test_construct_pda_frees_the_built_system_before_emitting(monkeypatch):
+    built, alive = [], []
+    real_build, real_emit = pdakit.constructions.build_triple, pdakit.triples._emit
+
+    def build(spec):
+        t = real_build(spec)
+        built.append(weakref.ref(t))
+        return t
+
+    def emit(*args):
+        alive.append(built[-1]() is not None)
+        return real_emit(*args)
+
+    monkeypatch.setattr(pdakit.constructions, "build_triple", build)
+    monkeypatch.setattr(pdakit.triples, "_emit", emit)
+    for o in (1, 2, 3):
+        construct_pda(ConstructionSpec("pg", o, q=2, k=3, m=1, t=1))
+    assert alive == [False] * 3
 
 
 def _per_column_matching(t: TripleSystem) -> tuple:
@@ -426,7 +472,7 @@ def test_orientations_identity_and_params():
         assert validate_pda(p).ok
 
 
-def test_orientations_equal_dense_transposes(sweep, k651):
+def test_orientations_equal_dense_transposes(sweep):
     # reference: the dense rotations, each matrix transposed as a whole
     triples = _sweep_triples(sweep)
     assert len(triples) >= 30
@@ -442,27 +488,6 @@ def test_orientations_equal_dense_transposes(sweep, k651):
             assert s.cols_xy == _masks(_transpose(s.c_xy))
             assert s.cols_xz == _masks(_transpose(s.c_xz))
             assert s.cols_yz == _masks(_transpose(s.c_yz))
-    # seeded column masks against a fresh transpose, K = 651 included
-    for t in [t for _, _, t in triples] + [k651[1]]:
-        s1, s2, _ = orientations(t)
-        for s in (t, s1, s2):
-            assert s.cols_xy == _columns(s.xy, len(s.labels_y))
-            assert s.cols_xz == _columns(s.xz, len(s.labels_z))
-            assert s.cols_yz == _columns(s.yz, len(s.labels_z))
-
-
-def test_matching_and_orientations_transpose_only_matched_xy(sweep, monkeypatch):
-    # every other column mask is handed down from a system that holds it
-    calls = []
-    monkeypatch.setattr(pdakit.triples, "_columns",
-                        lambda rows, ncols: calls.append(rows) or _columns(rows, ncols))
-    for _, raw, _ in _sweep_triples(sweep):  # raw's column masks are cached
-        calls.clear()
-        matched = complete_matching(raw)
-        for s in orientations(matched):
-            for name in ("cols_xy", "cols_xz", "cols_yz"):
-                getattr(s, name)
-        assert len(calls) == 1 and calls[0] is matched.xy
 
 
 def test_columns_and_mask_of_equal_dense_reference():

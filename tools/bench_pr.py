@@ -1,20 +1,17 @@
 """Write a BENCH_<pr>.json: perfbench medians and the construct ladder, for a
 parent checkout against this one.
 
-    python3 tools/bench_pr.py --parent ../parent --out BENCH_10.json
+    python3 tools/bench_pr.py --parent ../parent --out BENCH_11.json
 
 --parent is a plain copy of the parent commit's tree (`git archive` it into a
 directory).  The script runs RUNS rounds; the side that goes first alternates,
 parent first in round 1.  In a round each side runs every perfbench workload
 in its own process (`perfbench/run.py --workload NAME --seed SEED --seconds
 SECONDS`, the gated settings; reference-speed seconds), then every ladder
-rung in a fresh process: stage seconds of construct_pda (build_triple;
-complete_matching with its condition scan; orientations plus _emit_pda), the
-array's SHA-256 digest and ru_maxrss.  Rung times are raw wall seconds.  Each
-rung process then builds the array again with construct_pda itself and
-exits non-zero unless the digest matches, so the timed stages stay the
-pipeline's own.  Every metric is reported with each side's runs, median and
-quartiles, and the number of rounds in which the change read lower.
+rung in a fresh process: construct_pda's wall seconds (total_s), the array's
+SHA-256 digest and ru_maxrss.  Rung times are raw wall seconds.  Every metric
+is reported with each side's runs, median and quartiles, and the number of
+rounds in which the change read lower.
 """
 
 import argparse
@@ -35,32 +32,18 @@ GATED = ("setup_s", "wall_s", "array_p50_s", "peak_rss_mb", "error_rate")
 # name -> (q, k, m, t), each built in orientation 1
 RUNGS = {"pg_q2_k6_m2_t2": (2, 6, 2, 2), "pg_q2_k7_m2_t1": (2, 7, 2, 1),
          "pg_q2_k8_m2_t1": (2, 8, 2, 1)}
-STAGES = ("build_s", "match_s", "orient_emit_s", "total_s", "peak_rss_mb")
 
 RUNG_CODE = """
 import hashlib, json, resource, sys, time
-from pdakit.constructions import ConstructionSpec, build_triple, construct_pda
-from pdakit.pda import format_pda
-from pdakit.triples import _emit_pda, complete_matching, orientations
+from pdakit import ConstructionSpec, construct_pda, format_pda
 q, k, m, t = map(int, sys.argv[1:])
-spec = ConstructionSpec("pg", 1, q=q, k=k, m=m, t=t)
 t0 = time.perf_counter()
-raw = build_triple(spec)
-t1 = time.perf_counter()
-matched = complete_matching(raw)
-t2 = time.perf_counter()
-p = _emit_pda(orientations(matched)[0])
-t3 = time.perf_counter()
+p = construct_pda(ConstructionSpec("pg", 1, q=q, k=k, m=m, t=t))
+total = time.perf_counter() - t0
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-digest = hashlib.sha256(format_pda(p).encode()).hexdigest()
-row = {"params_kfqs": [p.k, p.f, p.q, p.s], "digest": digest,
-       "build_s": round(t1 - t0, 3), "match_s": round(t2 - t1, 3),
-       "orient_emit_s": round(t3 - t2, 3), "total_s": round(t3 - t0, 3),
-       "peak_rss_mb": round(rss, 1)}
-del raw, matched, p
-if hashlib.sha256(format_pda(construct_pda(spec)).encode()).hexdigest() != digest:
-    sys.exit("the timed stages build another array than construct_pda")
-print(json.dumps(row))
+print(json.dumps({"params_kfqs": [p.k, p.f, p.q, p.s],
+                  "digest": hashlib.sha256(format_pda(p).encode()).hexdigest(),
+                  "total_s": round(total, 3), "peak_rss_mb": round(rss, 1)}))
 """
 
 
@@ -123,17 +106,14 @@ def main(argv=None) -> int:
            "end_to_end": {w: {m: summarize([r[m] for r in bench["parent"][w]],
                                            [r[m] for r in bench["change"][w]])
                               for m in GATED} for w in WORKLOADS},
-           "ladder": {"what": "construct_pda(pg, set 1) stage by stage, one fresh process "
-                              "per rung and run; raw wall seconds and ru_maxrss",
-                      "columns": list(STAGES)}}
+           "ladder": {"what": "construct_pda(pg, set 1), one fresh process per rung "
+                              "and run; raw wall seconds and ru_maxrss"}}
     for name, params in RUNGS.items():
         runs = {side: ladder[side][name] for side in sides}
         digests = {r["digest"] for side in sides for r in runs[side]}
         out["ladder"][name] = {
             "q_k_m_t": list(params), "params_kfqs": runs["change"][0]["params_kfqs"],
             "digests_equal": len(digests) == 1, "digest": min(digests),
-            **{f"{side}_runs": [{s: r[s] for s in STAGES} for r in runs[side]]
-               for side in sides},
             **{stat: summarize([r[stat] for r in runs["parent"]],
                                [r[stat] for r in runs["change"]])
                for stat in ("total_s", "peak_rss_mb")}}
