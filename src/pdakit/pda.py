@@ -13,6 +13,7 @@ broadcast transmission.  The validator checks the three defining conditions:
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import not_
 
 STAR = 0  # grid sentinel for '*'; real symbols are 1..s
 
@@ -55,6 +56,17 @@ class Pda:
                     out.setdefault(v, []).append((j, k))
         return out
 
+    @cached_property
+    def star_columns(self) -> tuple[bytes, ...]:
+        """Per column k, a mask over rows: byte j is 1 iff cell (j,k) is a star."""
+        return tuple(bytes(map(not_, col)) for col in zip(*self.grid))
+
+    # Frozen, so the report cannot go stale: validate_pda scans once per array.
+    @cached_property
+    def validation(self) -> "ValidationReport":
+        """validate_pda's report on this array."""
+        return _scan(self)
+
 
 @dataclass(frozen=True)
 class ValidationReport:
@@ -82,7 +94,14 @@ def require_valid(p: Pda, what: str) -> None:
 
 
 def validate_pda(p: Pda) -> ValidationReport:
-    """Exhaustively check the declared parameters and conditions C1, C2, C3."""
+    """Exhaustively check the declared parameters and conditions C1, C2, C3.
+
+    The scan runs on the first call for an array; later calls return the
+    report cached on it."""
+    return p.validation
+
+
+def _scan(p: Pda) -> ValidationReport:
     if min(p.k, p.f, p.q, p.s) < 1:
         return ValidationReport(False, "params", "K, F, Q, S must all be positive")
     if p.q >= p.f:

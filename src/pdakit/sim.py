@@ -1,24 +1,30 @@
 """Bit-exact simulation of the caching scheme a PDA induces.
 
 Placement: user k caches packet row j of every file iff cell (j,k) is a star,
-so caches are filled before any demand exists.  Delivery: one XOR transmission
-per symbol, combining the demanded packets at that symbol's cells.  Decoding
-peels each transmission with side packets that condition C3 guarantees are
-cached, read from the user's own cache, so a corrupt or missing packet is a
-failure that `verify_scheme` records.
+so caches are filled before any demand exists.  A placed cache is a view of
+the library (`PlacedPackets`): it holds the user's star mask and a log of the
+keys written or deleted since, and copies no packet.  Delivery: one XOR
+transmission per symbol, combining the demanded packets at that symbol's
+cells.  Decoding peels each transmission with side packets that condition C3
+guarantees are cached, read from the user's own cache, so a corrupt or
+missing packet is a failure that `verify_scheme` records.
 
 There is one peel, `_decoder`.  `decode` runs it for one user, and
 `verify_scheme` for each user whose cache is faulty.  By C3 every side packet
 a user needs sits in a starred row of its own cache, so for a user whose
 cache holds the library's packets a coded row decodes right iff its payload
 equals the library XOR over its symbol's cells: `verify_scheme` checks each
-payload once per demand instead of peeling those users.
+payload once per demand instead of peeling those users.  Whether a placed
+cache still holds the library's packets is read from its edit log.
 """
 
 import itertools
 import random
+from collections.abc import MutableMapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import chain, compress, filterfalse
 
 from .pda import STAR, Pda, require_valid
 
@@ -46,26 +52,150 @@ class FileLibrary:
     def file(self, i: int) -> bytes:
         return b"".join(self.packets[i])
 
+    # The library is immutable, so these cannot go stale.
+    @cached_property
+    def _row_keys(self) -> list[tuple]:
+        """Per row j: the (file, j) keys, shared by every cache placed from
+        this library."""
+        return [tuple((i, j) for i in range(self.n)) for j in range(self.f)]
+
+    @cached_property
+    def _row_bytes(self) -> list[int]:
+        """Per row j: the bytes of its packets, over all files."""
+        return [sum(map(len, row)) for row in zip(*self.packets)]
+
+    @cached_property
+    def _row_ints(self) -> list[dict[int, int]]:
+        """Per row j: file -> packet (i, j) as an int."""
+        return [dict(enumerate(row)) for row in zip(*_packet_ints(self))]
+
+
+class PlacedPackets(MutableMapping):
+    """One user's cache as `place` fills it: (file, row) -> payload.
+
+    It behaves as a dict of the library's packets in the user's starred rows
+    (iterated row-major, then by file), but holds only the star mask and an
+    edit log: the placed keys overwritten in place, the placed keys deleted,
+    and the keys added after them in insertion order (a placed key that was
+    deleted and written again is added, as in a dict).  Keys are (file, row)
+    int pairs."""
+
+    __slots__ = ("_lib", "_mask", "_over", "_gone", "_extra")
+
+    def __init__(self, lib: FileLibrary, mask: bytes):
+        self._lib, self._mask = lib, mask  # mask[j] is 1 iff row j is starred
+        self._over: dict = {}   # placed key -> value written over it
+        self._gone: set = set()  # placed keys deleted
+        self._extra: dict = {}  # other keys, and deleted placed keys written again
+
+    def _placed(self, key) -> bool:
+        try:
+            i, j = key
+            return 0 <= i < self._lib.n and 0 <= j < len(self._mask) and self._mask[j] == 1
+        except (TypeError, ValueError):
+            return False
+
+    def __getitem__(self, key):
+        extra = self._extra
+        if extra and key in extra:
+            return extra[key]
+        if not self._placed(key) or key in self._gone:
+            raise KeyError(key)
+        over = self._over
+        if over and key in over:
+            return over[key]
+        return self._lib.packets[key[0]][key[1]]
+
+    def __contains__(self, key) -> bool:
+        return key in self._extra or self._placed(key) and key not in self._gone
+
+    def __setitem__(self, key, value) -> None:
+        if key in self._extra or not self._placed(key) or key in self._gone:
+            self._extra[key] = value
+        else:
+            self._over[key] = value
+
+    def __delitem__(self, key) -> None:
+        if key in self._extra:
+            del self._extra[key]
+        elif self._placed(key) and key not in self._gone:
+            self._gone.add(key)
+            self._over.pop(key, None)
+        else:
+            raise KeyError(key)
+
+    def __iter__(self):
+        placed = chain.from_iterable(compress(self._lib._row_keys, self._mask))
+        if self._gone:
+            placed = filterfalse(self._gone.__contains__, placed)
+        return chain(placed, self._extra)
+
+    def __len__(self) -> int:
+        return self._mask.count(1) * self._lib.n - len(self._gone) + len(self._extra)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self)!r})"
+
+    def size_bytes(self) -> int:
+        """sum(len(v) for v in self.values()), from per-row totals."""
+        lib = self._lib.packets
+        total = sum(compress(self._lib._row_bytes, self._mask))
+        total += sum(len(v) - len(lib[i][j]) for (i, j), v in self._over.items())
+        total -= sum(len(lib[i][j]) for i, j in self._gone)
+        return total + sum(map(len, self._extra.values()))
+
+    def holds(self, lib: FileLibrary, mask: bytes) -> bool:
+        """Whether every packet (i, j) of lib with mask[j] set is held and
+        equals the library's: placed from lib on that mask, and no such key
+        deleted or written with other bytes since.  Other keys do not count."""
+        if self._lib is not lib or self._mask != mask:
+            return False
+        packets, extra = lib.packets, self._extra
+        return (all(v == packets[i][j] for (i, j), v in self._over.items())
+                and all(key in extra and extra[key] == packets[key[0]][key[1]]
+                        for key in self._gone))
+
+    def int_rows(self) -> dict[int, dict[int, int]]:
+        """row -> file -> packet as an int, over the cache's keys.  Unedited
+        rows are the library's own dicts, shared: read them only."""
+        lib_rows = self._lib._row_ints
+        rows = {j: lib_rows[j] for j in compress(range(len(self._mask)), self._mask)}
+        copied = set()
+
+        def own(j):  # row j as a dict of this cache's own
+            if j not in copied:
+                copied.add(j)
+                rows[j] = dict(rows.get(j, ()))
+            return rows[j]
+
+        for i, j in self._gone:
+            del own(j)[i]
+        for (i, j), pk in chain(self._over.items(), self._extra.items()):
+            own(j)[i] = int.from_bytes(pk, "big")
+        return rows
+
 
 @dataclass(frozen=True)
 class CacheContents:
+    """A user's cache.  `place` gives packets as a `PlacedPackets` view; any
+    other mapping of (file index, row) -> payload is accepted too."""
     user: int
-    packets: dict  # (file index, row) -> payload
+    packets: MutableMapping  # (file index, row) -> payload
 
     def size_bytes(self) -> int:
+        if isinstance(self.packets, PlacedPackets):
+            return self.packets.size_bytes()
         return sum(len(v) for v in self.packets.values())
 
 
 def place(p: Pda, lib: FileLibrary) -> list[CacheContents]:
-    """Fill every user's cache: the starred rows of every file."""
+    """Fill every user's cache: the starred rows of every file.
+
+    Each cache is a `PlacedPackets` view of lib on the user's star mask, so
+    nothing is copied; writes to it go to its own edit log."""
     if lib.f != p.f:
         raise ValueError(f"library has {lib.f} packets per file, array needs {p.f}")
-    # One (file, row) key per packet, shared by every cache that holds it.
-    entries = [[((i, j), lib.packets[i][j]) for i in range(lib.n)] for j in range(p.f)]
-    grid = p.grid
-    return [CacheContents(k, dict(itertools.chain.from_iterable(
-                entries[j] for j, row in enumerate(grid) if row[k] == STAR)))
-            for k in range(p.k)]
+    return [CacheContents(k, PlacedPackets(lib, mask)) for k, mask in enumerate(p.star_columns)]
 
 
 def _packet_ints(lib: FileLibrary) -> list[list[int]]:
@@ -90,15 +220,19 @@ def _decoder(p: Pda, cache: CacheContents, user: int):
 
     A starred row is read from the cache.  A coded row j with symbol s is
     payload s XOR, over each other cell (j2, k2) of s, the cached packet
-    (demand[k2], j2).  The cache is grouped by row once, here.  Raises
+    (demand[k2], j2).  The cache is grouped by row once, here; a placed
+    view gives its rows from the library's, with its edits applied.  Raises
     DecodeError at the first packet, in row order, that the cache lacks.
     """
-    by_row: dict[int, dict[int, int]] = {}  # row -> file -> packet
-    for (i, j), pk in cache.packets.items():
-        got = by_row.get(j)  # not setdefault, which builds a dict per packet
-        if got is None:
-            got = by_row[j] = {}
-        got[i] = int.from_bytes(pk, "big")
+    if isinstance(cache.packets, PlacedPackets):
+        by_row = cache.packets.int_rows()
+    else:
+        by_row = {}  # row -> file -> packet
+        for (i, j), pk in cache.packets.items():
+            got = by_row.get(j)  # not setdefault, which builds a dict per packet
+            if got is None:
+                got = by_row[j] = {}
+            got[i] = int.from_bytes(pk, "big")
     none: dict[int, int] = {}
     plan = []  # per row: (j, None, cached packets by file) or (j, s, side cells)
     for j, row in enumerate(p.grid):
@@ -231,27 +365,26 @@ def verify_scheme(p: Pda, n_files: int, mode: str = "auto", samples: int = 200,
 
     Demands are drawn one at a time and each is transmitted once, so neither
     the demand set nor its payloads are held.  A user is clean when every
-    starred packet of every file in its cache equals the library (compared
-    as bytes).  By C3 each side packet a user needs sits in one of its
-    starred rows, so a clean user decodes coded row j with symbol s right iff
-    payload s equals the library XOR over all of s's cells: each payload is
-    checked once per demand and a wrong one fails every clean user in its
-    columns.  Clean users are never peeled.  Every other user gets one
-    `_decoder` on its own cache, which runs on every demand.
+    starred packet of every file in its cache equals the library.  A cache
+    placed as a `PlacedPackets` view answers that from its edit log (no key
+    deleted or written with other bytes); any other mapping is peeled.
+    By C3 each side packet a user needs sits in one of its starred rows, so
+    a clean user decodes coded row j with symbol s right iff payload s
+    equals the library XOR over all of s's cells: each payload is checked
+    once per demand and a wrong one fails every clean user in its columns.
+    Clean users are never peeled.  Every other user gets one `_decoder` on
+    its own cache, which runs on every demand and is exact for any cache.
     """
     require_valid(p, "refusing to simulate an invalid PDA")
     rng = random.Random(seed)
     lib = FileLibrary.random(n_files, p.f, packet_size, seed=rng.randrange(2 ** 32))
     demands, mode_used = _demand_set(p, n_files, mode, samples, rng)
     ints = _packet_ints(lib)
-    grid = p.grid
-    keys = [[(i, j) for j in range(p.f)] for i in range(n_files)]  # (file, row), built once
+    masks = p.star_columns
     faulty = []  # (user, its decoder) for each user whose cache is not clean
     for user, cache in enumerate(place(p, lib)):
-        star_rows = [j for j, row in enumerate(grid) if row[user] == STAR]
-        cached = cache.packets.get
-        if not all([*map(cached, map(key.__getitem__, star_rows))]
-                   == [*map(file.__getitem__, star_rows)] for key, file in zip(keys, lib.packets)):
+        packets = cache.packets
+        if not (isinstance(packets, PlacedPackets) and packets.holds(lib, masks[user])):
             faulty.append((user, _decoder(p, cache, user)))
     not_clean = {user for user, _ in faulty}
     cells_of = p.symbol_cells

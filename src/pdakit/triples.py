@@ -266,17 +266,21 @@ def _emit(f: int, k: int, rows, cols, syms) -> Pda:
         raise ValueError("degenerate array: some column has no stars (Q = 0)")
     if q >= f:
         raise ValueError("degenerate array: no symbol cells (Q = F)")
-    first: dict[int, int] = {}  # symbol -> row-major position of its first cell
+    end = f * k
+    first = [end] * (max(syms) + 1)  # symbol -> row-major position of its first cell
     for pos, s in zip(map(add, map(k.__mul__, rows), cols), syms):
-        if s not in first or pos < first[s]:
+        if pos < first[s]:
             first[s] = pos
-    label = {s: n for n, s in enumerate(sorted(first, key=first.__getitem__), 1)}
+    label = [STAR] * len(first)  # symbol -> its number, for the symbols that occur
+    occurring = sorted((s for s, pos in enumerate(first) if pos < end), key=first.__getitem__)
+    for n, s in enumerate(occurring, 1):
+        label[s] = n
     grid = [[STAR] * k for _ in range(f)]
     for r, c, s in zip(rows, cols, syms):
         grid[r][c] = label[s]
     for r, row in enumerate(grid):  # in place, so that one list row is alive at a time
         grid[r] = tuple(row)
-    return Pda(k, f, q, len(label), tuple(grid))
+    return Pda(k, f, q, len(occurring), tuple(grid))
 
 
 # --- matching -------------------------------------------------------------

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from pdakit.pda import (Pda, PdaFormatError, STAR, canonical_relabel,
+import pdakit.pda as pda
+from pdakit.pda import (InvalidPdaError, Pda, PdaFormatError, STAR, canonical_relabel,
                         format_pda, parse_pda, pda_from_json, pda_to_json,
-                        scheme_parameters, validate_pda)
+                        require_valid, scheme_parameters, validate_pda)
 
 TINY = Pda(2, 2, 1, 1, ((STAR, 1), (1, STAR)))
 
@@ -174,6 +175,39 @@ def test_symbol_cells():
     p = Pda(3, 3, 2, 1, ((STAR, STAR, 1), (STAR, 1, STAR), (1, STAR, STAR)))
     assert p.symbol_cells is p.symbol_cells  # built once per array
     assert p.symbol_cells == {1: [(0, 2), (1, 1), (2, 0)]}
+
+
+def test_star_columns():
+    p = Pda(3, 2, 1, 2, ((STAR, 1, 2), (1, STAR, STAR)))
+    assert p.star_columns == (b"\x01\x00", b"\x00\x01", b"\x00\x01")
+    assert p.star_columns is p.star_columns  # built once per array
+
+
+def test_validation_scans_once_per_array(monkeypatch):
+    scans = []
+    real_scan = pda._scan
+
+    def scan(p):
+        scans.append(p)
+        return real_scan(p)
+
+    monkeypatch.setattr(pda, "_scan", scan)
+    p = Pda(3, 3, 2, 1, ((STAR, STAR, 1), (STAR, 1, STAR), (1, STAR, STAR)))
+    assert validate_pda(p) is validate_pda(p)
+    require_valid(p, "unused")
+    assert scans == [p]
+    again = Pda(p.k, p.f, p.q, p.s, p.grid)  # an equal array is a new object: scanned
+    assert validate_pda(again).ok and len(scans) == 2
+
+
+def test_validation_cache_does_not_leak_into_a_changed_array():
+    assert validate_pda(TINY).ok
+    flipped = Pda(2, 2, 1, 1, ((STAR, STAR), (1, STAR)))  # cell (0,1) made a star
+    rep = validate_pda(flipped)
+    assert (rep.ok, rep.condition, rep.detail) == (False, "C1", "column 1 has 2 stars, declared Q=1")
+    with pytest.raises(InvalidPdaError, match=r"^bad \(C1: column 1 has 2 stars, declared Q=1\)$"):
+        require_valid(flipped, "bad")
+    assert validate_pda(TINY).ok
 
 
 def test_huge_declared_symbol_count_is_cheap():

@@ -1,6 +1,7 @@
 """Property tests: the validator against the definitions of C1-C3, the file
-formats' round trips, the text parser's failure mode, and the simulator on
-random valid arrays, with and without a faulty cached packet or payload.  Examples are
+formats' round trips, the text parser's failure mode, the simulator on
+random valid arrays, with and without a faulty cached packet or payload, and
+placed caches against plain dicts under random edits.  Examples are
 derandomized, so every run sees the same inputs."""
 
 import itertools
@@ -11,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 import pdakit.sim as sim
 from pdakit.pda import (Pda, PdaFormatError, STAR, format_pda, parse_pda,
                         pda_from_json, pda_to_json, validate_pda)
-from pdakit.sim import DecodeError, decode, deliver, verify_scheme
+from pdakit.sim import (CacheContents, DecodeError, FileLibrary, decode, deliver, place,
+                        verify_scheme)
 
 from conftest import decode_failures
 
@@ -193,3 +195,54 @@ def test_verify_scheme_agrees_with_decode_on_a_faulty_cache_and_payload(
         sim.place, sim._transmit = real_place, real_transmit
     assert rep.failures == expect
     assert rep.demands_tested == n ** p.k
+
+
+CACHE_EDITS = st.lists(st.tuples(
+    st.sampled_from(["set", "own", "pop", "del", "get"]),
+    st.integers(0, 3), st.integers(0, 5),  # file (3 is outside the library), row
+    st.binary(max_size=17)), max_size=25)
+
+
+@settings(FIXED, max_examples=150)
+@given(valid_pdas(), st.integers(0, 4), CACHE_EDITS)
+def test_placed_cache_behaves_as_a_dict(p, user, edits):
+    """set, pop, del, get and writing the library's own bytes back, on a
+    placed cache and on a dict copy of it: after every step the two agree on
+    items (in order), len, membership, size_bytes, the rows the decoder reads,
+    and whether every starred packet still equals the library."""
+    lib = FileLibrary.random(3, p.f, packet_size=4, seed=user)
+    view = place(p, lib)[user % p.k].packets
+    plain = dict(view)
+    stars = [j for j, row in enumerate(p.grid) if row[user % p.k] == STAR]
+    for op, i, j, value in edits:
+        key = (i, j)
+        if op == "own":
+            op, value = "set", lib.packets[i][j] if i < 3 and j < p.f else value
+        outcomes = []
+        for cache in (view, plain):
+            try:
+                if op == "set":
+                    cache[key] = value
+                    outcomes.append(None)
+                elif op == "pop":
+                    outcomes.append(cache.pop(key, "absent"))
+                elif op == "del":
+                    del cache[key]
+                    outcomes.append(None)
+                else:
+                    outcomes.append(cache.get(key))
+            except KeyError:
+                outcomes.append(KeyError)
+        assert outcomes[0] == outcomes[1]
+        assert list(view.items()) == list(plain.items())
+        assert len(view) == len(plain)
+        assert all((key in view) == (key in plain)
+                   for key in itertools.product(range(4), range(6)))
+        assert (CacheContents(0, view).size_bytes()
+                == CacheContents(0, plain).size_bytes() == sum(map(len, plain.values())))
+        by_row = {}
+        for (i2, j2), pk in plain.items():
+            by_row.setdefault(j2, {})[i2] = int.from_bytes(pk, "big")
+        assert {j2: got for j2, got in view.int_rows().items() if got} == by_row
+        assert view.holds(lib, p.star_columns[user % p.k]) == all(
+            plain.get((i2, j2)) == lib.packets[i2][j2] for i2 in range(3) for j2 in stars)

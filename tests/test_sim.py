@@ -349,6 +349,69 @@ def test_clean_users_are_never_peeled(monkeypatch):
                             if (file, row) in _reads(FANO_PG, user, d)]
 
 
+def _count_decoders(monkeypatch) -> list:
+    calls, real_decoder = [], sim._decoder
+
+    def decoder(p, cache, user):
+        calls.append(user)
+        return real_decoder(p, cache, user)
+
+    monkeypatch.setattr(sim, "_decoder", decoder)
+    return calls
+
+
+@pytest.mark.parametrize("edit", ["rewrite", "reinsert", "extra"])
+def test_cache_still_holding_the_library_is_clean(monkeypatch, edit):
+    """A cache written back to the library's own bytes, or given extra keys
+    outside its starred rows, still holds every starred packet: its user is
+    judged by the payload check, not peeled."""
+    calls = _count_decoders(monkeypatch)
+    user, file = 3, 1
+    row = next(j for j, r in enumerate(FANO_PG.grid) if r[user] == STAR)
+    other = next(j for j, r in enumerate(FANO_PG.grid) if r[user] != STAR)
+    real_place = sim.place
+
+    def place(p, lib):
+        caches = real_place(p, lib)
+        packets = caches[user].packets
+        pk = packets[(file, row)]
+        if edit == "rewrite":
+            packets[(file, row)] = bytes(len(pk))
+            packets[(file, row)] = bytes(pk)  # equal bytes, another object
+        elif edit == "reinsert":
+            packets[(file, row)] = packets.pop((file, row))
+        else:
+            packets[(file, other)] = bytes(len(pk))  # not a starred row
+            packets[(9, row)] = pk  # not a file of the library
+        return caches
+
+    monkeypatch.setattr(sim, "place", place)
+    assert verify_scheme(FANO_PG, 3, mode="exhaustive").ok
+    assert calls == []
+
+
+def test_plain_dict_caches_are_peeled(monkeypatch):
+    """Caches that are not placed views, here dict copies with one corrupt
+    packet, are all peeled, and give the same report as the views do."""
+    user, file = 3, 1
+    row = next(j for j, r in enumerate(FANO_PG.grid) if r[user] == STAR)
+    real_place = sim.place
+
+    def corrupt(caches):
+        pk = caches[user].packets[(file, row)]
+        caches[user].packets[(file, row)] = bytes([pk[0] ^ 1]) + pk[1:]
+        return caches
+
+    monkeypatch.setattr(sim, "place", lambda p, lib: corrupt(real_place(p, lib)))
+    with_views = verify_scheme(FANO_PG, 3, mode="exhaustive").to_json()
+    calls = _count_decoders(monkeypatch)
+    monkeypatch.setattr(sim, "place", lambda p, lib: corrupt(
+        [CacheContents(c.user, dict(c.packets)) for c in real_place(p, lib)]))
+    with_dicts = verify_scheme(FANO_PG, 3, mode="exhaustive").to_json()
+    assert calls == list(range(FANO_PG.k))
+    assert with_dicts == with_views and with_views["failures"]
+
+
 # --- decode checks its inputs as deliver does ---
 
 _LIB = FileLibrary.random(2, FANO_PG.f, seed=5)

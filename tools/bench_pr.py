@@ -1,5 +1,5 @@
-"""Write a BENCH_<pr>.json: perfbench medians and the construct ladder, for a
-parent checkout against this one.
+"""Write a BENCH_<pr>.json: perfbench medians, the construct ladder and the
+sim rung, for a parent checkout against this one.
 
     python3 tools/bench_pr.py --parent ../parent --out BENCH_11.json
 
@@ -9,7 +9,10 @@ parent first in round 1.  In a round each side runs every perfbench workload
 in its own process (`perfbench/run.py --workload NAME --seed SEED --seconds
 SECONDS`, the gated settings; reference-speed seconds), then every ladder
 rung in a fresh process: construct_pda's wall seconds (total_s), the array's
-SHA-256 digest and ru_maxrss.  Rung times are raw wall seconds.  Every metric
+SHA-256 digest and ru_maxrss, then the sim rung in a fresh process:
+verify_scheme's wall seconds (total_s) on the K=651 array (pg q=2 k=6 m=2
+t=2, set 1; N=4 files, sampled, 20 samples), the SHA-256 of its report's JSON
+and ru_maxrss.  Rung times are raw wall seconds.  Every metric
 is reported with each side's runs, median and quartiles, and the number of
 rounds in which the change read lower.
 """
@@ -46,6 +49,22 @@ print(json.dumps({"params_kfqs": [p.k, p.f, p.q, p.s],
                   "total_s": round(total, 3), "peak_rss_mb": round(rss, 1)}))
 """
 
+# verify_scheme on the K=651 array, built first and outside the timed call
+SIM_RUNG = (2, 6, 2, 2)
+SIM_CODE = """
+import hashlib, json, resource, sys, time
+from pdakit import ConstructionSpec, construct_pda, verify_scheme
+q, k, m, t = map(int, sys.argv[1:])
+p = construct_pda(ConstructionSpec("pg", 1, q=q, k=k, m=m, t=t))
+t0 = time.perf_counter()
+rep = verify_scheme(p, 4, mode="sampled", samples=20, seed=7)
+total = time.perf_counter() - t0
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"demands": rep.demands_tested, "ok": rep.ok,
+                  "digest": hashlib.sha256(json.dumps(rep.to_json()).encode()).hexdigest(),
+                  "total_s": round(total, 3), "peak_rss_mb": round(rss, 1)}))
+"""
+
 
 def _stdout_lines(cmd: list, tree: Path) -> list:
     env = {**os.environ, "PYTHONPATH": str(tree / "src")}
@@ -63,8 +82,8 @@ def perfbench(tree: Path, workload: str) -> dict:
     return {name: report[name]["value"] for name in GATED}
 
 
-def rung(tree: Path, params: tuple) -> dict:
-    lines = _stdout_lines([sys.executable, "-c", RUNG_CODE, *map(str, params)], tree)
+def rung(tree: Path, params: tuple, code: str = RUNG_CODE) -> dict:
+    lines = _stdout_lines([sys.executable, "-c", code, *map(str, params)], tree)
     return json.loads(lines[-1])
 
 
@@ -88,12 +107,14 @@ def main(argv=None) -> int:
     sides = {"parent": args.parent.resolve(), "change": ROOT}
     bench = {side: {w: [] for w in WORKLOADS} for side in sides}
     ladder = {side: {name: [] for name in RUNGS} for side in sides}
+    sim = {side: [] for side in sides}
     for i in range(RUNS):
         for side in sorted(sides, reverse=i % 2 == 0):  # parent, change; then change, parent
             for w in WORKLOADS:
                 bench[side][w].append(perfbench(sides[side], w))
             for name, params in RUNGS.items():
                 ladder[side][name].append(rung(sides[side], params))
+            sim[side].append(rung(sides[side], SIM_RUNG, SIM_CODE))
             print(f"round {i + 1}/{RUNS}: {side} done", file=sys.stderr)
 
     out = {"command": f"python3 tools/bench_pr.py --parent PARENT --out {args.out.name}",
@@ -117,6 +138,16 @@ def main(argv=None) -> int:
             **{stat: summarize([r[stat] for r in runs["parent"]],
                                [r[stat] for r in runs["change"]])
                for stat in ("total_s", "peak_rss_mb")}}
+    digests = {r["digest"] for side in sides for r in sim[side]}
+    out["sim"] = {
+        "what": "verify_scheme(p, 4, mode='sampled', samples=20, seed=7) on pg q=2 k=6 "
+                "m=2 t=2 set 1, built first; one fresh process per run; raw wall "
+                "seconds of the call and ru_maxrss of the process",
+        "q_k_m_t": list(SIM_RUNG), "demands": sim["change"][0]["demands"],
+        "all_ok": all(r["ok"] for side in sides for r in sim[side]),
+        "report_digests_equal": len(digests) == 1, "report_digest": min(digests),
+        **{stat: summarize([r[stat] for r in sim["parent"]], [r[stat] for r in sim["change"]])
+           for stat in ("total_s", "peak_rss_mb")}}
     args.out.write_text(json.dumps(out, indent=2) + "\n")
     return 0
 
