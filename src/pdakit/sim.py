@@ -2,29 +2,30 @@
 
 Placement: user k caches packet row j of every file iff cell (j,k) is a star,
 so caches are filled before any demand exists.  A placed cache is a view of
-the library (`PlacedPackets`): it holds the user's star mask and a log of the
-keys written or deleted since, and copies no packet.  Delivery: one XOR
-transmission per symbol, combining the demanded packets at that symbol's
-cells.  Decoding peels each transmission with side packets that condition C3
-guarantees are cached, read from the user's own cache, so a corrupt or
-missing packet is a failure that `verify_scheme` records.
+the library (`PlacedPackets`): it holds the user's star mask and copies no
+packet until its first write or delete, which makes it a dict of its own.
+Delivery: one XOR transmission per symbol, combining the demanded packets at
+that symbol's cells.  Decoding peels each transmission with side packets that
+condition C3 guarantees are cached, read from the user's own cache, so a
+corrupt or missing packet is a failure that `verify_scheme` records.
 
 There is one peel, `_decoder`.  `decode` runs it for one user, and
 `verify_scheme` for each user whose cache is faulty.  By C3 every side packet
 a user needs sits in a starred row of its own cache, so for a user whose
 cache holds the library's packets a coded row decodes right iff its payload
 equals the library XOR over its symbol's cells: `verify_scheme` checks each
-payload once per demand instead of peeling those users.  Whether a placed
-cache still holds the library's packets is read from its edit log.
+payload once per demand instead of peeling those users.  A placed cache that
+was never written to holds them by construction.
 """
 
 import itertools
 import random
+from collections import defaultdict
 from collections.abc import MutableMapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress, filterfalse
+from itertools import chain, compress
 
 from .pda import STAR, Pda, require_valid
 
@@ -65,28 +66,31 @@ class FileLibrary:
         return [sum(map(len, row)) for row in zip(*self.packets)]
 
     @cached_property
+    def _ints(self) -> list[list[int]]:
+        """Per file i: its packets as ints, in row order."""
+        return [[int.from_bytes(pk, "big") for pk in file] for file in self.packets]
+
+    @cached_property
     def _row_ints(self) -> list[dict[int, int]]:
         """Per row j: file -> packet (i, j) as an int."""
-        return [dict(enumerate(row)) for row in zip(*_packet_ints(self))]
+        return [dict(enumerate(row)) for row in zip(*self._ints)]
 
 
 class PlacedPackets(MutableMapping):
     """One user's cache as `place` fills it: (file, row) -> payload.
 
-    It behaves as a dict of the library's packets in the user's starred rows
-    (iterated row-major, then by file), but holds only the star mask and an
-    edit log: the placed keys overwritten in place, the placed keys deleted,
-    and the keys added after them in insertion order (a placed key that was
-    deleted and written again is added, as in a dict).  Keys are (file, row)
-    int pairs."""
+    Until its first write or delete it is a view of the library's packets in
+    the user's starred rows, iterated row-major, then by file, over the
+    library's shared key tuples, and holds only the star mask.  That first
+    write or delete copies the view, in the same order, into a dict of its
+    own, and from then on the cache is that dict.  Keys are (file, row) int
+    pairs."""
 
-    __slots__ = ("_lib", "_mask", "_over", "_gone", "_extra")
+    __slots__ = ("_lib", "_mask", "_own")
 
     def __init__(self, lib: FileLibrary, mask: bytes):
         self._lib, self._mask = lib, mask  # mask[j] is 1 iff row j is starred
-        self._over: dict = {}   # placed key -> value written over it
-        self._gone: set = set()  # placed keys deleted
-        self._extra: dict = {}  # other keys, and deleted placed keys written again
+        self._own = None  # the cache's own dict, from its first write or delete on
 
     def _placed(self, key) -> bool:
         try:
@@ -95,90 +99,82 @@ class PlacedPackets(MutableMapping):
         except (TypeError, ValueError):
             return False
 
+    def _edited(self) -> dict:
+        """The cache's own dict, copied from the view on first use."""
+        if self._own is None:
+            packets = self._lib.packets
+            self._own = {key: packets[key[0]][key[1]] for key in self}
+        return self._own
+
     def __getitem__(self, key):
-        extra = self._extra
-        if extra and key in extra:
-            return extra[key]
-        if not self._placed(key) or key in self._gone:
+        if self._own is not None:
+            return self._own[key]
+        if not self._placed(key):
             raise KeyError(key)
-        over = self._over
-        if over and key in over:
-            return over[key]
         return self._lib.packets[key[0]][key[1]]
 
     def __contains__(self, key) -> bool:
-        return key in self._extra or self._placed(key) and key not in self._gone
+        return self._placed(key) if self._own is None else key in self._own
 
     def __setitem__(self, key, value) -> None:
-        if key in self._extra or not self._placed(key) or key in self._gone:
-            self._extra[key] = value
-        else:
-            self._over[key] = value
+        self._edited()[key] = value
 
     def __delitem__(self, key) -> None:
-        if key in self._extra:
-            del self._extra[key]
-        elif self._placed(key) and key not in self._gone:
-            self._gone.add(key)
-            self._over.pop(key, None)
-        else:
-            raise KeyError(key)
+        del self._edited()[key]
 
     def __iter__(self):
-        placed = chain.from_iterable(compress(self._lib._row_keys, self._mask))
-        if self._gone:
-            placed = filterfalse(self._gone.__contains__, placed)
-        return chain(placed, self._extra)
+        if self._own is not None:
+            return iter(self._own)
+        return chain.from_iterable(compress(self._lib._row_keys, self._mask))
 
     def __len__(self) -> int:
-        return self._mask.count(1) * self._lib.n - len(self._gone) + len(self._extra)
+        return self._mask.count(1) * self._lib.n if self._own is None else len(self._own)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({dict(self)!r})"
 
     def size_bytes(self) -> int:
-        """sum(len(v) for v in self.values()), from per-row totals."""
-        lib = self._lib.packets
-        total = sum(compress(self._lib._row_bytes, self._mask))
-        total += sum(len(v) - len(lib[i][j]) for (i, j), v in self._over.items())
-        total -= sum(len(lib[i][j]) for i, j in self._gone)
-        return total + sum(map(len, self._extra.values()))
+        """sum(len(v) for v in self.values()), from per-row totals while
+        unedited."""
+        if self._own is None:
+            return sum(compress(self._lib._row_bytes, self._mask))
+        return sum(map(len, self._own.values()))
 
     def holds(self, lib: FileLibrary, mask: bytes) -> bool:
         """Whether every packet (i, j) of lib with mask[j] set is held and
-        equals the library's: placed from lib on that mask, and no such key
-        deleted or written with other bytes since.  Other keys do not count."""
+        equals the library's: placed from lib on that mask, and unedited or
+        still holding those bytes.  Other keys do not count."""
         if self._lib is not lib or self._mask != mask:
             return False
-        packets, extra = lib.packets, self._extra
-        return (all(v == packets[i][j] for (i, j), v in self._over.items())
-                and all(key in extra and extra[key] == packets[key[0]][key[1]]
-                        for key in self._gone))
+        if self._own is None:
+            return True
+        own, packets = self._own, lib.packets
+        return all(own.get(key) == packets[key[0]][key[1]]
+                   for key in chain.from_iterable(compress(lib._row_keys, mask)))
 
     def int_rows(self) -> dict[int, dict[int, int]]:
-        """row -> file -> packet as an int, over the cache's keys.  Unedited
-        rows are the library's own dicts, shared: read them only."""
+        """row -> file -> packet as an int, over the cache's keys.  While
+        unedited the rows are the library's own dicts, shared: read them
+        only."""
+        if self._own is not None:
+            return _int_rows(self._own)
         lib_rows = self._lib._row_ints
-        rows = {j: lib_rows[j] for j in compress(range(len(self._mask)), self._mask)}
-        copied = set()
+        return {j: lib_rows[j] for j in compress(range(len(self._mask)), self._mask)}
 
-        def own(j):  # row j as a dict of this cache's own
-            if j not in copied:
-                copied.add(j)
-                rows[j] = dict(rows.get(j, ()))
-            return rows[j]
 
-        for i, j in self._gone:
-            del own(j)[i]
-        for (i, j), pk in chain(self._over.items(), self._extra.items()):
-            own(j)[i] = int.from_bytes(pk, "big")
-        return rows
+def _int_rows(packets) -> dict[int, dict[int, int]]:
+    """row -> file -> packet as an int, over a mapping of (file, row) -> payload."""
+    by_row = defaultdict(dict)
+    for (i, j), pk in packets.items():
+        by_row[j][i] = int.from_bytes(pk, "big")
+    return by_row
 
 
 @dataclass(frozen=True)
 class CacheContents:
-    """A user's cache.  `place` gives packets as a `PlacedPackets` view; any
-    other mapping of (file index, row) -> payload is accepted too."""
+    """A user's cache.  `place` gives packets as a `PlacedPackets` view of the
+    library, a dict of its own from its first write or delete on; any other
+    mapping of (file index, row) -> payload is accepted too."""
     user: int
     packets: MutableMapping  # (file index, row) -> payload
 
@@ -192,14 +188,10 @@ def place(p: Pda, lib: FileLibrary) -> list[CacheContents]:
     """Fill every user's cache: the starred rows of every file.
 
     Each cache is a `PlacedPackets` view of lib on the user's star mask, so
-    nothing is copied; writes to it go to its own edit log."""
+    nothing is copied until a cache's first write or delete."""
     if lib.f != p.f:
         raise ValueError(f"library has {lib.f} packets per file, array needs {p.f}")
     return [CacheContents(k, PlacedPackets(lib, mask)) for k, mask in enumerate(p.star_columns)]
-
-
-def _packet_ints(lib: FileLibrary) -> list[list[int]]:
-    return [[int.from_bytes(pk, "big") for pk in file] for file in lib.packets]
 
 
 def _transmit(p: Pda, ints: list[list[int]], demand: tuple) -> list[int]:
@@ -220,19 +212,12 @@ def _decoder(p: Pda, cache: CacheContents, user: int):
 
     A starred row is read from the cache.  A coded row j with symbol s is
     payload s XOR, over each other cell (j2, k2) of s, the cached packet
-    (demand[k2], j2).  The cache is grouped by row once, here; a placed
-    view gives its rows from the library's, with its edits applied.  Raises
-    DecodeError at the first packet, in row order, that the cache lacks.
+    (demand[k2], j2).  The cache is grouped by row once, here; an unedited
+    placed cache gives the library's rows.  Raises DecodeError at the first
+    packet, in row order, that the cache lacks.
     """
-    if isinstance(cache.packets, PlacedPackets):
-        by_row = cache.packets.int_rows()
-    else:
-        by_row = {}  # row -> file -> packet
-        for (i, j), pk in cache.packets.items():
-            got = by_row.get(j)  # not setdefault, which builds a dict per packet
-            if got is None:
-                got = by_row[j] = {}
-            got[i] = int.from_bytes(pk, "big")
+    packets = cache.packets
+    by_row = packets.int_rows() if isinstance(packets, PlacedPackets) else _int_rows(packets)
     none: dict[int, int] = {}
     plan = []  # per row: (j, None, cached packets by file) or (j, s, side cells)
     for j, row in enumerate(p.grid):
@@ -276,7 +261,7 @@ def deliver(p: Pda, lib: FileLibrary, demand) -> list[bytes]:
         raise ValueError(f"demand vector needs {p.k} entries")
     if any(not 0 <= d < lib.n for d in demand):
         raise ValueError("demand entry outside the library")
-    return [x.to_bytes(lib.packet_size, "big") for x in _transmit(p, _packet_ints(lib), demand)]
+    return [x.to_bytes(lib.packet_size, "big") for x in _transmit(p, lib._ints, demand)]
 
 
 def decode(p: Pda, cache: CacheContents, transmissions: list[bytes],
@@ -284,8 +269,10 @@ def decode(p: Pda, cache: CacheContents, transmissions: list[bytes],
     """Reassemble the user's demanded file from cache plus transmissions.
 
     Raises ValueError unless user is a column of p, demand has K entries,
-    there are S transmissions and no entry is negative, and DecodeError naming
-    the first packet, in row order, that the user's cache lacks."""
+    there are S transmissions of one length and no entry is negative, and
+    DecodeError naming the first packet, in row order, that the user's cache
+    lacks, or the first row that decodes to more bytes than a transmission
+    (a cached packet it reads is too long)."""
     demand = tuple(demand)
     if not 0 <= user < p.k:
         raise ValueError(f"user {user} outside 0..{p.k - 1}")
@@ -294,11 +281,20 @@ def decode(p: Pda, cache: CacheContents, transmissions: list[bytes],
     if len(transmissions) != p.s or not transmissions:
         raise ValueError(f"decoding needs the array's S={p.s} transmissions, "
                          f"got {len(transmissions)}")
+    sizes = set(map(len, transmissions))
+    if len(sizes) > 1:
+        raise ValueError(f"transmissions differ in length: {min(sizes)} to {max(sizes)} bytes")
     if any(d < 0 for d in demand):
         raise ValueError("demand entry outside the library")
-    size = len(transmissions[0])
+    size = sizes.pop()
     tx = [int.from_bytes(t, "big") for t in transmissions]
-    return b"".join(x.to_bytes(size, "big") for x in _decoder(p, cache, user)(tx, demand))
+    rows = _decoder(p, cache, user)(tx, demand)
+    try:
+        return b"".join(x.to_bytes(size, "big") for x in rows)
+    except OverflowError:
+        j = next(j for j, x in enumerate(rows) if x >> 8 * size)
+        raise DecodeError(f"user {user}: row {j} decodes to more than the {size} bytes of a "
+                          f"transmission; a cached packet it reads is too long") from None
 
 
 @dataclass
@@ -365,9 +361,10 @@ def verify_scheme(p: Pda, n_files: int, mode: str = "auto", samples: int = 200,
 
     Demands are drawn one at a time and each is transmitted once, so neither
     the demand set nor its payloads are held.  A user is clean when every
-    starred packet of every file in its cache equals the library.  A cache
-    placed as a `PlacedPackets` view answers that from its edit log (no key
-    deleted or written with other bytes); any other mapping is peeled.
+    starred packet of every file in its cache equals the library.  An
+    unedited `PlacedPackets` cache is clean without a scan, an edited one
+    compares its starred keys with the library, and any other mapping is
+    peeled.
     By C3 each side packet a user needs sits in one of its starred rows, so
     a clean user decodes coded row j with symbol s right iff payload s
     equals the library XOR over all of s's cells: each payload is checked
@@ -379,7 +376,7 @@ def verify_scheme(p: Pda, n_files: int, mode: str = "auto", samples: int = 200,
     rng = random.Random(seed)
     lib = FileLibrary.random(n_files, p.f, packet_size, seed=rng.randrange(2 ** 32))
     demands, mode_used = _demand_set(p, n_files, mode, samples, rng)
-    ints = _packet_ints(lib)
+    ints = lib._ints
     masks = p.star_columns
     faulty = []  # (user, its decoder) for each user whose cache is not clean
     for user, cache in enumerate(place(p, lib)):

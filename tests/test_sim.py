@@ -426,8 +426,77 @@ _TX = deliver(FANO_PG, _LIB, (0,) * 7)
     (0, (0,) * 7, _TX[:-1], "S=7 transmissions, got 6"),
     (0, (0,) * 7, _TX + _TX[:1], "S=7 transmissions, got 8"),
     (0, (0,) * 7, [], "S=7 transmissions, got 0"),
+    (0, (0,) * 7, _TX[:-1] + [_TX[-1] + b"\0"], "differ in length: 16 to 17 bytes"),
+    (4, (0,) * 7, _TX[:-1] + [_TX[-1] + b"\0"], "differ in length: 16 to 17 bytes"),
+    (0, (0,) * 7, [_TX[0] + b"\0"] + _TX[1:], "differ in length: 16 to 17 bytes"),
+    (0, (0,) * 7, [_TX[0][:-1]] + _TX[1:], "differ in length: 15 to 16 bytes"),
 ])
 def test_decode_checks_its_inputs(user, demand, tx, match):
     caches = place(FANO_PG, _LIB)
     with pytest.raises(ValueError, match=match):
         decode(FANO_PG, caches[user % 7], tx, demand, user)
+
+
+def test_decode_rejects_a_cached_packet_longer_than_the_transmissions():
+    caches = place(FANO_PG, _LIB)
+    row = next(j for j, r in enumerate(FANO_PG.grid) if r[0] == STAR)
+    caches[0].packets[(0, row)] = b"\1" + _LIB.packets[0][row]  # 17 bytes
+    with pytest.raises(DecodeError, match=f"^user 0: row {row} decodes to more than "
+                                          f"the 16 bytes of a transmission"):
+        decode(FANO_PG, caches[0], _TX, (0,) * 7, 0)
+    # transmissions shorter than the library's packets: every cached packet is too long
+    with pytest.raises(DecodeError, match="^user 1: row .* the 8 bytes"):
+        decode(FANO_PG, caches[1], [t[:8] for t in _TX], (0,) * 7, 1)
+
+
+# --- a placed cache is the library until its first write or delete ---
+
+def test_reads_leave_a_placed_cache_uncopied(monkeypatch):
+    caches = place(FANO_PG, _LIB)
+    packets = caches[0].packets
+    row = next(j for j, r in enumerate(FANO_PG.grid) if r[0] == STAR)
+    assert packets.get((1, row)) == _LIB.packets[1][row] and packets.get((9, row)) is None
+    assert (1, row) in packets and (9, row) not in packets
+    assert packets.pop((9, row), "absent") == "absent"
+    assert len(list(packets.items())) == len(packets) == len(dict(packets))
+    assert caches[0].size_bytes() == len(packets) * 16
+    assert decode(FANO_PG, caches[0], _TX, (0,) * 7, 0) == _LIB.file(0)
+    assert all(c.packets._own is None for c in caches)
+
+    seen = []
+    real_place = sim.place
+    monkeypatch.setattr(sim, "place", lambda p, lib: seen.extend(real_place(p, lib)) or seen)
+    assert verify_scheme(FANO_PG, 2, mode="exhaustive").ok
+    assert len(seen) == 7 and all(c.packets._own is None for c in seen)
+
+
+@pytest.mark.parametrize("edit", ["set", "del", "extra"])
+def test_writing_one_cache_leaves_the_rest_alone(edit):
+    lib = FileLibrary.random(2, FANO_PG.f, seed=5)
+    caches = place(FANO_PG, lib)
+    before = [dict(c.packets) for c in caches]
+    packets_before = lib.packets
+    row_ints_before = [dict(row) for row in lib._row_ints]
+    user = 3
+    row = next(j for j, r in enumerate(FANO_PG.grid) if r[user] == STAR)
+    packets = caches[user].packets
+    if edit == "set":
+        packets[(1, row)] = bytes(16)
+    elif edit == "del":
+        del packets[(1, row)]
+    else:
+        packets[(9, 0)] = bytes(16)
+    assert packets._own is not None and dict(packets) != before[user]
+    assert all(c.packets._own is None and dict(c.packets) == before[k]
+               for k, c in enumerate(caches) if k != user)
+    assert lib.packets is packets_before and lib == FileLibrary.random(2, FANO_PG.f, seed=5)
+    assert lib._row_ints == row_ints_before
+    demand = (0, 1, 1, 0, 1, 0, 1)
+    tx = deliver(FANO_PG, lib, demand)
+    for k in range(FANO_PG.k):
+        if k != user:
+            assert decode(FANO_PG, caches[k], tx, demand, k) == lib.file(demand[k])
+    assert all(caches[0].packets.int_rows()[j] is lib._row_ints[j]
+               for j, r in enumerate(FANO_PG.grid) if r[0] == STAR)
+    assert caches[user].packets.int_rows()[row] is not lib._row_ints[row]
+    assert lib._row_ints == row_ints_before

@@ -1,7 +1,7 @@
 """Write a BENCH_<pr>.json: perfbench medians, the construct ladder and the
 sim rung, for a parent checkout against this one.
 
-    python3 tools/bench_pr.py --parent ../parent --out BENCH_11.json
+    python3 tools/bench_pr.py --parent ../parent --out BENCH_13.json
 
 --parent is a plain copy of the parent commit's tree (`git archive` it into a
 directory).  The script runs RUNS rounds; the side that goes first alternates,
@@ -9,12 +9,16 @@ parent first in round 1.  In a round each side runs every perfbench workload
 in its own process (`perfbench/run.py --workload NAME --seed SEED --seconds
 SECONDS`, the gated settings; reference-speed seconds), then every ladder
 rung in a fresh process: construct_pda's wall seconds (total_s), the array's
-SHA-256 digest and ru_maxrss, then the sim rung in a fresh process:
-verify_scheme's wall seconds (total_s) on the K=651 array (pg q=2 k=6 m=2
-t=2, set 1; N=4 files, sampled, 20 samples), the SHA-256 of its report's JSON
-and ru_maxrss.  Rung times are raw wall seconds.  Every metric
-is reported with each side's runs, median and quartiles, and the number of
-rounds in which the change read lower.
+SHA-256 digest and ru_maxrss, then the sim rung in a fresh process on the
+K=651 array (pg q=2 k=6 m=2 t=2, set 1; N=4 files): verify_scheme's wall
+seconds (total_s, sampled, 20 samples) and the SHA-256 of its report's JSON,
+then, as in perfbench's simulate pass, place plus size_bytes of every cache
+(place_s) and decode for users 0, 41, 82, ... on 3 seeded demands (decode_s,
+the decode calls alone) with the SHA-256 of the decoded files, and
+ru_maxrss.  Rung times are raw wall seconds.  Every metric is reported with
+each side's runs, median and quartiles, and the number of rounds in which
+the change read lower.  Each side's src/pdakit/*.py line counts are recorded
+too.
 """
 
 import argparse
@@ -49,21 +53,41 @@ print(json.dumps({"params_kfqs": [p.k, p.f, p.q, p.s],
                   "total_s": round(total, 3), "peak_rss_mb": round(rss, 1)}))
 """
 
-# verify_scheme on the K=651 array, built first and outside the timed call
+# verify_scheme, then place and decode, on the K=651 array, built first and
+# outside the timed calls
 SIM_RUNG = (2, 6, 2, 2)
 SIM_CODE = """
-import hashlib, json, resource, sys, time
-from pdakit import ConstructionSpec, construct_pda, verify_scheme
+import hashlib, json, random, resource, sys, time
+from pdakit import (ConstructionSpec, FileLibrary, construct_pda, decode, deliver, place,
+                    verify_scheme)
 q, k, m, t = map(int, sys.argv[1:])
 p = construct_pda(ConstructionSpec("pg", 1, q=q, k=k, m=m, t=t))
 t0 = time.perf_counter()
 rep = verify_scheme(p, 4, mode="sampled", samples=20, seed=7)
 total = time.perf_counter() - t0
+rng = random.Random(7)
+lib = FileLibrary.random(4, p.f, 16, seed=rng.randrange(2 ** 32))
+demands = [tuple(rng.randrange(4) for _ in range(p.k)) for _ in range(3)]
+t0 = time.perf_counter()
+caches = place(p, lib)
+sizes = [c.size_bytes() for c in caches]
+place_s = time.perf_counter() - t0
+decode_s, decoded = 0.0, hashlib.sha256()
+for demand in demands:
+    tx = deliver(p, lib, demand)
+    for u in range(0, p.k, 41):
+        t0 = time.perf_counter()
+        out = decode(p, caches[u], tx, demand, u)
+        decode_s += time.perf_counter() - t0
+        decoded.update(out)
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps({"demands": rep.demands_tested, "ok": rep.ok,
                   "digest": hashlib.sha256(json.dumps(rep.to_json()).encode()).hexdigest(),
-                  "total_s": round(total, 3), "peak_rss_mb": round(rss, 1)}))
+                  "decoded_digest": decoded.hexdigest(),
+                  "total_s": round(total, 3), "place_s": round(place_s, 4),
+                  "decode_s": round(decode_s, 4), "peak_rss_mb": round(rss, 1)}))
 """
+SIM_STATS = ("total_s", "place_s", "decode_s", "peak_rss_mb")
 
 
 def _stdout_lines(cmd: list, tree: Path) -> list:
@@ -85,6 +109,13 @@ def perfbench(tree: Path, workload: str) -> dict:
 def rung(tree: Path, params: tuple, code: str = RUNG_CODE) -> dict:
     lines = _stdout_lines([sys.executable, "-c", code, *map(str, params)], tree)
     return json.loads(lines[-1])
+
+
+def src_lines(tree: Path) -> dict:
+    """Lines per src/pdakit/*.py file, and their total."""
+    files = {f.name: len(f.read_text().splitlines())
+             for f in sorted((tree / "src" / "pdakit").glob("*.py"))}
+    return {"total": sum(files.values()), "files": files}
 
 
 def summarize(parent_runs: list, change_runs: list) -> dict:
@@ -121,6 +152,7 @@ def main(argv=None) -> int:
            "runs_per_side": RUNS,
            "order": "alternating: parent first in odd rounds, change first in even ones",
            "host": {"python": platform.python_version(), "nproc": os.cpu_count()},
+           "src_lines": {side: src_lines(tree) for side, tree in sides.items()},
            "perfbench": {"command": f"python3 perfbench/run.py --workload W --seed "
                                     f"{SEED} --seconds {SECONDS}",
                          "time_unit": "reference-speed seconds (perfbench/README.md)"},
@@ -139,15 +171,19 @@ def main(argv=None) -> int:
                                [r[stat] for r in runs["change"]])
                for stat in ("total_s", "peak_rss_mb")}}
     digests = {r["digest"] for side in sides for r in sim[side]}
+    decoded = {r["decoded_digest"] for side in sides for r in sim[side]}
     out["sim"] = {
-        "what": "verify_scheme(p, 4, mode='sampled', samples=20, seed=7) on pg q=2 k=6 "
-                "m=2 t=2 set 1, built first; one fresh process per run; raw wall "
-                "seconds of the call and ru_maxrss of the process",
+        "what": "on pg q=2 k=6 m=2 t=2 set 1, built first, one fresh process per run: "
+                "total_s is verify_scheme(p, 4, mode='sampled', samples=20, seed=7); "
+                "place_s is place plus size_bytes of every cache; decode_s is the 48 "
+                "decode calls (users 0, 41, ... on 3 demands, deliver untimed); raw "
+                "wall seconds, and ru_maxrss of the process",
         "q_k_m_t": list(SIM_RUNG), "demands": sim["change"][0]["demands"],
         "all_ok": all(r["ok"] for side in sides for r in sim[side]),
         "report_digests_equal": len(digests) == 1, "report_digest": min(digests),
+        "decoded_digests_equal": len(decoded) == 1, "decoded_digest": min(decoded),
         **{stat: summarize([r[stat] for r in sim["parent"]], [r[stat] for r in sim["change"]])
-           for stat in ("total_s", "peak_rss_mb")}}
+           for stat in SIM_STATS}}
     args.out.write_text(json.dumps(out, indent=2) + "\n")
     return 0
 
