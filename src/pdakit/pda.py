@@ -13,7 +13,8 @@ broadcast transmission.  The validator checks the three defining conditions:
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import not_
+from itertools import chain, compress
+from operator import itemgetter, not_
 
 STAR = 0  # grid sentinel for '*'; real symbols are 1..s
 
@@ -31,16 +32,30 @@ class Pda:
     grid: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        self._check_params()
+        for row in self.grid:
+            _check_width(len(row), self.k)
+            if any(type(v) is not int or v < 0 for v in row):
+                raise ValueError("grid entries must be STAR or positive symbol ints")
+
+    @classmethod
+    def _trusted(cls, k: int, f: int, q: int, s: int, grid: tuple) -> "Pda":
+        """Pda(k, f, q, s, grid) for a producer whose entries are ints >= 0
+        by construction: every check, with the same messages, but the
+        per-entry one."""
+        p = object.__new__(cls)
+        p.__dict__.update(k=k, f=f, q=q, s=s, grid=grid)  # frozen: no __setattr__
+        p._check_params()
+        for width in map(len, grid):
+            _check_width(width, k)
+        return p
+
+    def _check_params(self) -> None:
         # type() rather than isinstance(): bool is an int subclass
         if any(type(v) is not int for v in (self.k, self.f, self.q, self.s)):
             raise ValueError("K, F, Q, S must be ints")
         if len(self.grid) != self.f:
             raise ValueError(f"grid has {len(self.grid)} rows, declared F={self.f}")
-        for row in self.grid:
-            if len(row) != self.k:
-                raise ValueError(f"grid row has {len(row)} entries, declared K={self.k}")
-            if any(type(v) is not int or v < 0 for v in row):
-                raise ValueError("grid entries must be STAR or positive symbol ints")
 
     # The cache materializes the instance __dict__, which slows every later
     # attribute load on the array: per-cell loops read p.grid into a local.
@@ -51,9 +66,12 @@ class Pda:
         Keys in first-occurrence order; only occurring symbols get one."""
         out: dict[int, list[tuple[int, int]]] = {}
         for j, row in enumerate(self.grid):
-            for k, v in enumerate(row):
-                if v != STAR:
-                    out.setdefault(v, []).append((j, k))
+            for k, v in compress(enumerate(row), row):  # the non-star cells: STAR is 0
+                cells = out.get(v)
+                if cells is None:
+                    out[v] = [(j, k)]
+                else:
+                    cells.append((j, k))
         return out
 
     @cached_property
@@ -66,6 +84,11 @@ class Pda:
     def validation(self) -> "ValidationReport":
         """validate_pda's report on this array."""
         return _scan(self)
+
+
+def _check_width(width: int, k: int) -> None:
+    if width != k:
+        raise ValueError(f"grid row has {width} entries, declared K={k}")
 
 
 @dataclass(frozen=True)
@@ -102,26 +125,44 @@ def validate_pda(p: Pda) -> ValidationReport:
 
 
 def _scan(p: Pda) -> ValidationReport:
+    """The first failing check, in the order params, range, C1, C2, C3.
+
+    Each condition is first tested whole, in C loops where it can be; only an
+    array that fails it is walked cell by cell, to name the same witness as
+    the definition's scan."""
     if min(p.k, p.f, p.q, p.s) < 1:
         return ValidationReport(False, "params", "K, F, Q, S must all be positive")
     if p.q >= p.f:
         return ValidationReport(False, "params", f"need Q < F, got Q={p.q}, F={p.f}")
     grid, s = p.grid, p.s
-    for j, row in enumerate(grid):
-        for k, v in enumerate(row):
-            if v != STAR and not 1 <= v <= s:
-                return ValidationReport(False, "range",
-                    f"cell ({j},{k}) holds {v}, outside 1..{s}")
-    for k in range(p.k):
-        stars = sum(1 for row in grid if row[k] == STAR)
+    if max(map(max, grid)) > s:  # entries are ints >= 0, so only a symbol past s is out
+        for j, row in enumerate(grid):
+            for k, v in enumerate(row):
+                if v != STAR and not 1 <= v <= s:
+                    return ValidationReport(False, "range",
+                        f"cell ({j},{k}) holds {v}, outside 1..{s}")
+    for k, col in enumerate(zip(*grid)):
+        stars = col.count(STAR)
         if stars != p.q:
             return ValidationReport(False, "C1",
                 f"column {k} has {stars} stars, declared Q={p.q}")
     cells = p.symbol_cells
-    for sym in range(1, p.s + 1):
-        if sym not in cells:
-            return ValidationReport(False, "C2", f"symbol {sym} never occurs")
+    if len(cells) != s:  # every symbol is in 1..s, so one is missing
+        for sym in range(1, s + 1):
+            if sym not in cells:
+                return ValidationReport(False, "C2", f"symbol {sym} never occurs")
+    # C3 for a symbol's cells: their columns are distinct (a sum of n powers
+    # of two has n bits only when they are), and in each cell's row the
+    # symbol's other columns are stars, so masked by the symbol's columns the
+    # row's non-star mask is the cell's own bit.  A repeated row would leave
+    # two bits there, so rows are distinct too.
+    bit = (1).__lshift__
+    nonstar = [sum(map(bit, compress(range(p.k), row))) for row in grid]
+    column = itemgetter(1)
     for sym, occ in cells.items():
+        cols = sum(map(bit, map(column, occ)))
+        if cols.bit_count() == len(occ) and all(nonstar[j] & cols == bit(k) for j, k in occ):
+            continue
         for a in range(len(occ)):
             j1, k1 = occ[a]
             for b in range(a + 1, len(occ)):
@@ -142,20 +183,16 @@ def scheme_parameters(p: Pda) -> tuple[int, int, Fraction, Fraction]:
 
 
 def canonical_relabel(p: Pda) -> Pda:
-    """Renumber symbols 1..S in first-occurrence row-major order."""
-    mapping: dict[int, int] = {}
-    rows = []
-    for row in p.grid:
-        out = []
-        for v in row:
-            if v == STAR:
-                out.append(STAR)
-            else:
-                if v not in mapping:
-                    mapping[v] = len(mapping) + 1
-                out.append(mapping[v])
-        rows.append(tuple(out))
-    return Pda(p.k, p.f, p.q, len(mapping), tuple(rows))
+    """Renumber symbols 1..S in first-occurrence row-major order.  An array
+    whose symbols already first occur as 1..S, with S their count, is
+    returned as it is."""
+    order = dict.fromkeys(filter(None, chain.from_iterable(p.grid)))  # STAR is 0
+    if len(order) == p.s and list(order) == list(range(1, p.s + 1)):  # no range for a huge S
+        return p
+    label = dict(zip(order, range(1, len(order) + 1)))
+    label[STAR] = STAR
+    return Pda._trusted(p.k, p.f, p.q, len(order),
+                        tuple(tuple(map(label.__getitem__, row)) for row in p.grid))
 
 
 # --- text format ----------------------------------------------------------
@@ -204,7 +241,7 @@ def parse_pda(text: str) -> Pda:
         if len(row) != k:
             raise PdaFormatError(f"row {ln!r} has {len(row)} entries, expected {k}")
         grid.append(tuple(row))
-    return Pda(k, f, q, s, tuple(grid))
+    return Pda._trusted(k, f, q, s, tuple(grid))
 
 
 # --- JSON variant ---------------------------------------------------------
@@ -241,6 +278,6 @@ def pda_from_json(obj: dict) -> Pda:
     except (KeyError, TypeError, ValueError) as exc:
         raise PdaFormatError(f"malformed PDA object: {exc}") from None
     try:
-        return Pda(k, f, q, s, tuple(grid))
+        return Pda._trusted(k, f, q, s, tuple(grid))
     except ValueError as exc:
         raise PdaFormatError(str(exc)) from None

@@ -120,6 +120,8 @@ class PlacedPackets(MutableMapping):
         self._edited()[key] = value
 
     def __delitem__(self, key) -> None:
+        if self._own is None and not self._placed(key):
+            raise KeyError(key)  # nothing to delete, so nothing to copy
         del self._edited()[key]
 
     def __iter__(self):
@@ -152,21 +154,23 @@ class PlacedPackets(MutableMapping):
         return all(own.get(key) == packets[key[0]][key[1]]
                    for key in chain.from_iterable(compress(lib._row_keys, mask)))
 
-    def int_rows(self) -> dict[int, dict[int, int]]:
-        """row -> file -> packet as an int, over the cache's keys.  While
-        unedited the rows are the library's own dicts, shared: read them
-        only."""
+    def int_rows(self, size: int) -> dict[int, dict[int, int]]:
+        """row -> file -> packet as an int, over the cache's keys, leaving out
+        packets of other than size bytes.  While unedited the rows are the
+        library's own dicts, shared and whole: read them only."""
         if self._own is not None:
-            return _int_rows(self._own)
+            return _int_rows(self._own, size)
         lib_rows = self._lib._row_ints
         return {j: lib_rows[j] for j in compress(range(len(self._mask)), self._mask)}
 
 
-def _int_rows(packets) -> dict[int, dict[int, int]]:
-    """row -> file -> packet as an int, over a mapping of (file, row) -> payload."""
+def _int_rows(packets, size: int) -> dict[int, dict[int, int]]:
+    """row -> file -> packet as an int, over a mapping of (file, row) ->
+    payload, leaving out packets of other than size bytes."""
     by_row = defaultdict(dict)
     for (i, j), pk in packets.items():
-        by_row[j][i] = int.from_bytes(pk, "big")
+        if len(pk) == size:
+            by_row[j][i] = int.from_bytes(pk, "big")
     return by_row
 
 
@@ -206,19 +210,29 @@ def _transmit(p: Pda, ints: list[list[int]], demand: tuple) -> list[int]:
     return out
 
 
-def _decoder(p: Pda, cache: CacheContents, user: int):
+def _decoder(p: Pda, cache: CacheContents, user: int, size: int):
     """The user's decoder: a function of (transmissions as ints, demand) that
     gives the demanded file's packets as ints, in row order.
 
     A starred row is read from the cache.  A coded row j with symbol s is
     payload s XOR, over each other cell (j2, k2) of s, the cached packet
     (demand[k2], j2).  The cache is grouped by row once, here; an unedited
-    placed cache gives the library's rows.  Raises DecodeError at the first
-    packet, in row order, that the cache lacks.
+    placed cache gives the library's rows, and any other cache leaves out
+    the packets that are not size bytes long, the transmissions' length.
+    Raises DecodeError at the first packet, in row order, that the cache
+    lacks or holds at another length.
     """
     packets = cache.packets
-    by_row = packets.int_rows() if isinstance(packets, PlacedPackets) else _int_rows(packets)
+    by_row = (packets.int_rows(size) if isinstance(packets, PlacedPackets)
+              else _int_rows(packets, size))
     none: dict[int, int] = {}
+
+    def unusable(f: int, j: int, k: int, missing: str) -> DecodeError:
+        pk = packets.get((f, j))
+        why = (missing if pk is None  # else held, but left out of by_row for its length
+               else f"is {len(pk)} bytes, not the {size} bytes of a transmission")
+        return DecodeError(f"user {user}: packet ({f},{j}) for cell ({j},{k}) {why}")
+
     plan = []  # per row: (j, None, cached packets by file) or (j, s, side cells)
     for j, row in enumerate(p.grid):
         v = row[user]
@@ -235,8 +249,7 @@ def _decoder(p: Pda, cache: CacheContents, user: int):
             if s is None:
                 acc = side.get(want)
                 if acc is None:
-                    raise DecodeError(f"user {user}: packet ({want},{j}) for cell ({j},{user}) "
-                                      f"missing from cache")
+                    raise unusable(want, j, user, "missing from cache")
             else:
                 acc = tx[s]
                 for j2, k2, pks in side:
@@ -245,8 +258,7 @@ def _decoder(p: Pda, cache: CacheContents, user: int):
                         f = demand[k2]
                         why = ("condition C3 is broken" if any(f in got for got in by_row.values())
                                else f"the cache holds no packet of file {f}")
-                        raise DecodeError(f"user {user}: packet ({f},{j2}) for cell "
-                                          f"({j2},{k2}) missing from cache; {why}")
+                        raise unusable(f, j2, k2, f"missing from cache; {why}")
                     acc ^= pk
             out.append(acc)
         return out
@@ -271,8 +283,9 @@ def decode(p: Pda, cache: CacheContents, transmissions: list[bytes],
     Raises ValueError unless user is a column of p, demand has K entries,
     there are S transmissions of one length and no entry is negative, and
     DecodeError naming the first packet, in row order, that the user's cache
-    lacks, or the first row that decodes to more bytes than a transmission
-    (a cached packet it reads is too long)."""
+    lacks or holds at another length than a transmission, or, for a placed
+    cache never written to, the first row that decodes to more bytes than a
+    transmission (the library's packets are longer)."""
     demand = tuple(demand)
     if not 0 <= user < p.k:
         raise ValueError(f"user {user} outside 0..{p.k - 1}")
@@ -288,7 +301,7 @@ def decode(p: Pda, cache: CacheContents, transmissions: list[bytes],
         raise ValueError("demand entry outside the library")
     size = sizes.pop()
     tx = [int.from_bytes(t, "big") for t in transmissions]
-    rows = _decoder(p, cache, user)(tx, demand)
+    rows = _decoder(p, cache, user, size)(tx, demand)
     try:
         return b"".join(x.to_bytes(size, "big") for x in rows)
     except OverflowError:
@@ -382,7 +395,7 @@ def verify_scheme(p: Pda, n_files: int, mode: str = "auto", samples: int = 200,
     for user, cache in enumerate(place(p, lib)):
         packets = cache.packets
         if not (isinstance(packets, PlacedPackets) and packets.holds(lib, masks[user])):
-            faulty.append((user, _decoder(p, cache, user)))
+            faulty.append((user, _decoder(p, cache, user, packet_size)))
     not_clean = {user for user, _ in faulty}
     cells_of = p.symbol_cells
     symbols = [(cells_of[s], [k for _, k in cells_of[s] if k not in not_clean])

@@ -280,7 +280,7 @@ def _emit(f: int, k: int, rows, cols, syms) -> Pda:
         grid[r][c] = label[s]
     for r, row in enumerate(grid):  # in place, so that one list row is alive at a time
         grid[r] = tuple(row)
-    return Pda(k, f, q, len(occurring), tuple(grid))
+    return Pda._trusted(k, f, q, len(occurring), tuple(grid))
 
 
 # --- matching -------------------------------------------------------------
@@ -428,7 +428,7 @@ def direct_product(a: Pda, b: Pda) -> Pda:
     grid = tuple(tuple(STAR if va == STAR or vb == STAR else (va - 1) * b.s + vb
                        for va in ra for vb in rb)
                  for ra in a.grid for rb in b.grid)
-    prod = canonical_relabel(Pda(a.k * b.k, a.f * b.f, a.f * b.q + b.f * a.q - a.q * b.q,
-                                 a.s * b.s, grid))
+    prod = canonical_relabel(Pda._trusted(a.k * b.k, a.f * b.f,
+                                          a.f * b.q + b.f * a.q - a.q * b.q, a.s * b.s, grid))
     require_valid(prod, "product is not a valid PDA")
     return prod

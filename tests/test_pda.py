@@ -4,9 +4,12 @@ from fractions import Fraction
 import pytest
 
 import pdakit.pda as pda
+from pdakit import direct_product
 from pdakit.pda import (InvalidPdaError, Pda, PdaFormatError, STAR, canonical_relabel,
                         format_pda, parse_pda, pda_from_json, pda_to_json,
                         require_valid, scheme_parameters, validate_pda)
+
+from conftest import all_pdas
 
 TINY = Pda(2, 2, 1, 1, ((STAR, 1), (1, STAR)))
 
@@ -48,6 +51,14 @@ def test_c3_same_row():
     assert rep.condition == "C3" and "repeats" in rep.detail
 
 
+def test_c3_same_column():
+    # C1 and C2 hold; summed, the symbol's three column bits carry into a mask
+    # that holds each cell's own bit, so only the bit count shows the repeat
+    rep = validate_pda(Pda(1, 4, 1, 1, ((STAR,), (1,), (1,), (1,))))
+    assert (rep.condition, rep.detail) == (
+        "C3", "symbol 1 repeats in a row or column at (1,0) and (2,0)")
+
+
 def test_c3_crossing_cell():
     p = Pda(2, 3, 1, 2, ((STAR, 2), (1, STAR), (2, 1)))
     rep = validate_pda(p)
@@ -65,6 +76,35 @@ def test_pda_shape_errors():
 
 def test_scheme_parameters():
     assert scheme_parameters(TINY) == (2, 2, Fraction(1, 2), Fraction(1, 2))
+
+
+def test_canonical_relabel_returns_a_canonical_array_itself():
+    assert canonical_relabel(TINY) is TINY
+    shuffled = Pda(3, 3, 2, 3, ((STAR, STAR, 3), (STAR, 2, STAR), (1, STAR, STAR)))
+    c = canonical_relabel(shuffled)
+    assert c is not shuffled and canonical_relabel(c) is c
+    overdeclared = Pda(2, 2, 1, 2, ((STAR, 1), (1, STAR)))  # S=2, one symbol occurs
+    assert canonical_relabel(overdeclared) == TINY
+
+
+def _public(p: Pda) -> Pda:
+    """p rebuilt through the public constructor, which checks every entry."""
+    assert type(p.grid) is tuple and all(type(row) is tuple for row in p.grid)
+    return Pda(p.k, p.f, p.q, p.s, p.grid)
+
+
+def test_trusted_producers_build_what_the_public_constructor_accepts(sweep):
+    """Every array the emitter, the product, relabeling and both parsers
+    build without the per-entry check passes it, and equals its rebuild."""
+    for p in all_pdas(sweep):  # every sweep spec and orientation, the products, TINY
+        reversed_symbols = Pda(p.k, p.f, p.q, p.s, tuple(
+            tuple(STAR if v == STAR else p.s + 1 - v for v in row) for row in p.grid))
+        for q in (p, canonical_relabel(p), canonical_relabel(reversed_symbols),
+                  parse_pda(format_pda(p)), pda_from_json(json.loads(json.dumps(pda_to_json(p))))):
+            assert q == _public(q)
+        assert canonical_relabel(reversed_symbols) == p  # sweep arrays come out canonical
+    for _, a, b, prod in sweep["products"]:
+        assert prod == _public(prod) == direct_product(_public(a), _public(b))
 
 
 def test_canonical_relabel():
@@ -159,6 +199,25 @@ def test_json_header_must_be_int(field, value):
 def test_json_grid_values_must_be_int_or_star(grid):
     with pytest.raises(PdaFormatError):
         pda_from_json({"K": 2, "F": 2, "Q": 1, "S": 1, "grid": grid})
+
+
+@pytest.mark.parametrize("grid, match", [
+    ([["*", 1]], "^grid has 1 rows, declared F=2$"),
+    ([["*", 1], [1, "*", 1]], "^grid row has 3 entries, declared K=2$"),
+    ([["*"], [1, "*"]], "^grid row has 1 entries, declared K=2$"),
+])
+def test_json_grid_shape_is_checked(grid, match):
+    with pytest.raises(PdaFormatError, match=match):
+        pda_from_json({"K": 2, "F": 2, "Q": 1, "S": 1, "grid": grid})
+
+
+@pytest.mark.parametrize("bad", [True, False, -1, 1.0, 0.0, "1", None])
+@pytest.mark.parametrize("where", [(0, 1), (1, 0)])
+def test_pda_rejects_an_entry_that_is_not_an_int_at_least_zero(bad, where):
+    grid = [[STAR, 1], [1, STAR]]
+    grid[where[0]][where[1]] = bad
+    with pytest.raises(ValueError, match="^grid entries must be STAR or positive symbol ints$"):
+        Pda(2, 2, 1, 1, tuple(map(tuple, grid)))
 
 
 def test_pda_rejects_bool_and_non_int_fields():

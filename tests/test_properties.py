@@ -1,5 +1,6 @@
-"""Property tests: the validator against the definitions of C1-C3, the file
-formats' round trips, the text parser's failure mode, the simulator on
+"""Property tests: the validator against the definitions of C1-C3 and
+against a per-cell scan, canonical relabeling against a per-cell reference,
+the file formats' round trips, the text parser's failure mode, the simulator on
 random valid arrays, with and without a faulty cached packet or payload, and
 placed caches against plain dicts under random edits.  Examples are
 derandomized, so every run sees the same inputs."""
@@ -10,8 +11,8 @@ import json
 from hypothesis import given, settings, strategies as st
 
 import pdakit.sim as sim
-from pdakit.pda import (Pda, PdaFormatError, STAR, format_pda, parse_pda,
-                        pda_from_json, pda_to_json, validate_pda)
+from pdakit.pda import (Pda, PdaFormatError, STAR, canonical_relabel, format_pda,
+                        parse_pda, pda_from_json, pda_to_json, validate_pda)
 from pdakit.sim import (CacheContents, DecodeError, FileLibrary, decode, deliver, place,
                         verify_scheme)
 
@@ -89,6 +90,68 @@ def mutated_pdas(draw):
 def test_validator_matches_definitions(p):
     rep = validate_pda(p)
     assert (rep.ok, rep.condition) == (oracle(p) == "", oracle(p))
+
+
+def per_cell_scan(p: Pda) -> tuple[bool, str, str]:
+    """(ok, condition, detail) as a scan that visits every cell reports it:
+    range and C1 cell by cell, C2 symbol by symbol, C3 pair by pair."""
+    if min(p.k, p.f, p.q, p.s) < 1:
+        return False, "params", "K, F, Q, S must all be positive"
+    if p.q >= p.f:
+        return False, "params", f"need Q < F, got Q={p.q}, F={p.f}"
+    grid, s = p.grid, p.s
+    for j, row in enumerate(grid):
+        for k, v in enumerate(row):
+            if v != STAR and not 1 <= v <= s:
+                return False, "range", f"cell ({j},{k}) holds {v}, outside 1..{s}"
+    for k in range(p.k):
+        stars = sum(1 for row in grid if row[k] == STAR)
+        if stars != p.q:
+            return False, "C1", f"column {k} has {stars} stars, declared Q={p.q}"
+    cells: dict[int, list] = {}
+    for j, row in enumerate(grid):
+        for k, v in enumerate(row):
+            if v != STAR:
+                cells.setdefault(v, []).append((j, k))
+    for sym in range(1, s + 1):
+        if sym not in cells:
+            return False, "C2", f"symbol {sym} never occurs"
+    for sym, occ in cells.items():
+        for a in range(len(occ)):
+            j1, k1 = occ[a]
+            for b in range(a + 1, len(occ)):
+                j2, k2 = occ[b]
+                if j1 == j2 or k1 == k2:
+                    return False, "C3", (f"symbol {sym} repeats in a row or column at "
+                                         f"({j1},{k1}) and ({j2},{k2})")
+                if grid[j1][k2] != STAR or grid[j2][k1] != STAR:
+                    return False, "C3", (f"cells ({j1},{k1}) and ({j2},{k2}) share symbol "
+                                         f"{sym} but a crossing cell is not a star")
+    return True, "", ""
+
+
+@settings(FIXED, max_examples=400)
+@given(st.one_of(valid_pdas(), mutated_pdas(), any_pdas()))
+def test_validator_reports_as_the_per_cell_scan(p):
+    rep = validate_pda(p)
+    assert (rep.ok, rep.condition, rep.detail) == per_cell_scan(p)
+
+
+def relabel_per_cell(p: Pda) -> Pda:
+    """Symbols renumbered 1..S in first-occurrence row-major order, cell by cell."""
+    mapping: dict[int, int] = {}
+    rows = tuple(tuple(STAR if v == STAR else mapping.setdefault(v, len(mapping) + 1)
+                       for v in row) for row in p.grid)
+    return Pda(p.k, p.f, p.q, len(mapping), rows)
+
+
+@settings(FIXED, max_examples=200)
+@given(st.one_of(valid_pdas(), mutated_pdas(), any_pdas()))
+def test_canonical_relabel_matches_the_per_cell_reference(p):
+    c = canonical_relabel(p)
+    assert c == relabel_per_cell(p) == Pda(c.k, c.f, c.q, c.s, c.grid)
+    assert (c is p) == (c == p)  # an array that is already canonical comes back as is
+    assert canonical_relabel(c) is c
 
 
 @settings(FIXED, max_examples=150)
@@ -242,7 +305,8 @@ def test_placed_cache_behaves_as_a_dict(p, user, edits):
                 == CacheContents(0, plain).size_bytes() == sum(map(len, plain.values())))
         by_row = {}
         for (i2, j2), pk in plain.items():
-            by_row.setdefault(j2, {})[i2] = int.from_bytes(pk, "big")
-        assert {j2: got for j2, got in view.int_rows().items() if got} == by_row
+            if len(pk) == 4:  # the library's packet size: other lengths are left out
+                by_row.setdefault(j2, {})[i2] = int.from_bytes(pk, "big")
+        assert {j2: got for j2, got in view.int_rows(4).items() if got} == by_row
         assert view.holds(lib, p.star_columns[user % p.k]) == all(
             plain.get((i2, j2)) == lib.packets[i2][j2] for i2 in range(3) for j2 in stars)

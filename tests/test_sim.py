@@ -325,9 +325,9 @@ def test_clean_users_are_never_peeled(monkeypatch):
     calls = []
     real_decoder, real_place = sim._decoder, sim.place
 
-    def decoder(p, cache, user):
+    def decoder(p, cache, user, size):
         calls.append(user)
-        return real_decoder(p, cache, user)
+        return real_decoder(p, cache, user, size)
 
     monkeypatch.setattr(sim, "_decoder", decoder)
     assert verify_scheme(FANO_PG, 3, mode="exhaustive").ok
@@ -352,9 +352,9 @@ def test_clean_users_are_never_peeled(monkeypatch):
 def _count_decoders(monkeypatch) -> list:
     calls, real_decoder = [], sim._decoder
 
-    def decoder(p, cache, user):
+    def decoder(p, cache, user, size):
         calls.append(user)
-        return real_decoder(p, cache, user)
+        return real_decoder(p, cache, user, size)
 
     monkeypatch.setattr(sim, "_decoder", decoder)
     return calls
@@ -441,12 +441,48 @@ def test_decode_rejects_a_cached_packet_longer_than_the_transmissions():
     caches = place(FANO_PG, _LIB)
     row = next(j for j, r in enumerate(FANO_PG.grid) if r[0] == STAR)
     caches[0].packets[(0, row)] = b"\1" + _LIB.packets[0][row]  # 17 bytes
-    with pytest.raises(DecodeError, match=f"^user 0: row {row} decodes to more than "
-                                          f"the 16 bytes of a transmission"):
+    with pytest.raises(DecodeError, match=fr"^user 0: packet \(0,{row}\) for cell \({row},0\) "
+                                          f"is 17 bytes, not the 16 bytes of a transmission"):
         decode(FANO_PG, caches[0], _TX, (0,) * 7, 0)
-    # transmissions shorter than the library's packets: every cached packet is too long
+    # transmissions shorter than the library's packets, on an unedited cache:
+    # every cached packet is too long
     with pytest.raises(DecodeError, match="^user 1: row .* the 8 bytes"):
         decode(FANO_PG, caches[1], [t[:8] for t in _TX], (0,) * 7, 1)
+
+
+@pytest.mark.parametrize("kind", ["view", "dict"])
+def test_a_cached_packet_of_another_length_is_not_right(monkeypatch, kind):
+    """A starred packet stored with a leading zero byte has the library's
+    value as an int but not its length: decode names it, read for the user's
+    own cell or as a side packet, and verify_scheme fails the user on every
+    demand that reads it."""
+    user, file = 0, 0
+    row = next(j for j, r in enumerate(FANO_PG.grid) if r[user] == STAR)
+    real_place, seen = sim.place, {}
+
+    def place(p, lib):
+        caches = real_place(p, lib)
+        if kind == "dict":
+            caches = [CacheContents(c.user, dict(c.packets)) for c in caches]
+        caches[user].packets[(file, row)] = b"\0" + lib.packets[file][row]
+        seen.update(lib=lib, caches=caches)
+        return caches
+
+    caches = place(FANO_PG, _LIB)
+    side = next(d for d in itertools.product(range(2), repeat=7)
+                if d[user] == 1 and (file, row) in _reads(FANO_PG, user, d))
+    for demand in ((0,) * 7, side):
+        with pytest.raises(DecodeError, match=fr"^user 0: packet \(0,{row}\) for cell "
+                                              fr"\({row},\d\) is 17 bytes, not the 16 bytes"):
+            decode(FANO_PG, caches[user], deliver(FANO_PG, _LIB, demand), demand, user)
+    assert decode(FANO_PG, caches[user], deliver(FANO_PG, _LIB, (1,) * 7),
+                  (1,) * 7, user) == _LIB.file(1)  # this demand does not read it
+
+    monkeypatch.setattr(sim, "place", place)
+    rep = verify_scheme(FANO_PG, 2, mode="exhaustive")
+    assert rep.failures == [(d, user) for d in itertools.product(range(2), repeat=7)
+                            if (file, row) in _reads(FANO_PG, user, d)]
+    assert rep.failures == decode_failures(FANO_PG, seen["lib"], seen["caches"], 2)
 
 
 # --- a placed cache is the library until its first write or delete ---
@@ -468,6 +504,32 @@ def test_reads_leave_a_placed_cache_uncopied(monkeypatch):
     monkeypatch.setattr(sim, "place", lambda p, lib: seen.extend(real_place(p, lib)) or seen)
     assert verify_scheme(FANO_PG, 2, mode="exhaustive").ok
     assert len(seen) == 7 and all(c.packets._own is None for c in seen)
+
+
+def test_deleting_an_absent_key_leaves_a_placed_cache_unedited(monkeypatch):
+    """del of a key the cache does not hold raises KeyError and copies
+    nothing, so the cache is still clean without a scan."""
+    caches = place(FANO_PG, _LIB)
+    packets = caches[0].packets
+    before = list(packets.items())
+    coded = next(j for j, r in enumerate(FANO_PG.grid) if r[0] != STAR)
+    for key in ((9, 0), (0, coded), (0, FANO_PG.f), "key"):
+        with pytest.raises(KeyError):
+            del packets[key]
+    assert packets._own is None and list(packets.items()) == before
+
+    calls = _count_decoders(monkeypatch)
+    real_place = sim.place
+
+    def place_and_delete(p, lib):
+        caches = real_place(p, lib)
+        with pytest.raises(KeyError):
+            del caches[0].packets[(9, 0)]
+        return caches
+
+    monkeypatch.setattr(sim, "place", place_and_delete)
+    assert verify_scheme(FANO_PG, 2, mode="exhaustive").ok
+    assert calls == []
 
 
 @pytest.mark.parametrize("edit", ["set", "del", "extra"])
@@ -496,7 +558,7 @@ def test_writing_one_cache_leaves_the_rest_alone(edit):
     for k in range(FANO_PG.k):
         if k != user:
             assert decode(FANO_PG, caches[k], tx, demand, k) == lib.file(demand[k])
-    assert all(caches[0].packets.int_rows()[j] is lib._row_ints[j]
+    assert all(caches[0].packets.int_rows(16)[j] is lib._row_ints[j]
                for j, r in enumerate(FANO_PG.grid) if r[0] == STAR)
-    assert caches[user].packets.int_rows()[row] is not lib._row_ints[row]
+    assert caches[user].packets.int_rows(16)[row] is not lib._row_ints[row]
     assert lib._row_ints == row_ints_before

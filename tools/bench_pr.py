@@ -1,7 +1,7 @@
 """Write a BENCH_<pr>.json: perfbench medians, the construct ladder and the
 sim rung, for a parent checkout against this one.
 
-    python3 tools/bench_pr.py --parent ../parent --out BENCH_13.json
+    python3 tools/bench_pr.py --parent ../parent --out BENCH_14.json
 
 --parent is a plain copy of the parent commit's tree (`git archive` it into a
 directory).  The script runs RUNS rounds; the side that goes first alternates,
@@ -9,13 +9,16 @@ parent first in round 1.  In a round each side runs every perfbench workload
 in its own process (`perfbench/run.py --workload NAME --seed SEED --seconds
 SECONDS`, the gated settings; reference-speed seconds), then every ladder
 rung in a fresh process: construct_pda's wall seconds (total_s), the array's
-SHA-256 digest and ru_maxrss, then the sim rung in a fresh process on the
-K=651 array (pg q=2 k=6 m=2 t=2, set 1; N=4 files): verify_scheme's wall
-seconds (total_s, sampled, 20 samples) and the SHA-256 of its report's JSON,
-then, as in perfbench's simulate pass, place plus size_bytes of every cache
-(place_s) and decode for users 0, 41, 82, ... on 3 seeded demands (decode_s,
-the decode calls alone) with the SHA-256 of the decoded files, and
-ru_maxrss.  Rung times are raw wall seconds.  Every metric is reported with
+SHA-256 digest and ru_maxrss right after it, then, on that array, the pda
+layer's two figures: validate_pda on a fresh equal array (validate_s), and
+canonical_relabel plus the text and the JSON round trips (io_s); then the
+sim rung in a fresh process on the K=651 array (pg q=2 k=6 m=2 t=2, set 1;
+N=4 files): verify_scheme's wall seconds (total_s, sampled, 20 samples) and
+the SHA-256 of its report's JSON, then, as in perfbench's simulate pass,
+place plus size_bytes of every cache (place_s) and decode for users 0, 41,
+82, ... on 3 seeded demands (decode_s, the decode calls alone) with the
+SHA-256 of the decoded files, and ru_maxrss.  Rung times are raw wall
+seconds.  Every metric is reported with
 each side's runs, median and quartiles, and the number of rounds in which
 the change read lower.  Each side's src/pdakit/*.py line counts are recorded
 too.
@@ -42,16 +45,29 @@ RUNGS = {"pg_q2_k6_m2_t2": (2, 6, 2, 2), "pg_q2_k7_m2_t1": (2, 7, 2, 1),
 
 RUNG_CODE = """
 import hashlib, json, resource, sys, time
-from pdakit import ConstructionSpec, construct_pda, format_pda
+from pdakit import (ConstructionSpec, Pda, canonical_relabel, construct_pda, format_pda,
+                    parse_pda, pda_from_json, pda_to_json, validate_pda)
 q, k, m, t = map(int, sys.argv[1:])
 t0 = time.perf_counter()
 p = construct_pda(ConstructionSpec("pg", 1, q=q, k=k, m=m, t=t))
 total = time.perf_counter() - t0
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+fresh = Pda(p.k, p.f, p.q, p.s, p.grid)  # equal, with nothing cached on it
+t0 = time.perf_counter()
+valid = validate_pda(fresh).ok
+validate_s = time.perf_counter() - t0
+t0 = time.perf_counter()
+canon = canonical_relabel(p)
+text = parse_pda(format_pda(p))
+obj = pda_from_json(json.loads(json.dumps(pda_to_json(p))))
+io_s = time.perf_counter() - t0
 print(json.dumps({"params_kfqs": [p.k, p.f, p.q, p.s],
                   "digest": hashlib.sha256(format_pda(p).encode()).hexdigest(),
-                  "total_s": round(total, 3), "peak_rss_mb": round(rss, 1)}))
+                  "valid": valid, "round_trips_equal": canon == text == obj == p,
+                  "total_s": round(total, 3), "peak_rss_mb": round(rss, 1),
+                  "validate_s": round(validate_s, 3), "io_s": round(io_s, 3)}))
 """
+RUNG_STATS = ("total_s", "peak_rss_mb", "validate_s", "io_s")
 
 # verify_scheme, then place and decode, on the K=651 array, built first and
 # outside the timed calls
@@ -160,16 +176,20 @@ def main(argv=None) -> int:
                                            [r[m] for r in bench["change"][w]])
                               for m in GATED} for w in WORKLOADS},
            "ladder": {"what": "construct_pda(pg, set 1), one fresh process per rung "
-                              "and run; raw wall seconds and ru_maxrss"}}
+                              "and run; raw wall seconds and ru_maxrss after it; then "
+                              "validate_s, validate_pda on a fresh equal array, and io_s, "
+                              "canonical_relabel plus the text and JSON round trips"}}
     for name, params in RUNGS.items():
         runs = {side: ladder[side][name] for side in sides}
         digests = {r["digest"] for side in sides for r in runs[side]}
         out["ladder"][name] = {
             "q_k_m_t": list(params), "params_kfqs": runs["change"][0]["params_kfqs"],
             "digests_equal": len(digests) == 1, "digest": min(digests),
+            "all_valid": all(r["valid"] for side in sides for r in runs[side]),
+            "round_trips_equal": all(r["round_trips_equal"] for side in sides for r in runs[side]),
             **{stat: summarize([r[stat] for r in runs["parent"]],
                                [r[stat] for r in runs["change"]])
-               for stat in ("total_s", "peak_rss_mb")}}
+               for stat in RUNG_STATS}}
     digests = {r["digest"] for side in sides for r in sim[side]}
     decoded = {r["decoded_digest"] for side in sides for r in sim[side]}
     out["sim"] = {
