@@ -9,13 +9,16 @@ that symbol's cells.  Decoding peels each transmission with side packets that
 condition C3 guarantees are cached, read from the user's own cache, so a
 corrupt or missing packet is a failure that `verify_scheme` records.
 
-There is one peel, `_decoder`.  `decode` runs it for one user, and
-`verify_scheme` for each user whose cache is faulty.  By C3 every side packet
-a user needs sits in a starred row of its own cache, so for a user whose
-cache holds the library's packets a coded row decodes right iff its payload
-equals the library XOR over its symbol's cells: `verify_scheme` checks each
-payload once per demand instead of peeling those users.  A placed cache that
-was never written to holds them by construction.
+There is one peel, `_peel`: one pass down the user's column, in row order,
+reading each packet from the cache as it reaches it.  A cache's packet is
+used only if it is exactly the transmissions' length.  `decode` runs the peel
+once, and `verify_scheme` on every demand for each user whose cache is
+faulty.  By C3 every side packet a user needs sits in a starred row of its
+own cache, so for a user whose cache holds the library's packets a coded row
+decodes right iff its payload equals the library XOR over its symbol's
+cells: `verify_scheme` checks each payload once per demand instead of
+peeling those users.  A placed cache that was never written to holds them by
+construction.
 """
 
 import itertools
@@ -41,6 +44,15 @@ class FileLibrary:
     packet_size: int
     packets: tuple[tuple[bytes, ...], ...]  # n files x f packets
 
+    def __post_init__(self):
+        n, f, size, packets = self.n, self.f, self.packet_size, self.packets
+        if not all(type(x) is int and x >= 1 for x in (n, f, size)):
+            raise ValueError("need n, f, packet_size >= 1")
+        if len(packets) != n or any(len(file) != f for file in packets):
+            raise ValueError(f"a library of {n} files needs {f} packets in each")
+        if not all(type(pk) is bytes and len(pk) == size for file in packets for pk in file):
+            raise ValueError(f"every packet must be {size} bytes")
+
     @classmethod
     def random(cls, n: int, f: int, packet_size: int = 16, seed: int = 0) -> "FileLibrary":
         if n < 1 or f < 1 or packet_size < 1:
@@ -59,11 +71,6 @@ class FileLibrary:
         """Per row j: the (file, j) keys, shared by every cache placed from
         this library."""
         return [tuple((i, j) for i in range(self.n)) for j in range(self.f)]
-
-    @cached_property
-    def _row_bytes(self) -> list[int]:
-        """Per row j: the bytes of its packets, over all files."""
-        return [sum(map(len, row)) for row in zip(*self.packets)]
 
     @cached_property
     def _ints(self) -> list[list[int]]:
@@ -136,10 +143,10 @@ class PlacedPackets(MutableMapping):
         return f"{type(self).__name__}({dict(self)!r})"
 
     def size_bytes(self) -> int:
-        """sum(len(v) for v in self.values()), from per-row totals while
-        unedited."""
+        """sum(len(v) for v in self.values()), from the library's packet size
+        while unedited."""
         if self._own is None:
-            return sum(compress(self._lib._row_bytes, self._mask))
+            return len(self) * self._lib.packet_size
         return sum(map(len, self._own.values()))
 
     def holds(self, lib: FileLibrary, mask: bytes) -> bool:
@@ -157,16 +164,22 @@ class PlacedPackets(MutableMapping):
     def int_rows(self, size: int) -> dict[int, dict[int, int]]:
         """row -> file -> packet as an int, over the cache's keys, leaving out
         packets of other than size bytes.  While unedited the rows are the
-        library's own dicts, shared and whole: read them only."""
+        library's own dicts, shared and whole: read them only; none when the
+        library's packets are not size bytes."""
         if self._own is not None:
             return _int_rows(self._own, size)
+        if self._lib.packet_size != size:
+            return {}
         lib_rows = self._lib._row_ints
         return {j: lib_rows[j] for j in compress(range(len(self._mask)), self._mask)}
 
 
 def _int_rows(packets, size: int) -> dict[int, dict[int, int]]:
-    """row -> file -> packet as an int, over a mapping of (file, row) ->
-    payload, leaving out packets of other than size bytes."""
+    """row -> file -> packet as an int, over a cache's mapping of (file, row)
+    -> payload, leaving out packets of other than size bytes: the cache
+    grouped by row, as `_peel` reads it."""
+    if isinstance(packets, PlacedPackets):
+        return packets.int_rows(size)
     by_row = defaultdict(dict)
     for (i, j), pk in packets.items():
         if len(pk) == size:
@@ -210,60 +223,48 @@ def _transmit(p: Pda, ints: list[list[int]], demand: tuple) -> list[int]:
     return out
 
 
-def _decoder(p: Pda, cache: CacheContents, user: int, size: int):
-    """The user's decoder: a function of (transmissions as ints, demand) that
-    gives the demanded file's packets as ints, in row order.
+def _unusable(p: Pda, packets, by_row: dict, size: int, user: int,
+              f: int, j: int, k: int) -> DecodeError:
+    """The error for packet (f, j), read for cell (j, k) by `_peel`."""
+    pk = packets.get((f, j))
+    if pk is not None:  # held, but left out of by_row for its length
+        why = f"is {len(pk)} bytes, not the {size} bytes of a transmission"
+    elif p.grid[j][k] == STAR:  # the user's own starred cell
+        why = "missing from cache"
+    else:  # a side packet: by C3, cached for every file of the library
+        why = "missing from cache; " + (
+            "condition C3 is broken" if any(f in got for got in by_row.values())
+            else f"the cache holds no packet of file {f}")
+    return DecodeError(f"user {user}: packet ({f},{j}) for cell ({j},{k}) {why}")
 
-    A starred row is read from the cache.  A coded row j with symbol s is
-    payload s XOR, over each other cell (j2, k2) of s, the cached packet
-    (demand[k2], j2).  The cache is grouped by row once, here; an unedited
-    placed cache gives the library's rows, and any other cache leaves out
-    the packets that are not size bytes long, the transmissions' length.
-    Raises DecodeError at the first packet, in row order, that the cache
-    lacks or holds at another length.
-    """
-    packets = cache.packets
-    by_row = (packets.int_rows(size) if isinstance(packets, PlacedPackets)
-              else _int_rows(packets, size))
-    none: dict[int, int] = {}
 
-    def unusable(f: int, j: int, k: int, missing: str) -> DecodeError:
-        pk = packets.get((f, j))
-        why = (missing if pk is None  # else held, but left out of by_row for its length
-               else f"is {len(pk)} bytes, not the {size} bytes of a transmission")
-        return DecodeError(f"user {user}: packet ({f},{j}) for cell ({j},{k}) {why}")
-
-    plan = []  # per row: (j, None, cached packets by file) or (j, s, side cells)
+def _peel(p: Pda, packets, by_row: dict, user: int, tx: list[int], demand: tuple,
+          size: int) -> list[int]:
+    """The user's demanded file as ints, in row order, from one pass down its
+    column.  A starred row j is the cached packet (demand[user], j); a coded
+    row j with symbol s is payload s XOR, over each other cell (j2, k2) of s,
+    the cached packet (demand[k2], j2).  Each is read from by_row, the cache
+    (packets) as `_int_rows` groups it, when its row is reached.  Raises
+    DecodeError at the first packet, in row order, that the cache lacks or
+    holds at another length than size."""
+    cells, none, want, out = p.symbol_cells, {}, demand[user], []
     for j, row in enumerate(p.grid):
         v = row[user]
         if v == STAR:
-            plan.append((j, None, by_row.get(j, none)))
+            acc = by_row.get(j, none).get(want)
+            if acc is None:
+                raise _unusable(p, packets, by_row, size, user, want, j, user)
         else:
-            plan.append((j, v - 1, [(j2, k2, by_row.get(j2, none))
-                                    for j2, k2 in p.symbol_cells[v] if j2 != j or k2 != user]))
-
-    def rows(tx: list[int], demand: tuple) -> list[int]:
-        want = demand[user]
-        out = []
-        for j, s, side in plan:
-            if s is None:
-                acc = side.get(want)
-                if acc is None:
-                    raise unusable(want, j, user, "missing from cache")
-            else:
-                acc = tx[s]
-                for j2, k2, pks in side:
-                    pk = pks.get(demand[k2])
-                    if pk is None:  # by C3, cached for every file of the library
-                        f = demand[k2]
-                        why = ("condition C3 is broken" if any(f in got for got in by_row.values())
-                               else f"the cache holds no packet of file {f}")
-                        raise unusable(f, j2, k2, f"missing from cache; {why}")
-                    acc ^= pk
-            out.append(acc)
-        return out
-
-    return rows
+            acc = tx[v - 1]
+            for j2, k2 in cells[v]:
+                if j2 == j and k2 == user:
+                    continue
+                pk = by_row.get(j2, none).get(demand[k2])
+                if pk is None:
+                    raise _unusable(p, packets, by_row, size, user, demand[k2], j2, k2)
+                acc ^= pk
+        out.append(acc)
+    return out
 
 
 def deliver(p: Pda, lib: FileLibrary, demand) -> list[bytes]:
@@ -283,9 +284,9 @@ def decode(p: Pda, cache: CacheContents, transmissions: list[bytes],
     Raises ValueError unless user is a column of p, demand has K entries,
     there are S transmissions of one length and no entry is negative, and
     DecodeError naming the first packet, in row order, that the user's cache
-    lacks or holds at another length than a transmission, or, for a placed
-    cache never written to, the first row that decodes to more bytes than a
-    transmission (the library's packets are longer)."""
+    lacks or holds at another length than a transmission.  A placed cache
+    never written to holds the library's packets, so none when those are of
+    another length."""
     demand = tuple(demand)
     if not 0 <= user < p.k:
         raise ValueError(f"user {user} outside 0..{p.k - 1}")
@@ -301,13 +302,9 @@ def decode(p: Pda, cache: CacheContents, transmissions: list[bytes],
         raise ValueError("demand entry outside the library")
     size = sizes.pop()
     tx = [int.from_bytes(t, "big") for t in transmissions]
-    rows = _decoder(p, cache, user, size)(tx, demand)
-    try:
-        return b"".join(x.to_bytes(size, "big") for x in rows)
-    except OverflowError:
-        j = next(j for j, x in enumerate(rows) if x >> 8 * size)
-        raise DecodeError(f"user {user}: row {j} decodes to more than the {size} bytes of a "
-                          f"transmission; a cached packet it reads is too long") from None
+    packets = cache.packets
+    rows = _peel(p, packets, _int_rows(packets, size), user, tx, demand, size)
+    return b"".join(x.to_bytes(size, "big") for x in rows)
 
 
 @dataclass
@@ -382,8 +379,9 @@ def verify_scheme(p: Pda, n_files: int, mode: str = "auto", samples: int = 200,
     a clean user decodes coded row j with symbol s right iff payload s
     equals the library XOR over all of s's cells: each payload is checked
     once per demand and a wrong one fails every clean user in its columns.
-    Clean users are never peeled.  Every other user gets one `_decoder` on
-    its own cache, which runs on every demand and is exact for any cache.
+    Clean users are never peeled.  Every other user's cache is grouped by
+    row once, and `_peel` runs on it for every demand: it is exact for any
+    cache.
     """
     require_valid(p, "refusing to simulate an invalid PDA")
     rng = random.Random(seed)
@@ -391,12 +389,12 @@ def verify_scheme(p: Pda, n_files: int, mode: str = "auto", samples: int = 200,
     demands, mode_used = _demand_set(p, n_files, mode, samples, rng)
     ints = lib._ints
     masks = p.star_columns
-    faulty = []  # (user, its decoder) for each user whose cache is not clean
+    faulty = []  # (user, its cache, grouped by row) for each user whose cache is not clean
     for user, cache in enumerate(place(p, lib)):
         packets = cache.packets
         if not (isinstance(packets, PlacedPackets) and packets.holds(lib, masks[user])):
-            faulty.append((user, _decoder(p, cache, user, packet_size)))
-    not_clean = {user for user, _ in faulty}
+            faulty.append((user, packets, _int_rows(packets, packet_size)))
+    not_clean = {user for user, _, _ in faulty}
     cells_of = p.symbol_cells
     symbols = [(cells_of[s], [k for _, k in cells_of[s] if k not in not_clean])
                for s in range(1, p.s + 1)]  # (cells, clean users in its columns)
@@ -410,9 +408,9 @@ def verify_scheme(p: Pda, n_files: int, mode: str = "auto", samples: int = 200,
                 acc ^= ints[demand[k]][j]
             if acc:  # payload differs from the library XOR over its cells
                 failed.update(clean)
-        for user, rows in faulty:
+        for user, packets, by_row in faulty:
             try:
-                if rows(tx, demand) != ints[demand[user]]:
+                if _peel(p, packets, by_row, user, tx, demand, packet_size) != ints[demand[user]]:
                     failed.add(user)
             except DecodeError:
                 failed.add(user)

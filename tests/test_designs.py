@@ -91,6 +91,14 @@ def test_complete_design():
         complete_design(4, 4)
     with pytest.raises(ValueError):
         complete_design(3, 0)
+    # the builder does not certify what it builds, so certify every small one here
+    for v in range(2, 9):
+        for k in range(1, v):
+            d = complete_design(v, k)
+            assert d.t_params == (k, v, k, 1) and certify_t_design(d, k, v, k, 1).ok
+            assert (d.config_params is not None) == (k == 2)
+            if k == 2:
+                assert certify_configuration(d, *d.config_params).ok
 
 
 @pytest.mark.parametrize("v", (7, 9, 13, 15, 19, 21, 25, 27))

@@ -1,12 +1,14 @@
 """Property tests: the validator against the definitions of C1-C3 and
 against a per-cell scan, canonical relabeling against a per-cell reference,
 the file formats' round trips, the text parser's failure mode, the simulator on
-random valid arrays, with and without a faulty cached packet or payload, and
-placed caches against plain dicts under random edits.  Examples are
+random valid arrays, with and without a faulty cached packet or payload,
+placed caches against plain dicts under random edits, and decode on the sweep
+arrays against a per-cell reference peel.  Examples are
 derandomized, so every run sees the same inputs."""
 
 import itertools
 import json
+import random
 
 from hypothesis import given, settings, strategies as st
 
@@ -16,7 +18,7 @@ from pdakit.pda import (Pda, PdaFormatError, STAR, canonical_relabel, format_pda
 from pdakit.sim import (CacheContents, DecodeError, FileLibrary, decode, deliver, place,
                         verify_scheme)
 
-from conftest import decode_failures
+from conftest import all_pdas, decode_failures
 
 FIXED = settings(derandomize=True, database=None, deadline=None)
 
@@ -310,3 +312,86 @@ def test_placed_cache_behaves_as_a_dict(p, user, edits):
         assert {j2: got for j2, got in view.int_rows(4).items() if got} == by_row
         assert view.holds(lib, p.star_columns[user % p.k]) == all(
             plain.get((i2, j2)) == lib.packets[i2][j2] for i2 in range(3) for j2 in stars)
+
+
+def reference_decode(p: Pda, cache, transmissions: list, demand: tuple, user: int):
+    """decode from the definition, cell by cell: a starred row j is
+    cache[(demand[user], j)], and a coded row j with symbol s is payload s XOR
+    cache[(demand[k2], j2)] over s's other cells (j2, k2).  None if a packet
+    it reads is missing or is not a transmission's length."""
+    size = len(transmissions[0])
+    cells: dict[int, list] = {}
+    for j, row in enumerate(p.grid):
+        for k, v in enumerate(row):
+            cells.setdefault(v, []).append((j, k))
+    out = []
+    for j, row in enumerate(p.grid):
+        v = row[user]
+        if v == STAR:
+            acc, reads = bytes(size), [(demand[user], j)]
+        else:
+            acc = transmissions[v - 1]
+            reads = [(demand[k2], j2) for j2, k2 in cells[v] if (j2, k2) != (j, user)]
+        for key in reads:
+            pk = cache.get(key)
+            if pk is None or len(pk) != size:
+                return None
+            acc = bytes(a ^ b for a, b in zip(acc, pk))
+        out.append(acc)
+    return b"".join(out)
+
+
+def _reads(p: Pda, user: int, demand: tuple) -> list:
+    """The (file, row) keys the user's decode of this demand reads."""
+    out = []
+    for j, row in enumerate(p.grid):
+        v = row[user]
+        out += ([(demand[user], j)] if v == STAR else
+                [(demand[k2], j2) for j2, k2 in p.symbol_cells[v] if (j2, k2) != (j, user)])
+    return out
+
+
+@settings(FIXED, max_examples=250)
+@given(st.data())
+def test_decode_matches_the_per_cell_reference(sweep, data):
+    """On sweep arrays, clean, corrupt, dropped and overlong caches, placed
+    views and plain dicts, transmissions of the library's packet length or
+    shorter, and demands inside the library or not: decode returns what the
+    reference peel does, and raises DecodeError exactly where it gives
+    None."""
+    pdas = all_pdas(sweep)
+    p = pdas[data.draw(st.integers(0, len(pdas) - 1), label="array")]
+    n = data.draw(st.integers(1, 3), label="files")
+    user = data.draw(st.integers(0, p.k - 1), label="user")
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32), label="seed"))
+    demand = [rng.randrange(n) for _ in range(p.k)]
+    if data.draw(st.booleans(), label="outside"):
+        demand[rng.randrange(p.k)] = n  # a file the library lacks
+    demand = tuple(demand)
+    # packets whose first 8 bytes are zero, so 8-byte transmissions of them
+    # equal the 16-byte packets as ints
+    short = data.draw(st.booleans(), label="short")
+    lib = FileLibrary(n, p.f, 16, tuple(tuple(bytes(8) + rng.randbytes(8) for _ in range(p.f))
+                                        for _ in range(n)))
+    tx = deliver(p, lib, [min(d, n - 1) for d in demand])
+    if short:
+        tx = [t[8:] for t in tx]
+    cache = place(p, lib)[user].packets
+    if data.draw(st.booleans(), label="dict"):
+        cache = dict(cache)
+    fault = data.draw(st.sampled_from(["clean", "corrupt", "drop", "overlong"]), label="fault")
+    if fault != "clean":
+        read = [key for key in _reads(p, user, demand) if key in cache]
+        keys = read if read and data.draw(st.booleans(), label="read") else sorted(cache)
+        key = keys[rng.randrange(len(keys))]
+        pk = cache.pop(key)
+        if fault == "corrupt":
+            cache[key] = (int.from_bytes(pk, "big") ^ 1 << rng.randrange(128)).to_bytes(16, "big")
+        elif fault == "overlong":
+            cache[key] = rng.choice([b"\0" + pk, pk + b"\0"])
+    expect = reference_decode(p, cache, tx, demand, user)
+    try:
+        got = decode(p, CacheContents(user, cache), tx, demand, user)
+    except DecodeError:
+        got = None
+    assert got == expect

@@ -29,6 +29,32 @@ def test_library_shape_and_determinism():
         FileLibrary.random(0, 4)
 
 
+@pytest.mark.parametrize("packets", [
+    ((b"ab", b"c"),),  # packets longer than packet_size: deliver overflowed
+    ((b"a",),),  # fewer packets than f: deliver ran off the file
+    ((b"a", b"b", b"c"),),  # more packets than f
+    ((b"a", b"b"), (b"c", b"d")),  # more files than n
+    ((b"a", "b"),),  # a packet that is not bytes
+    ((b"a", bytearray(b"b")),),
+])
+def test_library_checks_its_shape(packets):
+    """A library holds n files of f packets, each a bytes object of exactly
+    packet_size bytes, or is refused before deliver can read it."""
+    with pytest.raises(ValueError):
+        FileLibrary(1, 2, 1, packets)
+
+
+def test_library_needs_positive_sizes():
+    for n, f, size in ((0, 2, 1), (1, 0, 1), (1, 2, 0), (1.0, 2, 1)):
+        with pytest.raises(ValueError, match="^need n, f, packet_size >= 1$"):
+            FileLibrary(n, f, size, ((b"a", b"b"),))
+    for n, f, size in ((0, 1, 1), (1, 0, 1), (1, 1, 0), (1, 1, -1)):
+        with pytest.raises(ValueError, match="^need n, f, packet_size >= 1$"):
+            FileLibrary.random(n, f, size)
+    lib = FileLibrary(1, 2, 1, ((b"a", b"b"),))
+    assert deliver(TINY, lib, (0, 0)) == [bytes([ord("a") ^ ord("b")])]
+
+
 def test_place_fills_starred_rows():
     lib = FileLibrary.random(2, 2, seed=0)
     caches = place(TINY, lib)
@@ -321,15 +347,16 @@ def test_verify_scheme_streams_demands(monkeypatch):
 
 
 def test_clean_users_are_never_peeled(monkeypatch):
-    """verify_scheme builds a decoder only for users whose cache is faulty."""
+    """verify_scheme peels only users whose cache is faulty."""
     calls = []
-    real_decoder, real_place = sim._decoder, sim.place
+    real_peel, real_place = sim._peel, sim.place
 
-    def decoder(p, cache, user, size):
-        calls.append(user)
-        return real_decoder(p, cache, user, size)
+    def peel(p, packets, by_row, user, *rest):
+        if user not in calls:  # the users peeled, in the order first peeled
+            calls.append(user)
+        return real_peel(p, packets, by_row, user, *rest)
 
-    monkeypatch.setattr(sim, "_decoder", decoder)
+    monkeypatch.setattr(sim, "_peel", peel)
     assert verify_scheme(FANO_PG, 3, mode="exhaustive").ok
     assert calls == []
 
@@ -350,13 +377,14 @@ def test_clean_users_are_never_peeled(monkeypatch):
 
 
 def _count_decoders(monkeypatch) -> list:
-    calls, real_decoder = [], sim._decoder
+    calls, real_peel = [], sim._peel
 
-    def decoder(p, cache, user, size):
-        calls.append(user)
-        return real_decoder(p, cache, user, size)
+    def peel(p, packets, by_row, user, *rest):
+        if user not in calls:  # the users peeled, in the order first peeled
+            calls.append(user)
+        return real_peel(p, packets, by_row, user, *rest)
 
-    monkeypatch.setattr(sim, "_decoder", decoder)
+    monkeypatch.setattr(sim, "_peel", peel)
     return calls
 
 
@@ -445,9 +473,33 @@ def test_decode_rejects_a_cached_packet_longer_than_the_transmissions():
                                           f"is 17 bytes, not the 16 bytes of a transmission"):
         decode(FANO_PG, caches[0], _TX, (0,) * 7, 0)
     # transmissions shorter than the library's packets, on an unedited cache:
-    # every cached packet is too long
-    with pytest.raises(DecodeError, match="^user 1: row .* the 8 bytes"):
+    # every cached packet is too long, so the first one read is named
+    first = next(j for j, r in enumerate(FANO_PG.grid) if r[1] == STAR)
+    with pytest.raises(DecodeError, match=fr"^user 1: packet \(0,{first}\) for cell "
+                                          fr"\({first},1\) is 16 bytes, not the 8 bytes"):
         decode(FANO_PG, caches[1], [t[:8] for t in _TX], (0,) * 7, 1)
+
+
+@pytest.mark.parametrize("kind", ["view", "dict"])
+def test_library_packets_longer_than_the_transmissions_are_not_used(kind):
+    """16-byte library packets whose first 8 bytes are zero equal, as ints,
+    the 8-byte packets that transmissions cut to their last 8 bytes carry; a
+    placed cache never written to holds no packet of the transmissions'
+    length, as a dict copy of it does not, so nothing decodes."""
+    rnd = FileLibrary.random(2, FANO_PG.f, packet_size=8, seed=5)
+    lib = FileLibrary(2, FANO_PG.f, 16, tuple(tuple(bytes(8) + pk for pk in file)
+                                              for file in rnd.packets))
+    demand = (0,) * 7
+    tx = [t[8:] for t in deliver(FANO_PG, lib, demand)]
+    assert tx == deliver(FANO_PG, rnd, demand)
+    for cache in place(FANO_PG, lib):
+        packets = cache.packets if kind == "view" else dict(cache.packets)
+        user = cache.user
+        with pytest.raises(DecodeError, match=fr"^user {user}: packet \(0,\d\) for cell "
+                                              r"\(\d,\d\) is 16 bytes, not the 8 bytes of a "
+                                              r"transmission$"):
+            decode(FANO_PG, CacheContents(user, packets), tx, demand, user)
+        assert cache.packets._own is None
 
 
 @pytest.mark.parametrize("kind", ["view", "dict"])

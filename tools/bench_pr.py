@@ -17,8 +17,12 @@ N=4 files): verify_scheme's wall seconds (total_s, sampled, 20 samples) and
 the SHA-256 of its report's JSON, then, as in perfbench's simulate pass,
 place plus size_bytes of every cache (place_s) and decode for users 0, 41,
 82, ... on 3 seeded demands (decode_s, the decode calls alone) with the
-SHA-256 of the decoded files, and ru_maxrss.  Rung times are raw wall
-seconds.  Every metric is reported with
+SHA-256 of the decoded files, and ru_maxrss; last, untimed, the same users
+and demands decode from faulty caches, one fault per cache written through
+the mapping (a corrupt, a dropped and a 17-byte starred packet of the
+demanded file), and the rung records the SHA-256 of the DecodeError texts
+raised (a decoded file counts as its digest) and how many were raised.
+Rung times are raw wall seconds.  Every metric is reported with
 each side's runs, median and quartiles, and the number of rounds in which
 the change read lower.  Each side's src/pdakit/*.py line counts are recorded
 too.
@@ -74,8 +78,8 @@ RUNG_STATS = ("total_s", "peak_rss_mb", "validate_s", "io_s")
 SIM_RUNG = (2, 6, 2, 2)
 SIM_CODE = """
 import hashlib, json, random, resource, sys, time
-from pdakit import (ConstructionSpec, FileLibrary, construct_pda, decode, deliver, place,
-                    verify_scheme)
+from pdakit import (ConstructionSpec, DecodeError, FileLibrary, construct_pda, decode,
+                    deliver, place, verify_scheme)
 q, k, m, t = map(int, sys.argv[1:])
 p = construct_pda(ConstructionSpec("pg", 1, q=q, k=k, m=m, t=t))
 t0 = time.perf_counter()
@@ -97,9 +101,31 @@ for demand in demands:
         decode_s += time.perf_counter() - t0
         decoded.update(out)
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+texts, errors = [], 0  # per decode, the DecodeError text or the decoded file's digest
+for demand in demands:
+    tx = deliver(p, lib, demand)
+    for fault in ("corrupt", "drop", "long"):
+        faulty = place(p, lib)
+        for u in range(0, p.k, 41):
+            packets = faulty[u].packets
+            key = (demand[u], next(iter(packets))[1])  # the user's first starred row
+            pk = packets[key]
+            if fault == "corrupt":
+                packets[key] = bytes([pk[0] ^ 1]) + pk[1:]
+            elif fault == "drop":
+                del packets[key]
+            else:
+                packets[key] = bytes(1) + pk
+            try:
+                texts.append(hashlib.sha256(decode(p, faulty[u], tx, demand, u)).hexdigest())
+            except DecodeError as e:
+                texts.append(str(e))
+                errors += 1
 print(json.dumps({"demands": rep.demands_tested, "ok": rep.ok,
                   "digest": hashlib.sha256(json.dumps(rep.to_json()).encode()).hexdigest(),
                   "decoded_digest": decoded.hexdigest(),
+                  "error_digest": hashlib.sha256(json.dumps(texts).encode()).hexdigest(),
+                  "decode_errors": errors,
                   "total_s": round(total, 3), "place_s": round(place_s, 4),
                   "decode_s": round(decode_s, 4), "peak_rss_mb": round(rss, 1)}))
 """
@@ -192,16 +218,23 @@ def main(argv=None) -> int:
                for stat in RUNG_STATS}}
     digests = {r["digest"] for side in sides for r in sim[side]}
     decoded = {r["decoded_digest"] for side in sides for r in sim[side]}
+    errors = {(r["error_digest"], r["decode_errors"]) for side in sides for r in sim[side]}
     out["sim"] = {
         "what": "on pg q=2 k=6 m=2 t=2 set 1, built first, one fresh process per run: "
                 "total_s is verify_scheme(p, 4, mode='sampled', samples=20, seed=7); "
                 "place_s is place plus size_bytes of every cache; decode_s is the 48 "
                 "decode calls (users 0, 41, ... on 3 demands, deliver untimed); raw "
-                "wall seconds, and ru_maxrss of the process",
+                "wall seconds, and ru_maxrss of the process; error_digest is the SHA-256 "
+                "of the DecodeError texts (or decoded files' digests) of the same calls "
+                "on caches with a corrupt, a dropped or a 17-byte starred packet",
         "q_k_m_t": list(SIM_RUNG), "demands": sim["change"][0]["demands"],
         "all_ok": all(r["ok"] for side in sides for r in sim[side]),
         "report_digests_equal": len(digests) == 1, "report_digest": min(digests),
         "decoded_digests_equal": len(decoded) == 1, "decoded_digest": min(decoded),
+        "error_digests_equal": len(errors) == 1,
+        "error_digests": {side: sorted({r["error_digest"] for r in sim[side]})
+                          for side in sides},
+        "decode_errors": min(errors)[1],
         **{stat: summarize([r[stat] for r in sim["parent"]], [r[stat] for r in sim["change"]])
            for stat in SIM_STATS}}
     args.out.write_text(json.dumps(out, indent=2) + "\n")
