@@ -26,7 +26,7 @@ from .designs import (Design, blocks_containing, certify_configuration,
                       certify_t_design, from_reference, lambda_s)
 from .gf import FieldSpec
 from .pda import Pda
-from .subspaces import enumerate_subspaces, gaussian_binomial
+from .subspaces import gaussian_binomial, subspaces_and_masks
 from .triples import TripleSystem, _matched_pda, _oriented_parameters, mask_of, set_bits
 
 FAMILIES = ("pg", "config", "tdesign-a", "tdesign-b", "tdesign-lambda")
@@ -212,13 +212,14 @@ def _block_triple(design: Design, size_x: int, size_y: int) -> TripleSystem:
                         tuple(xy), tuple(xz), tuple(yz))
 
 
-def _holders(subspaces, npoints: int) -> list[int]:
-    """For each point, the mask of the subspaces that hold it."""
+def _holders(masks: list[int], npoints: int) -> list[int]:
+    """For each point, the mask of the subspaces (by their points masks) that
+    hold it."""
     out: list[list[int]] = [[] for _ in range(npoints)]
-    for i, s in enumerate(subspaces):
-        for point in set_bits(s.points_mask()):
+    for i, mask in enumerate(masks):
+        for point in set_bits(mask):
             out[point].append(i)
-    return [mask_of(held, len(subspaces)) for held in out]
+    return [mask_of(held, len(masks)) for held in out]
 
 
 def pg_triple(q: int, k: int, m: int, t: int) -> TripleSystem:
@@ -228,23 +229,24 @@ def pg_triple(q: int, k: int, m: int, t: int) -> TripleSystem:
     symbols are incident to the columns containing them.  With each subspace
     a bitmask over the q^k points (zero vector at bit 0), a subspace lies in
     exactly the columns that hold all its points, and meets trivially exactly
-    the symbols that hold none of its nonzero points.
+    the symbols that hold none of its nonzero points.  The masks come with
+    the labels from one enumeration.
     """
     field = _check_pg(q, k, m, t)
-    xs = enumerate_subspaces(field, k, t)
-    ys = enumerate_subspaces(field, k, m)
-    zs = enumerate_subspaces(field, k, m + t)
-    in_y, in_z = _holders(ys, q ** k), _holders(zs, q ** k)
+    xs, on_x = subspaces_and_masks(field, k, t)
+    ys, on_y = subspaces_and_masks(field, k, m)
+    zs, on_z = subspaces_and_masks(field, k, m + t)
+    in_y, in_z = _holders(on_y, q ** k), _holders(on_z, q ** k)
     all_y = (1 << len(ys)) - 1
 
-    def meets_trivially(x):
-        return all_y & ~reduce(or_, (in_y[p] for p in set_bits(x.points_mask() ^ 1)))
+    def meets_trivially(points):
+        return all_y & ~reduce(or_, (in_y[p] for p in set_bits(points ^ 1)))
 
-    def within(s):
-        return reduce(and_, (in_z[p] for p in set_bits(s.points_mask())))
+    def within(points):
+        return reduce(and_, (in_z[p] for p in set_bits(points)))
 
-    return TripleSystem(tuple(xs), tuple(ys), tuple(zs), tuple(map(meets_trivially, xs)),
-                        tuple(map(within, xs)), tuple(map(within, ys)))
+    return TripleSystem(tuple(xs), tuple(ys), tuple(zs), tuple(map(meets_trivially, on_x)),
+                        tuple(map(within, on_x)), tuple(map(within, on_y)))
 
 
 def configuration_triple(design: Design) -> TripleSystem:

@@ -6,10 +6,9 @@ deterministic: pivot-column sets in lexicographic order, then free entries
 in counting order.
 """
 
-import functools
 import itertools
 from dataclasses import dataclass
-from operator import mul
+from operator import add, mul
 
 from .gf import FieldSpec
 
@@ -123,6 +122,14 @@ class Subspace:
         """
         return _points_mask(self)
 
+    @classmethod
+    def _trusted(cls, field: FieldSpec, ambient: int, basis: tuple) -> "Subspace":
+        """Subspace(field, ambient, basis) for a basis already known to be a
+        valid RREF basis, without the checks."""
+        s = object.__new__(cls)
+        s.__dict__.update(field=field, ambient=ambient, basis=basis)  # frozen: no __setattr__
+        return s
+
     def _check_compatible(self, other):
         if self.field != other.field or self.ambient != other.ambient:
             raise ValueError("subspaces live in different ambient spaces")
@@ -137,45 +144,112 @@ def span(field: FieldSpec, ambient: int, rows) -> Subspace:
     return Subspace(field, ambient, basis)
 
 
-@functools.lru_cache(maxsize=None)
 def _points_mask(s: Subspace) -> int:
-    f, els = s.field, s.field.elements()
-    weights = [f.q ** i for i in range(s.ambient)]
-    scale = [[f.mul(c, b) for b in els] for c in els[1:]]  # scale[c - 1][b] = c * b
-    if f.p == 2:
-        # F_{2^e} elements are e-bit strings added by XOR, so vector indices
-        # add by XOR: the span is the XOR closure of the rows' multiples
-        points = [0]
-        for row in s.basis:
-            multiples = [sum(map(mul, weights, map(by.__getitem__, row))) for by in scale]
-            points += [a ^ m for m in multiples for a in points]
-    else:
-        vectors = [(0,) * s.ambient]
-        for row in s.basis:
-            vectors += [tuple(f.add(a, by[b]) for a, b in zip(v, row))
-                        for by in scale for v in vectors]
-        points = [sum(map(mul, weights, v)) for v in vectors]
-    return sum([1 << i for i in points])
+    return _PointMasks(s.field, s.ambient)(s.basis)
+
+
+class _PointMasks:
+    """Subspace.points_mask of the subspaces of one F_q^ambient, from their
+    RREF bases.  What it keeps between calls lives as long as the instance.
+
+    For q = 2^e, F_q elements are e-bit strings added by XOR, so vector
+    indices add by XOR: the span is the XOR closure of the rows' multiples.
+    The closure of all rows but the last is kept for the next basis, which in
+    enumeration order most often shares them.  For odd q, digit j of a
+    vector of the span depends on column j of the basis alone, so the
+    indices of all q^dim vectors are a sum of one list per column, each
+    kept by (j, column).
+    """
+
+    def __init__(self, field: FieldSpec, ambient: int):
+        els = field.elements()
+        self.field = field
+        self.weights = [field.q ** i for i in range(ambient)]
+        self.scale = [[field.mul(c, b) for b in els] for c in els[1:]]  # [c - 1][b] = c * b
+        self.multiples: dict = {}  # row -> the indices of its nonzero multiples
+        self.columns: dict = {}  # (j, column) -> _column(j, column)
+        self.prefix, self.closure, self.closure_mask = (), [0], 1
+
+    def __call__(self, basis: tuple) -> int:
+        if not basis:
+            return 1
+        if self.field.p == 2:
+            if basis[:-1] != self.prefix:
+                self.prefix, points = basis[:-1], [0]
+                for row in self.prefix:
+                    points += [a ^ m for m in self._multiples(row) for a in points]
+                self.closure, self.closure_mask = points, sum(map(_bit, points))
+            points = self.closure
+            return self.closure_mask + sum(map(_bit, [a ^ m for m in self._multiples(basis[-1])
+                                                      for a in points]))
+        indices = None
+        for j, column in enumerate(zip(*basis)):
+            part = self.columns.get((j, column)) or self._column(j, column)
+            indices = part if indices is None else list(map(add, indices, part))
+        return sum(map(_bit, indices))
+
+    def _multiples(self, row: tuple) -> list[int]:
+        out = self.multiples.get(row)
+        if out is None:
+            out = self.multiples[row] = [sum(map(mul, self.weights, map(by.__getitem__, row)))
+                                         for by in self.scale]
+        return out
+
+    def _column(self, j: int, column: tuple) -> list[int]:
+        """q^j times digit j of every vector of the span, over the coefficient
+        vectors in one fixed order."""
+        f, digits = self.field, [0]
+        for entry in column:
+            digits = [f.add(d, by[entry]) for by in [[0] * f.q] + self.scale for d in digits]
+        out = self.columns[j, column] = [self.weights[j] * d for d in digits]
+        return out
+
+
+_bit = (1).__lshift__
+
+
+def _bases(field: FieldSpec, ambient: int, dim: int):
+    """The RREF bases of all dim-dimensional subspaces of F_q^ambient, in
+    enumeration order: pivot-column sets in lexicographic order, then the
+    free entries, row-major, in counting order.  Every row is a tuple shared
+    by the bases that hold it.  Each pivot set's first basis goes through
+    Subspace(...), which checks the pattern, and every row's free entries are
+    checked against the field, so every basis yielded is a valid one."""
+    if not 0 <= dim <= ambient:
+        raise ValueError(f"need 0 <= dim <= ambient, got dim={dim}, ambient={ambient}")
+    q, els = field.q, field.elements()
+    for pivot_cols in itertools.combinations(range(ambient), dim):
+        choices = []  # per row, every row it can be, in counting order
+        for p in pivot_cols:
+            free = [j for j in range(p + 1, ambient) if j not in pivot_cols]
+            rows = []
+            for values in itertools.product(els, repeat=len(free)):
+                if not all(0 <= v < q for v in values):
+                    raise ValueError("basis entry outside the field")
+                row = [0] * ambient
+                row[p] = 1
+                for j, v in zip(free, values):
+                    row[j] = v
+                rows.append(tuple(row))
+            choices.append(rows)
+        Subspace(field, ambient, tuple(rows[0] for rows in choices))
+        yield from itertools.product(*choices)
 
 
 def enumerate_subspaces(field: FieldSpec, ambient: int, dim: int) -> list[Subspace]:
     """All dim-dimensional subspaces of F_q^ambient in a fixed total order."""
-    if not 0 <= dim <= ambient:
-        raise ValueError(f"need 0 <= dim <= ambient, got dim={dim}, ambient={ambient}")
-    out = []
-    for pivot_cols in itertools.combinations(range(ambient), dim):
-        pivot_set = set(pivot_cols)
-        # free slots, row-major: non-pivot columns to the right of each row's pivot
-        free = [(i, j) for i in range(dim) for j in range(pivot_cols[i] + 1, ambient)
-                if j not in pivot_set]
-        for values in itertools.product(field.elements(), repeat=len(free)):
-            rows = [[0] * ambient for _ in range(dim)]
-            for i, p in enumerate(pivot_cols):
-                rows[i][p] = 1
-            for (i, j), v in zip(free, values):
-                rows[i][j] = v
-            out.append(Subspace(field, ambient, tuple(tuple(r) for r in rows)))
-    return out
+    return [Subspace._trusted(field, ambient, basis) for basis in _bases(field, ambient, dim)]
+
+
+def subspaces_and_masks(field: FieldSpec, ambient: int,
+                        dim: int) -> tuple[list[Subspace], list[int]]:
+    """enumerate_subspaces(field, ambient, dim) and, in the same pass, each
+    subspace's points_mask()."""
+    labels, masks, mask_of = [], [], _PointMasks(field, ambient)
+    for basis in _bases(field, ambient, dim):
+        labels.append(Subspace._trusted(field, ambient, basis))
+        masks.append(mask_of(basis))
+    return labels, masks
 
 
 def subspace_counts(q, k: int, m: int, s: int, t: int) -> tuple[int, int, int]:

@@ -24,6 +24,8 @@ Conditions checked here, all by exhaustive scan (E3-E5 one pass per row):
 
 E1-E5 characterize valid arrays exactly; E1-E3 plus E6 suffice once C_XY is
 thinned to per-z perfect matchings (complete_matching, by augmenting paths).
+The matching path scans only E1-E3 and the degrees, and decides E6 per
+distinct column graph as it matches; check_conditions scans everything.
 Their cells, one triple (x, y, z) per non-star cell, are what every array is
 emitted from; an orientation picks which of x, y, z is row, column, symbol.
 """
@@ -31,7 +33,7 @@ emitted from; an orientation picks which of x, y, z is row, column, symbol.
 from array import array
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import add, itemgetter
 
 from .pda import STAR, Pda, canonical_relabel, require_valid
@@ -116,6 +118,11 @@ class ConditionReport:
 
 def set_bits(mask: int) -> list[int]:
     """Indices of the set bits of mask, ascending."""
+    if mask.bit_count() > 384:
+        # the runs of zeros between the ones, bit 0's first: one pass over the
+        # width, then a constant per bit, where a peel copies the mask per bit
+        runs = bin(mask)[:1:-1].split("1")
+        return list(accumulate(map((1).__add__, map(len, runs)), initial=-1))[1:-1]
     # Taken from the top, so each step works on a shorter int.
     out = []
     while mask:
@@ -174,44 +181,76 @@ def _first_not_single(rows, via, cols, labels_a, labels_b):
     return None
 
 
-def check_conditions(t: TripleSystem) -> ConditionReport:
-    """Evaluate every condition by exhaustive scan; never sampled."""
-    lx, ly, lz = t.labels_x, t.labels_y, t.labels_z
-    rows_xy, cols_xy, cols_xz, cols_yz = t.xy, t.cols_xy, t.cols_xz, t.cols_yz
+def _scan(t: TripleSystem) -> tuple[dict, int | None, int | None, int | None]:
+    """E1, E2 and E3 by exhaustive scan, as the witnesses of those that fail,
+    in that order, and the degrees D_X, D_Y, D_Z.  Reads the columns of C_XZ
+    and C_YZ, not those of C_XY."""
+    ly, cols_xz = t.labels_y, t.cols_xz
     wit: dict = {}
-
     col_sums = {m.bit_count() for m in cols_xz}
-    e1 = len(col_sums) <= 1
-    if not e1:
+    if len(col_sums) > 1:
         wit["E1"] = tuple(sorted(col_sums))
-    d_z = min(col_sums) if e1 and col_sums else None
-    e2 = all(t.yz)
-    if not e2:
+    d_z = col_sums.pop() if len(col_sums) == 1 else None
+    if not all(t.yz):
         wit["E2"] = (ly[t.yz.index(0)],)
-    d_y, d_x = _degree(t.yz), _degree(t.xz)
+    # E3 walks the z of each xz[x]
+    witness = _first_not_single(t.xy, t.xz, t.cols_yz, t.labels_x, ly)
+    if witness is not None:
+        wit["E3"] = witness
+    return wit, _degree(t.xz), _degree(t.yz), d_z
 
-    # E3 walks the z of each xz[x], E4 the y of each xy[x], E5 the x of cols_xy[y]
-    for name, args in (("E3", (rows_xy, t.xz, cols_yz, lx, ly)),
-                       ("E4", (t.xz, rows_xy, t.yz, lx, lz)),
-                       ("E5", (t.yz, cols_xy, t.xz, ly, lz))):
+
+def _local_graphs(t: TripleSystem):
+    """Per column z, in order, (z, xs, ys, key): its rows xs and symbols ys
+    in ascending order, and, if both are nonempty and as many, the graph
+    C_XY induces on them in local indices (else None), keyed as its n x n
+    adjacency in row-major chars: row i and symbol j are adjacent iff bit
+    ys[j] of xy[xs[i]] is set.  Columns with equal keys have equal graphs up
+    to the order-keeping renaming of their rows and symbols."""
+    # char j of bits[x] is bit j of xy[x]
+    bits = [format(row, f"0{len(t.labels_y)}b")[::-1] for row in t.xy]
+    for z, (mask1, mask2) in enumerate(zip(t.cols_xz, t.cols_yz)):
+        xs, ys = set_bits(mask1), set_bits(mask2)
+        key = None
+        if xs and len(xs) == len(ys):
+            pick = itemgetter(*ys)  # a char, or a tuple of chars, per row
+            key = "".join(map("".join, map(pick, map(bits.__getitem__, xs))))
+        yield z, xs, ys, key
+
+
+def _regular_degree(key: str, n: int) -> int | None:
+    """The degree d of the n x n graph key (_local_graphs) if every row and
+    column of it holds d ones and d > 0, else None: E6 for its columns."""
+    sums = {key.count("1", i, i + n) for i in range(0, n * n, n)}
+    sums.update(key[j::n].count("1") for j in range(n))
+    return sums.pop() if len(sums) == 1 and 0 not in sums else None
+
+
+def check_conditions(t: TripleSystem) -> ConditionReport:
+    """Evaluate every condition by exhaustive scan; never sampled.  E6 is
+    decided once per distinct column graph (_local_graphs)."""
+    lx, ly, lz = t.labels_x, t.labels_y, t.labels_z
+    wit, d_x, d_y, d_z = _scan(t)
+    # E4 walks the y of each xy[x], E5 the x of cols_xy[y]
+    for name, args in (("E4", (t.xz, t.xy, t.yz, lx, lz)),
+                       ("E5", (t.yz, t.cols_xy, t.xz, ly, lz))):
         witness = _first_not_single(*args)
         if witness is not None:
             wit[name] = witness
 
-    degrees = []
-    for z, (u1, u2) in enumerate(zip(cols_xz, cols_yz)):
-        if not u1 or not u2:
-            degrees.append(0)
-            continue
-        degs = {(rows_xy[x] & u2).bit_count() for x in set_bits(u1)}
-        degs |= {(cols_xy[y] & u1).bit_count() for y in set_bits(u2)}
-        if len(degs) == 1 and 0 not in degs:
-            degrees.append(degs.pop())
+    # per z: the common degree, 0 with a side empty, None if irregular
+    degrees, memo = [], {}
+    for z, xs, ys, key in _local_graphs(t):
+        if key is None:
+            degrees.append(None if xs and ys else 0)
         else:
-            degrees.append(None)
+            if key not in memo:
+                memo[key] = _regular_degree(key, len(xs))
+            degrees.append(memo[key])
+        if degrees[-1] is None:
             wit.setdefault("E6", (lz[z],))
 
-    e3, e4, e5, e6 = ("E3" not in wit, "E4" not in wit, "E5" not in wit, "E6" not in wit)
+    e1, e2, e3, e4, e5, e6 = (c not in wit for c in ("E1", "E2", "E3", "E4", "E5", "E6"))
     return ConditionReport(e1, e2, e3, e4, e5, e6, bool(d_z), d_y is not None,
                            d_x is not None, d_x, d_y, d_z, tuple(degrees), wit)
 
@@ -320,36 +359,60 @@ def _cells(t: TripleSystem) -> tuple[array, array, array]:
     """The cells of per-z perfect matchings of C_XY, as three arrays x, y, z:
     cell i is the triple (x[i], y[i], z[i]), one per matched pair.
 
-    Column z's graph is keyed in local indices, as its n x n adjacency in
-    row-major chars: row i and symbol j are adjacent iff bit ys[j] of
-    xy[xs[i]] is set, for its rows xs and symbols ys in ascending order.
-    _match_column runs once per distinct key, on the local masks, and each
+    E6 is decided here, once per distinct column key (_local_graphs), and
+    _match_column runs once per key that passes, on the local masks; each
     column with that key takes its pairs through its own xs and ys.  Kuhn
     reads only order and adjacency, so every column gets the matching its
     global masks would give.  Every pg system tried has a single key.
+
+    Raises ConditionError for E6 at the first column whose graph is not
+    regular with positive degree (its sides differ in size, or some row or
+    symbol has another degree), and, if there is none, at the first column
+    with one side empty and the other not.
     """
     cells = cx, cy, cz = array("l"), array("l"), array("l")
-    # char j of bits[x] is bit j of xy[x]
-    bits = [format(row, f"0{len(t.labels_y)}b")[::-1] for row in t.xy]
-    memo: dict[str, dict[int, int]] = {}
-    for z, (mask1, mask2) in enumerate(zip(t.cols_xz, t.cols_yz)):
-        if mask1.bit_count() != mask2.bit_count():  # E6 passes one empty side
-            raise ConditionError("E6", f"column {t.labels_z[z]} pairs {mask1.bit_count()} "
-                                 f"rows with {mask2.bit_count()} symbols")
-        if not mask2:  # nothing to match, and itemgetter needs an index
+    memo: dict[str, dict[int, int]] = {}  # key -> its matching; {} if E6 fails
+    lopsided = None
+    for z, xs, ys, key in _local_graphs(t):
+        if key is None:
+            if xs and ys:
+                raise ConditionError("E6", "", (t.labels_z[z],))
+            if lopsided is None and (xs or ys):
+                lopsided = f"column {t.labels_z[z]} pairs {len(xs)} rows with {len(ys)} symbols"
             continue
-        xs, ys = set_bits(mask1), set_bits(mask2)
-        n = len(xs)  # = len(ys), so the key's length n * n gives n
-        pick = itemgetter(*ys)  # a char, or a tuple of chars, per row
-        key = "".join(map("".join, map(pick, map(bits.__getitem__, xs))))
         pairs = memo.get(key)
         if pairs is None:
+            n = len(xs)
             local = [int(key[i * n:(i + 1) * n][::-1], 2) for i in range(n)]
-            pairs = memo[key] = _match_column(range(n), (1 << n) - 1, local)
+            pairs = memo[key] = (_match_column(range(n), (1 << n) - 1, local)
+                                 if _regular_degree(key, n) else {})
+        if not pairs:
+            raise ConditionError("E6", "", (t.labels_z[z],))
         cx.extend(map(xs.__getitem__, pairs.values()))
         cy.extend(map(ys.__getitem__, pairs))
         cz.extend(repeat(z, len(pairs)))
+    if lopsided is not None:
+        raise ConditionError("E6", lopsided)
     return cells
+
+
+def _matched_cells(t: TripleSystem) -> tuple[tuple[array, array, array], tuple]:
+    """_cells(t) and the degrees (D_X, D_Y, D_Z), after E1, E2, E3 and then
+    E6 are required, each failure raised as check_conditions would report
+    it.  Computes nothing else: no column of C_XY, no E4 or E5."""
+    wit, *degrees = _scan(t)
+    for name in ("E1", "E2", "E3"):
+        if name in wit:
+            raise ConditionError(name, "", wit[name])
+    return _cells(t), tuple(degrees)
+
+
+def _require_degrees(d_x, d_y, d_z) -> None:
+    """ConditionError for the first of E1', E2', E7 whose degree (D_Z, D_Y,
+    D_X) is not constant and positive (None or 0)."""
+    for name, d in (("E1'", d_z), ("E2'", d_y), ("E7", d_x)):
+        if not d:
+            raise ConditionError(name, "degrees are not constant and positive")
 
 
 def complete_matching(t: TripleSystem) -> TripleSystem:
@@ -359,8 +422,7 @@ def complete_matching(t: TripleSystem) -> TripleSystem:
     (x,y) is incident iff the pair was matched within some z, which upgrades
     the system to the full E1-E5 family.  The result keeps t's C_XZ and C_YZ.
     """
-    _require(check_conditions(t), ("E1", "E2", "E3", "E6"))
-    xs, ys, _ = _cells(t)
+    (xs, ys, _), _ = _matched_cells(t)
     rows = [bytearray(len(t.labels_y) + 7 >> 3) for _ in t.labels_x]
     for x, y in zip(xs, ys):
         rows[x][y >> 3] |= 1 << (y & 7)
@@ -390,10 +452,8 @@ def orientations(t: TripleSystem) -> tuple[TripleSystem, TripleSystem, TripleSys
     system as given.  A rotation only relabels: the column masks of one
     matrix are the row masks of its transpose.
     """
-    # degrees D_Z (columns of C_XZ), D_Y (rows of C_YZ), D_X (rows of C_XZ)
-    for name, masks in (("E1'", t.cols_xz), ("E2'", t.yz), ("E7", t.xz)):
-        if _degree(masks) is None:
-            raise ConditionError(name, "degrees are not constant and positive")
+    # degrees D_X (rows of C_XZ), D_Y (rows of C_YZ), D_Z (columns of C_XZ)
+    _require_degrees(_degree(t.xz), _degree(t.yz), _degree(t.cols_xz))
     lx, ly, lz = t.labels_x, t.labels_y, t.labels_z
     return (TripleSystem(ly, lz, lx, t.yz, t.cols_xy, t.cols_xz),
             TripleSystem(lz, ly, lx, t.cols_yz, t.cols_xz, t.cols_xy), t)
@@ -403,10 +463,10 @@ def _matched_pda(t: TripleSystem, orientation: int, what: str) -> Pda:
     """triple_to_pda(orientations(complete_matching(t))[orientation - 1]) from
     one scan of t and its matched cells, read in the orientation's roles.  An
     inadmissible orientation raises ValueError prefixed by what."""
-    rep = _require(check_conditions(t), ("E1", "E2", "E3", "E6"))
-    cells, sizes = _cells(t), (len(t.labels_x), len(t.labels_y), len(t.labels_z))
+    cells, degrees = _matched_cells(t)
+    sizes = len(t.labels_x), len(t.labels_y), len(t.labels_z)
     del t  # a caller that passes the built system on has it freed here
-    _require(rep, ("E1'", "E2'", "E7"), "degrees are not constant and positive")
+    _require_degrees(*degrees)
     row, col, sym = _ROLES[orientation - 1]
     try:
         return _emit(sizes[row], sizes[col], cells[row], cells[col], cells[sym])

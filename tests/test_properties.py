@@ -2,21 +2,29 @@
 against a per-cell scan, canonical relabeling against a per-cell reference,
 the file formats' round trips, the text parser's failure mode, the simulator on
 random valid arrays, with and without a faulty cached packet or payload,
-placed caches against plain dicts under random edits, and decode on the sweep
-arrays against a per-cell reference peel.  Examples are
+placed caches against plain dicts under random edits, decode on the sweep
+arrays against a per-cell reference peel, and the triple conditions E1-E7
+and construct_pda's matching path against their definitions.  Examples are
 derandomized, so every run sees the same inputs."""
 
 import itertools
 import json
 import random
+from dataclasses import replace
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import pdakit.sim as sim
+import pdakit.triples
+from pdakit.constructions import build_triple
 from pdakit.pda import (Pda, PdaFormatError, STAR, canonical_relabel, format_pda,
                         parse_pda, pda_from_json, pda_to_json, validate_pda)
 from pdakit.sim import (CacheContents, DecodeError, FileLibrary, decode, deliver, place,
                         verify_scheme)
+from pdakit.triples import (ConditionError, TripleSystem, _match_column, _matched_pda,
+                            check_conditions, complete_matching, set_bits)
 
 from conftest import all_pdas, decode_failures
 
@@ -395,3 +403,191 @@ def test_decode_matches_the_per_cell_reference(sweep, data):
     except DecodeError:
         got = None
     assert got == expect
+
+
+# --- triple conditions against their definitions --------------------------
+
+
+def _transpose(rows, ncols: int) -> list:
+    """Column masks, bit by bit."""
+    return [sum((row >> j & 1) << i for i, row in enumerate(rows)) for j in range(ncols)]
+
+
+def _common(counts) -> int | None:
+    counts = set(counts)
+    return counts.pop() if len(counts) == 1 and 0 not in counts else None
+
+
+def reference_report(t: TripleSystem) -> dict:
+    """Every field of check_conditions(t) from the definitions: one count per
+    incident pair, in row-major order, and E6 per column from the degree of
+    each of its rows and symbols.  witnesses is in condition order."""
+    lx, ly, lz = t.labels_x, t.labels_y, t.labels_z
+    nx, ny, nz = len(lx), len(ly), len(lz)
+    cols_xy, cols_xz, cols_yz = _transpose(t.xy, ny), _transpose(t.xz, nz), _transpose(t.yz, nz)
+    wit = {}
+    sums = {m.bit_count() for m in cols_xz}
+    if len(sums) > 1:
+        wit["E1"] = tuple(sorted(sums))
+    d_z = sums.pop() if len(sums) == 1 else None
+    lonely = [y for y in range(ny) if not t.yz[y]]
+    if lonely:
+        wit["E2"] = (ly[lonely[0]],)
+
+    def first_pair(rows, width, count, la, lb):
+        for i, row in enumerate(rows):
+            for j in range(width):
+                if row >> j & 1 and count(i, j) != 1:
+                    return la[i], lb[j]
+        return None
+
+    for name, pair in (
+            ("E3", first_pair(t.xy, ny, lambda x, y: (t.xz[x] & t.yz[y]).bit_count(), lx, ly)),
+            ("E4", first_pair(t.xz, nz, lambda x, z: (t.xy[x] & cols_yz[z]).bit_count(), lx, lz)),
+            ("E5", first_pair(t.yz, nz, lambda y, z: (cols_xy[y] & cols_xz[z]).bit_count(),
+                              ly, lz))):
+        if pair is not None:
+            wit[name] = pair
+    degrees = []
+    for z in range(nz):
+        xs = [x for x in range(nx) if t.xz[x] >> z & 1]
+        ys = [y for y in range(ny) if t.yz[y] >> z & 1]
+        if not xs or not ys:
+            degrees.append(0)
+            continue
+        degrees.append(_common([sum(t.xy[x] >> y & 1 for y in ys) for x in xs]
+                               + [sum(t.xy[x] >> y & 1 for x in xs) for y in ys]))
+        if degrees[-1] is None and "E6" not in wit:
+            wit["E6"] = (lz[z],)
+    d_x, d_y = _common(m.bit_count() for m in t.xz), _common(m.bit_count() for m in t.yz)
+    return {"flags": tuple(c not in wit for c in ("E1", "E2", "E3", "E4", "E5", "E6"))
+            + (bool(d_z), d_y is not None, d_x is not None),
+            "degrees": (d_x, d_y, d_z), "e6_degrees": tuple(degrees), "witnesses": wit}
+
+
+def reference_matching_path(t: TripleSystem):
+    """construct_pda's matching path as the full scan gave it: the first of
+    E1, E2, E3, E6 that fails; then column by column, sides of unequal size
+    refused and _match_column run on the global masks, without a memo; then
+    the degrees.  The cells as lists (x, y, z), or the ConditionError's
+    (condition, message, witness)."""
+    ref = reference_report(t)
+    for name in ("E1", "E2", "E3", "E6"):
+        if name in ref["witnesses"]:
+            return name, f"{name} fails", ref["witnesses"][name]
+    cells = ([], [], [])
+    for z, (xs, ys) in enumerate(zip(_transpose(t.xz, len(t.labels_z)),
+                                     _transpose(t.yz, len(t.labels_z)))):
+        if xs.bit_count() != ys.bit_count():
+            return ("E6", f"E6 fails: column {t.labels_z[z]} pairs {xs.bit_count()} rows "
+                          f"with {ys.bit_count()} symbols", None)
+        pairs = _match_column(set_bits(xs), ys, t.xy)
+        cells[0].extend(pairs.values())
+        cells[1].extend(pairs)
+        cells[2].extend([z] * len(pairs))
+    d_x, d_y, d_z = ref["degrees"]
+    for name, d in (("E1'", d_z), ("E2'", d_y), ("E7", d_x)):
+        if not d:
+            return name, f"{name} fails: degrees are not constant and positive", None
+    return cells
+
+
+def matching_path(t: TripleSystem):
+    """What _matched_pda, construct_pda's path, hands the emitter in
+    orientation 3, (X, Z, Y) as (row, column, symbol), as lists (x, y, z);
+    or the ConditionError's (condition, message, witness)."""
+    handed = []
+    with mock.patch.object(pdakit.triples, "_emit", lambda f, k, x, z, y: handed.append(
+            [list(x), list(y), list(z)])):
+        try:
+            _matched_pda(t, 3, "test")
+        except ConditionError as exc:
+            return exc.condition, str(exc), exc.witness
+    return tuple(handed[0])
+
+
+@pytest.fixture(scope="module")
+def sweep_systems(sweep):
+    """Each distinct sweep system, raw and matched."""
+    raw = {(spec.family, spec.label()): spec for spec, _, _ in sweep["built"]}
+    out = []
+    for spec in raw.values():
+        t = build_triple(spec)
+        out += [t, complete_matching(t)]
+    return out
+
+
+@st.composite
+def small_systems(draw):
+    """Arbitrary systems of up to 4 rows, symbols and columns (no column at all
+    allowed)."""
+    nx, ny, nz = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(0, 4))
+
+    def masks(n, width):
+        return tuple(draw(st.integers(0, (1 << width) - 1)) for _ in range(n))
+
+    return TripleSystem(tuple(range(nx)), tuple(f"y{i}" for i in range(ny)),
+                        tuple(f"z{i}" for i in range(nz)), masks(nx, ny), masks(nx, nz),
+                        masks(ny, nz))
+
+
+def _flipped(data, systems) -> TripleSystem:
+    """A sweep system, raw or matched, with up to three bits of xy, xz or yz
+    flipped; or a small arbitrary one."""
+    if data.draw(st.integers(0, 4), label="arbitrary") == 0:
+        return data.draw(small_systems(), label="system")
+    t = systems[data.draw(st.integers(0, len(systems) - 1), label="system")]
+    widths = {"xy": len(t.labels_y), "xz": len(t.labels_z), "yz": len(t.labels_z)}
+    for _ in range(data.draw(st.integers(0, 3), label="flips")):
+        name = data.draw(st.sampled_from(sorted(widths)), label="matrix")
+        rows = list(getattr(t, name))
+        rows[data.draw(st.integers(0, len(rows) - 1))] ^= 1 << data.draw(
+            st.integers(0, widths[name] - 1))
+        t = replace(t, **{name: tuple(rows)})
+    return t
+
+
+@settings(FIXED, max_examples=150)
+@given(st.data())
+def test_check_conditions_matches_the_definitions(sweep_systems, data):
+    t = _flipped(data, sweep_systems)
+    rep, ref = check_conditions(t), reference_report(t)
+    assert (rep.e1, rep.e2, rep.e3, rep.e4, rep.e5, rep.e6, rep.e1p, rep.e2p,
+            rep.e7) == ref["flags"]
+    assert (rep.d_x, rep.d_y, rep.d_z) == ref["degrees"]
+    assert rep.e6_degrees == ref["e6_degrees"]
+    assert list(rep.witnesses.items()) == list(ref["witnesses"].items())
+
+
+@settings(FIXED, max_examples=150)
+@given(st.data())
+def test_matching_path_matches_the_full_scan(sweep_systems, data):
+    # E6 decided once per column key, inside the matching, against the full
+    # report's E6 and then the column-by-column matching
+    t = _flipped(data, sweep_systems)
+    assert matching_path(t) == reference_matching_path(t)
+
+
+def test_matching_path_on_hand_made_failures():
+    def system(xy, xz, yz, ny, nz):
+        return TripleSystem(tuple(range(len(xy))), tuple(f"y{i}" for i in range(ny)),
+                            tuple(f"z{i}" for i in range(nz)), xy, xz, yz)
+
+    cases = [
+        # z0 holds both rows and no symbol (E6 passes it), z1 pairs each row
+        # with its one symbol: the one-empty-side refusal
+        (system((0b01, 0b10), (0b11, 0b11), (0b10, 0b10), 2, 2), "E6", None),
+        # the same empty side before an irregular column: E6's witness wins
+        (system((0b11, 0b01), (0b11, 0b11), (0b10, 0b10), 2, 2), "E6", ("z1",)),
+        # sides of unequal size, both nonempty
+        (system((0b1, 0b1), (0b1, 0b1), (0b1,), 1, 1), "E6", ("z0",)),
+        # one row, one symbol, no edge between them
+        (system((0b0,), (0b1,), (0b1,), 1, 1), "E6", ("z0",)),
+        # every column matches, but x0 lies in both and x1 in none
+        (system((0b11, 0b00), (0b11, 0b00), (0b01, 0b10), 2, 2), "E7", None),
+        (system((0b0,), (0b0,), (0b0,), 1, 1), "E2", ("y0",)),
+    ]
+    for t, condition, witness in cases:
+        got = matching_path(t)
+        assert got == reference_matching_path(t)
+        assert got[0] == condition and got[2] == witness, got

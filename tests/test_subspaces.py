@@ -3,8 +3,14 @@ import itertools
 import pytest
 
 from pdakit.gf import FieldSpec
+import gc
+import weakref
+
+from pdakit import ConstructionSpec, construct_pda
+import pdakit.constructions
+from pdakit.constructions import build_triple
 from pdakit.subspaces import (Subspace, enumerate_subspaces, gaussian_binomial,
-                              rref, span, subspace_counts)
+                              rref, span, subspace_counts, subspaces_and_masks)
 
 F2 = FieldSpec.for_order(2)
 F3 = FieldSpec.for_order(3)
@@ -168,6 +174,95 @@ def test_points_mask_meets_and_containment_agree_with_rref():
                 ma, mb = a.points_mask(), b.points_mask()
                 assert (ma & mb == 1) == a.intersects_trivially(b)
                 assert (ma & mb == ma) == b.contains(a)
+
+
+# every field the library supports, each with the ambient dimensions its
+# enumerator tests run at
+SMALL_SPACES = ((2, 5), (3, 4), (4, 3), (5, 3), (7, 3), (8, 3), (9, 3))
+
+
+def test_enumerated_bases_pass_the_public_constructor_and_masks_the_reference():
+    # enumerate_subspaces builds its labels unchecked, after one check per
+    # pivot pattern; subspaces_and_masks yields the same labels and masks
+    for q, top in SMALL_SPACES:
+        field = FieldSpec.for_order(q)
+        for ambient in range(top + 1):
+            for dim in range(ambient + 1):
+                subs = enumerate_subspaces(field, ambient, dim)
+                assert len(subs) == gaussian_binomial(ambient, dim, q)
+                labels, masks = subspaces_and_masks(field, ambient, dim)
+                assert labels == subs
+                for s, mask in zip(subs, masks):
+                    assert Subspace(field, ambient, s.basis) == s
+                    assert mask == _tuple_points_mask(s), (q, s.basis)
+
+
+def test_mutated_enumerated_bases_still_raise():
+    for q, top in SMALL_SPACES:
+        field = FieldSpec.for_order(q)
+        for dim in (1, 2):
+            for s in enumerate_subspaces(field, top, dim):
+                rows = [list(r) for r in s.basis]
+                pivots = [r.index(1) for r in rows]
+
+                def mutated(i, j, v):
+                    bad = [list(r) for r in rows]
+                    bad[i][j] = v
+                    return tuple(map(tuple, bad))
+
+                free = [(i, j) for i in range(dim) for j in range(pivots[i] + 1, top)
+                        if j not in pivots]
+                for i, j in free[:2]:
+                    with pytest.raises(ValueError, match="outside the field"):
+                        Subspace(field, top, mutated(i, j, q))
+                    with pytest.raises(ValueError, match="outside the field"):
+                        Subspace(field, top, mutated(i, j, -1))
+                if q > 2:
+                    with pytest.raises(ValueError, match="pivot entry must be 1"):
+                        Subspace(field, top, mutated(0, pivots[0], 2))
+                if dim == 2:
+                    with pytest.raises(ValueError, match="another row's pivot column"):
+                        Subspace(field, top, mutated(0, pivots[1], 1))
+
+
+class _LeakyField(FieldSpec):
+    """A field whose element list holds one value past the field."""
+
+    def elements(self) -> range:
+        return range(self.q + 1)
+
+
+def test_enumerator_checks_free_entries_against_the_field():
+    for q in (2, 3, 4):
+        with pytest.raises(ValueError, match="basis entry outside the field"):
+            enumerate_subspaces(_LeakyField.for_order(q), 3, 1)
+    for q in (2, 3):  # prime fields multiply the extra value without a table
+        with pytest.raises(ValueError, match="basis entry outside the field"):
+            subspaces_and_masks(_LeakyField.for_order(q), 3, 2)
+
+
+def test_no_subspace_outlives_its_system(monkeypatch):
+    # points masks come with the labels, and nothing in pdakit caches a
+    # subspace: a label is freed with the system that holds it
+    for q in (2, 3):
+        system = build_triple(ConstructionSpec("pg", 1, q=q, k=4, m=1, t=2))
+        label = weakref.ref(system.labels_z[-1])
+        del system
+        gc.collect()
+        assert label() is None, q
+
+    labels = []
+    real = pdakit.constructions.build_triple
+
+    def build(spec):
+        t = real(spec)
+        labels.append(weakref.ref(t.labels_y[0]))
+        return t
+
+    monkeypatch.setattr(pdakit.constructions, "build_triple", build)
+    construct_pda(ConstructionSpec("pg", 2, q=3, k=3, m=1, t=1))
+    gc.collect()
+    assert labels and labels[0]() is None
 
 
 def test_enumeration_counts_and_uniqueness():

@@ -313,21 +313,29 @@ def test_every_orientation_of_a_matched_system_passes_e1_to_e5(sweep, k651):
 
 
 def test_construct_pda_scans_conditions_once(monkeypatch):
-    # and transposes only in that scan: C_XY, C_XZ and C_YZ of the built
-    # system, with no column mask of a matched or rotated system
-    scans, transposed = [], []
-    real = pdakit.triples.check_conditions
-    monkeypatch.setattr(pdakit.triples, "check_conditions",
-                        lambda t: scans.append(t) or real(t))
+    # and only what the matching path reads: E1-E3 in one scan of the built
+    # system, whose one row scan is E3's, and transposes of C_XZ and C_YZ
+    # alone.  No column of C_XY, no E4 or E5 scan, no full report, and no
+    # column mask of a matched or rotated system.
+    scans, transposed, row_scans, reports = [], [], [], []
+    real_scan, real_rows = pdakit.triples._scan, pdakit.triples._first_not_single
+    monkeypatch.setattr(pdakit.triples, "_scan", lambda t: scans.append(t) or real_scan(t))
+    monkeypatch.setattr(pdakit.triples, "_first_not_single",
+                        lambda *args: row_scans.append(args[0]) or real_rows(*args))
+    monkeypatch.setattr(pdakit.triples, "check_conditions", reports.append)
     monkeypatch.setattr(pdakit.triples, "_columns",
                         lambda rows, ncols: transposed.append(rows) or _columns(rows, ncols))
     for o in (1, 2, 3):
         scans.clear()
         transposed.clear()
+        row_scans.clear()
         p = construct_pda(ConstructionSpec("pg", o, q=2, k=3, m=1, t=1))
         assert validate_pda(p).ok
-        assert len(scans) == 1
-        assert transposed == [scans[0].xy, scans[0].xz, scans[0].yz]
+        assert len(scans) == 1 and reports == []
+        built = scans[0]
+        assert list(map(id, transposed)) == [id(built.xz), id(built.yz)]
+        assert list(map(id, row_scans)) == [id(built.xy)]
+        assert "cols_xy" not in vars(built)
 
 
 def test_construct_pda_equals_the_staged_pipeline(sweep, k651):
@@ -500,6 +508,16 @@ def test_columns_and_mask_of_equal_dense_reference():
             for row in _masks(mat):
                 assert mask_of(set_bits(row), nc) == row
     assert mask_of([], 0) == 0 and mask_of([70, 3], 71) == 1 << 70 | 1 << 3
+
+
+def test_set_bits_equals_the_bit_by_bit_reference_on_either_walk():
+    # a few hundred bits set switch the walk from peeling to splitting
+    rng = random.Random(5)
+    for width in (1, 7, 64, 400, 1000, 5000):
+        for count in {0, 1, width // 3, 383, 384, 385, width - 1, width}:
+            if 0 <= count <= width:
+                mask = sum(1 << i for i in rng.sample(range(width), count))
+                assert set_bits(mask) == [i for i in range(width) if mask >> i & 1]
 
 
 def test_triple_system_rejects_bad_masks():

@@ -1,14 +1,15 @@
 """Write a BENCH_<pr>.json: perfbench medians, the construct ladder and the
 sim rung, for a parent checkout against this one.
 
-    python3 tools/bench_pr.py --parent ../parent --out BENCH_14.json
+    python3 tools/bench_pr.py --parent ../parent --out BENCH_16.json
 
 --parent is a plain copy of the parent commit's tree (`git archive` it into a
 directory).  The script runs RUNS rounds; the side that goes first alternates,
 parent first in round 1.  In a round each side runs every perfbench workload
 in its own process (`perfbench/run.py --workload NAME --seed SEED --seconds
 SECONDS`, the gated settings; reference-speed seconds), then every ladder
-rung in a fresh process: construct_pda's wall seconds (total_s), the array's
+rung (RUNGS: five pg systems, q = 3 among them, two at k = 8) in a fresh
+process: construct_pda's wall seconds (total_s), the array's
 SHA-256 digest and ru_maxrss right after it, then, on that array, the pda
 layer's two figures: validate_pda on a fresh equal array (validate_s), and
 canonical_relabel plus the text and the JSON round trips (io_s); then the
@@ -44,7 +45,8 @@ SECONDS = 30
 WORKLOADS = ("construct", "simulate", "sweep")
 GATED = ("setup_s", "wall_s", "array_p50_s", "peak_rss_mb", "error_rate")
 # name -> (q, k, m, t), each built in orientation 1
-RUNGS = {"pg_q2_k6_m2_t2": (2, 6, 2, 2), "pg_q2_k7_m2_t1": (2, 7, 2, 1),
+RUNGS = {"pg_q2_k6_m2_t2": (2, 6, 2, 2), "pg_q3_k5_m2_t1": (3, 5, 2, 1),
+         "pg_q2_k8_m1_t1": (2, 8, 1, 1), "pg_q2_k7_m2_t1": (2, 7, 2, 1),
          "pg_q2_k8_m2_t1": (2, 8, 2, 1)}
 
 RUNG_CODE = """
