@@ -118,9 +118,9 @@ class Subspace:
 
         Vector v is bit sum(v[i] * q**i), so the zero vector is bit 0, two
         subspaces meet trivially iff a & b == 1, and a lies in c iff
-        a & c == a.
+        a & c == a.  Computed afresh on every call.
         """
-        return _points_mask(self)
+        return _PointMasks(self.field, self.ambient)(self.basis)
 
     @classmethod
     def _trusted(cls, field: FieldSpec, ambient: int, basis: tuple) -> "Subspace":
@@ -142,10 +142,6 @@ def span(field: FieldSpec, ambient: int, rows) -> Subspace:
             raise ValueError("spanning row length != ambient dimension")
     basis, _ = rref(field, rows)
     return Subspace(field, ambient, basis)
-
-
-def _points_mask(s: Subspace) -> int:
-    return _PointMasks(s.field, s.ambient)(s.basis)
 
 
 class _PointMasks:

@@ -143,6 +143,11 @@ def test_points_mask():
     assert span(F2, 3, [(1, 0, 0), (0, 1, 0)]).points_mask() == 0b1111
 
 
+# every field the library supports, each with the largest ambient dimension
+# its enumerator tests run at
+SMALL_SPACES = ((2, 5), (3, 4), (4, 3), (5, 3), (7, 3), (8, 3), (9, 3))
+
+
 def _tuple_points_mask(s: Subspace) -> int:
     """Reference: every vector of the span built as a digit tuple, then
     indexed as sum(v[i] * q**i)."""
@@ -155,14 +160,16 @@ def _tuple_points_mask(s: Subspace) -> int:
 
 
 def test_points_mask_equals_tuple_reference():
-    # F_4 takes the XOR path with two-bit digits, F_3 and F_5 the digit-wise one
-    cases = ((F2, 5), (F3, 3), (FieldSpec.for_order(4), 3), (F5, 2))
-    for field, ambient in cases:
-        for dim in range(ambient + 1):
-            for s in enumerate_subspaces(field, ambient, dim):
-                mask = s.points_mask()
-                assert mask == _tuple_points_mask(s), (field.q, s.basis)
-                assert mask.bit_count() == field.q ** dim
+    # F_2, F_4 and F_8 take the XOR path with e-bit digits, the odd fields
+    # the column-wise one; the enumerator's masks and points_mask() agree
+    for q, top in SMALL_SPACES:
+        field = FieldSpec.for_order(q)
+        for ambient in range(top + 1):
+            for dim in range(ambient + 1):
+                labels, masks = subspaces_and_masks(field, ambient, dim)
+                for s, mask in zip(labels, masks):
+                    assert mask == s.points_mask() == _tuple_points_mask(s), (q, s.basis)
+                    assert mask.bit_count() == q ** dim
 
 
 def test_points_mask_meets_and_containment_agree_with_rref():
@@ -176,25 +183,18 @@ def test_points_mask_meets_and_containment_agree_with_rref():
                 assert (ma & mb == ma) == b.contains(a)
 
 
-# every field the library supports, each with the ambient dimensions its
-# enumerator tests run at
-SMALL_SPACES = ((2, 5), (3, 4), (4, 3), (5, 3), (7, 3), (8, 3), (9, 3))
-
-
-def test_enumerated_bases_pass_the_public_constructor_and_masks_the_reference():
+def test_enumerated_bases_pass_the_public_constructor():
     # enumerate_subspaces builds its labels unchecked, after one check per
-    # pivot pattern; subspaces_and_masks yields the same labels and masks
+    # pivot pattern; subspaces_and_masks yields the same labels
     for q, top in SMALL_SPACES:
         field = FieldSpec.for_order(q)
         for ambient in range(top + 1):
             for dim in range(ambient + 1):
                 subs = enumerate_subspaces(field, ambient, dim)
                 assert len(subs) == gaussian_binomial(ambient, dim, q)
-                labels, masks = subspaces_and_masks(field, ambient, dim)
-                assert labels == subs
-                for s, mask in zip(subs, masks):
+                assert subspaces_and_masks(field, ambient, dim)[0] == subs
+                for s in subs:
                     assert Subspace(field, ambient, s.basis) == s
-                    assert mask == _tuple_points_mask(s), (q, s.basis)
 
 
 def test_mutated_enumerated_bases_still_raise():
@@ -243,10 +243,12 @@ def test_enumerator_checks_free_entries_against_the_field():
 
 def test_no_subspace_outlives_its_system(monkeypatch):
     # points masks come with the labels, and nothing in pdakit caches a
-    # subspace: a label is freed with the system that holds it
+    # subspace, points_mask() included: a label is freed with the system
+    # that holds it
     for q in (2, 3):
         system = build_triple(ConstructionSpec("pg", 1, q=q, k=4, m=1, t=2))
         label = weakref.ref(system.labels_z[-1])
+        assert label().points_mask().bit_count() == q ** 3
         del system
         gc.collect()
         assert label() is None, q
