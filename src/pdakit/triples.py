@@ -118,11 +118,6 @@ class ConditionReport:
 
 def set_bits(mask: int) -> list[int]:
     """Indices of the set bits of mask, ascending."""
-    if mask.bit_count() > 384:
-        # the runs of zeros between the ones, bit 0's first: one pass over the
-        # width, then a constant per bit, where a peel copies the mask per bit
-        runs = bin(mask)[:1:-1].split("1")
-        return list(accumulate(map((1).__add__, map(len, runs)), initial=-1))[1:-1]
     # Taken from the top, so each step works on a shorter int.
     out = []
     while mask:
@@ -131,6 +126,19 @@ def set_bits(mask: int) -> list[int]:
         mask ^= 1 << top
     out.reverse()
     return out
+
+
+def _split_bits(mask: int) -> list[int]:
+    """set_bits(mask) from the runs of zeros between the ones, bit 0's first:
+    one pass over the width, then a constant per bit."""
+    runs = bin(mask)[:1:-1].split("1")
+    return list(accumulate(map((1).__add__, map(len, runs)), initial=-1))[1:-1]
+
+
+# The peel in set_bits copies the mask once per bit, so past this many bits a
+# mask on average the walks below take _split_bits instead (the crossover,
+# measured on masks of 40 to 260,000 bits).
+_SPLIT_PAST = 384
 
 
 def mask_of(indices, width: int) -> int:
@@ -144,12 +152,15 @@ def mask_of(indices, width: int) -> int:
 def _columns(rows: Masks, ncols: int) -> Masks:
     """Column masks of the matrix with these row masks: its transpose.  A
     matrix more than half ones is walked through its complement instead."""
-    flip = 2 * sum(map(int.bit_count, rows)) > len(rows) * ncols
+    ones = sum(map(int.bit_count, rows))
+    flip = 2 * ones > len(rows) * ncols
     full, every = ((1 << ncols) - 1) * flip, ((1 << len(rows)) - 1) * flip
+    walked = len(rows) * ncols - ones if flip else ones
+    walk = _split_bits if walked > _SPLIT_PAST * len(rows) else set_bits
     out = [0] * ncols
     for i, row in enumerate(rows):
         bit = 1 << i
-        for j in set_bits(row ^ full):
+        for j in walk(row ^ full):
             out[j] |= bit
     return tuple(every ^ col for col in out) if flip else tuple(out)
 
@@ -169,9 +180,11 @@ def _first_not_single(rows, via, cols, labels_a, labels_b):
     """The first (labels_a[i], labels_b[j]), row-major, with bit j of rows[i]
     set in cols[k] for other than exactly one k of via[i]; None if none.
     One pass per row folds rows[i] & cols[k] into bits met once or again."""
+    walk = (_split_bits if len(cols) > _SPLIT_PAST
+            and sum(map(int.bit_count, via)) > _SPLIT_PAST * len(via) else set_bits)
     for i, row in enumerate(rows):
         seen = multi = 0
-        for k in set_bits(via[i]):
+        for k in walk(via[i]):
             hit = row & cols[k]
             multi |= seen & hit
             seen |= hit

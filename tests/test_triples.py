@@ -12,9 +12,9 @@ from pdakit.constructions import (ConstructionSpec, build_triple, configuration_
 from pdakit.designs import catalog_lookup, complete_design
 from pdakit.pda import InvalidPdaError, Pda, STAR, canonical_relabel, validate_pda
 from pdakit.triples import (ConditionError, TripleSystem, _columns, _match_column,
-                            check_conditions, complete_matching, direct_product,
-                            mask_of, orientations, pda_to_triple, set_bits,
-                            triple_to_pda)
+                            _split_bits, check_conditions, complete_matching,
+                            direct_product, mask_of, orientations, pda_to_triple,
+                            set_bits, triple_to_pda)
 
 from conftest import TINY, all_pdas
 
@@ -511,13 +511,14 @@ def test_columns_and_mask_of_equal_dense_reference():
 
 
 def test_set_bits_equals_the_bit_by_bit_reference_on_either_walk():
-    # a few hundred bits set switch the walk from peeling to splitting
+    # the peel, and the split that the long walks take past 384 bits a mask
     rng = random.Random(5)
     for width in (1, 7, 64, 400, 1000, 5000):
-        for count in {0, 1, width // 3, 383, 384, 385, width - 1, width}:
+        for count in {0, 1, 2, width // 3, 384, 385, width - 1, width}:
             if 0 <= count <= width:
                 mask = sum(1 << i for i in rng.sample(range(width), count))
-                assert set_bits(mask) == [i for i in range(width) if mask >> i & 1]
+                want = [i for i in range(width) if mask >> i & 1]
+                assert set_bits(mask) == _split_bits(mask) == want
 
 
 def test_triple_system_rejects_bad_masks():
