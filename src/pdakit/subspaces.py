@@ -120,7 +120,7 @@ class Subspace:
         subspaces meet trivially iff a & b == 1, and a lies in c iff
         a & c == a.  Computed afresh on every call.
         """
-        return _PointMasks(self.field, self.ambient)(self.basis)
+        return next(_point_masks(self.field, self.ambient, [self.basis]))
 
     @classmethod
     def _trusted(cls, field: FieldSpec, ambient: int, basis: tuple) -> "Subspace":
@@ -144,64 +144,48 @@ def span(field: FieldSpec, ambient: int, rows) -> Subspace:
     return Subspace(field, ambient, basis)
 
 
-class _PointMasks:
-    """Subspace.points_mask of the subspaces of one F_q^ambient, from their
-    RREF bases.  What it keeps between calls lives as long as the instance.
+def _point_masks(field: FieldSpec, ambient: int, bases):
+    """Subspace.points_mask() of each RREF basis in bases, in order.
 
     For q = 2^e, F_q elements are e-bit strings added by XOR, so vector
-    indices add by XOR: the span is the XOR closure of the rows' multiples.
-    The closure of all rows but the last is kept for the next basis, which in
-    enumeration order most often shares them.  For odd q, digit j of a
-    vector of the span depends on column j of the basis alone, so the
-    indices of all q^dim vectors are a sum of one list per column, each
-    kept by (j, column).
+    indices add by XOR: the span is the XOR closure of the rows' multiples,
+    and the closure of all rows but the last carries over to the next basis
+    that shares them, as consecutive bases in enumeration order mostly do.
+    For odd q, digit j of a vector of the span depends on column j of the
+    basis alone, so the indices of its q^dim vectors are a sum of one list
+    per column, each computed once per (j, column).
     """
+    els, bit = field.elements(), (1).__lshift__
+    weights = [field.q ** i for i in range(ambient)]
+    scale = [[field.mul(c, b) for b in els] for c in els]  # scale[c][b] = c * b
+    memo: dict = {}  # per row its nonzero multiples' indices; per (j, column) a list
 
-    def __init__(self, field: FieldSpec, ambient: int):
-        els = field.elements()
-        self.field = field
-        self.weights = [field.q ** i for i in range(ambient)]
-        self.scale = [[field.mul(c, b) for b in els] for c in els[1:]]  # [c - 1][b] = c * b
-        self.multiples: dict = {}  # row -> the indices of its nonzero multiples
-        self.columns: dict = {}  # (j, column) -> _column(j, column)
-        self.prefix, self.closure, self.closure_mask = (), [0], 1
+    def multiples(row):
+        if row not in memo:
+            memo[row] = [sum(map(mul, weights, map(by.__getitem__, row))) for by in scale[1:]]
+        return memo[row]
 
-    def __call__(self, basis: tuple) -> int:
-        if not basis:
-            return 1
-        if self.field.p == 2:
-            if basis[:-1] != self.prefix:
-                self.prefix, points = basis[:-1], [0]
-                for row in self.prefix:
-                    points += [a ^ m for m in self._multiples(row) for a in points]
-                self.closure, self.closure_mask = points, sum(map(_bit, points))
-            points = self.closure
-            return self.closure_mask + sum(map(_bit, [a ^ m for m in self._multiples(basis[-1])
-                                                      for a in points]))
-        indices = None
+    prefix, closure, closure_mask = (), [0], 1
+    for basis in bases:
+        if field.p == 2 and basis:
+            if basis[:-1] != prefix:
+                prefix, closure = basis[:-1], [0]
+                for row in prefix:
+                    closure += [a ^ m for m in multiples(row) for a in closure]
+                closure_mask = sum(map(bit, closure))
+            yield closure_mask + sum(map(bit, [a ^ m for m in multiples(basis[-1])
+                                               for a in closure]))
+            continue
+        indices = [0] * field.q ** len(basis)
         for j, column in enumerate(zip(*basis)):
-            part = self.columns.get((j, column)) or self._column(j, column)
-            indices = part if indices is None else list(map(add, indices, part))
-        return sum(map(_bit, indices))
-
-    def _multiples(self, row: tuple) -> list[int]:
-        out = self.multiples.get(row)
-        if out is None:
-            out = self.multiples[row] = [sum(map(mul, self.weights, map(by.__getitem__, row)))
-                                         for by in self.scale]
-        return out
-
-    def _column(self, j: int, column: tuple) -> list[int]:
-        """q^j times digit j of every vector of the span, over the coefficient
-        vectors in one fixed order."""
-        f, digits = self.field, [0]
-        for entry in column:
-            digits = [f.add(d, by[entry]) for by in [[0] * f.q] + self.scale for d in digits]
-        out = self.columns[j, column] = [self.weights[j] * d for d in digits]
-        return out
-
-
-_bit = (1).__lshift__
+            part = memo.get((j, column))
+            if part is None:
+                digits = [0]
+                for entry in column:
+                    digits = [field.add(d, by[entry]) for by in scale for d in digits]
+                part = memo[j, column] = [weights[j] * d for d in digits]
+            indices = list(map(add, indices, part))
+        yield sum(map(bit, indices))
 
 
 def _bases(field: FieldSpec, ambient: int, dim: int):
@@ -239,13 +223,11 @@ def enumerate_subspaces(field: FieldSpec, ambient: int, dim: int) -> list[Subspa
 
 def subspaces_and_masks(field: FieldSpec, ambient: int,
                         dim: int) -> tuple[list[Subspace], list[int]]:
-    """enumerate_subspaces(field, ambient, dim) and, in the same pass, each
-    subspace's points_mask()."""
-    labels, masks, mask_of = [], [], _PointMasks(field, ambient)
-    for basis in _bases(field, ambient, dim):
-        labels.append(Subspace._trusted(field, ambient, basis))
-        masks.append(mask_of(basis))
-    return labels, masks
+    """enumerate_subspaces(field, ambient, dim) and each subspace's
+    points_mask(), from one enumeration."""
+    bases = list(_bases(field, ambient, dim))
+    return ([Subspace._trusted(field, ambient, basis) for basis in bases],
+            list(_point_masks(field, ambient, bases)))
 
 
 def subspace_counts(q, k: int, m: int, s: int, t: int) -> tuple[int, int, int]:

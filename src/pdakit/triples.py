@@ -194,11 +194,12 @@ def _first_not_single(rows, via, cols, labels_a, labels_b):
     return None
 
 
-def _scan(t: TripleSystem) -> tuple[dict, int | None, int | None, int | None]:
-    """E1, E2 and E3 by exhaustive scan, as the witnesses of those that fail,
-    in that order, and the degrees D_X, D_Y, D_Z.  Reads the columns of C_XZ
-    and C_YZ, not those of C_XY."""
-    ly, cols_xz = t.labels_y, t.cols_xz
+def _scan(t: TripleSystem, e4_e5: bool = False) -> tuple[dict, int | None, int | None, int | None]:
+    """E1, E2 and E3, and with e4_e5 also E4 and E5, by exhaustive scan, as
+    the witnesses of those that fail, in that order, and the degrees D_X,
+    D_Y, D_Z.  Reads the columns of C_XZ and C_YZ, and those of C_XY only
+    for E5."""
+    lx, ly, lz, cols_xz = t.labels_x, t.labels_y, t.labels_z, t.cols_xz
     wit: dict = {}
     col_sums = {m.bit_count() for m in cols_xz}
     if len(col_sums) > 1:
@@ -206,11 +207,22 @@ def _scan(t: TripleSystem) -> tuple[dict, int | None, int | None, int | None]:
     d_z = col_sums.pop() if len(col_sums) == 1 else None
     if not all(t.yz):
         wit["E2"] = (ly[t.yz.index(0)],)
-    # E3 walks the z of each xz[x]
-    witness = _first_not_single(t.xy, t.xz, t.cols_yz, t.labels_x, ly)
-    if witness is not None:
-        wit["E3"] = witness
+    # E3 walks the z of each xz[x], E4 the y of each xy[x], E5 the x of cols_xy[y]
+    scans = [("E3", t.xy, t.xz, t.cols_yz, lx, ly)]
+    if e4_e5:
+        scans += [("E4", t.xz, t.xy, t.yz, lx, lz), ("E5", t.yz, t.cols_xy, t.xz, ly, lz)]
+    for name, *args in scans:
+        witness = _first_not_single(*args)
+        if witness is not None:
+            wit[name] = witness
     return wit, _degree(t.xz), _degree(t.yz), d_z
+
+
+def _raise_first(wit: dict, names: tuple, detail: str = "") -> None:
+    """ConditionError for the first of the conditions names with a witness."""
+    for name in names:
+        if name in wit:
+            raise ConditionError(name, detail, wit[name])
 
 
 def _local_graphs(t: TripleSystem):
@@ -242,15 +254,7 @@ def _regular_degree(key: str, n: int) -> int | None:
 def check_conditions(t: TripleSystem) -> ConditionReport:
     """Evaluate every condition by exhaustive scan; never sampled.  E6 is
     decided once per distinct column graph (_local_graphs)."""
-    lx, ly, lz = t.labels_x, t.labels_y, t.labels_z
-    wit, d_x, d_y, d_z = _scan(t)
-    # E4 walks the y of each xy[x], E5 the x of cols_xy[y]
-    for name, args in (("E4", (t.xz, t.xy, t.yz, lx, lz)),
-                       ("E5", (t.yz, t.cols_xy, t.xz, ly, lz))):
-        witness = _first_not_single(*args)
-        if witness is not None:
-            wit[name] = witness
-
+    wit, d_x, d_y, d_z = _scan(t, e4_e5=True)
     # per z: the common degree, 0 with a side empty, None if irregular
     degrees, memo = [], {}
     for z, xs, ys, key in _local_graphs(t):
@@ -261,19 +265,11 @@ def check_conditions(t: TripleSystem) -> ConditionReport:
                 memo[key] = _regular_degree(key, len(xs))
             degrees.append(memo[key])
         if degrees[-1] is None:
-            wit.setdefault("E6", (lz[z],))
+            wit.setdefault("E6", (t.labels_z[z],))
 
     e1, e2, e3, e4, e5, e6 = (c not in wit for c in ("E1", "E2", "E3", "E4", "E5", "E6"))
     return ConditionReport(e1, e2, e3, e4, e5, e6, bool(d_z), d_y is not None,
                            d_x is not None, d_x, d_y, d_z, tuple(degrees), wit)
-
-
-def _require(rep: ConditionReport, names: tuple, detail: str = "") -> ConditionReport:
-    """rep, or ConditionError for the first of the conditions names that fails."""
-    for name in names:
-        if not getattr(rep, name.lower().replace("'", "p")):  # E1' is rep.e1p
-            raise ConditionError(name, detail, rep.witnesses.get(name))
-    return rep
 
 
 # --- conversions ----------------------------------------------------------
@@ -301,8 +297,8 @@ def triple_to_pda(t: TripleSystem) -> Pda:
     E4 makes unique; E4 and E5 make each column's graph the matching _cells
     returns.  Symbols are compacted to 1..S in first-occurrence row-major order.
     """
-    _require(check_conditions(t), ("E1", "E2", "E3", "E4", "E5"),
-             "triple system does not describe an array")
+    _raise_first(_scan(t, e4_e5=True)[0], ("E1", "E2", "E3", "E4", "E5"),
+                 "triple system does not describe an array")
     x, y, z = _cells(t)
     return _emit(len(t.labels_x), len(t.labels_z), x, z, y)
 
@@ -414,9 +410,7 @@ def _matched_cells(t: TripleSystem) -> tuple[tuple[array, array, array], tuple]:
     E6 are required, each failure raised as check_conditions would report
     it.  Computes nothing else: no column of C_XY, no E4 or E5."""
     wit, *degrees = _scan(t)
-    for name in ("E1", "E2", "E3"):
-        if name in wit:
-            raise ConditionError(name, "", wit[name])
+    _raise_first(wit, ("E1", "E2", "E3"))
     return _cells(t), tuple(degrees)
 
 

@@ -24,7 +24,7 @@ from pdakit.pda import (Pda, PdaFormatError, STAR, canonical_relabel, format_pda
 from pdakit.sim import (CacheContents, DecodeError, FileLibrary, decode, deliver, place,
                         verify_scheme)
 from pdakit.triples import (ConditionError, TripleSystem, _match_column, _matched_pda,
-                            check_conditions, complete_matching, set_bits)
+                            check_conditions, complete_matching, set_bits, triple_to_pda)
 
 from conftest import all_pdas, decode_failures
 
@@ -557,6 +557,14 @@ def test_check_conditions_matches_the_definitions(sweep_systems, data):
     assert (rep.d_x, rep.d_y, rep.d_z) == ref["degrees"]
     assert rep.e6_degrees == ref["e6_degrees"]
     assert list(rep.witnesses.items()) == list(ref["witnesses"].items())
+    # triple_to_pda scans E1-E5 alone, and refuses the first that fails
+    failing = [c for c in ("E1", "E2", "E3", "E4", "E5") if c in ref["witnesses"]]
+    if failing:
+        with pytest.raises(ConditionError) as exc:
+            triple_to_pda(t)
+        assert (exc.value.condition, str(exc.value), exc.value.witness) == (
+            failing[0], f"{failing[0]} fails: triple system does not describe an array",
+            ref["witnesses"][failing[0]])
 
 
 @settings(FIXED, max_examples=150)

@@ -507,6 +507,11 @@ def test_columns_and_mask_of_equal_dense_reference():
             assert _columns(_masks(mat), nc) == _masks(_transpose(mat))
             for row in _masks(mat):
                 assert mask_of(set_bits(row), nc) == row
+    # rows of 1500 columns hold about 450 ones, or zeros through the
+    # complement: past 384 a row, the transpose takes the split walk
+    for density in (0.3, 0.7):
+        mat = tuple(tuple(int(rng.random() < density) for _ in range(1500)) for _ in range(3))
+        assert _columns(_masks(mat), 1500) == _masks(_transpose(mat))
     assert mask_of([], 0) == 0 and mask_of([70, 3], 71) == 1 << 70 | 1 << 3
 
 
@@ -519,6 +524,21 @@ def test_set_bits_equals_the_bit_by_bit_reference_on_either_walk():
                 mask = sum(1 << i for i in rng.sample(range(width), count))
                 want = [i for i in range(width) if mask >> i & 1]
                 assert set_bits(mask) == _split_bits(mask) == want
+
+
+def test_split_walks_report_as_the_peel(monkeypatch):
+    # each xz row of pg q=2 k=7 m=2 t=1 holds 651 of 11811 bits, so its
+    # transpose and E3's row scan take the split walk; the report, witnesses
+    # included, equals the one the peel gives
+    raw = pg_triple(2, 7, 2, 1)
+    rows = list(raw.xz)
+    rows[5] ^= 1 << 100
+    for t in (raw, replace(raw, xz=tuple(rows))):
+        split = check_conditions(replace(t))  # a copy, with no column cached
+        with monkeypatch.context() as patch:
+            patch.setattr(pdakit.triples, "_SPLIT_PAST", len(t.labels_z))
+            peeled = check_conditions(replace(t))
+        assert split == peeled and split.witnesses == peeled.witnesses
 
 
 def test_triple_system_rejects_bad_masks():
