@@ -414,6 +414,7 @@ def _transpose(rows, ncols: int) -> list:
 
 
 def _common(counts) -> int | None:
+    """The one value all counts share, if they share one and it is positive."""
     counts = set(counts)
     return counts.pop() if len(counts) == 1 and 0 not in counts else None
 
