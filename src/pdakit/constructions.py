@@ -22,8 +22,8 @@ from functools import partial, reduce
 from math import comb, factorial, log, pi
 from operator import and_, or_
 
-from .designs import (Design, blocks_containing, certify_configuration,
-                      certify_t_design, from_reference, lambda_s)
+from .designs import (Design, certify_configuration, certify_t_design,
+                      from_reference, lambda_s)
 from .gf import FieldSpec
 from .pda import Pda
 from .subspaces import gaussian_binomial, subspaces_and_masks
@@ -185,11 +185,6 @@ def _check_tdesign_lambda(t: int, k: int, t0: int, t1: int, t2: int):
 # --- triple builders ------------------------------------------------------
 
 
-def _relation(rows, cols, holds) -> tuple[int, ...]:
-    """Row masks of a relation: bit j of row i is set iff holds(rows[i], cols[j])."""
-    return tuple(sum(1 << j for j, c in enumerate(cols) if holds(r, c)) for r in rows)
-
-
 def _block_triple(design: Design, size_x: int, size_y: int) -> TripleSystem:
     """Rows are the size_x-subsets of the points, symbols the size_y-subsets,
     columns the blocks.  A row and a symbol are incident when they are
@@ -286,20 +281,28 @@ def tdesign_lambda_triple(design: Design, t0: int, t1: int, t2: int) -> TripleSy
 
     Rows carry t1-subsets, symbols t2-subsets, columns t0-subsets, each paired
     with a containing block; incidence requires equal blocks plus disjointness
-    (row/symbol) or containment (against columns).
+    (row/symbol) or containment (against columns).  As t0 = t1 + t2, the
+    incident triples are exactly ((x, i), (S - x, i), (S, i)) for each column
+    flag (S, i) and t1-subset x of S: one walk over the column flags.
     """
     t, v, k, lam = _t_design_of(design)
     _check_tdesign_lambda(t, k, t0, t1, t2)
 
     def flags(size):
-        return [(sub, bi) for sub in itertools.combinations(range(v), size)
-                for bi in blocks_containing(design, sub)]
+        return sorted((sub, i) for i, blk in enumerate(design.blocks)
+                      for sub in itertools.combinations(blk, size))
 
     xs, ys, zs = flags(t1), flags(t2), flags(t0)
-    xy = _relation(xs, ys, lambda a, b: a[1] == b[1] and set(a[0]).isdisjoint(b[0]))
-    xz = _relation(xs, zs, lambda a, c: a[1] == c[1] and set(a[0]) <= set(c[0]))
-    yz = _relation(ys, zs, lambda b, c: b[1] == c[1] and set(b[0]) <= set(c[0]))
-    return TripleSystem(tuple(xs), tuple(ys), tuple(zs), xy, xz, yz)
+    ix = {flag: n for n, flag in enumerate(xs)}
+    iy = {flag: n for n, flag in enumerate(ys)}
+    xy, xz, yz = [0] * len(xs), [0] * len(xs), [0] * len(ys)
+    for n, (sub, i) in enumerate(zs):
+        for x in itertools.combinations(sub, t1):
+            row, sym = ix[x, i], iy[tuple(p for p in sub if p not in x), i]
+            xy[row] |= 1 << sym
+            xz[row] |= 1 << n
+            yz[sym] |= 1 << n
+    return TripleSystem(tuple(xs), tuple(ys), tuple(zs), tuple(xy), tuple(xz), tuple(yz))
 
 
 # --- baselines ------------------------------------------------------------

@@ -112,12 +112,6 @@ def certify_t_design(d: Design, t: int, v: int, k: int, lam: int) -> Certificate
     return Certificate(True)
 
 
-def blocks_containing(d: Design, subset) -> list[int]:
-    """Indices of the blocks containing every point of subset, ascending."""
-    want = set(subset)
-    return [i for i, blk in enumerate(d.blocks) if want <= set(blk)]
-
-
 # --- builders -------------------------------------------------------------
 
 

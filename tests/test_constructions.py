@@ -14,9 +14,10 @@ from pdakit.constructions import (ConstructionSpec, _binomial, _invariants,
                                   tdesign_b_triple, tdesign_lambda_triple)
 from pdakit.designs import as_t_design, catalog_lookup, complete_design
 from pdakit.pda import STAR, Pda, canonical_relabel, format_pda, validate_pda
-from pdakit.triples import check_conditions, complete_matching, orientations
+from pdakit.sim import verify_scheme
+from pdakit.triples import TripleSystem, check_conditions, complete_matching, orientations
 
-from conftest import _BIBD_5_3_3, sweep_specs
+from conftest import _BIBD_5_3_3, TDESIGN_L, sweep_specs
 
 
 def _params(spec):
@@ -148,6 +149,34 @@ def test_tdesign_lambda_triple_degrees():
     assert len(t.labels_x) == len(t.labels_y) == len(t.labels_z) == 21
 
 
+def _pairwise_tdesign_lambda(design, t0: int, t1: int, t2: int) -> TripleSystem:
+    """The flagged system from its definition, pair by pair.  Flags are
+    (subset, containing block), subsets in combinations order, then blocks
+    ascending.  Two flags are incident when their blocks are equal and their
+    subsets are disjoint (row and symbol) or one holds the other (row or
+    symbol in a column)."""
+    def flags(size):
+        return [(sub, i) for sub in itertools.combinations(range(design.v), size)
+                for i, blk in enumerate(design.blocks) if set(sub) <= set(blk)]
+
+    def relation(rows, cols, holds):
+        col_sets = [(set(sub), i) for sub, i in cols]
+        return tuple(sum(1 << j for j, (c, ci) in enumerate(col_sets)
+                         if i == ci and holds(set(sub), c)) for sub, i in rows)
+
+    xs, ys, zs = flags(t1), flags(t2), flags(t0)
+    return TripleSystem(tuple(xs), tuple(ys), tuple(zs), relation(xs, ys, set.isdisjoint),
+                        relation(xs, zs, set.issubset), relation(ys, zs, set.issubset))
+
+
+@pytest.mark.parametrize("ref, t0, t1, t2", [*TDESIGN_L, ("complete:10:4", 2, 1, 1)])
+def test_tdesign_lambda_triple_matches_its_pairwise_definition(ref, t0, t1, t2):
+    spec = ConstructionSpec("tdesign-lambda", 1, design=ref, t0=t0, t1=t1, t2=t2)
+    design = spec.resolved_design()
+    assert tdesign_lambda_triple(design, t0, t1, t2) == _pairwise_tdesign_lambda(
+        design, t0, t1, t2)
+
+
 # --- closed forms vs frozen values ---------------------------------------
 
 
@@ -208,6 +237,19 @@ def test_measured_matches_closed_form(sweep):
     for spec, row, p in sweep["built"]:
         assert (p.k, p.f, p.q, p.s) == (row.k, row.f, row.q, row.s), spec
         assert validate_pda(p).ok, spec
+
+
+# The sweep builds pg only over q in {2, 3}; these are the other fields up to
+# 9, kept out of conftest.sweep_specs because perfbench's sweep mirrors it.
+@pytest.mark.parametrize("orientation", [1, 2, 3])
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
+def test_pg_over_larger_fields(q, orientation):
+    spec = ConstructionSpec("pg", orientation, q=q, k=3, m=1, t=1)
+    p = construct_pda(spec)
+    assert validate_pda(p).ok
+    assert (p.k, p.f, p.q, p.s) == _params(spec)
+    rep = verify_scheme(p, 2)
+    assert rep.ok and rep.failures == []
 
 
 def test_row_derived_quantities():

@@ -3,8 +3,9 @@ against a per-cell scan, canonical relabeling against a per-cell reference,
 the file formats' round trips, the text parser's failure mode, the simulator on
 random valid arrays, with and without a faulty cached packet or payload,
 placed caches against plain dicts under random edits, decode on the sweep
-arrays against a per-cell reference peel, and the triple conditions E1-E7
-and construct_pda's matching path against their definitions.  Examples are
+arrays against a per-cell reference peel, the triple conditions E1-E7
+and construct_pda's matching path against their definitions, and both
+directions of the equivalence of arrays with systems that meet E1-E5.  Examples are
 derandomized, so every run sees the same inputs."""
 
 import itertools
@@ -24,7 +25,8 @@ from pdakit.pda import (Pda, PdaFormatError, STAR, canonical_relabel, format_pda
 from pdakit.sim import (CacheContents, DecodeError, FileLibrary, decode, deliver, place,
                         verify_scheme)
 from pdakit.triples import (ConditionError, TripleSystem, _match_column, _matched_pda,
-                            check_conditions, complete_matching, set_bits, triple_to_pda)
+                            check_conditions, complete_matching, pda_to_triple, set_bits,
+                            triple_to_pda)
 
 from conftest import all_pdas, decode_failures
 
@@ -568,6 +570,50 @@ def test_check_conditions_matches_the_definitions(sweep_systems, data):
             ref["witnesses"][failing[0]])
 
 
+# --- arrays and systems meeting E1-E5 are one thing ------------------------
+
+
+@settings(FIXED, max_examples=200)
+@given(valid_pdas())
+def test_a_valid_array_is_a_system_meeting_e1_to_e5(p):
+    t = pda_to_triple(p)
+    assert check_conditions(t).necessary_ok
+    assert reference_report(t)["flags"][:5] == (True,) * 5
+    assert triple_to_pda(t) == canonical_relabel(p)
+
+
+def _symbols(t: TripleSystem) -> list:
+    """Each symbol as the pair (its rows mask, its columns mask), sorted: the
+    system up to renaming its symbols."""
+    return sorted(zip(_transpose(t.xy, len(t.labels_y)), t.yz))
+
+
+@settings(FIXED, max_examples=200)
+@given(st.data())
+def test_a_system_meeting_e1_to_e5_is_a_valid_array(sweep_systems, data):
+    """A system meeting E1-E5 is an array that validates and reads back as
+    the system, up to renaming symbols; one with no star in its columns (every
+    column holding every row) has Q = 0 and is refused as degenerate.  Any
+    other system is refused for the first of E1-E5 it fails."""
+    t = _flipped(data, sweep_systems)
+    failing = [c for c in ("E1", "E2", "E3", "E4", "E5") if c in reference_report(t)["witnesses"]]
+    if failing:
+        with pytest.raises(ConditionError) as exc:
+            triple_to_pda(t)
+        assert exc.value.condition == failing[0]
+        return
+    nx, ny, nz = len(t.labels_x), len(t.labels_y), len(t.labels_z)
+    if all(col.bit_count() == nx for col in _transpose(t.xz, nz)):
+        with pytest.raises(ValueError, match="Q = 0"):
+            triple_to_pda(t)
+        return
+    p = triple_to_pda(t)
+    assert validate_pda(p).ok
+    assert (p.k, p.f, p.s) == (nz, nx, ny)
+    back = pda_to_triple(p)
+    assert back.xz == t.xz and _symbols(back) == _symbols(t)
+
+
 @settings(FIXED, max_examples=150)
 @given(st.data())
 def test_matching_path_matches_the_full_scan(sweep_systems, data):
@@ -594,6 +640,12 @@ def test_matching_path_on_hand_made_failures():
         (system((0b0,), (0b1,), (0b1,), 1, 1), "E6", ("z0",)),
         # every column matches, but x0 lies in both and x1 in none
         (system((0b11, 0b00), (0b11, 0b00), (0b01, 0b10), 2, 2), "E7", None),
+        # z0 matches x0-y0 and x1-y1, z1 matches x2-y0 and x3-y2: y0 lies in
+        # both columns, y1 and y2 in one
+        (system((0b001, 0b010, 0b001, 0b100), (0b01, 0b01, 0b10, 0b10), (0b11, 0b01, 0b10),
+                3, 2), "E2'", None),
+        # no symbol and no column: nothing fails before the degrees
+        (system((0,), (0,), (), 0, 0), "E1'", None),
         (system((0b0,), (0b0,), (0b0,), 1, 1), "E2", ("y0",)),
     ]
     for t, condition, witness in cases:

@@ -8,7 +8,8 @@ directory).  The script runs RUNS rounds; the side that goes first alternates,
 parent first in round 1.  In a round each side runs every perfbench workload
 in its own process (`perfbench/run.py --workload NAME --seed SEED --seconds
 SECONDS`, the gated settings; reference-speed seconds), then every ladder
-rung (RUNGS: five pg systems, q = 3 among them, two at k = 8) in a fresh
+rung (RUNGS: five pg systems, q = 3 among them, two at k = 8, and one
+tdesign-lambda design, each in orientation 1) in a fresh
 process: construct_pda's wall seconds (total_s), the array's
 SHA-256 digest and ru_maxrss right after it, then, on that array, the pda
 layer's two figures: validate_pda on a fresh equal array (validate_s), and
@@ -44,18 +45,22 @@ SEED = 7
 SECONDS = 30
 WORKLOADS = ("construct", "simulate", "sweep")
 GATED = ("setup_s", "wall_s", "array_p50_s", "peak_rss_mb", "error_rate")
-# name -> (q, k, m, t), each built in orientation 1
-RUNGS = {"pg_q2_k6_m2_t2": (2, 6, 2, 2), "pg_q3_k5_m2_t1": (3, 5, 2, 1),
-         "pg_q2_k8_m1_t1": (2, 8, 1, 1), "pg_q2_k7_m2_t1": (2, 7, 2, 1),
-         "pg_q2_k8_m2_t1": (2, 8, 2, 1)}
+# name -> ConstructionSpec keywords, each built in orientation 1 (the default)
+RUNGS = {"pg_q2_k6_m2_t2": dict(family="pg", q=2, k=6, m=2, t=2),
+         "pg_q3_k5_m2_t1": dict(family="pg", q=3, k=5, m=2, t=1),
+         "pg_q2_k8_m1_t1": dict(family="pg", q=2, k=8, m=1, t=1),
+         "pg_q2_k7_m2_t1": dict(family="pg", q=2, k=7, m=2, t=1),
+         "pg_q2_k8_m2_t1": dict(family="pg", q=2, k=8, m=2, t=1),
+         "tdesign_lambda_complete_12_4": dict(family="tdesign-lambda", design="complete:12:4",
+                                              t0=2, t1=1, t2=1)}
 
 RUNG_CODE = """
 import hashlib, json, resource, sys, time
 from pdakit import (ConstructionSpec, Pda, canonical_relabel, construct_pda, format_pda,
                     parse_pda, pda_from_json, pda_to_json, validate_pda)
-q, k, m, t = map(int, sys.argv[1:])
+spec = ConstructionSpec(**json.loads(sys.argv[1]))
 t0 = time.perf_counter()
-p = construct_pda(ConstructionSpec("pg", 1, q=q, k=k, m=m, t=t))
+p = construct_pda(spec)
 total = time.perf_counter() - t0
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 fresh = Pda(p.k, p.f, p.q, p.s, p.grid)  # equal, with nothing cached on it
@@ -77,13 +82,12 @@ RUNG_STATS = ("total_s", "peak_rss_mb", "validate_s", "io_s")
 
 # verify_scheme, then place and decode, on the K=651 array, built first and
 # outside the timed calls
-SIM_RUNG = (2, 6, 2, 2)
+SIM_RUNG = RUNGS["pg_q2_k6_m2_t2"]
 SIM_CODE = """
 import hashlib, json, random, resource, sys, time
 from pdakit import (ConstructionSpec, DecodeError, FileLibrary, construct_pda, decode,
                     deliver, place, verify_scheme)
-q, k, m, t = map(int, sys.argv[1:])
-p = construct_pda(ConstructionSpec("pg", 1, q=q, k=k, m=m, t=t))
+p = construct_pda(ConstructionSpec(**json.loads(sys.argv[1])))
 t0 = time.perf_counter()
 rep = verify_scheme(p, 4, mode="sampled", samples=20, seed=7)
 total = time.perf_counter() - t0
@@ -150,8 +154,8 @@ def perfbench(tree: Path, workload: str) -> dict:
     return {name: report[name]["value"] for name in GATED}
 
 
-def rung(tree: Path, params: tuple, code: str = RUNG_CODE) -> dict:
-    lines = _stdout_lines([sys.executable, "-c", code, *map(str, params)], tree)
+def rung(tree: Path, spec: dict, code: str = RUNG_CODE) -> dict:
+    lines = _stdout_lines([sys.executable, "-c", code, json.dumps(spec)], tree)
     return json.loads(lines[-1])
 
 
@@ -187,8 +191,8 @@ def main(argv=None) -> int:
         for side in sorted(sides, reverse=i % 2 == 0):  # parent, change; then change, parent
             for w in WORKLOADS:
                 bench[side][w].append(perfbench(sides[side], w))
-            for name, params in RUNGS.items():
-                ladder[side][name].append(rung(sides[side], params))
+            for name, spec in RUNGS.items():
+                ladder[side][name].append(rung(sides[side], spec))
             sim[side].append(rung(sides[side], SIM_RUNG, SIM_CODE))
             print(f"round {i + 1}/{RUNS}: {side} done", file=sys.stderr)
 
@@ -203,15 +207,15 @@ def main(argv=None) -> int:
            "end_to_end": {w: {m: summarize([r[m] for r in bench["parent"][w]],
                                            [r[m] for r in bench["change"][w]])
                               for m in GATED} for w in WORKLOADS},
-           "ladder": {"what": "construct_pda(pg, set 1), one fresh process per rung "
+           "ladder": {"what": "construct_pda(spec), one fresh process per rung "
                               "and run; raw wall seconds and ru_maxrss after it; then "
                               "validate_s, validate_pda on a fresh equal array, and io_s, "
                               "canonical_relabel plus the text and JSON round trips"}}
-    for name, params in RUNGS.items():
+    for name, spec in RUNGS.items():
         runs = {side: ladder[side][name] for side in sides}
         digests = {r["digest"] for side in sides for r in runs[side]}
         out["ladder"][name] = {
-            "q_k_m_t": list(params), "params_kfqs": runs["change"][0]["params_kfqs"],
+            "spec": spec, "params_kfqs": runs["change"][0]["params_kfqs"],
             "digests_equal": len(digests) == 1, "digest": min(digests),
             "all_valid": all(r["valid"] for side in sides for r in runs[side]),
             "round_trips_equal": all(r["round_trips_equal"] for side in sides for r in runs[side]),
@@ -229,7 +233,7 @@ def main(argv=None) -> int:
                 "wall seconds, and ru_maxrss of the process; error_digest is the SHA-256 "
                 "of the DecodeError texts (or decoded files' digests) of the same calls "
                 "on caches with a corrupt, a dropped or a 17-byte starred packet",
-        "q_k_m_t": list(SIM_RUNG), "demands": sim["change"][0]["demands"],
+        "spec": SIM_RUNG, "demands": sim["change"][0]["demands"],
         "all_ok": all(r["ok"] for side in sides for r in sim[side]),
         "report_digests_equal": len(digests) == 1, "report_digest": min(digests),
         "decoded_digests_equal": len(decoded) == 1, "decoded_digest": min(decoded),
