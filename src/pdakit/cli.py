@@ -84,9 +84,9 @@ def _print_rows(rows, fmt: str):
 
 
 def _row_summary(row: ParameterRow) -> str:
-    return (f"family={row.family} {row.label} set={row.orientation} "
-            f"K={row.k} F={row.f} Q={row.q} S={row.s} M/N={row.mn} R={row.rate} "
-            f"R*={_fmt(row.r_star)} R/R*={_fmt(row.ratio)} F*(MN)={_fmt(row.f_mn)}")
+    """The row's cells as name=value, the params bare, admissible left out."""
+    return " ".join(cell if name == "params" else f"{name}={cell}"
+                    for name, cell in zip(ROW_FIELDS[:-1], _row_cells(row)))
 
 
 def _spec_from_args(args) -> ConstructionSpec:

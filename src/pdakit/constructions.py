@@ -27,7 +27,7 @@ from .designs import (Design, certify_configuration, certify_t_design,
 from .gf import FieldSpec
 from .pda import Pda
 from .subspaces import gaussian_binomial, subspaces_and_masks
-from .triples import TripleSystem, _matched_pda, _oriented_parameters, mask_of, set_bits
+from .triples import TripleSystem, _matched_pda, _oriented_parameters, rows_of, set_bits
 
 FAMILIES = ("pg", "config", "tdesign-a", "tdesign-b", "tdesign-lambda")
 
@@ -207,16 +207,6 @@ def _block_triple(design: Design, size_x: int, size_y: int) -> TripleSystem:
                         tuple(xy), tuple(xz), tuple(yz))
 
 
-def _holders(masks: list[int], npoints: int) -> list[int]:
-    """For each point, the mask of the subspaces (by their points masks) that
-    hold it."""
-    out: list[list[int]] = [[] for _ in range(npoints)]
-    for i, mask in enumerate(masks):
-        for point in set_bits(mask):
-            out[point].append(i)
-    return [mask_of(held, len(masks)) for held in out]
-
-
 def pg_triple(q: int, k: int, m: int, t: int) -> TripleSystem:
     """Rows = t-dim, symbols = m-dim, columns = (m+t)-dim subspaces of F_q^k.
 
@@ -231,7 +221,9 @@ def pg_triple(q: int, k: int, m: int, t: int) -> TripleSystem:
     xs, on_x = subspaces_and_masks(field, k, t)
     ys, on_y = subspaces_and_masks(field, k, m)
     zs, on_z = subspaces_and_masks(field, k, m + t)
-    in_y, in_z = _holders(on_y, q ** k), _holders(on_z, q ** k)
+    # per point, the mask of the symbols (columns) that hold it
+    in_y, in_z = (rows_of(((p, i) for i, mask in enumerate(on) for p in set_bits(mask)),
+                          q ** k, len(on)) for on in (on_y, on_z))
     all_y = (1 << len(ys)) - 1
 
     def meets_trivially(points):

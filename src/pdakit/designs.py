@@ -83,10 +83,6 @@ def certify_configuration(d: Design, v: int, r: int, b: int, k: int) -> Certific
             if pair in seen:
                 return Certificate(False, "pair-repeated", (pair, seen[pair], i))
             seen[pair] = i
-    if b * k != v * r:
-        return Certificate(False, "incidence-count", (b * k, v * r))
-    if (k - 1) * r > v - 1:
-        return Certificate(False, "size-bound", (k, r, v))
     return Certificate(True)
 
 
@@ -106,9 +102,6 @@ def certify_t_design(d: Design, t: int, v: int, k: int, lam: int) -> Certificate
     for sub in itertools.combinations(range(v), t):
         if counts.get(sub, 0) != lam:
             return Certificate(False, "coverage", (sub, counts.get(sub, 0)))
-    expected_b = Fraction(lam * comb(v, t), comb(k, t))
-    if d.b != expected_b:
-        return Certificate(False, "block-count", (d.b, expected_b))
     return Certificate(True)
 
 

@@ -32,6 +32,8 @@ class Pda:
     grid: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        # rows of its own, which no caller's list can change under the caches
+        object.__setattr__(self, "grid", tuple(map(tuple, self.grid)))
         self._check_params()
         for row in self.grid:
             _check_width(len(row), self.k)

@@ -45,6 +45,8 @@ class FileLibrary:
     packets: tuple[tuple[bytes, ...], ...]  # n files x f packets
 
     def __post_init__(self):
+        # files of its own, which no caller's list can change under the caches
+        object.__setattr__(self, "packets", tuple(map(tuple, self.packets)))
         n, f, size, packets = self.n, self.f, self.packet_size, self.packets
         if not all(type(x) is int and x >= 1 for x in (n, f, size)):
             raise ValueError("need n, f, packet_size >= 1")

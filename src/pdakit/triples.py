@@ -24,10 +24,11 @@ Conditions checked here, all by exhaustive scan (E3-E5 one pass per row):
 
 E1-E5 characterize valid arrays exactly; E1-E3 plus E6 suffice once C_XY is
 thinned to per-z perfect matchings (complete_matching, by augmenting paths).
-The matching path scans only E1-E3 and the degrees, and decides E6 per
-distinct column graph as it matches; check_conditions scans everything.
-Their cells, one triple (x, y, z) per non-star cell, are what every array is
-emitted from; an orientation picks which of x, y, z is row, column, symbol.
+The matching path scans only E1-E3 and the degrees, check_conditions
+everything; both take E6 from one pass that decides it once per distinct
+column graph (_local_graphs).  The matched cells, one triple (x, y, z) per
+non-star cell, are what every array is emitted from; an orientation picks
+which of x, y, z is row, column, symbol.
 """
 
 from array import array
@@ -63,6 +64,9 @@ class TripleSystem:
     yz: Masks
 
     def __post_init__(self):
+        # tuples of its own, which no caller's list can change under the caches
+        for name in ("labels_x", "labels_y", "labels_z", "xy", "xz", "yz"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         nx, ny, nz = len(self.labels_x), len(self.labels_y), len(self.labels_z)
         for name, rows, nrows, ncols in (("xy", self.xy, nx, ny),
                                          ("xz", self.xz, nx, nz),
@@ -141,12 +145,13 @@ def _split_bits(mask: int) -> list[int]:
 _SPLIT_PAST = 384
 
 
-def mask_of(indices, width: int) -> int:
-    """The mask with these bits set, all below width, built without a copy per bit."""
-    buf = bytearray(width + 7 >> 3)
-    for i in indices:
-        buf[i >> 3] |= 1 << (i & 7)
-    return int.from_bytes(buf, "little")
+def rows_of(pairs, nrows: int, ncols: int) -> Masks:
+    """The row masks of the nrows x ncols matrix with ones at these (row,
+    column) pairs, built without a copy per bit."""
+    rows = [bytearray(ncols + 7 >> 3) for _ in range(nrows)]
+    for i, j in pairs:
+        rows[i][j >> 3] |= 1 << (j & 7)
+    return tuple(int.from_bytes(row, "little") for row in rows)
 
 
 def _columns(rows: Masks, ncols: int) -> Masks:
@@ -226,21 +231,30 @@ def _raise_first(wit: dict, names: tuple, detail: str = "") -> None:
 
 
 def _local_graphs(t: TripleSystem):
-    """Per column z, in order, (z, xs, ys, key): its rows xs and symbols ys
-    in ascending order, and, if both are nonempty and as many, the graph
-    C_XY induces on them in local indices (else None), keyed as its n x n
+    """Per column z, in order, (z, xs, ys, key, d): its rows xs and symbols
+    ys in ascending order; if both are nonempty and as many, the graph C_XY
+    induces on them in local indices (else None), keyed as its n x n
     adjacency in row-major chars: row i and symbol j are adjacent iff bit
-    ys[j] of xy[xs[i]] is set.  Columns with equal keys have equal graphs up
-    to the order-keeping renaming of their rows and symbols."""
+    ys[j] of xy[xs[i]] is set; and E6's verdict d on the column: its common
+    degree, 0 if xs or ys is empty, None if the sides differ in size or the
+    graph is not regular with positive degree.  Columns with equal keys have
+    equal graphs up to the order-keeping renaming of their rows and symbols,
+    so d is decided once per key."""
     # char j of bits[x] is bit j of xy[x]
     bits = [format(row, f"0{len(t.labels_y)}b")[::-1] for row in t.xy]
+    degrees: dict[str, int | None] = {}
     for z, (mask1, mask2) in enumerate(zip(t.cols_xz, t.cols_yz)):
         xs, ys = set_bits(mask1), set_bits(mask2)
-        key = None
-        if xs and len(xs) == len(ys):
+        key = d = None
+        if not (xs and ys):
+            d = 0
+        elif len(xs) == len(ys):
             pick = itemgetter(*ys)  # a char, or a tuple of chars, per row
             key = "".join(map("".join, map(pick, map(bits.__getitem__, xs))))
-        yield z, xs, ys, key
+            if key not in degrees:
+                degrees[key] = _regular_degree(key, len(xs))
+            d = degrees[key]
+        yield z, xs, ys, key, d
 
 
 def _regular_degree(key: str, n: int) -> int | None:
@@ -255,21 +269,12 @@ def check_conditions(t: TripleSystem) -> ConditionReport:
     """Evaluate every condition by exhaustive scan; never sampled.  E6 is
     decided once per distinct column graph (_local_graphs)."""
     wit, d_x, d_y, d_z = _scan(t, e4_e5=True)
-    # per z: the common degree, 0 with a side empty, None if irregular
-    degrees, memo = [], {}
-    for z, xs, ys, key in _local_graphs(t):
-        if key is None:
-            degrees.append(None if xs and ys else 0)
-        else:
-            if key not in memo:
-                memo[key] = _regular_degree(key, len(xs))
-            degrees.append(memo[key])
-        if degrees[-1] is None:
-            wit.setdefault("E6", (t.labels_z[z],))
-
+    degrees = tuple(d for *_, d in _local_graphs(t))
+    if None in degrees:
+        wit["E6"] = (t.labels_z[degrees.index(None)],)
     e1, e2, e3, e4, e5, e6 = (c not in wit for c in ("E1", "E2", "E3", "E4", "E5", "E6"))
     return ConditionReport(e1, e2, e3, e4, e5, e6, bool(d_z), d_y is not None,
-                           d_x is not None, d_x, d_y, d_z, tuple(degrees), wit)
+                           d_x is not None, d_x, d_y, d_z, degrees, wit)
 
 
 # --- conversions ----------------------------------------------------------
@@ -368,11 +373,11 @@ def _cells(t: TripleSystem) -> tuple[array, array, array]:
     """The cells of per-z perfect matchings of C_XY, as three arrays x, y, z:
     cell i is the triple (x[i], y[i], z[i]), one per matched pair.
 
-    E6 is decided here, once per distinct column key (_local_graphs), and
-    _match_column runs once per key that passes, on the local masks; each
-    column with that key takes its pairs through its own xs and ys.  Kuhn
-    reads only order and adjacency, so every column gets the matching its
-    global masks would give.  Every pg system tried has a single key.
+    _match_column runs once per distinct column key (_local_graphs) whose
+    column passes E6, on the local masks; each column with that key takes
+    its pairs through its own xs and ys.  Kuhn reads only order and
+    adjacency, so every column gets the matching its global masks would
+    give.  Every pg system tried has a single key.
 
     Raises ConditionError for E6 at the first column whose graph is not
     regular with positive degree (its sides differ in size, or some row or
@@ -380,12 +385,12 @@ def _cells(t: TripleSystem) -> tuple[array, array, array]:
     with one side empty and the other not.
     """
     cells = cx, cy, cz = array("l"), array("l"), array("l")
-    memo: dict[str, dict[int, int]] = {}  # key -> its matching; {} if E6 fails
+    memo: dict[str, dict[int, int]] = {}  # key -> its matching
     lopsided = None
-    for z, xs, ys, key in _local_graphs(t):
-        if key is None:
-            if xs and ys:
-                raise ConditionError("E6", "", (t.labels_z[z],))
+    for z, xs, ys, key, d in _local_graphs(t):
+        if d is None:
+            raise ConditionError("E6", "", (t.labels_z[z],))
+        if not d:
             if lopsided is None and (xs or ys):
                 lopsided = f"column {t.labels_z[z]} pairs {len(xs)} rows with {len(ys)} symbols"
             continue
@@ -393,10 +398,7 @@ def _cells(t: TripleSystem) -> tuple[array, array, array]:
         if pairs is None:
             n = len(xs)
             local = [int(key[i * n:(i + 1) * n][::-1], 2) for i in range(n)]
-            pairs = memo[key] = (_match_column(range(n), (1 << n) - 1, local)
-                                 if _regular_degree(key, n) else {})
-        if not pairs:
-            raise ConditionError("E6", "", (t.labels_z[z],))
+            pairs = memo[key] = _match_column(range(n), (1 << n) - 1, local)
         cx.extend(map(xs.__getitem__, pairs.values()))
         cy.extend(map(ys.__getitem__, pairs))
         cz.extend(repeat(z, len(pairs)))
@@ -430,10 +432,7 @@ def complete_matching(t: TripleSystem) -> TripleSystem:
     the system to the full E1-E5 family.  The result keeps t's C_XZ and C_YZ.
     """
     (xs, ys, _), _ = _matched_cells(t)
-    rows = [bytearray(len(t.labels_y) + 7 >> 3) for _ in t.labels_x]
-    for x, y in zip(xs, ys):
-        rows[x][y >> 3] |= 1 << (y & 7)
-    return replace(t, xy=tuple(int.from_bytes(row, "little") for row in rows))
+    return replace(t, xy=rows_of(zip(xs, ys), len(t.labels_x), len(t.labels_y)))
 
 
 # --- orientations and products -------------------------------------------

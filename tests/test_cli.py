@@ -74,6 +74,8 @@ def test_construct_pg_stdout(run):
     assert out.splitlines()[0] == "7 7 4 7"
     assert "K=7 F=7 Q=4 S=7" in err
     assert "R*=3/5" in err
+    assert err == ("family=pg q=2,k=3,m=1,t=1 set=1 K=7 F=7 Q=4 S=7 M/N=4/7 R=1 "
+                   "R*=3/5 R/R*=5/3 F*(MN)=35\n")
     parsed = parse_pda(out)
     assert (parsed.k, parsed.f, parsed.q, parsed.s) == (7, 7, 4, 7)
 

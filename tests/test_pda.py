@@ -74,6 +74,16 @@ def test_pda_shape_errors():
         Pda(2, 2, 1, 1, ((STAR, -1), (1, STAR)))
 
 
+def test_pda_keeps_its_own_grid():
+    g = [[STAR, 1], [1, STAR]]
+    p = Pda(2, 2, 1, 1, g)
+    assert validate_pda(p).ok
+    g[0][0] = 1  # would break C1 in p if p held the caller's rows
+    assert p.grid == ((STAR, 1), (1, STAR))
+    assert validate_pda(Pda(2, 2, 1, 1, p.grid)).ok
+    assert hash(p) == hash(Pda(2, 2, 1, 1, ((STAR, 1), (1, STAR))))
+
+
 def test_scheme_parameters():
     assert scheme_parameters(TINY) == (2, 2, Fraction(1, 2), Fraction(1, 2))
 

@@ -3,15 +3,18 @@ against a per-cell scan, canonical relabeling against a per-cell reference,
 the file formats' round trips, the text parser's failure mode, the simulator on
 random valid arrays, with and without a faulty cached packet or payload,
 placed caches against plain dicts under random edits, decode on the sweep
-arrays against a per-cell reference peel, the triple conditions E1-E7
-and construct_pda's matching path against their definitions, and both
-directions of the equivalence of arrays with systems that meet E1-E5.  Examples are
-derandomized, so every run sees the same inputs."""
+arrays against a per-cell reference peel, the triple conditions E1-E7,
+construct_pda's matching path and the design certificates against their
+definitions, and both directions of the equivalence of arrays with systems
+that meet E1-E5.  Examples are derandomized, so every run sees the same
+inputs."""
 
 import itertools
 import json
 import random
 from dataclasses import replace
+from fractions import Fraction
+from math import comb
 from unittest import mock
 
 import pytest
@@ -20,6 +23,9 @@ from hypothesis import given, settings, strategies as st
 import pdakit.sim as sim
 import pdakit.triples
 from pdakit.constructions import build_triple
+from pdakit.designs import (_CATALOG, Design, as_t_design, catalog_lookup, certify_configuration,
+                            certify_t_design, complete_design, steiner_triple_system,
+                            transversal_design)
 from pdakit.pda import (Pda, PdaFormatError, STAR, canonical_relabel, format_pda,
                         parse_pda, pda_from_json, pda_to_json, validate_pda)
 from pdakit.sim import (CacheContents, DecodeError, FileLibrary, decode, deliver, place,
@@ -652,3 +658,91 @@ def test_matching_path_on_hand_made_failures():
         got = matching_path(t)
         assert got == reference_matching_path(t)
         assert got[0] == condition and got[2] == witness, got
+
+
+# --- design certificates against their definitions -------------------------
+
+
+def reference_configuration(d: Design, v: int, r: int, b: int, k: int) -> tuple:
+    """certify_configuration's (ok, condition, witness) from the definition
+    of a (v_r, b_k)-configuration, point by point and pair by pair, with the
+    two counting identities b k = v r and r (k - 1) <= v - 1 checked too."""
+    blocks = d.blocks
+    if d.v != v:
+        return False, "point-count", (d.v, v)
+    if len(blocks) != b:
+        return False, "block-count", (len(blocks), b)
+    for i, blk in enumerate(blocks):
+        if len(blk) != k:
+            return False, "block-size", (i, len(blk))
+    for p in range(v):
+        held = sum(p in blk for blk in blocks)
+        if held != r:
+            return False, "replication", (p, held)
+    for i, blk in enumerate(blocks):
+        for pair in itertools.combinations(blk, 2):
+            earlier = [j for j in range(i) if set(pair) <= set(blocks[j])]
+            if earlier:
+                return False, "pair-repeated", (pair, earlier[0], i)
+    if b * k != v * r:
+        return False, "incidence-count", (b * k, v * r)
+    if (k - 1) * r > v - 1:
+        return False, "size-bound", (k, r, v)
+    return True, "", ()
+
+
+def reference_t_design(d: Design, t: int, v: int, k: int, lam: int) -> tuple:
+    """certify_t_design's (ok, condition, witness) from the definition of a
+    t-(v,k,lam) design, subset by subset, with the block count
+    b C(k,t) = lam C(v,t) checked too."""
+    if d.v != v:
+        return False, "point-count", (d.v, v)
+    for i, blk in enumerate(d.blocks):
+        if len(blk) != k:
+            return False, "block-size", (i, len(blk))
+    for sub in itertools.combinations(range(v), t):
+        held = sum(set(sub) <= set(blk) for blk in d.blocks)
+        if held != lam:
+            return False, "coverage", (sub, held)
+    if d.b * comb(k, t) != lam * comb(v, t):
+        return False, "block-count", (d.b, Fraction(lam * comb(v, t), comb(k, t)))
+    return True, "", ()
+
+
+# the catalog, each builder, and a retagged design: the ones that certify
+KNOWN_DESIGNS = ([make() for make in _CATALOG.values()]
+                 + [complete_design(v, k) for v in range(2, 7) for k in range(1, v)]
+                 + [steiner_triple_system(v) for v in (7, 9, 13)]
+                 + [transversal_design(k, n) for k, n in ((2, 2), (3, 3), (4, 3), (3, 4))]
+                 + [as_t_design(catalog_lookup("sqs8"), 2)])
+
+
+@st.composite
+def small_designs(draw):
+    """Up to 8 blocks, repeats allowed, on up to 7 points."""
+    v = draw(st.integers(1, 7))
+    block = st.sets(st.integers(0, v - 1), min_size=1).map(tuple)
+    return Design(v, tuple(draw(st.lists(block, max_size=8))))
+
+
+@settings(FIXED, max_examples=400)
+@given(st.one_of(st.sampled_from(KNOWN_DESIGNS), small_designs()), st.data())
+def test_certificates_match_the_definitions(d, data):
+    """Each certifier returns the reference's verdict, on parameters read off
+    the design and then moved by at most one."""
+    def near(value):
+        return value + data.draw(st.sampled_from((-1, 0, 0, 0, 1)))
+
+    k0 = len(d.blocks[0]) if d.blocks else 1  # a design may have no block
+    v, r, b, k = near(d.v), near(sum(0 in blk for blk in d.blocks)), near(d.b), near(k0)
+    if v >= 1:
+        cert = certify_configuration(d, v, r, b, k)
+        assert (cert.ok, cert.condition, cert.witness) == reference_configuration(d, v, r, b, k)
+    t = data.draw(st.integers(1, k0))
+    lam = near(sum(set(range(t)) <= set(blk) for blk in d.blocks))
+    if not (v > k >= t >= 1 and lam >= 1):
+        with pytest.raises(ValueError):
+            certify_t_design(d, t, v, k, lam)
+        return
+    cert = certify_t_design(d, t, v, k, lam)
+    assert (cert.ok, cert.condition, cert.witness) == reference_t_design(d, t, v, k, lam)

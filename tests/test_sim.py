@@ -44,6 +44,17 @@ def test_library_checks_its_shape(packets):
         FileLibrary(1, 2, 1, packets)
 
 
+def test_library_keeps_its_own_packets():
+    files = [[b"a", b"b"]]
+    lib = FileLibrary(1, 2, 1, files)
+    caches = place(TINY, lib)
+    files[0][1] = b"z"  # would change what deliver reads but not the cached ints
+    assert lib.packets == ((b"a", b"b"),)
+    tx = deliver(TINY, lib, (0, 0))
+    assert tx == [bytes([ord("a") ^ ord("b")])]
+    assert decode(TINY, caches[0], tx, (0, 0), 0) == lib.file(0) == b"ab"
+
+
 def test_library_needs_positive_sizes():
     for n, f, size in ((0, 2, 1), (1, 0, 1), (1, 2, 0), (1.0, 2, 1)):
         with pytest.raises(ValueError, match="^need n, f, packet_size >= 1$"):

@@ -13,7 +13,7 @@ from pdakit.designs import catalog_lookup, complete_design
 from pdakit.pda import InvalidPdaError, Pda, STAR, canonical_relabel, validate_pda
 from pdakit.triples import (ConditionError, TripleSystem, _columns, _match_column,
                             _split_bits, check_conditions, complete_matching,
-                            direct_product, mask_of, orientations, pda_to_triple,
+                            direct_product, orientations, pda_to_triple, rows_of,
                             set_bits, triple_to_pda)
 
 from conftest import TINY, all_pdas
@@ -417,6 +417,25 @@ def test_complete_matching_tells_equal_sized_column_graphs_apart():
     assert matched.xy == _per_column_matching(t)
 
 
+def test_e6_is_decided_once_per_column_key(monkeypatch):
+    """check_conditions and construct_pda each run _regular_degree once per
+    distinct column key: once on K=651 (pg q=2 k=6 m=2 t=2), whose 651
+    columns share one key."""
+    spec = ConstructionSpec("pg", 1, q=2, k=6, m=2, t=2)
+    t = build_triple(spec)
+    keys = {key for _, _, _, key, _ in pdakit.triples._local_graphs(t)}
+    assert len(keys) == 1 and len(t.labels_z) == 651
+    calls = []
+    real = pdakit.triples._regular_degree
+    monkeypatch.setattr(pdakit.triples, "_regular_degree",
+                        lambda key, n: calls.append(key) or real(key, n))
+    assert check_conditions(t).e6
+    assert calls == list(keys)
+    calls.clear()
+    assert construct_pda(spec).k == 651
+    assert calls == list(keys)
+
+
 def test_complete_matching_thins_to_constant_degree():
     raw = pg_triple(2, 3, 1, 1)
     before = check_conditions(raw)
@@ -498,7 +517,18 @@ def test_orientations_equal_dense_transposes(sweep):
             assert s.cols_yz == _masks(_transpose(s.c_yz))
 
 
-def test_columns_and_mask_of_equal_dense_reference():
+def test_triple_system_keeps_its_own_masks():
+    t = pda_to_triple(TINY)
+    xz = list(t.xz)
+    own = TripleSystem(t.labels_x, t.labels_y, t.labels_z, list(t.xy), xz, list(t.yz))
+    assert own.cols_xz == t.cols_xz
+    xz[0] = 0b11  # would break E1 if own held the caller's list
+    assert (own.xy, own.xz, own.yz) == (t.xy, t.xz, t.yz)
+    assert check_conditions(own) == check_conditions(t)
+    assert hash(own) == hash(t)
+
+
+def test_columns_and_rows_of_equal_dense_reference():
     rng = random.Random(3)
     for density in (0.1, 0.5, 0.9):  # 0.9 is transposed through the complement
         for _ in range(30):
@@ -506,13 +536,17 @@ def test_columns_and_mask_of_equal_dense_reference():
             mat = tuple(tuple(int(rng.random() < density) for _ in range(nc)) for _ in range(nr))
             assert _columns(_masks(mat), nc) == _masks(_transpose(mat))
             for row in _masks(mat):
-                assert mask_of(set_bits(row), nc) == row
+                assert rows_of(((0, j) for j in set_bits(row)), 1, nc) == (row,)
+            # the ones in column-major order, as pg's point-holders give them
+            ones = [(i, j) for j in range(nc) for i in range(nr) if mat[i][j]]
+            assert rows_of(ones, nr, nc) == _masks(mat)
     # rows of 1500 columns hold about 450 ones, or zeros through the
     # complement: past 384 a row, the transpose takes the split walk
     for density in (0.3, 0.7):
         mat = tuple(tuple(int(rng.random() < density) for _ in range(1500)) for _ in range(3))
         assert _columns(_masks(mat), 1500) == _masks(_transpose(mat))
-    assert mask_of([], 0) == 0 and mask_of([70, 3], 71) == 1 << 70 | 1 << 3
+    assert rows_of([], 1, 0) == (0,) and rows_of([(0, 70), (0, 3)], 1, 71) == (1 << 70 | 1 << 3,)
+    assert rows_of([], 0, 5) == ()
 
 
 def test_set_bits_equals_the_bit_by_bit_reference_on_either_walk():

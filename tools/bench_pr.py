@@ -1,19 +1,20 @@
 """Write a BENCH_<pr>.json: perfbench medians, the construct ladder and the
 sim rung, for a parent checkout against this one.
 
-    python3 tools/bench_pr.py --parent ../parent --out BENCH_16.json
+    python3 tools/bench_pr.py --parent ../parent --out BENCH_18.json
 
 --parent is a plain copy of the parent commit's tree (`git archive` it into a
 directory).  The script runs RUNS rounds; the side that goes first alternates,
 parent first in round 1.  In a round each side runs every perfbench workload
 in its own process (`perfbench/run.py --workload NAME --seed SEED --seconds
 SECONDS`, the gated settings; reference-speed seconds), then every ladder
-rung (RUNGS: five pg systems, q = 3 among them, two at k = 8, and one
-tdesign-lambda design, each in orientation 1) in a fresh
-process: construct_pda's wall seconds (total_s), the array's
-SHA-256 digest and ru_maxrss right after it, then, on that array, the pda
-layer's two figures: validate_pda on a fresh equal array (validate_s), and
-canonical_relabel plus the text and the JSON round trips (io_s); then the
+rung (RUNGS: the six pg systems of ROADMAP.md's Baseline table, q = 3
+among them, two at k = 8, and one tdesign-lambda design, each in
+orientation 1) in a fresh process: construct_pda's wall seconds (total_s),
+the array's SHA-256 digest and ru_maxrss right after it, then, on that
+array, the pda layer's two figures: validate_pda on a fresh equal array
+(validate_s), and canonical_relabel plus the text and the JSON round trips
+(io_s); then the
 sim rung in a fresh process on the K=651 array (pg q=2 k=6 m=2 t=2, set 1;
 N=4 files): verify_scheme's wall seconds (total_s, sampled, 20 samples) and
 the SHA-256 of its report's JSON, then, as in perfbench's simulate pass,
@@ -46,7 +47,8 @@ SECONDS = 30
 WORKLOADS = ("construct", "simulate", "sweep")
 GATED = ("setup_s", "wall_s", "array_p50_s", "peak_rss_mb", "error_rate")
 # name -> ConstructionSpec keywords, each built in orientation 1 (the default)
-RUNGS = {"pg_q2_k6_m2_t2": dict(family="pg", q=2, k=6, m=2, t=2),
+RUNGS = {"pg_q2_k5_m2_t1": dict(family="pg", q=2, k=5, m=2, t=1),
+         "pg_q2_k6_m2_t2": dict(family="pg", q=2, k=6, m=2, t=2),
          "pg_q3_k5_m2_t1": dict(family="pg", q=3, k=5, m=2, t=1),
          "pg_q2_k8_m1_t1": dict(family="pg", q=2, k=8, m=1, t=1),
          "pg_q2_k7_m2_t1": dict(family="pg", q=2, k=7, m=2, t=1),
