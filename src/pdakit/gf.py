@@ -7,6 +7,7 @@ vector in base p, constant digit least significant.
 
 import functools
 from dataclasses import dataclass
+from itertools import product
 
 # Reduction polynomials for the supported extension orders, as coefficient
 # tuples over F_p with the constant term first.  Each is monic and irreducible.
@@ -61,20 +62,11 @@ def _poly_is_irreducible(coeffs, p: int) -> bool:
     deg = len(coeffs) - 1
     for d in range(1, deg // 2 + 1):
         # all monic divisor candidates of degree d
-        for tail in _counting_tuples(p, d):
+        for tail in product(range(p), repeat=d):
             divisor = list(tail) + [1]
             if not _poly_mod(coeffs, divisor, p):
                 return False
     return True
-
-
-def _counting_tuples(base, length):
-    for n in range(base ** length):
-        digits = []
-        for _ in range(length):
-            digits.append(n % base)
-            n //= base
-        yield tuple(digits)
 
 
 @dataclass(frozen=True)
@@ -145,14 +137,6 @@ class FieldSpec:
         return _ext_tables(self).inv[a]
 
 
-def _int_to_poly(n, p, d):
-    digits = []
-    for _ in range(d):
-        digits.append(n % p)
-        n //= p
-    return digits
-
-
 def _poly_to_int(c, p, d):
     c = list(c) + [0] * d
     return sum(c[i] * p ** i for i in range(d))
@@ -170,7 +154,8 @@ class _Tables:
 def _ext_tables(spec: FieldSpec) -> _Tables:
     """Full operation tables for an extension field; q <= 9 so these are tiny."""
     p, d, q = spec.p, spec.d, spec.q
-    polys = [_int_to_poly(n, p, d) for n in range(q)]
+    # element n's base-p digits, constant first: product counts last digit fastest
+    polys = [digits[::-1] for digits in product(range(p), repeat=d)]
     add = tuple(
         tuple(_poly_to_int([(x + y) % p for x, y in zip(polys[a], polys[b])], p, d)
               for b in range(q))
@@ -182,12 +167,6 @@ def _ext_tables(spec: FieldSpec) -> _Tables:
               for b in range(q))
         for a in range(q)
     )
-    inv = [0] * q
-    for a in range(1, q):
-        for b in range(1, q):
-            if mul[a][b] == 1:
-                inv[a] = b
-                break
-        else:
-            raise ValueError(f"element {a} has no inverse; modulus not irreducible?")
-    return _Tables(add, neg, mul, tuple(inv))
+    # FieldSpec checked the modulus irreducible, so every nonzero a is a unit
+    inv = (0, *(mul[a].index(1) for a in range(1, q)))
+    return _Tables(add, neg, mul, inv)

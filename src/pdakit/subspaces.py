@@ -28,8 +28,6 @@ def gaussian_binomial(l: int, m: int, q) -> int:
     for i in range(m):
         num *= q ** (l - i) - 1
         den *= q ** (m - i) - 1
-    if num % den:
-        raise AssertionError("q-binomial did not divide exactly")
     return num // den
 
 

@@ -37,7 +37,7 @@ from functools import cached_property
 from itertools import accumulate, repeat
 from operator import add, itemgetter
 
-from .pda import STAR, Pda, canonical_relabel, require_valid
+from .pda import STAR, Pda, require_valid
 
 Masks = tuple[int, ...]  # one bitmask per row: bit j of row i is entry (i, j)
 
@@ -101,7 +101,7 @@ class ConditionReport:
     d_x: int | None
     d_y: int | None
     d_z: int | None
-    e6_degrees: tuple  # per z: common degree, 0 if no incident pairs, None if irregular
+    e6_degrees: tuple  # per z: common degree, 0 if it holds no row and no symbol, None if E6 fails
     witnesses: dict = field(default_factory=dict, compare=False)
 
     @property
@@ -111,7 +111,7 @@ class ConditionReport:
 
     @property
     def matchable_ok(self) -> bool:
-        """E1-E3 plus E6: enough structure for complete_matching to work."""
+        """E1-E3 plus E6: exactly when complete_matching raises nothing."""
         return self.e1 and self.e2 and self.e3 and self.e6
 
     @property
@@ -236,17 +236,18 @@ def _local_graphs(t: TripleSystem):
     induces on them in local indices (else None), keyed as its n x n
     adjacency in row-major chars: row i and symbol j are adjacent iff bit
     ys[j] of xy[xs[i]] is set; and E6's verdict d on the column: its common
-    degree, 0 if xs or ys is empty, None if the sides differ in size or the
-    graph is not regular with positive degree.  Columns with equal keys have
-    equal graphs up to the order-keeping renaming of their rows and symbols,
-    so d is decided once per key."""
+    degree, 0 if xs and ys are both empty, None if the sides differ in size
+    (one of them empty included) or the graph is not regular with positive
+    degree.  Columns with equal keys have equal graphs up to the
+    order-keeping renaming of their rows and symbols, so d is decided once
+    per key."""
     # char j of bits[x] is bit j of xy[x]
     bits = [format(row, f"0{len(t.labels_y)}b")[::-1] for row in t.xy]
     degrees: dict[str, int | None] = {}
     for z, (mask1, mask2) in enumerate(zip(t.cols_xz, t.cols_yz)):
         xs, ys = set_bits(mask1), set_bits(mask2)
         key = d = None
-        if not (xs and ys):
+        if not (xs or ys):
             d = 0
         elif len(xs) == len(ys):
             pick = itemgetter(*ys)  # a char, or a tuple of chars, per row
@@ -379,20 +380,17 @@ def _cells(t: TripleSystem) -> tuple[array, array, array]:
     adjacency, so every column gets the matching its global masks would
     give.  Every pg system tried has a single key.
 
-    Raises ConditionError for E6 at the first column whose graph is not
-    regular with positive degree (its sides differ in size, or some row or
-    symbol has another degree), and, if there is none, at the first column
-    with one side empty and the other not.
+    Raises ConditionError for E6, with check_conditions' witness, at the
+    first column whose graph is not regular with positive degree: its sides
+    differ in size (one of them empty included), or some row or symbol has
+    another degree.  A column with neither rows nor symbols holds no cell.
     """
     cells = cx, cy, cz = array("l"), array("l"), array("l")
     memo: dict[str, dict[int, int]] = {}  # key -> its matching
-    lopsided = None
     for z, xs, ys, key, d in _local_graphs(t):
         if d is None:
             raise ConditionError("E6", "", (t.labels_z[z],))
         if not d:
-            if lopsided is None and (xs or ys):
-                lopsided = f"column {t.labels_z[z]} pairs {len(xs)} rows with {len(ys)} symbols"
             continue
         pairs = memo.get(key)
         if pairs is None:
@@ -402,8 +400,6 @@ def _cells(t: TripleSystem) -> tuple[array, array, array]:
         cx.extend(map(xs.__getitem__, pairs.values()))
         cy.extend(map(ys.__getitem__, pairs))
         cz.extend(repeat(z, len(pairs)))
-    if lopsided is not None:
-        raise ConditionError("E6", lopsided)
     return cells
 
 
@@ -484,17 +480,19 @@ def direct_product(a: Pda, b: Pda) -> Pda:
     """Componentwise product of two valid arrays.
 
     Rows and columns become pairs, (j1, j2) and (k1, k2) in lexicographic
-    order.  A product cell is a star if either factor cell is; otherwise its
-    symbol is the pair of factor symbols.  Parameters come out as K = K1*K2,
+    order, numbered j1*F2 + j2 and k1*K2 + k2.  A product cell is a star if
+    either factor cell is; otherwise its symbol is the pair of factor symbols,
+    numbered (s1 - 1)*S2 + s2.  _emit builds the array from these cells, one
+    per pair of non-star factor cells, so parameters come out as K = K1*K2,
     F = F1*F2, Q = F1*Q2 + F2*Q1 - Q1*Q2, S = S1*S2, with symbols compacted
     to first-occurrence row-major order.
     """
     require_valid(a, "first factor is not a valid PDA")
     require_valid(b, "second factor is not a valid PDA")
-    grid = tuple(tuple(STAR if va == STAR or vb == STAR else (va - 1) * b.s + vb
-                       for va in ra for vb in rb)
-                 for ra in a.grid for rb in b.grid)
-    prod = canonical_relabel(Pda._trusted(a.k * b.k, a.f * b.f,
-                                          a.f * b.q + b.f * a.q - a.q * b.q, a.s * b.s, grid))
+    ca, cb = ([(j, k, s) for s, cells in p.symbol_cells.items() for j, k in cells]
+              for p in (a, b))
+    rows, cols, syms = zip(*[(j1 * b.f + j2, k1 * b.k + k2, (s1 - 1) * b.s + s2)
+                             for j1, k1, s1 in ca for j2, k2, s2 in cb])
+    prod = _emit(a.f * b.f, a.k * b.k, rows, cols, syms)
     require_valid(prod, "product is not a valid PDA")
     return prod

@@ -9,10 +9,11 @@ import itertools
 
 import pytest
 
-from pdakit import (ConstructionSpec, closed_form_row, construct_pda,
-                    direct_product, parse_pda)
+from pdakit import (ConstructionSpec, TripleSystem, closed_form_row, construct_pda,
+                    direct_product, parse_pda, pda_to_triple, triple_to_pda)
 from pdakit.designs import as_t_design, complete_design
 from pdakit.sim import DecodeError, decode, deliver
+from pdakit.triples import set_bits
 
 TINY = parse_pda("2 2 1 1\n* 1\n1 *\n")
 
@@ -90,6 +91,27 @@ def sweep():
 def all_pdas(sweep) -> list:
     return ([p for _, _, p in sweep["built"]]
             + [prod for _, _, _, prod in sweep["products"]] + [TINY])
+
+
+def triple_route_product(a, b):
+    """Reference for direct_product: the componentwise product of the three
+    incidence matrices, read back as an array.  Entry ((i1, i2), (j1, j2))
+    of a product matrix is entry (i1, j1) of a's AND entry (i2, j2) of b's;
+    row (i1, i2) is row i2 of b's shifted to each column block j1 of row i1
+    of a's."""
+    ta, tb = pda_to_triple(a), pda_to_triple(b)
+
+    def pairs(la, lb):
+        return tuple((x, y) for x in la for y in lb)
+
+    def product(ma, mb, width):  # width: mb's columns
+        return tuple(sum(rb << j * width for j in set_bits(ra)) for ra in ma for rb in mb)
+
+    ny, nz = len(tb.labels_y), len(tb.labels_z)
+    return triple_to_pda(TripleSystem(
+        pairs(ta.labels_x, tb.labels_x), pairs(ta.labels_y, tb.labels_y),
+        pairs(ta.labels_z, tb.labels_z), product(ta.xy, tb.xy, ny),
+        product(ta.xz, tb.xz, nz), product(ta.yz, tb.yz, nz)))
 
 
 def decode_failures(p, lib, caches, n: int) -> list:

@@ -1,0 +1,44 @@
+"""tools/bench_pr.py reaches pdakit through its public names only: every
+name it imports from pdakit, in its own code or in the code strings it runs
+in fresh processes (RUNG_CODE, SIM_CODE, ...), is in pdakit.__all__."""
+
+import ast
+from pathlib import Path
+
+import pdakit
+
+BENCH = Path(__file__).resolve().parent.parent / "tools" / "bench_pr.py"
+
+
+def _sources() -> dict:
+    """The script's own text and each module-level *_CODE string, by name."""
+    text = BENCH.read_text()
+    out = {"bench_pr.py": text}
+    for node in ast.parse(text).body:
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant):
+            for target in node.targets:
+                if isinstance(target, ast.Name) and target.id.endswith("_CODE"):
+                    out[target.id] = node.value.value
+    return out
+
+
+def _pdakit_imports(source: str) -> list:
+    """(module, name) of every import of pdakit or a submodule of it."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "pdakit":
+            out += [(node.module, alias.name) for alias in node.names]
+        elif isinstance(node, ast.Import):
+            out += [(alias.name, None) for alias in node.names
+                    if alias.name.split(".")[0] == "pdakit"]
+    return out
+
+
+def test_bench_pr_imports_only_public_names():
+    sources = _sources()
+    assert {"RUNG_CODE", "SIM_CODE"} <= set(sources)
+    public = set(pdakit.__all__)
+    for where, source in sources.items():
+        for module, name in _pdakit_imports(source):
+            assert module == "pdakit" and name in public, (where, module, name)
+    assert any(_pdakit_imports(source) for source in sources.values())

@@ -4,10 +4,11 @@ the file formats' round trips, the text parser's failure mode, the simulator on
 random valid arrays, with and without a faulty cached packet or payload,
 placed caches against plain dicts under random edits, decode on the sweep
 arrays against a per-cell reference peel, the triple conditions E1-E7,
-construct_pda's matching path and the design certificates against their
-definitions, and both directions of the equivalence of arrays with systems
-that meet E1-E5.  Examples are derandomized, so every run sees the same
-inputs."""
+construct_pda's matching path, complete_matching against the report's
+matchable_ok, direct_product against the product of the incidence matrices,
+the design certificates against their definitions, and both directions of
+the equivalence of arrays with systems that meet E1-E5.  Examples are
+derandomized, so every run sees the same inputs."""
 
 import itertools
 import json
@@ -31,10 +32,10 @@ from pdakit.pda import (Pda, PdaFormatError, STAR, canonical_relabel, format_pda
 from pdakit.sim import (CacheContents, DecodeError, FileLibrary, decode, deliver, place,
                         verify_scheme)
 from pdakit.triples import (ConditionError, TripleSystem, _match_column, _matched_pda,
-                            check_conditions, complete_matching, pda_to_triple, set_bits,
-                            triple_to_pda)
+                            check_conditions, complete_matching, direct_product,
+                            pda_to_triple, set_bits, triple_to_pda)
 
-from conftest import all_pdas, decode_failures
+from conftest import all_pdas, decode_failures, triple_route_product
 
 FIXED = settings(derandomize=True, database=None, deadline=None)
 
@@ -430,7 +431,8 @@ def _common(counts) -> int | None:
 def reference_report(t: TripleSystem) -> dict:
     """Every field of check_conditions(t) from the definitions: one count per
     incident pair, in row-major order, and E6 per column from the degree of
-    each of its rows and symbols.  witnesses is in condition order."""
+    each of its rows and symbols (a column with neither is 0).  witnesses is
+    in condition order."""
     lx, ly, lz = t.labels_x, t.labels_y, t.labels_z
     nx, ny, nz = len(lx), len(ly), len(lz)
     cols_xy, cols_xz, cols_yz = _transpose(t.xy, ny), _transpose(t.xz, nz), _transpose(t.yz, nz)
@@ -461,7 +463,7 @@ def reference_report(t: TripleSystem) -> dict:
     for z in range(nz):
         xs = [x for x in range(nx) if t.xz[x] >> z & 1]
         ys = [y for y in range(ny) if t.yz[y] >> z & 1]
-        if not xs or not ys:
+        if not xs and not ys:
             degrees.append(0)
             continue
         degrees.append(_common([sum(t.xy[x] >> y & 1 for y in ys) for x in xs]
@@ -476,10 +478,9 @@ def reference_report(t: TripleSystem) -> dict:
 
 def reference_matching_path(t: TripleSystem):
     """construct_pda's matching path as the full scan gave it: the first of
-    E1, E2, E3, E6 that fails; then column by column, sides of unequal size
-    refused and _match_column run on the global masks, without a memo; then
-    the degrees.  The cells as lists (x, y, z), or the ConditionError's
-    (condition, message, witness)."""
+    E1, E2, E3, E6 that fails; then column by column, _match_column run on
+    the global masks, without a memo; then the degrees.  The cells as lists
+    (x, y, z), or the ConditionError's (condition, message, witness)."""
     ref = reference_report(t)
     for name in ("E1", "E2", "E3", "E6"):
         if name in ref["witnesses"]:
@@ -487,9 +488,6 @@ def reference_matching_path(t: TripleSystem):
     cells = ([], [], [])
     for z, (xs, ys) in enumerate(zip(_transpose(t.xz, len(t.labels_z)),
                                      _transpose(t.yz, len(t.labels_z)))):
-        if xs.bit_count() != ys.bit_count():
-            return ("E6", f"E6 fails: column {t.labels_z[z]} pairs {xs.bit_count()} rows "
-                          f"with {ys.bit_count()} symbols", None)
         pairs = _match_column(set_bits(xs), ys, t.xy)
         cells[0].extend(pairs.values())
         cells[1].extend(pairs)
@@ -635,11 +633,12 @@ def test_matching_path_on_hand_made_failures():
                             tuple(f"z{i}" for i in range(nz)), xy, xz, yz)
 
     cases = [
-        # z0 holds both rows and no symbol (E6 passes it), z1 pairs each row
-        # with its one symbol: the one-empty-side refusal
-        (system((0b01, 0b10), (0b11, 0b11), (0b10, 0b10), 2, 2), "E6", None),
-        # the same empty side before an irregular column: E6's witness wins
-        (system((0b11, 0b01), (0b11, 0b11), (0b10, 0b10), 2, 2), "E6", ("z1",)),
+        # z0 holds both rows and no symbol, z1 pairs each row with its one
+        # symbol: a column with one side empty fails E6 like any whose sides
+        # differ in size
+        (system((0b01, 0b10), (0b11, 0b11), (0b10, 0b10), 2, 2), "E6", ("z0",)),
+        # the same empty side before an irregular column: the first wins
+        (system((0b11, 0b01), (0b11, 0b11), (0b10, 0b10), 2, 2), "E6", ("z0",)),
         # sides of unequal size, both nonempty
         (system((0b1, 0b1), (0b1, 0b1), (0b1,), 1, 1), "E6", ("z0",)),
         # one row, one symbol, no edge between them
@@ -658,6 +657,36 @@ def test_matching_path_on_hand_made_failures():
         got = matching_path(t)
         assert got == reference_matching_path(t)
         assert got[0] == condition and got[2] == witness, got
+
+
+@settings(FIXED, max_examples=150)
+@given(st.data())
+def test_the_report_and_the_matcher_agree(sweep_systems, data):
+    """matchable_ok holds exactly when complete_matching raises nothing; a
+    refusal names the report's first failing condition of E1, E2, E3, E6,
+    with that condition's witness."""
+    t = _flipped(data, sweep_systems)
+    rep = check_conditions(t)
+    try:
+        complete_matching(t)
+    except ConditionError as exc:
+        failing = [c for c in ("E1", "E2", "E3", "E6") if c in rep.witnesses]
+        assert failing, exc
+        assert (exc.condition, exc.witness) == (failing[0], rep.witnesses[failing[0]])
+        assert not rep.matchable_ok
+    else:
+        assert rep.matchable_ok
+
+
+# --- products ---------------------------------------------------------------
+
+
+@settings(FIXED, max_examples=150)
+@given(valid_pdas(), valid_pdas())
+def test_direct_product_equals_the_triple_route(a, b):
+    prod = direct_product(a, b)
+    assert validate_pda(prod).ok
+    assert prod == triple_route_product(a, b)
 
 
 # --- design certificates against their definitions -------------------------

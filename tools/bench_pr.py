@@ -1,7 +1,7 @@
-"""Write a BENCH_<pr>.json: perfbench medians, the construct ladder and the
-sim rung, for a parent checkout against this one.
+"""Write a BENCH_<n>.json: perfbench medians, the construct ladder, the
+product rung and the sim rung, for a parent checkout against this one.
 
-    python3 tools/bench_pr.py --parent ../parent --out BENCH_18.json
+    python3 tools/bench_pr.py --parent ../parent --out BENCH_19.json
 
 --parent is a plain copy of the parent commit's tree (`git archive` it into a
 directory).  The script runs RUNS rounds; the side that goes first alternates,
@@ -14,8 +14,10 @@ orientation 1) in a fresh process: construct_pda's wall seconds (total_s),
 the array's SHA-256 digest and ru_maxrss right after it, then, on that
 array, the pda layer's two figures: validate_pda on a fresh equal array
 (validate_s), and canonical_relabel plus the text and the JSON round trips
-(io_s); then the
-sim rung in a fresh process on the K=651 array (pg q=2 k=6 m=2 t=2, set 1;
+(io_s); then the product rung in a fresh process: direct_product of pg q=2
+k=3 m=1 t=1 and pg q=2 k=5 m=2 t=1, both set 1, built and validated before
+the timer starts (total_s), the product's SHA-256 digest and ru_maxrss right
+after it; then the sim rung in a fresh process on the K=651 array (pg q=2 k=6 m=2 t=2, set 1;
 N=4 files): verify_scheme's wall seconds (total_s, sampled, 20 samples) and
 the SHA-256 of its report's JSON, then, as in perfbench's simulate pass,
 place plus size_bytes of every cache (place_s) and decode for users 0, 41,
@@ -81,6 +83,23 @@ print(json.dumps({"params_kfqs": [p.k, p.f, p.q, p.s],
                   "validate_s": round(validate_s, 3), "io_s": round(io_s, 3)}))
 """
 RUNG_STATS = ("total_s", "peak_rss_mb", "validate_s", "io_s")
+
+# direct_product of two arrays, each built and validated outside the timed call
+PRODUCT_FACTORS = (dict(family="pg", q=2, k=3, m=1, t=1), RUNGS["pg_q2_k5_m2_t1"])
+PRODUCT_CODE = """
+import hashlib, json, resource, sys, time
+from pdakit import ConstructionSpec, construct_pda, direct_product, format_pda, validate_pda
+a, b = (construct_pda(ConstructionSpec(**kw)) for kw in json.loads(sys.argv[1]))
+assert validate_pda(a).ok and validate_pda(b).ok
+t0 = time.perf_counter()
+p = direct_product(a, b)
+total = time.perf_counter() - t0
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"params_kfqs": [p.k, p.f, p.q, p.s],
+                  "digest": hashlib.sha256(format_pda(p).encode()).hexdigest(),
+                  "total_s": round(total, 4), "peak_rss_mb": round(rss, 1)}))
+"""
+PRODUCT_STATS = ("total_s", "peak_rss_mb")
 
 # verify_scheme, then place and decode, on the K=651 array, built first and
 # outside the timed calls
@@ -188,6 +207,7 @@ def main(argv=None) -> int:
     sides = {"parent": args.parent.resolve(), "change": ROOT}
     bench = {side: {w: [] for w in WORKLOADS} for side in sides}
     ladder = {side: {name: [] for name in RUNGS} for side in sides}
+    product = {side: [] for side in sides}
     sim = {side: [] for side in sides}
     for i in range(RUNS):
         for side in sorted(sides, reverse=i % 2 == 0):  # parent, change; then change, parent
@@ -195,6 +215,7 @@ def main(argv=None) -> int:
                 bench[side][w].append(perfbench(sides[side], w))
             for name, spec in RUNGS.items():
                 ladder[side][name].append(rung(sides[side], spec))
+            product[side].append(rung(sides[side], PRODUCT_FACTORS, PRODUCT_CODE))
             sim[side].append(rung(sides[side], SIM_RUNG, SIM_CODE))
             print(f"round {i + 1}/{RUNS}: {side} done", file=sys.stderr)
 
@@ -224,6 +245,15 @@ def main(argv=None) -> int:
             **{stat: summarize([r[stat] for r in runs["parent"]],
                                [r[stat] for r in runs["change"]])
                for stat in RUNG_STATS}}
+    digests = {r["digest"] for side in sides for r in product[side]}
+    out["product"] = {
+        "what": "direct_product(a, b), the factors built and validated first, one fresh "
+                "process per run; raw wall seconds and ru_maxrss after it",
+        "factors": PRODUCT_FACTORS, "params_kfqs": product["change"][0]["params_kfqs"],
+        "digests_equal": len(digests) == 1, "digest": min(digests),
+        **{stat: summarize([r[stat] for r in product["parent"]],
+                           [r[stat] for r in product["change"]])
+           for stat in PRODUCT_STATS}}
     digests = {r["digest"] for side in sides for r in sim[side]}
     decoded = {r["decoded_digest"] for side in sides for r in sim[side]}
     errors = {(r["error_digest"], r["decode_errors"]) for side in sides for r in sim[side]}
