@@ -293,7 +293,7 @@ def main(argv=None) -> int:
     except ConditionError as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return FAIL_PARSE
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return FAIL_PARSE
 

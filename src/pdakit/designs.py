@@ -124,14 +124,14 @@ def steiner_triple_system(v: int) -> Design:
     if v < 7 or v % 6 not in (1, 3):
         raise ValueError(f"a triple system needs v = 1 or 3 (mod 6) and v >= 7, got {v}")
     blocks = []
+
+    def point(i, l):
+        return 3 * i + l
+
     if v % 6 == 3:
         # odd-order construction: idempotent commutative quasigroup on Z_{2n+1}
         n = (v - 3) // 6
         g = 2 * n + 1
-
-        def point(i, l):
-            return 3 * i + l
-
         for i in range(g):
             blocks.append((point(i, 0), point(i, 1), point(i, 2)))
         for i, j in itertools.combinations(range(g), 2):
@@ -143,9 +143,6 @@ def steiner_triple_system(v: int) -> Design:
         n = (v - 1) // 6
         g = 2 * n
         inf = 6 * n
-
-        def point(i, l):
-            return 3 * i + l
 
         def star(i, j):
             s = (i + j) % g

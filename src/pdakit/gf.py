@@ -37,12 +37,13 @@ def _poly_trim(c):
 
 
 def _poly_mod(a, mod, p):
-    """Remainder of a divided by mod, coefficients over F_p, constant first."""
+    """Remainder of a divided by mod, coefficients over F_p, constant first.
+    mod is monic: FieldSpec refuses another modulus, and the irreducibility
+    test divides only by monic polynomials."""
     a = _poly_trim(a)
-    lead_inv = pow(mod[-1], -1, p)
     while len(a) >= len(mod):
         shift = len(a) - len(mod)
-        factor = (a[-1] * lead_inv) % p
+        factor = a[-1]
         for i, c in enumerate(mod):
             a[shift + i] = (a[shift + i] - factor * c) % p
         a = _poly_trim(a)

@@ -17,8 +17,8 @@ faulty.  By C3 every side packet a user needs sits in a starred row of its
 own cache, so for a user whose cache holds the library's packets a coded row
 decodes right iff its payload equals the library XOR over its symbol's
 cells: `verify_scheme` checks each payload once per demand instead of
-peeling those users.  A placed cache that was never written to holds them by
-construction.
+peeling those users.  Only a placed cache never written to or deleted from
+counts as holding them; every other cache is peeled.
 """
 
 import itertools
@@ -92,8 +92,8 @@ class PlacedPackets(MutableMapping):
     the user's starred rows, iterated row-major, then by file, over the
     library's shared key tuples, and holds only the star mask.  That first
     write or delete copies the view, in the same order, into a dict of its
-    own, and from then on the cache is that dict.  Keys are (file, row) int
-    pairs."""
+    own, and from then on the cache is that dict, and no longer clean for
+    `verify_scheme`, whatever it holds.  Keys are (file, row) int pairs."""
 
     __slots__ = ("_lib", "_mask", "_own")
 
@@ -122,9 +122,6 @@ class PlacedPackets(MutableMapping):
             raise KeyError(key)
         return self._lib.packets[key[0]][key[1]]
 
-    def __contains__(self, key) -> bool:
-        return self._placed(key) if self._own is None else key in self._own
-
     def __setitem__(self, key, value) -> None:
         self._edited()[key] = value
 
@@ -152,16 +149,9 @@ class PlacedPackets(MutableMapping):
         return sum(map(len, self._own.values()))
 
     def holds(self, lib: FileLibrary, mask: bytes) -> bool:
-        """Whether every packet (i, j) of lib with mask[j] set is held and
-        equals the library's: placed from lib on that mask, and unedited or
-        still holding those bytes.  Other keys do not count."""
-        if self._lib is not lib or self._mask != mask:
-            return False
-        if self._own is None:
-            return True
-        own, packets = self._own, lib.packets
-        return all(own.get(key) == packets[key[0]][key[1]]
-                   for key in chain.from_iterable(compress(lib._row_keys, mask)))
+        """Whether this is lib's placement on mask, never written to or
+        deleted from, which holds lib's starred packets by construction."""
+        return self._own is None and self._lib is lib and self._mask == mask
 
     def int_rows(self, size: int) -> dict[int, dict[int, int]]:
         """row -> file -> packet as an int, over the cache's keys, leaving out
@@ -372,11 +362,11 @@ def verify_scheme(p: Pda, n_files: int, mode: str = "auto", samples: int = 200,
     undecodable file is a (demand, user) failure, listed demand-major.
 
     Demands are drawn one at a time and each is transmitted once, so neither
-    the demand set nor its payloads are held.  A user is clean when every
-    starred packet of every file in its cache equals the library.  An
-    unedited `PlacedPackets` cache is clean without a scan, an edited one
-    compares its starred keys with the library, and any other mapping is
-    peeled.
+    the demand set nor its payloads are held.  A user is clean when its
+    cache is the `PlacedPackets` view `place` gave it, never written to or
+    deleted from, so it holds every starred packet of every file as the
+    library does.  Any other cache, an edited view or another mapping, is
+    peeled, whatever it holds.
     By C3 each side packet a user needs sits in one of its starred rows, so
     a clean user decodes coded row j with symbol s right iff payload s
     equals the library XOR over all of s's cells: each payload is checked

@@ -185,8 +185,7 @@ def _first_not_single(rows, via, cols, labels_a, labels_b):
     """The first (labels_a[i], labels_b[j]), row-major, with bit j of rows[i]
     set in cols[k] for other than exactly one k of via[i]; None if none.
     One pass per row folds rows[i] & cols[k] into bits met once or again."""
-    walk = (_split_bits if len(cols) > _SPLIT_PAST
-            and sum(map(int.bit_count, via)) > _SPLIT_PAST * len(via) else set_bits)
+    walk = _split_bits if sum(map(int.bit_count, via)) > _SPLIT_PAST * len(via) else set_bits
     for i, row in enumerate(rows):
         seen = multi = 0
         for k in walk(via[i]):

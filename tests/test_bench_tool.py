@@ -1,6 +1,7 @@
 """tools/bench_pr.py reaches pdakit through its public names only: every
 name it imports from pdakit, in its own code or in the code strings it runs
-in fresh processes (RUNG_CODE, SIM_CODE, ...), is in pdakit.__all__."""
+in fresh processes (RUNG_CODE, PRODUCT_CODE, SIM_CODE), is in pdakit.__all__;
+and each of those code strings compiles."""
 
 import ast
 from pathlib import Path
@@ -36,9 +37,17 @@ def _pdakit_imports(source: str) -> list:
 
 def test_bench_pr_imports_only_public_names():
     sources = _sources()
-    assert {"RUNG_CODE", "SIM_CODE"} <= set(sources)
+    assert {"RUNG_CODE", "PRODUCT_CODE", "SIM_CODE"} <= set(sources)
     public = set(pdakit.__all__)
     for where, source in sources.items():
         for module, name in _pdakit_imports(source):
             assert module == "pdakit" and name in public, (where, module, name)
     assert any(_pdakit_imports(source) for source in sources.values())
+
+
+def test_every_rung_script_compiles():
+    """A slip in a rung script fails here, not in a bench run."""
+    scripts = {name: src for name, src in _sources().items() if name.endswith("_CODE")}
+    assert {"RUNG_CODE", "PRODUCT_CODE", "SIM_CODE"} <= set(scripts)
+    for name, src in scripts.items():
+        compile(src, name, "exec")

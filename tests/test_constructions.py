@@ -68,6 +68,22 @@ def test_config_rejects_repeated_pairs():
         configuration_triple(complete_design(4, 3))
 
 
+@pytest.mark.parametrize("blocks, why", [
+    (((0, 1), (0, 2, 3), (2, 3)), r"\(4_2,3_2\)-configuration: block-size at \(1, 3\)"),
+    (((0, 1), (0, 2), (0, 3), (1, 2)), r"\(4_3,4_2\)-configuration: replication at \(1, 2\)"),
+    ((), "a configuration needs at least one block"),
+], ids=["block-size", "replication", "no-block"])
+def test_an_undeclared_configuration_is_judged_by_its_certificate(blocks, why):
+    """Without config_params, k is block 0's size and r the number of blocks
+    holding point 0; the certificate names the first block or point that
+    differs, and a design with no block is refused."""
+    d = designs.Design(4, blocks)
+    with pytest.raises(ValueError, match=why):
+        configuration_triple(d)
+    with pytest.raises(ValueError, match=why):
+        closed_form_row(ConstructionSpec("config", 1, design=d))
+
+
 def test_tdesign_a_hypotheses():
     fano = catalog_lookup("fano")
     with pytest.raises(ValueError, match="t0"):

@@ -400,10 +400,10 @@ def _count_decoders(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("edit", ["rewrite", "reinsert", "extra"])
-def test_cache_still_holding_the_library_is_clean(monkeypatch, edit):
+def test_edited_cache_still_holding_the_library_is_peeled(monkeypatch, edit):
     """A cache written back to the library's own bytes, or given extra keys
-    outside its starred rows, still holds every starred packet: its user is
-    judged by the payload check, not peeled."""
+    outside its starred rows, still holds every starred packet, but it was
+    written to: its user is peeled, and decodes right."""
     calls = _count_decoders(monkeypatch)
     user, file = 3, 1
     row = next(j for j, r in enumerate(FANO_PG.grid) if r[user] == STAR)
@@ -426,7 +426,7 @@ def test_cache_still_holding_the_library_is_clean(monkeypatch, edit):
 
     monkeypatch.setattr(sim, "place", place)
     assert verify_scheme(FANO_PG, 3, mode="exhaustive").ok
-    assert calls == []
+    assert calls == [user]
 
 
 def test_plain_dict_caches_are_peeled(monkeypatch):
