@@ -10,6 +10,7 @@ broadcast transmission.  The validator checks the three defining conditions:
       "crossing" cells are stars.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -67,8 +68,11 @@ class Pda:
 
         Keys in first-occurrence order; only occurring symbols get one."""
         out: dict[int, list[tuple[int, int]]] = {}
+        # one int per column for every row: a range makes a new one per cell past 256
+        columns = list(range(self.k))
         for j, row in enumerate(self.grid):
-            for k, v in compress(enumerate(row), row):  # the non-star cells: STAR is 0
+            # the non-star cells, found in C: STAR is 0
+            for k, v in zip(compress(columns, row), filter(None, row)):
                 cells = out.get(v)
                 if cells is None:
                     out[v] = [(j, k)]
@@ -129,26 +133,29 @@ def validate_pda(p: Pda) -> ValidationReport:
 def _scan(p: Pda) -> ValidationReport:
     """The first failing check, in the order params, range, C1, C2, C3.
 
-    Each condition is first tested whole, in C loops where it can be; only an
-    array that fails it is walked cell by cell, to name the same witness as
-    the definition's scan."""
+    Each condition is tested whole from the symbol map and per-row masks,
+    built in C loops over the grid, so Python code runs once per non-star
+    cell, not per cell; only an array that fails a condition is walked cell
+    by cell, to name the same witness as the definition's scan."""
     if min(p.k, p.f, p.q, p.s) < 1:
         return ValidationReport(False, "params", "K, F, Q, S must all be positive")
     if p.q >= p.f:
         return ValidationReport(False, "params", f"need Q < F, got Q={p.q}, F={p.f}")
     grid, s = p.grid, p.s
-    if max(map(max, grid)) > s:  # entries are ints >= 0, so only a symbol past s is out
+    cells = p.symbol_cells
+    if max(cells, default=STAR) > s:  # entries are ints >= 0, so only a symbol past s is out
         for j, row in enumerate(grid):
             for k, v in enumerate(row):
                 if v != STAR and not 1 <= v <= s:
                     return ValidationReport(False, "range",
                         f"cell ({j},{k}) holds {v}, outside 1..{s}")
-    for k, col in enumerate(zip(*grid)):
-        stars = col.count(STAR)
+    column = itemgetter(1)
+    filled = Counter(map(column, chain.from_iterable(cells.values())))  # non-stars per column
+    for k in range(p.k):
+        stars = p.f - filled[k]
         if stars != p.q:
             return ValidationReport(False, "C1",
                 f"column {k} has {stars} stars, declared Q={p.q}")
-    cells = p.symbol_cells
     if len(cells) != s:  # every symbol is in 1..s, so one is missing
         for sym in range(1, s + 1):
             if sym not in cells:
@@ -159,8 +166,8 @@ def _scan(p: Pda) -> ValidationReport:
     # row's non-star mask is the cell's own bit.  A repeated row would leave
     # two bits there, so rows are distinct too.
     bit = (1).__lshift__
-    nonstar = [sum(map(bit, compress(range(p.k), row))) for row in grid]
-    column = itemgetter(1)
+    columns = list(range(p.k))
+    nonstar = [sum(map(bit, compress(columns, row))) for row in grid]
     for sym, occ in cells.items():
         cols = sum(map(bit, map(column, occ)))
         if cols.bit_count() == len(occ) and all(nonstar[j] & cols == bit(k) for j, k in occ):
@@ -204,11 +211,35 @@ def canonical_relabel(p: Pda) -> Pda:
 # leading zeros.
 
 
+class _Tokens(dict):
+    """Entry -> its token, each made on first lookup: a table sized by the
+    entries that occur, never by the largest of them."""
+
+    def __missing__(self, v: int) -> str:
+        tok = self[v] = str(v)
+        return tok
+
+
 def format_pda(p: Pda) -> str:
+    token = _Tokens({STAR: "*"}).__getitem__
     lines = [f"{p.k} {p.f} {p.q} {p.s}"]
-    for row in p.grid:
-        lines.append(" ".join("*" if v == STAR else str(v) for v in row))
+    lines.extend(" ".join(map(token, row)) for row in p.grid)
     return "\n".join(lines) + "\n"
+
+
+class _Symbols(dict):
+    """Token -> its entry, each token checked on first lookup, so the stars
+    and every repeat of a symbol are found by one dict lookup in C."""
+
+    def __missing__(self, tok: str) -> int:
+        try:
+            if not (tok.isascii() and tok.isdigit() and tok[0] != "0"):
+                raise ValueError
+            v = self[tok] = int(tok)  # int() also caps the digit count
+        except ValueError:
+            raise PdaFormatError(
+                f"bad token {tok!r}; want '*' or a positive decimal") from None
+        return v
 
 
 def parse_pda(text: str) -> Pda:
@@ -226,23 +257,13 @@ def parse_pda(text: str) -> Pda:
         raise PdaFormatError(f"non-integer header field in {lines[0]!r}") from None
     if len(lines) - 1 != f:
         raise PdaFormatError(f"expected {f} grid rows, found {len(lines) - 1}")
+    symbol = _Symbols({"*": STAR}).__getitem__
     grid = []
     for ln in lines[1:]:
-        row = []
-        for tok in ln.split():
-            if tok == "*":
-                row.append(STAR)
-                continue
-            try:
-                if not (tok.isascii() and tok.isdigit() and tok[0] != "0"):
-                    raise ValueError
-                row.append(int(tok))  # int() also caps the digit count
-            except ValueError:
-                raise PdaFormatError(
-                    f"bad token {tok!r}; want '*' or a positive decimal") from None
+        row = tuple(map(symbol, ln.split()))  # raises on the row's first bad token
         if len(row) != k:
             raise PdaFormatError(f"row {ln!r} has {len(row)} entries, expected {k}")
-        grid.append(tuple(row))
+        grid.append(row)
     return Pda._trusted(k, f, q, s, tuple(grid))
 
 

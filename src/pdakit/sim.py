@@ -345,8 +345,12 @@ def _demand_set(p: Pda, n: int, mode: str, samples: int, rng: random.Random):
         return list(seen), "adversarial"
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
+    # rng.randrange(n)'s own stream, drawn in C: it takes getrandbits of n's
+    # bit length until one is below n.  n >= 1 here (FileLibrary.random
+    # refuses less before this runs); for n = 0 the filter would never yield.
+    draws = filter(n.__gt__, map(rng.getrandbits, itertools.repeat(n.bit_length())))
     for _ in range(samples):
-        seen.setdefault(tuple(rng.randrange(n) for _ in range(p.k)), None)
+        seen.setdefault(tuple(itertools.islice(draws, p.k)), None)
     return list(seen), "sampled"
 
 

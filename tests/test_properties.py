@@ -180,6 +180,28 @@ def test_text_and_json_round_trip(p):
     assert pda_from_json(json.loads(json.dumps(pda_to_json(p)))) == p
 
 
+def format_per_cell(p: Pda) -> str:
+    """The text format, one str() call per cell."""
+    lines = [f"{p.k} {p.f} {p.q} {p.s}"]
+    for row in p.grid:
+        lines.append(" ".join("*" if v == STAR else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+@settings(FIXED, max_examples=200)
+@given(st.one_of(valid_pdas(), mutated_pdas(), any_pdas()))
+def test_format_matches_the_per_cell_reference(p):
+    assert format_pda(p) == format_per_cell(p)
+
+
+def test_format_reads_no_symbol_map():
+    # past S, and far past any table a formatter could size by the largest entry
+    p = Pda(3, 2, 1, 2, ((STAR, 10 ** 30, 5), (7, STAR, STAR)))
+    assert format_pda(p) == format_per_cell(p) == f"3 2 1 2\n* {10 ** 30} 5\n7 * *\n"
+    # building the map on every formatted array raised simulate's peak RSS
+    assert "symbol_cells" not in p.__dict__
+
+
 # Any code points, lone surrogates included, drawn without Hypothesis's
 # Unicode tables, which cost seconds to build on a cold cache.
 ANY_TEXT = st.lists(st.integers(0, 0x10FFFF)).map(lambda cs: "".join(map(chr, cs)))
@@ -194,6 +216,81 @@ def test_parse_fails_only_with_format_error(text):
         parse_pda(text)
     except PdaFormatError:
         pass
+
+
+def parse_per_token(text: str) -> Pda:
+    """The text parser, checking each grid token as it is read."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise PdaFormatError("empty PDA file")
+    header = lines[0].split()
+    if len(header) != 4:
+        raise PdaFormatError(f"header must be 'K F Q S', got {lines[0]!r}")
+    try:
+        if not all(x.isascii() and x.isdigit() for x in header):
+            raise ValueError
+        k, f, q, s = (int(x) for x in header)
+    except ValueError:
+        raise PdaFormatError(f"non-integer header field in {lines[0]!r}") from None
+    if len(lines) - 1 != f:
+        raise PdaFormatError(f"expected {f} grid rows, found {len(lines) - 1}")
+    grid = []
+    for ln in lines[1:]:
+        row = []
+        for tok in ln.split():
+            if tok == "*":
+                row.append(STAR)
+                continue
+            try:
+                if not (tok.isascii() and tok.isdigit() and tok[0] != "0"):
+                    raise ValueError
+                row.append(int(tok))
+            except ValueError:
+                raise PdaFormatError(
+                    f"bad token {tok!r}; want '*' or a positive decimal") from None
+        if len(row) != k:
+            raise PdaFormatError(f"row {ln!r} has {len(row)} entries, expected {k}")
+        grid.append(tuple(row))
+    return Pda(k, f, q, s, tuple(grid))
+
+
+def parsed(parse, text: str):
+    try:
+        return parse(text)
+    except PdaFormatError as exc:
+        return f"PdaFormatError: {exc}"
+
+
+# Grids of mostly stars and good symbols, some bad tokens among them, rows of
+# any length, under a header whose F matches the row count.
+GRID_TOKEN = st.sampled_from(["*"] * 6 + ["1", "2", "17", "1" * 5000, "0", "01", "+3",
+                                          "-1", "١", "²", "*1", "**", "x"])
+
+
+@st.composite
+def near_grids(draw):
+    rows = draw(st.lists(st.lists(GRID_TOKEN, min_size=1, max_size=4), min_size=1, max_size=4))
+    sep = draw(st.sampled_from([" ", "\t", "  ", "\u3000"]))
+    k = draw(st.integers(1, 4))
+    return f"{k} {len(rows)} 1 1\n" + "\n".join(sep.join(r) for r in rows) + "\n"
+
+
+@settings(FIXED, max_examples=400)
+@given(st.one_of(NEAR_PDA, near_grids()))
+def test_parse_matches_the_per_token_reference(text):
+    assert parsed(parse_pda, text) == parsed(parse_per_token, text)
+
+
+@pytest.mark.parametrize("text, bad", [
+    ("3 2 1 1\n* * 01\n1 * *\n", "'01'"),          # after stars
+    ("3 2 1 1\n* x y\n1 * *\n", "'x'"),            # the first of two in a row
+    ("2 2 1 1\n* * x\n1 *\n", "'x'"),              # in a row of the wrong length
+    ("2 2 1 1\n* 1\n* * 0\n", "'0'"),              # in the last row
+    ("2 3 1 1\n* 1 1\n* x\n1 *\n", "3 entries"),  # a long row before the bad token
+])
+def test_parse_names_the_first_fault_in_reading_order(text, bad):
+    assert parsed(parse_pda, text) == parsed(parse_per_token, text)
+    assert bad in parsed(parse_pda, text)
 
 
 @settings(FIXED, max_examples=60)

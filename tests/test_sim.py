@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -170,6 +171,27 @@ def test_adversarial_demands_are_distinct():
     assert sim._demand_set(one_user, 2, "adversarial", 0, None) == ([(0,), (1,)], "adversarial")
     assert verify_scheme(one_user, 2, mode="adversarial").demands_tested == 2
     assert verify_scheme(one_user, 1, mode="adversarial").demands_tested == 1
+
+
+def sampled_per_draw(k: int, n: int, samples: int, rng: random.Random) -> list:
+    """The sampled demand set with one rng.randrange call per entry."""
+    seen = dict.fromkeys((i,) * k for i in range(n))
+    if n >= k:
+        seen.setdefault(tuple(range(k)), None)
+    for _ in range(samples):
+        seen.setdefault(tuple(rng.randrange(n) for _ in range(k)), None)
+    return list(seen)
+
+
+@pytest.mark.parametrize("k", [1, 7, 130])
+def test_sampled_demands_follow_randrange(k):
+    users = Pda(k, 1, 0, 0, ((STAR,) * k,))  # only K is read
+    for n in range(1, 9):
+        for seed in range(5):
+            rng, ref = random.Random(seed), random.Random(seed)
+            got = sim._demand_set(users, n, "sampled", 20, rng)
+            assert got == (sampled_per_draw(k, n, 20, ref), "sampled")
+            assert rng.random() == ref.random()  # nothing drawn past the last demand
 
 
 def test_verify_scheme_exhaustive_limit(monkeypatch):
