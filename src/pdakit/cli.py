@@ -18,7 +18,7 @@ from .designs import (certify_configuration, certify_t_design, design_from_json,
                       design_to_json, from_reference)
 from .pda import (InvalidPdaError, Pda, PdaFormatError, format_pda, parse_pda,
                   pda_from_json, pda_to_json, scheme_parameters, validate_pda)
-from .sim import DecodeError, verify_scheme
+from .sim import verify_scheme
 from .triples import ConditionError, direct_product
 
 OK, FAIL_VALIDATE, FAIL_PARSE, FAIL_DECODE = 0, 2, 3, 4
@@ -287,9 +287,6 @@ def main(argv=None) -> int:
     except InvalidPdaError as exc:
         print(exc, file=sys.stderr)
         return FAIL_VALIDATE
-    except DecodeError as exc:
-        print(f"decode failure: {exc}", file=sys.stderr)
-        return FAIL_DECODE
     except ConditionError as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return FAIL_PARSE

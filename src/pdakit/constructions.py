@@ -431,8 +431,7 @@ def design_table(family: str, reference: str) -> list[ParameterRow]:
                       if max(t1, k - t1) < t]
         else:
             combos = [{"t0": t1 + t2, "t1": t1, "t2": t2}
-                      for t1 in range(1, t) for t2 in range(1, t - t1 + 1)
-                      if t1 + t2 <= t]
+                      for t1 in range(1, t) for t2 in range(1, t - t1 + 1)]
     specs = [ConstructionSpec(family, o, design=reference, **combo)
              for combo in combos for o in (1, 2, 3)]
     return [_row(spec, _invariants(spec, params)) for spec in specs]

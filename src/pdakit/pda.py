@@ -135,8 +135,8 @@ def _scan(p: Pda) -> ValidationReport:
 
     Each condition is tested whole from the symbol map and per-row masks,
     built in C loops over the grid, so Python code runs once per non-star
-    cell, not per cell; only an array that fails a condition is walked cell
-    by cell, to name the same witness as the definition's scan."""
+    cell, not per cell; only a symbol failing C3 is walked cell pair by cell
+    pair, to name the same witness as the definition's scan."""
     if min(p.k, p.f, p.q, p.s) < 1:
         return ValidationReport(False, "params", "K, F, Q, S must all be positive")
     if p.q >= p.f:
@@ -144,11 +144,9 @@ def _scan(p: Pda) -> ValidationReport:
     grid, s = p.grid, p.s
     cells = p.symbol_cells
     if max(cells, default=STAR) > s:  # entries are ints >= 0, so only a symbol past s is out
-        for j, row in enumerate(grid):
-            for k, v in enumerate(row):
-                if v != STAR and not 1 <= v <= s:
-                    return ValidationReport(False, "range",
-                        f"cell ({j},{k}) holds {v}, outside 1..{s}")
+        j, k = min(occ[0] for v, occ in cells.items() if v > s)  # each list is row-major
+        return ValidationReport(False, "range",
+            f"cell ({j},{k}) holds {grid[j][k]}, outside 1..{s}")
     column = itemgetter(1)
     filled = Counter(map(column, chain.from_iterable(cells.values())))  # non-stars per column
     for k in range(p.k):
@@ -157,9 +155,8 @@ def _scan(p: Pda) -> ValidationReport:
             return ValidationReport(False, "C1",
                 f"column {k} has {stars} stars, declared Q={p.q}")
     if len(cells) != s:  # every symbol is in 1..s, so one is missing
-        for sym in range(1, s + 1):
-            if sym not in cells:
-                return ValidationReport(False, "C2", f"symbol {sym} never occurs")
+        sym = next(v for v in range(1, s + 1) if v not in cells)
+        return ValidationReport(False, "C2", f"symbol {sym} never occurs")
     # C3 for a symbol's cells: their columns are distinct (a sum of n powers
     # of two has n bits only when they are), and in each cell's row the
     # symbol's other columns are stars, so masked by the symbol's columns the
@@ -283,23 +280,22 @@ def pda_to_json(p: Pda, provenance: dict | None = None) -> dict:
 def pda_from_json(obj: dict) -> Pda:
     try:
         k, f, q, s = (obj[key] for key in ("K", "F", "Q", "S"))  # Pda checks types
-        grid = []
-        for row in obj["grid"]:
-            if not isinstance(row, list):
-                raise PdaFormatError(f"grid row must be a list, got {row!r}")
-            cells = []
-            for v in row:
-                if v == "*":
-                    cells.append(STAR)
-                elif type(v) is int and v > 0:
-                    cells.append(v)
-                else:
-                    raise PdaFormatError(f"bad grid value {v!r}")
-            grid.append(tuple(cells))
-    except PdaFormatError:
-        raise
+        rows = list(obj["grid"])
     except (KeyError, TypeError, ValueError) as exc:
         raise PdaFormatError(f"malformed PDA object: {exc}") from None
+    grid = []
+    for row in rows:
+        if not isinstance(row, list):
+            raise PdaFormatError(f"grid row must be a list, got {row!r}")
+        cells = []
+        for v in row:
+            if v == "*":
+                cells.append(STAR)
+            elif type(v) is int and v > 0:
+                cells.append(v)
+            else:
+                raise PdaFormatError(f"bad grid value {v!r}")
+        grid.append(tuple(cells))
     try:
         return Pda._trusted(k, f, q, s, tuple(grid))
     except ValueError as exc:

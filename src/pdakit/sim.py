@@ -221,12 +221,12 @@ def _unusable(p: Pda, packets, by_row: dict, size: int, user: int,
     pk = packets.get((f, j))
     if pk is not None:  # held, but left out of by_row for its length
         why = f"is {len(pk)} bytes, not the {size} bytes of a transmission"
-    elif p.grid[j][k] == STAR:  # the user's own starred cell
+    elif p.grid[j][user] != STAR:  # the crossing cell of a side packet, a star by C3
+        why = "missing from cache; condition C3 is broken"
+    elif k == user or any(f in got for got in by_row.values()):  # own cell, or a lost packet
         why = "missing from cache"
-    else:  # a side packet: by C3, cached for every file of the library
-        why = "missing from cache; " + (
-            "condition C3 is broken" if any(f in got for got in by_row.values())
-            else f"the cache holds no packet of file {f}")
+    else:  # a side packet of a file no row of the cache holds
+        why = f"missing from cache; the cache holds no packet of file {f}"
     return DecodeError(f"user {user}: packet ({f},{j}) for cell ({j},{k}) {why}")
 
 

@@ -283,16 +283,14 @@ def check_conditions(t: TripleSystem) -> ConditionReport:
 def pda_to_triple(p: Pda) -> TripleSystem:
     """Read the three incidence matrices off a valid array.
 
-    X = row indices, Y = symbols 1..S, Z = column indices.  C_XZ marks the
-    non-star cells; C_XY and C_YZ mark each symbol's rows and columns.
+    X = row indices, Y = symbols 1..S, Z = column indices.  Each non-star
+    cell, of which Q < F leaves some, is one incident triple (x, y, z).
     """
     require_valid(p, "not a valid PDA")
-    # C3 puts a symbol at most once in any row or column, so sums are unions
-    xy = tuple(sum(1 << (v - 1) for v in row if v != STAR) for row in p.grid)
-    xz = tuple(sum(1 << z for z, v in enumerate(row) if v != STAR) for row in p.grid)
-    yz = tuple(sum(1 << z for _, z in p.symbol_cells[y]) for y in range(1, p.s + 1))
-    return TripleSystem(tuple(range(p.f)), tuple(range(1, p.s + 1)),
-                        tuple(range(p.k)), xy, xz, yz)
+    x, y, z = zip(*[(j, s - 1, k) for s, occ in p.symbol_cells.items() for j, k in occ])
+    return TripleSystem(tuple(range(p.f)), tuple(range(1, p.s + 1)), tuple(range(p.k)),
+                        rows_of(zip(x, y), p.f, p.s), rows_of(zip(x, z), p.f, p.k),
+                        rows_of(zip(y, z), p.s, p.k))
 
 
 def triple_to_pda(t: TripleSystem) -> Pda:

@@ -177,6 +177,22 @@ def test_json_malformed():
         pda_from_json({"K": 2, "F": 2, "Q": 1, "S": 1, "grid": [["*", "x"], [1, "*"]]})
 
 
+HEADER = {"K": 2, "F": 2, "Q": 1, "S": 1}
+
+
+@pytest.mark.parametrize("obj, text", [
+    ({"K": 2, "F": 2, "Q": 1, "grid": 5}, "malformed PDA object: 'S'"),
+    ({**HEADER, "grid": 5}, "malformed PDA object: 'int' object is not iterable"),
+    ({**HEADER, "grid": [["*", 1], "x"]}, "grid row must be a list, got 'x'"),
+    ({**HEADER, "grid": [["*", 0], "x"]}, "bad grid value 0"),
+    ({**HEADER, "grid": [[True, 1], "x"]}, "bad grid value True"),
+])
+def test_json_names_the_first_fault(obj, text):
+    with pytest.raises(PdaFormatError) as exc:
+        pda_from_json(obj)
+    assert str(exc.value) == text
+
+
 @pytest.mark.parametrize("text", [
     "2 2 1 1\n* ١\n١ *\n",   # Arabic-Indic digit one as a symbol
     "2 2 1 1\n* ²\n1 *\n",        # superscript two as a symbol

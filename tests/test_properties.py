@@ -6,8 +6,9 @@ placed caches against plain dicts under random edits, decode on the sweep
 arrays against a per-cell reference peel, the triple conditions E1-E7,
 construct_pda's matching path, complete_matching against the report's
 matchable_ok, direct_product against the product of the incidence matrices,
-the design certificates against their definitions, and both directions of
-the equivalence of arrays with systems that meet E1-E5.  Examples are
+the design certificates against their definitions, pda_to_triple against
+per-cell sums, and both directions of the equivalence of arrays with systems
+that meet E1-E5.  Examples are
 derandomized, so every run sees the same inputs."""
 
 import itertools
@@ -23,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 import pdakit.sim as sim
 import pdakit.triples
-from pdakit.constructions import build_triple
+from pdakit.constructions import ConstructionSpec, build_triple, construct_pda
 from pdakit.designs import (_CATALOG, Design, as_t_design, catalog_lookup, certify_configuration,
                             certify_t_design, complete_design, steiner_triple_system,
                             transversal_design)
@@ -683,6 +684,34 @@ def test_a_valid_array_is_a_system_meeting_e1_to_e5(p):
     assert check_conditions(t).necessary_ok
     assert reference_report(t)["flags"][:5] == (True,) * 5
     assert triple_to_pda(t) == canonical_relabel(p)
+
+
+def triple_per_cell(p: Pda) -> tuple:
+    """C_XY, C_XZ and C_YZ of a valid array as row masks, summed cell by cell:
+    C3 puts a symbol at most once in any row or column, so sums are unions."""
+    xy = tuple(sum(1 << (v - 1) for v in row if v != STAR) for row in p.grid)
+    xz = tuple(sum(1 << z for z, v in enumerate(row) if v != STAR) for row in p.grid)
+    yz = tuple(sum(1 << z for _, z in p.symbol_cells[y]) for y in range(1, p.s + 1))
+    return xy, xz, yz
+
+
+def _assert_triple_as_per_cell(p: Pda) -> None:
+    t = pda_to_triple(p)
+    assert (t.labels_x, t.labels_y, t.labels_z) == (
+        tuple(range(p.f)), tuple(range(1, p.s + 1)), tuple(range(p.k)))
+    assert (t.xy, t.xz, t.yz) == triple_per_cell(p)
+
+
+@settings(FIXED, max_examples=200)
+@given(valid_pdas())
+def test_pda_to_triple_matches_the_per_cell_sums(p):
+    _assert_triple_as_per_cell(p)
+
+
+@pytest.mark.parametrize("o", (1, 2, 3))
+@pytest.mark.parametrize("k, m, t", ((6, 2, 2), (7, 1, 1)))
+def test_pda_to_triple_matches_the_per_cell_sums_on_large_arrays(k, m, t, o):
+    _assert_triple_as_per_cell(construct_pda(ConstructionSpec("pg", o, q=2, k=k, m=m, t=t)))
 
 
 def _symbols(t: TripleSystem) -> list:

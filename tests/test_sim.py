@@ -269,6 +269,27 @@ def test_decode_demand_outside_the_library():
             decode(p, caches[0], tx, demand, 0)
 
 
+def test_decode_blames_c3_only_for_a_crossing_cell_that_is_not_a_star():
+    p = FANO_PG
+    lib = FileLibrary.random(2, 7, seed=0)
+    caches = place(p, lib)
+    demand = (0, 1, 1, 1, 1, 1, 1)
+    tx = deliver(p, lib, demand)
+    # cell (0,0) is a star: the array is valid and the cache lost the packet
+    assert p.grid[0][0] == STAR
+    del caches[0].packets[(1, 0)]
+    with pytest.raises(DecodeError) as exc:
+        decode(p, caches[0], tx, demand, 0)
+    assert str(exc.value) == "user 0: packet (1,0) for cell (0,6) missing from cache"
+    # symbol 1 twice in row 0: the crossing cell of user 0 is not a star
+    broken = Pda(2, 2, 1, 1, ((1, 1), (STAR, STAR)))
+    lib = FileLibrary.random(2, 2, seed=4)
+    with pytest.raises(DecodeError) as exc:
+        decode(broken, place(broken, lib)[0], deliver(broken, lib, (0, 1)), (0, 1), 0)
+    assert str(exc.value) == ("user 0: packet (1,0) for cell (0,1) missing from cache; "
+                              "condition C3 is broken")
+
+
 def _reads(p, user, demand):
     """Every cached (file, row) the user's decode of this demand reads."""
     out = set()
