@@ -126,7 +126,8 @@ def _check_pg(q: int, k: int, m: int, t: int) -> FieldSpec:
 def _configuration_of(design: Design) -> tuple[int, int, int, int]:
     """Certify (v, r, b, k) for a design used as a configuration: its
     config_params, else k = |block 0| and r = the blocks holding point 0, so
-    the certificate names any other size or replication.  No block: refused."""
+    the certificate names any other size or replication.  No block, or
+    blocks of fewer than 2 points: refused."""
     if design.config_params is not None:
         v, r, b, k = design.config_params
     elif not design.blocks:
@@ -134,6 +135,8 @@ def _configuration_of(design: Design) -> tuple[int, int, int, int]:
     else:
         v, b, k = design.v, design.b, len(design.blocks[0])
         r = sum(0 in blk for blk in design.blocks)
+    if k < 2:  # no two points share a block, so C_XY is empty
+        raise ValueError(f"a configuration needs blocks of at least 2 points, got k={k}")
     cert = certify_configuration(design, v, r, b, k)
     if not cert:
         raise ValueError(f"not a ({v}_{r},{b}_{k})-configuration: "

@@ -35,9 +35,8 @@ class Pda:
     def __post_init__(self):
         # rows of its own, which no caller's list can change under the caches
         object.__setattr__(self, "grid", tuple(map(tuple, self.grid)))
-        self._check_params()
+        self._check_shape()
         for row in self.grid:
-            _check_width(len(row), self.k)
             if any(type(v) is not int or v < 0 for v in row):
                 raise ValueError("grid entries must be STAR or positive symbol ints")
 
@@ -48,17 +47,19 @@ class Pda:
         per-entry one."""
         p = object.__new__(cls)
         p.__dict__.update(k=k, f=f, q=q, s=s, grid=grid)  # frozen: no __setattr__
-        p._check_params()
-        for width in map(len, grid):
-            _check_width(width, k)
+        p._check_shape()
         return p
 
-    def _check_params(self) -> None:
+    def _check_shape(self) -> None:
+        """K, F, Q, S are ints, the grid has F rows, and each row K entries."""
         # type() rather than isinstance(): bool is an int subclass
         if any(type(v) is not int for v in (self.k, self.f, self.q, self.s)):
             raise ValueError("K, F, Q, S must be ints")
         if len(self.grid) != self.f:
             raise ValueError(f"grid has {len(self.grid)} rows, declared F={self.f}")
+        width = next(filter(self.k.__ne__, map(len, self.grid)), self.k)  # the first other width
+        if width != self.k:
+            raise ValueError(f"grid row has {width} entries, declared K={self.k}")
 
     # The cache materializes the instance __dict__, which slows every later
     # attribute load on the array: per-cell loops read p.grid into a local.
@@ -90,11 +91,6 @@ class Pda:
     def validation(self) -> "ValidationReport":
         """validate_pda's report on this array."""
         return _scan(self)
-
-
-def _check_width(width: int, k: int) -> None:
-    if width != k:
-        raise ValueError(f"grid row has {width} entries, declared K={k}")
 
 
 @dataclass(frozen=True)

@@ -141,37 +141,27 @@ class PlacedPackets(MutableMapping):
     def __repr__(self) -> str:
         return f"{type(self).__name__}({dict(self)!r})"
 
-    def size_bytes(self) -> int:
-        """sum(len(v) for v in self.values()), from the library's packet size
-        while unedited."""
-        if self._own is None:
-            return len(self) * self._lib.packet_size
-        return sum(map(len, self._own.values()))
 
-    def holds(self, lib: FileLibrary, mask: bytes) -> bool:
-        """Whether this is lib's placement on mask, never written to or
-        deleted from, which holds lib's starred packets by construction."""
-        return self._own is None and self._lib is lib and self._mask == mask
-
-    def int_rows(self, size: int) -> dict[int, dict[int, int]]:
-        """row -> file -> packet as an int, over the cache's keys, leaving out
-        packets of other than size bytes.  While unedited the rows are the
-        library's own dicts, shared and whole: read them only; none when the
-        library's packets are not size bytes."""
-        if self._own is not None:
-            return _int_rows(self._own, size)
-        if self._lib.packet_size != size:
-            return {}
-        lib_rows = self._lib._row_ints
-        return {j: lib_rows[j] for j in compress(range(len(self._mask)), self._mask)}
+def _clean(packets, lib: FileLibrary, mask: bytes) -> bool:
+    """Whether packets is lib's placement on mask, never written to or
+    deleted from, which holds lib's starred packets by construction."""
+    return (isinstance(packets, PlacedPackets) and packets._own is None
+            and packets._lib is lib and packets._mask == mask)
 
 
 def _int_rows(packets, size: int) -> dict[int, dict[int, int]]:
     """row -> file -> packet as an int, over a cache's mapping of (file, row)
     -> payload, leaving out packets of other than size bytes: the cache
-    grouped by row, as `_peel` reads it."""
+    grouped by row, as `_peel` reads it.  An untouched `PlacedPackets` gives
+    the library's own row dicts, shared and whole: read them only; none when
+    the library's packets are not size bytes."""
     if isinstance(packets, PlacedPackets):
-        return packets.int_rows(size)
+        if packets._own is None:
+            lib, mask = packets._lib, packets._mask
+            if lib.packet_size != size:
+                return {}
+            return {j: lib._row_ints[j] for j in compress(range(len(mask)), mask)}
+        packets = packets._own
     by_row = defaultdict(dict)
     for (i, j), pk in packets.items():
         if len(pk) == size:
@@ -188,9 +178,14 @@ class CacheContents:
     packets: MutableMapping  # (file index, row) -> payload
 
     def size_bytes(self) -> int:
-        if isinstance(self.packets, PlacedPackets):
-            return self.packets.size_bytes()
-        return sum(len(v) for v in self.packets.values())
+        """The bytes of every packet held: an untouched view's from the
+        library's packet size, any other mapping's by summing its own."""
+        packets = self.packets
+        if isinstance(packets, PlacedPackets):
+            if packets._own is None:
+                return len(packets) * packets._lib.packet_size
+            packets = packets._own
+        return sum(map(len, packets.values()))
 
 
 def place(p: Pda, lib: FileLibrary) -> list[CacheContents]:
@@ -388,7 +383,7 @@ def verify_scheme(p: Pda, n_files: int, mode: str = "auto", samples: int = 200,
     faulty = []  # (user, its cache, grouped by row) for each user whose cache is not clean
     for user, cache in enumerate(place(p, lib)):
         packets = cache.packets
-        if not (isinstance(packets, PlacedPackets) and packets.holds(lib, masks[user])):
+        if not _clean(packets, lib, masks[user]):
             faulty.append((user, packets, _int_rows(packets, packet_size)))
     not_clean = {user for user, _, _ in faulty}
     cells_of = p.symbol_cells

@@ -12,6 +12,7 @@ import pdakit.cli
 import pdakit.constructions
 import pdakit.pda
 import pdakit.sim
+import pdakit.triples
 from pdakit.cli import main
 from pdakit.constructions import ConstructionSpec, construct_pda
 from pdakit.designs import catalog_lookup, design_to_json
@@ -114,6 +115,31 @@ def test_construct_bad_hypotheses(run):
     code, _, err = run("construct", "tdesign-b", "--design", "fano",
                        "--t1", "1", "--t2", "2")
     assert code == 3 and "max" in err
+
+
+def test_config_of_one_point_blocks_is_refused_alike_by_tabulate_and_construct(run):
+    """No two points of complete:4:1 share a block: the closed form and the
+    builder refuse it with one text, so tabulate shows no row construct fails."""
+    want = "error: a configuration needs blocks of at least 2 points, got k=1\n"
+    for cmd in ("tabulate", "construct"):
+        assert run(cmd, "config", "--design", "complete:4:1") == (3, "", want)
+
+
+def test_construct_design_without_t_parameters(run):
+    code, _, err = run("construct", "tdesign-a", "--design", "td:3:3", "--t0", "1")
+    assert code == 3 and err == "error: design carries no t-design parameters\n"
+
+
+def test_construct_condition_error_exits_3(run, monkeypatch):
+    """A condition failing in the builder is a construction failure; no
+    family input reaches it once the closed form has admitted the spec."""
+    def fail(spec):
+        raise pdakit.triples.ConditionError("E6", "columns differ in degree")
+
+    monkeypatch.setattr(pdakit.cli, "construct_pda", fail)
+    code, out, err = run("construct", "config", "--design", "fano")
+    assert (code, out) == (3, "")
+    assert err == "construction failed: E6 fails: columns differ in degree\n"
 
 
 # --- validate -------------------------------------------------------------

@@ -6,10 +6,10 @@ from math import comb
 import pytest
 
 from pdakit import constructions, designs
-from pdakit.constructions import (ConstructionSpec, _binomial, _invariants,
+from pdakit.constructions import (FAMILIES, ConstructionSpec, _binomial, _invariants,
                                   bibd_rate_identity, build_triple, closed_form_row,
                                   configuration_rate_bound,
-                                  configuration_triple, construct_pda,
+                                  configuration_triple, construct_pda, design_table,
                                   mn_baseline, pg_triple, tdesign_a_triple,
                                   tdesign_b_triple, tdesign_lambda_triple)
 from pdakit.designs import as_t_design, catalog_lookup, complete_design
@@ -48,6 +48,11 @@ def test_spec_labels():
     spec = ConstructionSpec("tdesign-lambda", 1, design=_BIBD_5_3_3, t0=2, t1=1, t2=1)
     assert spec.label() == "design=2-(5,3,3),t0=2,t1=1,t2=1"
     assert spec.resolved_design() is _BIBD_5_3_3
+    fano = catalog_lookup("fano")
+    config_only = replace(fano, t_params=None)
+    assert ConstructionSpec("config", 1, design=config_only).label() == "design=(7_3,7_3)"
+    untagged = replace(config_only, config_params=None)
+    assert ConstructionSpec("config", 1, design=untagged).label() == "design=v=7,b=7"
 
 
 # --- hypothesis rejection -------------------------------------------------
@@ -94,6 +99,12 @@ def test_tdesign_a_hypotheses():
         tdesign_a_triple(_BIBD_5_3_3, 1)
     with pytest.raises(ValueError, match="k/2"):
         tdesign_a_triple(complete_design(5, 3), 2)  # t = 3 > k/2 + 1
+
+
+def test_a_t_design_family_certifies_the_declared_parameters():
+    wrong_lambda = replace(catalog_lookup("fano"), t_params=(2, 7, 3, 2))
+    with pytest.raises(ValueError, match=r"^not a 2-\(7,3,2\) design: coverage at "):
+        construct_pda(ConstructionSpec("tdesign-a", 1, design=wrong_lambda, t0=1))
 
 
 def test_tdesign_b_hypotheses():
@@ -273,6 +284,7 @@ def test_row_derived_quantities():
     assert row.mn == Fraction(4, 7) and row.rate == 1
     assert row.r_star == Fraction(3, 5) and row.f_mn == 35
     assert row.ratio == Fraction(5, 3)
+    assert replace(row, r_star=None).ratio is None
 
 
 # --- baselines ------------------------------------------------------------
@@ -315,6 +327,8 @@ def test_bibd_rate_identity():
     assert bibd_rate_identity(13, 4) == (1, 1)
     with pytest.raises(ValueError, match="not an integer"):
         bibd_rate_identity(8, 3)
+    with pytest.raises(ValueError, match=r"^no \(v,k,1\)-BIBD: b = 10/3 is not an integer$"):
+        bibd_rate_identity(5, 3)
 
 
 # --- dispatch -------------------------------------------------------------
@@ -324,6 +338,31 @@ def test_build_triple_dispatch():
     assert len(build_triple(ConstructionSpec("config", 1, design="fano")).labels_z) == 7
     assert len(build_triple(ConstructionSpec("tdesign-b", 1, design="complete:4:2",
                                              t1=1, t2=1)).labels_x) == 4
+
+
+# complete:V:K with V <= 6, the named designs, td:K:N with N <= 4
+DESIGN_REFS = ([f"complete:{v}:{k}" for v in range(2, 7) for k in range(1, v)]
+               + ["sts:7", "sts:9", "fano", "sqs8", "affine-9"]
+               + [f"td:{k}:{n}" for n in (2, 3, 4) for k in range(2, n + 2)])
+
+
+def test_every_admissible_design_table_row_constructs():
+    """What the closed form calls admissible, the builder builds, with the
+    tabulated (K, F, Q, S)."""
+    built = 0
+    for ref, family in itertools.product(DESIGN_REFS, FAMILIES[1:]):
+        try:
+            table = design_table(family, ref)
+        except ValueError:  # the design does not fit the family
+            continue
+        for row in filter(lambda row: row.admissible, table):
+            extra = dict(kv.split("=") for kv in row.label.split(",")[1:])  # t0, t1, t2
+            spec = ConstructionSpec(family, row.orientation, design=ref,
+                                    **{name: int(v) for name, v in extra.items()})
+            p = construct_pda(spec)
+            assert (p.k, p.f, p.q, p.s) == (row.k, row.f, row.q, row.s), spec
+            built += 1
+    assert built == 267
 
 
 def test_construct_pda_inadmissible_orientation():

@@ -74,6 +74,15 @@ def test_pda_shape_errors():
         Pda(2, 2, 1, 1, ((STAR, -1), (1, STAR)))
 
 
+def test_pda_reports_its_shape_before_its_entries():
+    """A short row, or a missing one, is named before a bad entry in an
+    earlier row: the shape is checked whole before any entry."""
+    with pytest.raises(ValueError, match="^grid row has 1 entries, declared K=2$"):
+        Pda(2, 2, 1, 1, ((STAR, -1), (1,)))
+    with pytest.raises(ValueError, match="^grid has 1 rows, declared F=2$"):
+        Pda(2, 2, 1, 1, ((STAR, -1),))
+
+
 def test_pda_keeps_its_own_grid():
     g = [[STAR, 1], [1, STAR]]
     p = Pda(2, 2, 1, 1, g)

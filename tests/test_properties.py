@@ -389,7 +389,7 @@ def test_placed_cache_behaves_as_a_dict(p, user, edits):
     """set, pop, del, get and writing the library's own bytes back, on a
     placed cache and on a dict copy of it: after every step the two agree on
     items (in order), len, membership, size_bytes and the rows the decoder
-    reads; and holds is true exactly while no write or delete has reached
+    reads; and _clean is true exactly while no write or delete has reached
     the view."""
     lib = FileLibrary.random(3, p.f, packet_size=4, seed=user)
     view = place(p, lib)[user % p.k].packets
@@ -427,8 +427,8 @@ def test_placed_cache_behaves_as_a_dict(p, user, edits):
         for (i2, j2), pk in plain.items():
             if len(pk) == 4:  # the library's packet size: other lengths are left out
                 by_row.setdefault(j2, {})[i2] = int.from_bytes(pk, "big")
-        assert {j2: got for j2, got in view.int_rows(4).items() if got} == by_row
-        assert view.holds(lib, p.star_columns[user % p.k]) == (not touched)
+        assert {j2: got for j2, got in sim._int_rows(view, 4).items() if got} == by_row
+        assert sim._clean(view, lib, p.star_columns[user % p.k]) == (not touched)
 
 
 def reference_decode(p: Pda, cache, transmissions: list, demand: tuple, user: int):

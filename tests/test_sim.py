@@ -78,6 +78,11 @@ def test_place_fills_starred_rows():
     assert caches[0].size_bytes() == 2 * 16
 
 
+def test_placed_cache_repr_shows_its_packets():
+    lib = FileLibrary(2, 2, 1, ((b"a", b"b"), (b"c", b"d")))
+    assert repr(place(TINY, lib)[0].packets) == "PlacedPackets({(0, 0): b'a', (1, 0): b'c'})"
+
+
 def test_place_shares_keys_across_users():
     p = construct_pda(ConstructionSpec("pg", 1, q=2, k=3, m=1, t=1))
     lib = FileLibrary.random(3, p.f, seed=0)
@@ -664,7 +669,7 @@ def test_writing_one_cache_leaves_the_rest_alone(edit):
     for k in range(FANO_PG.k):
         if k != user:
             assert decode(FANO_PG, caches[k], tx, demand, k) == lib.file(demand[k])
-    assert all(caches[0].packets.int_rows(16)[j] is lib._row_ints[j]
+    assert all(sim._int_rows(caches[0].packets, 16)[j] is lib._row_ints[j]
                for j, r in enumerate(FANO_PG.grid) if r[0] == STAR)
-    assert caches[user].packets.int_rows(16)[row] is not lib._row_ints[row]
+    assert sim._int_rows(caches[user].packets, 16)[row] is not lib._row_ints[row]
     assert lib._row_ints == row_ints_before

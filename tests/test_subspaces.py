@@ -296,6 +296,8 @@ def test_subspace_counts_examples():
     assert subspace_counts(2, 4, 2, 1, 1) == (35, 7, 7)
     # impossible shape: a 2-space avoiding a 3-space inside F_2^4
     assert subspace_counts(2, 4, 2, 0, 3)[2] == 0
+    # a field spec counts as its order
+    assert subspace_counts(F2, 4, 2, 1, 1) == subspace_counts(2, 4, 2, 1, 1)
 
 
 def test_subspace_counts_free_pair_degree():

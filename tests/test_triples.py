@@ -141,6 +141,9 @@ def test_triple_to_pda_rejects_degenerate():
     empty = TripleSystem((0,), (), (0,), _masks(((),)), _masks(((0,),)), ())
     with pytest.raises(ValueError, match="Q = F"):
         triple_to_pda(empty)
+    # no rows and no columns
+    with pytest.raises(ValueError, match="^empty row or column set$"):
+        triple_to_pda(TripleSystem((), (), (), (), (), ()))
 
 
 def test_symbol_relabel_invariance():

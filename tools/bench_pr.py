@@ -8,7 +8,7 @@ directory).  The script runs RUNS rounds; the side that goes first alternates,
 parent first in round 1.  In a round each side runs every perfbench workload
 in its own process (`perfbench/run.py --workload NAME --seed SEED --seconds
 SECONDS`, the gated settings; reference-speed seconds), then every ladder
-rung (RUNGS: the six pg systems of ROADMAP.md's Baseline table, q = 3
+rung (LADDER: the six pg systems of ROADMAP.md's Baseline table, q = 3
 among them, two at k = 8, and one tdesign-lambda design, each in
 orientation 1) in a fresh process: construct_pda's wall seconds (total_s),
 the array's SHA-256 digest and ru_maxrss right after it, then, on that
@@ -28,10 +28,12 @@ and demands decode from faulty caches, one fault per cache written through
 the mapping (a corrupt, a dropped and a 17-byte starred packet of the
 demanded file), and the rung records the SHA-256 of the DecodeError texts
 raised (a decoded file counts as its digest) and how many were raised.
-Rung times are raw wall seconds.  Every metric is reported with
-each side's runs, median and quartiles, and the number of rounds in which
-the change read lower.  Each side's src/pdakit/*.py line counts are recorded
-too.
+Rung times are raw wall seconds.  Every rung is summarized by one rule
+(summarize_rung): a float field is reported with each side's runs, median
+and quartiles, and the number of rounds in which the change read lower; a
+bool, whether it held in every run; a digest, whether every run gave the
+same one; any other field once, or per side when runs differ.  Each side's
+src/pdakit/*.py line counts are recorded too.
 """
 
 import argparse
@@ -50,14 +52,14 @@ SECONDS = 30
 WORKLOADS = ("construct", "simulate", "sweep")
 GATED = ("setup_s", "wall_s", "array_p50_s", "peak_rss_mb", "error_rate")
 # name -> ConstructionSpec keywords, each built in orientation 1 (the default)
-RUNGS = {"pg_q2_k5_m2_t1": dict(family="pg", q=2, k=5, m=2, t=1),
-         "pg_q2_k6_m2_t2": dict(family="pg", q=2, k=6, m=2, t=2),
-         "pg_q3_k5_m2_t1": dict(family="pg", q=3, k=5, m=2, t=1),
-         "pg_q2_k8_m1_t1": dict(family="pg", q=2, k=8, m=1, t=1),
-         "pg_q2_k7_m2_t1": dict(family="pg", q=2, k=7, m=2, t=1),
-         "pg_q2_k8_m2_t1": dict(family="pg", q=2, k=8, m=2, t=1),
-         "tdesign_lambda_complete_12_4": dict(family="tdesign-lambda", design="complete:12:4",
-                                              t0=2, t1=1, t2=1)}
+LADDER = {"pg_q2_k5_m2_t1": dict(family="pg", q=2, k=5, m=2, t=1),
+          "pg_q2_k6_m2_t2": dict(family="pg", q=2, k=6, m=2, t=2),
+          "pg_q3_k5_m2_t1": dict(family="pg", q=3, k=5, m=2, t=1),
+          "pg_q2_k8_m1_t1": dict(family="pg", q=2, k=8, m=1, t=1),
+          "pg_q2_k7_m2_t1": dict(family="pg", q=2, k=7, m=2, t=1),
+          "pg_q2_k8_m2_t1": dict(family="pg", q=2, k=8, m=2, t=1),
+          "tdesign_lambda_complete_12_4": dict(family="tdesign-lambda", design="complete:12:4",
+                                               t0=2, t1=1, t2=1)}
 
 RUNG_CODE = """
 import hashlib, json, resource, sys, time
@@ -79,15 +81,14 @@ obj = pda_from_json(json.loads(json.dumps(pda_to_json(p))))
 io_s = time.perf_counter() - t0
 print(json.dumps({"params_kfqs": [p.k, p.f, p.q, p.s],
                   "digest": hashlib.sha256(format_pda(p).encode()).hexdigest(),
-                  "valid": valid, "round_trips_equal": canon == text == obj == p,
+                  "all_valid": valid, "round_trips_equal": canon == text == obj == p,
                   "total_s": round(total, 3), "peak_rss_mb": round(rss, 1),
                   "validate_s": round(validate_s, 3), "io_s": round(io_s, 3)}))
 """
-RUNG_STATS = ("total_s", "peak_rss_mb", "validate_s", "io_s")
 
 # direct_product of two arrays, each built and validated outside the timed
 # calls; the fastest of 7 calls in one process
-PRODUCT_FACTORS = (dict(family="pg", q=2, k=3, m=1, t=1), RUNGS["pg_q2_k5_m2_t1"])
+PRODUCT_FACTORS = (dict(family="pg", q=2, k=3, m=1, t=1), LADDER["pg_q2_k5_m2_t1"])
 PRODUCT_CODE = """
 import hashlib, json, resource, sys, time
 from pdakit import ConstructionSpec, construct_pda, direct_product, format_pda, validate_pda
@@ -103,11 +104,10 @@ print(json.dumps({"params_kfqs": [p.k, p.f, p.q, p.s],
                   "digest": hashlib.sha256(format_pda(p).encode()).hexdigest(),
                   "total_s": round(total, 4), "peak_rss_mb": round(rss, 1)}))
 """
-PRODUCT_STATS = ("total_s", "peak_rss_mb")
 
 # verify_scheme, then place and decode, on the K=651 array, built first and
 # outside the timed calls
-SIM_RUNG = RUNGS["pg_q2_k6_m2_t2"]
+SIM_RUNG = LADDER["pg_q2_k6_m2_t2"]
 SIM_CODE = """
 import hashlib, json, random, resource, sys, time
 from pdakit import (ConstructionSpec, DecodeError, FileLibrary, construct_pda, decode,
@@ -152,15 +152,17 @@ for demand in demands:
             except DecodeError as e:
                 texts.append(str(e))
                 errors += 1
-print(json.dumps({"demands": rep.demands_tested, "ok": rep.ok,
-                  "digest": hashlib.sha256(json.dumps(rep.to_json()).encode()).hexdigest(),
+print(json.dumps({"demands": rep.demands_tested, "all_ok": rep.ok,
+                  "report_digest": hashlib.sha256(json.dumps(rep.to_json()).encode()).hexdigest(),
                   "decoded_digest": decoded.hexdigest(),
                   "error_digest": hashlib.sha256(json.dumps(texts).encode()).hexdigest(),
                   "decode_errors": errors,
                   "total_s": round(total, 3), "place_s": round(place_s, 4),
                   "decode_s": round(decode_s, 4), "peak_rss_mb": round(rss, 1)}))
 """
-SIM_STATS = ("total_s", "place_s", "decode_s", "peak_rss_mb")
+# name -> (script, its argument): the ladder, then the product and sim rungs
+RUNGS = {**{name: (RUNG_CODE, spec) for name, spec in LADDER.items()},
+         "product": (PRODUCT_CODE, PRODUCT_FACTORS), "sim": (SIM_CODE, SIM_RUNG)}
 
 
 def _stdout_lines(cmd: list, tree: Path) -> list:
@@ -179,8 +181,8 @@ def perfbench(tree: Path, workload: str) -> dict:
     return {name: report[name]["value"] for name in GATED}
 
 
-def rung(tree: Path, spec: dict, code: str = RUNG_CODE) -> dict:
-    lines = _stdout_lines([sys.executable, "-c", code, json.dumps(spec)], tree)
+def rung(tree: Path, code: str, arg) -> dict:
+    lines = _stdout_lines([sys.executable, "-c", code, json.dumps(arg)], tree)
     return json.loads(lines[-1])
 
 
@@ -203,6 +205,26 @@ def summarize(parent_runs: list, change_runs: list) -> dict:
             "change_lower_in": sum(b < a for a, b in zip(parent_runs, change_runs))}
 
 
+def summarize_rung(parent: list, change: list) -> dict:
+    """Each field of a rung's runs by one rule: a float through summarize; a
+    bool, whether it held in every run; a *digest field, whether it was the
+    same in every run (<name>s_equal) and its least value; any other field
+    once, or each side's runs when they differ."""
+    out = {}
+    for name, first in parent[0].items():
+        runs = {"parent": [r[name] for r in parent], "change": [r[name] for r in change]}
+        every = runs["parent"] + runs["change"]
+        if type(first) is float:
+            out[name] = summarize(runs["parent"], runs["change"])
+        elif type(first) is bool:
+            out[name] = all(every)
+        elif name.endswith("digest"):
+            out[name + "s_equal"], out[name] = len(set(every)) == 1, min(every)
+        else:
+            out[name] = first if all(v == first for v in every) else runs
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--parent", type=Path, required=True)
@@ -210,18 +232,15 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     sides = {"parent": args.parent.resolve(), "change": ROOT}
     bench = {side: {w: [] for w in WORKLOADS} for side in sides}
-    ladder = {side: {name: [] for name in RUNGS} for side in sides}
-    product = {side: [] for side in sides}
-    sim = {side: [] for side in sides}
+    runs = {side: {name: [] for name in RUNGS} for side in sides}
     for i in range(RUNS):
         for side in sorted(sides, reverse=i % 2 == 0):  # parent, change; then change, parent
             for w in WORKLOADS:
                 bench[side][w].append(perfbench(sides[side], w))
-            for name, spec in RUNGS.items():
-                ladder[side][name].append(rung(sides[side], spec))
-            product[side].append(rung(sides[side], PRODUCT_FACTORS, PRODUCT_CODE))
-            sim[side].append(rung(sides[side], SIM_RUNG, SIM_CODE))
+            for name, (code, arg) in RUNGS.items():
+                runs[side][name].append(rung(sides[side], code, arg))
             print(f"round {i + 1}/{RUNS}: {side} done", file=sys.stderr)
+    rungs = {name: summarize_rung(runs["parent"][name], runs["change"][name]) for name in RUNGS}
 
     out = {"command": f"python3 tools/bench_pr.py --parent PARENT --out {args.out.name}",
            "runs_per_side": RUNS,
@@ -237,49 +256,22 @@ def main(argv=None) -> int:
            "ladder": {"what": "construct_pda(spec), one fresh process per rung "
                               "and run; raw wall seconds and ru_maxrss after it; then "
                               "validate_s, validate_pda on a fresh equal array, and io_s, "
-                              "canonical_relabel plus the text and JSON round trips"}}
-    for name, spec in RUNGS.items():
-        runs = {side: ladder[side][name] for side in sides}
-        digests = {r["digest"] for side in sides for r in runs[side]}
-        out["ladder"][name] = {
-            "spec": spec, "params_kfqs": runs["change"][0]["params_kfqs"],
-            "digests_equal": len(digests) == 1, "digest": min(digests),
-            "all_valid": all(r["valid"] for side in sides for r in runs[side]),
-            "round_trips_equal": all(r["round_trips_equal"] for side in sides for r in runs[side]),
-            **{stat: summarize([r[stat] for r in runs["parent"]],
-                               [r[stat] for r in runs["change"]])
-               for stat in RUNG_STATS}}
-    digests = {r["digest"] for side in sides for r in product[side]}
-    out["product"] = {
-        "what": "direct_product(a, b), the factors built and validated first, one fresh "
-                "process per run; raw wall seconds of the fastest of 7 calls in that "
-                "process, and ru_maxrss after them",
-        "factors": PRODUCT_FACTORS, "params_kfqs": product["change"][0]["params_kfqs"],
-        "digests_equal": len(digests) == 1, "digest": min(digests),
-        **{stat: summarize([r[stat] for r in product["parent"]],
-                           [r[stat] for r in product["change"]])
-           for stat in PRODUCT_STATS}}
-    digests = {r["digest"] for side in sides for r in sim[side]}
-    decoded = {r["decoded_digest"] for side in sides for r in sim[side]}
-    errors = {(r["error_digest"], r["decode_errors"]) for side in sides for r in sim[side]}
-    out["sim"] = {
-        "what": "on pg q=2 k=6 m=2 t=2 set 1, built first, one fresh process per run: "
-                "total_s is verify_scheme(p, 4, mode='sampled', samples=20, seed=7); "
-                "place_s is place plus size_bytes of every cache; decode_s is the 48 "
-                "decode calls (users 0, 41, ... on 3 demands, deliver untimed); raw "
-                "wall seconds, and ru_maxrss of the process; error_digest is the SHA-256 "
-                "of the DecodeError texts (or decoded files' digests) of the same calls "
-                "on caches with a corrupt, a dropped or a 17-byte starred packet",
-        "spec": SIM_RUNG, "demands": sim["change"][0]["demands"],
-        "all_ok": all(r["ok"] for side in sides for r in sim[side]),
-        "report_digests_equal": len(digests) == 1, "report_digest": min(digests),
-        "decoded_digests_equal": len(decoded) == 1, "decoded_digest": min(decoded),
-        "error_digests_equal": len(errors) == 1,
-        "error_digests": {side: sorted({r["error_digest"] for r in sim[side]})
-                          for side in sides},
-        "decode_errors": min(errors)[1],
-        **{stat: summarize([r[stat] for r in sim["parent"]], [r[stat] for r in sim["change"]])
-           for stat in SIM_STATS}}
+                              "canonical_relabel plus the text and JSON round trips",
+                      **{name: {"spec": spec, **rungs[name]} for name, spec in LADDER.items()}},
+           "product": {
+               "what": "direct_product(a, b), the factors built and validated first, one fresh "
+                       "process per run; raw wall seconds of the fastest of 7 calls in that "
+                       "process, and ru_maxrss after them",
+               "factors": PRODUCT_FACTORS, **rungs["product"]},
+           "sim": {
+               "what": "on pg q=2 k=6 m=2 t=2 set 1, built first, one fresh process per run: "
+                       "total_s is verify_scheme(p, 4, mode='sampled', samples=20, seed=7); "
+                       "place_s is place plus size_bytes of every cache; decode_s is the 48 "
+                       "decode calls (users 0, 41, ... on 3 demands, deliver untimed); raw "
+                       "wall seconds, and ru_maxrss of the process; error_digest is the "
+                       "SHA-256 of the DecodeError texts (or decoded files' digests) of the "
+                       "same calls on caches with a corrupt, a dropped or a 17-byte starred "
+                       "packet", "spec": SIM_RUNG, **rungs["sim"]}}
     args.out.write_text(json.dumps(out, indent=2) + "\n")
     return 0
 
