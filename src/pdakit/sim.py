@@ -9,6 +9,15 @@ that symbol's cells.  Decoding peels each transmission with side packets that
 condition C3 guarantees are cached, read from the user's own cache, so a
 corrupt or missing packet is a failure that `verify_scheme` records.
 
+There is one sender, `_transmit`, which `deliver` and `verify_scheme` both
+call.  It gives a demand's S payloads packed in one int, payload 1 in the
+top packet_size bytes.  With the words table (`_words`: per user and file,
+that file's packets at the user's non-star cells, each in its symbol's slot)
+the payloads are the XOR of the K users' demanded words; without it they are
+XORed cell by cell and packed.  `verify_scheme` builds the table once when it
+fits in MAX_WORDS_BYTES (K * N * S * packet_size bytes) and otherwise runs
+cell by cell; `deliver` sends one demand and never builds it.
+
 There is one peel, `_peel`: one pass down the user's column, in row order,
 reading each packet from the cache as it reaches it.  A cache's packet is
 used only if it is exactly the transmissions' length.  `decode` runs the peel
@@ -16,19 +25,22 @@ once, and `verify_scheme` on every demand for each user whose cache is
 faulty.  By C3 every side packet a user needs sits in a starred row of its
 own cache, so for a user whose cache holds the library's packets a coded row
 decodes right iff its payload equals the library XOR over its symbol's
-cells: `verify_scheme` checks each payload once per demand instead of
-peeling those users.  Only a placed cache never written to or deleted from
-counts as holding them; every other cache is peeled.
+cells: `verify_scheme` checks the packed payloads once per demand, against
+the same XOR derived again apart from the sender so that a faulty sender
+shows up, instead of peeling those users.  Only a placed cache never written
+to or deleted from counts as holding them; every other cache is peeled.
 """
 
 import itertools
 import random
+import time
 from collections import defaultdict
 from collections.abc import MutableMapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import chain, compress
+from functools import cached_property, reduce
+from itertools import chain, compress, repeat
+from operator import getitem, xor
 
 from .pda import STAR, Pda, require_valid
 
@@ -198,16 +210,64 @@ def place(p: Pda, lib: FileLibrary) -> list[CacheContents]:
     return [CacheContents(k, PlacedPackets(lib, mask)) for k, mask in enumerate(p.star_columns)]
 
 
-def _transmit(p: Pda, ints: list[list[int]], demand: tuple) -> list[int]:
-    """The S payloads as ints: per symbol, the XOR of the demanded packets."""
+def _words(p: Pda, lib: FileLibrary) -> list[list[int]]:
+    """Per user k and file i, one int: file i's packets at k's non-star
+    cells, each in its symbol's slot of packet_size bytes, symbol 1 in the
+    top slot, zero bytes in every other slot.  By C3 no two of a column's
+    cells share a symbol, so no slot is written twice."""
+    size = lib.packet_size
+    width = p.s * size
+    slots = [[] for _ in range(p.k)]  # per user, (row, first byte of the slot)
+    for s, cells in p.symbol_cells.items():
+        at = (s - 1) * size
+        for j, k in cells:
+            slots[k].append((j, at))
+    words = []
+    for mine in slots:
+        row = []
+        for file in lib.packets:
+            buf = bytearray(width)
+            for j, at in mine:
+                buf[at:at + size] = file[j]
+            row.append(int.from_bytes(buf, "big"))
+        words.append(row)
+    return words
+
+
+def _cell_xors(p: Pda, ints: list[list[int]], demand: tuple) -> list[int]:
+    """The S payloads as ints, cell by cell: per symbol, the XOR of the
+    demanded packets."""
     cells = p.symbol_cells
+    wanted = list(map(ints.__getitem__, demand))  # per user, its demanded file's packets
     out = []
     for s in range(1, p.s + 1):
         acc = 0
         for j, k in cells.get(s, ()):
-            acc ^= ints[demand[k]][j]
+            acc ^= wanted[k][j]
         out.append(acc)
     return out
+
+
+def _pack(payloads: list[int], size: int) -> int:
+    """S payload ints as one int, payload 1 in the top size bytes."""
+    return int.from_bytes(b"".join(map(int.to_bytes, payloads, repeat(size), repeat("big"))),
+                          "big")
+
+
+def _transmit(p: Pda, ints: list[list[int]], demand: tuple, size: int,
+              words: list[list[int]] | None = None) -> int:
+    """The S payloads, per symbol the XOR of the demanded packets, packed in
+    one int with symbol s in bytes (s-1)*size onward from the top: from the
+    words table when given, K XORs in C, otherwise cell by cell."""
+    if words is not None:
+        return reduce(xor, map(getitem, words, demand))
+    return _pack(_cell_xors(p, ints, demand), size)
+
+
+def _unpack(sent: int, size: int, s: int) -> list[int]:
+    """The S payload ints of a packed transmission."""
+    raw = sent.to_bytes(s * size, "big")
+    return [int.from_bytes(raw[at:at + size], "big") for at in range(0, s * size, size)]
 
 
 def _unusable(p: Pda, packets, by_row: dict, size: int, user: int,
@@ -261,7 +321,9 @@ def deliver(p: Pda, lib: FileLibrary, demand) -> list[bytes]:
         raise ValueError(f"demand vector needs {p.k} entries")
     if any(not 0 <= d < lib.n for d in demand):
         raise ValueError("demand entry outside the library")
-    return [x.to_bytes(lib.packet_size, "big") for x in _transmit(p, lib._ints, demand)]
+    size = lib.packet_size
+    raw = _transmit(p, lib._ints, demand, size).to_bytes(p.s * size, "big")
+    return [raw[at:at + size] for at in range(0, p.s * size, size)]
 
 
 def decode(p: Pda, cache: CacheContents, transmissions: list[bytes],
@@ -320,6 +382,10 @@ class SimReport:
 
 
 MAX_EXHAUSTIVE = 1 << 20  # most demand vectors an explicit exhaustive run takes
+# Largest words table (K * N * S * packet_size bytes) verify_scheme builds: a
+# small array's table is at most a few hundred KB, while K=651 with N=4 would
+# need 27 MB, near the whole process's resident memory, so it runs cell by cell.
+MAX_WORDS_BYTES = 1 << 20
 
 
 def _demand_set(p: Pda, n: int, mode: str, samples: int, rng: random.Random):
@@ -350,7 +416,8 @@ def _demand_set(p: Pda, n: int, mode: str, samples: int, rng: random.Random):
 
 
 def verify_scheme(p: Pda, n_files: int, mode: str = "auto", samples: int = 200,
-                  seed: int = 1, packet_size: int = 16) -> SimReport:
+                  seed: int = 1, packet_size: int = 16,
+                  stats: dict | None = None) -> SimReport:
     """Run the full scheme over a demand set and report decode failures.
 
     auto mode sweeps every demand vector when there are at most 4096 of them,
@@ -368,17 +435,37 @@ def verify_scheme(p: Pda, n_files: int, mode: str = "auto", samples: int = 200,
     peeled, whatever it holds.
     By C3 each side packet a user needs sits in one of its starred rows, so
     a clean user decodes coded row j with symbol s right iff payload s
-    equals the library XOR over all of s's cells: each payload is checked
-    once per demand and a wrong one fails every clean user in its columns.
-    Clean users are never peeled.  Every other user's cache is grouped by
-    row once, and `_peel` runs on it for every demand: it is exact for any
+    equals the library XOR over all of s's cells: the check re-derives that
+    XOR from the library, apart from `_transmit`, so a faulty sender shows
+    up, and a wrong payload fails every clean user in its columns.  Clean
+    users are never peeled.  Every other user's cache is grouped by row
+    once, and `_peel` runs on it for every demand: it is exact for any
     cache.
+
+    The demand loop has two forms with the same reports.  When the words
+    table (`_words`: K * N * S * packet_size bytes) fits in MAX_WORDS_BYTES,
+    it is built once, and the sender and the check each take a demand's
+    packed payloads as K big-int XORs of the users' demanded words.
+    Otherwise both XOR cell by cell and pack the S payloads.  Either way
+    the S payloads are compared as one int, and only a mismatch is split
+    into its symbols' slots; they are unpacked for `_peel` only when some
+    cache is faulty.
+
+    stats, when a dict, receives: setup_s and loop_s (seconds before the
+    first demand and in the demand loop), demands_per_s, users_peeled (the
+    users whose cache is not clean), loop ("words" or "cells") and
+    words_bytes (the table's size, built or not).  None costs nothing.
     """
+    if stats is not None:
+        t0 = time.perf_counter()
     require_valid(p, "refusing to simulate an invalid PDA")
     rng = random.Random(seed)
     lib = FileLibrary.random(n_files, p.f, packet_size, seed=rng.randrange(2 ** 32))
     demands, mode_used = _demand_set(p, n_files, mode, samples, rng)
     ints = lib._ints
+    width = p.s * packet_size
+    words_bytes = p.k * n_files * width
+    words = _words(p, lib) if words_bytes <= MAX_WORDS_BYTES else None
     masks = p.star_columns
     faulty = []  # (user, its cache, grouped by row) for each user whose cache is not clean
     for user, cache in enumerate(place(p, lib)):
@@ -387,24 +474,42 @@ def verify_scheme(p: Pda, n_files: int, mode: str = "auto", samples: int = 200,
             faulty.append((user, packets, _int_rows(packets, packet_size)))
     not_clean = {user for user, _, _ in faulty}
     cells_of = p.symbol_cells
-    symbols = [(cells_of[s], [k for _, k in cells_of[s] if k not in not_clean])
-               for s in range(1, p.s + 1)]  # (cells, clean users in its columns)
+    listeners = [[k for _, k in cells_of[s] if k not in not_clean]
+                 for s in range(1, p.s + 1)]  # per symbol, the clean users in its columns
     failures, tested = [], 0
+    if stats is not None:
+        t1 = time.perf_counter()
     for demand in demands:
         tested += 1
-        tx = _transmit(p, ints, demand)
+        sent = _transmit(p, ints, demand, packet_size, words)
+        if words is not None:
+            truth = reduce(xor, map(getitem, words, demand))
+        else:
+            truth = _pack(_cell_xors(p, ints, demand), packet_size)
+        if sent == truth and not faulty:
+            continue
         failed = set()
-        for acc, (cells, clean) in zip(tx, symbols):
-            for j, k in cells:
-                acc ^= ints[demand[k]][j]
-            if acc:  # payload differs from the library XOR over its cells
-                failed.update(clean)
-        for user, packets, by_row in faulty:
-            try:
-                if _peel(p, packets, by_row, user, tx, demand, packet_size) != ints[demand[user]]:
+        if sent != truth:  # fail the clean listeners of each symbol whose slot differs
+            diff = (sent ^ truth).to_bytes(width, "big")
+            for at, clean in zip(range(0, width, packet_size), listeners):
+                if any(diff[at:at + packet_size]):
+                    failed.update(clean)
+        if faulty:
+            tx = _unpack(sent, packet_size, p.s)
+            for user, packets, by_row in faulty:
+                try:
+                    right = _peel(p, packets, by_row, user, tx, demand,
+                                  packet_size) == ints[demand[user]]
+                except DecodeError:
+                    right = False
+                if not right:
                     failed.add(user)
-            except DecodeError:
-                failed.add(user)
         failures.extend((demand, user) for user in sorted(failed))
+    if stats is not None:
+        t2 = time.perf_counter()
+        stats.update(setup_s=t1 - t0, loop_s=t2 - t1,
+                     demands_per_s=tested / (t2 - t1) if t2 > t1 else 0.0,
+                     users_peeled=len(faulty), loop="cells" if words is None else "words",
+                     words_bytes=words_bytes)
     return SimReport((p.k, p.f, p.q, p.s), mode_used, tested, failures,
                      Fraction(p.s, p.f), p.s * packet_size)

@@ -348,7 +348,7 @@ def test_verify_scheme_agrees_with_decode_on_a_faulty_cache_and_payload(
     """One cached packet corrupted or dropped, and on about half the demands
     one payload flipped in the same bit, so the faults sometimes cancel: users
     peeled from a faulty cache and users judged by the payload check agree
-    with deliver then decode."""
+    with deliver then decode, in both forms of the demand loop."""
     real_place, real_transmit, seen = sim.place, sim._transmit, {}
 
     def faulty_place(p, lib):
@@ -361,20 +361,59 @@ def test_verify_scheme_agrees_with_decode_on_a_faulty_cache_and_payload(
         seen.update(lib=lib, caches=caches)
         return caches
 
-    def faulty_transmit(p, ints, demand):
-        payloads = real_transmit(p, ints, demand)
-        if (sum(demand) + symbol) % 2:
-            payloads[symbol % p.s] ^= 1 << bit
+    def faulty_transmit(p, ints, demand, size, words=None):
+        payloads = real_transmit(p, ints, demand, size, words)
+        if (sum(demand) + symbol) % 2:  # payload symbol % S + 1, in its slot from the top
+            payloads ^= 1 << (bit + 8 * size * (p.s - 1 - symbol % p.s))
         return payloads
 
+    real_budget = sim.MAX_WORDS_BYTES
     sim.place, sim._transmit = faulty_place, faulty_transmit
     try:
-        rep = verify_scheme(p, n, mode="exhaustive")
+        reports = []
+        for budget in (real_budget, 0):  # the words loop, then the cells loop
+            sim.MAX_WORDS_BYTES = budget
+            reports.append(verify_scheme(p, n, mode="exhaustive"))
         expect = decode_failures(p, seen["lib"], seen["caches"], n)
     finally:
-        sim.place, sim._transmit = real_place, real_transmit
-    assert rep.failures == expect
-    assert rep.demands_tested == n ** p.k
+        sim.place, sim._transmit, sim.MAX_WORDS_BYTES = real_place, real_transmit, real_budget
+    for rep in reports:
+        assert rep.failures == expect
+        assert rep.demands_tested == n ** p.k
+
+
+@settings(FIXED, max_examples=80)
+@given(valid_pdas(), st.integers(1, 3), st.sampled_from(["exhaustive", "sampled", "adversarial"]),
+       st.sampled_from(["clean", "corrupt", "drop"]), st.integers(0, 2 ** 16),
+       st.integers(0, 2 ** 8))
+def test_words_and_cells_loops_give_the_same_report(p, n, mode, edit, pick, seed):
+    """The demand loop on the words table and cell by cell (a table budget of
+    0) give byte-identical report JSON, with clean caches and with one cache
+    edited."""
+    real_place, real_budget = sim.place, sim.MAX_WORDS_BYTES
+
+    def edited_place(p, lib):
+        caches = real_place(p, lib)
+        if edit != "clean":
+            cache = caches[pick % p.k]
+            key = sorted(cache.packets)[pick % len(cache.packets)]
+            pk = cache.packets.pop(key)
+            if edit == "corrupt":
+                cache.packets[key] = bytes([pk[0] ^ 1]) + pk[1:]
+        return caches
+
+    reports, loops = [], []
+    sim.place = edited_place
+    try:
+        for budget in (real_budget, 0):
+            sim.MAX_WORDS_BYTES, stats = budget, {}
+            rep = verify_scheme(p, n, mode=mode, samples=10, seed=seed, stats=stats)
+            reports.append(json.dumps(rep.to_json()))
+            loops.append(stats["loop"])
+    finally:
+        sim.place, sim.MAX_WORDS_BYTES = real_place, real_budget
+    assert loops == ["words", "cells"]
+    assert reports[0] == reports[1]
 
 
 CACHE_EDITS = st.lists(st.tuples(

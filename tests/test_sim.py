@@ -209,12 +209,15 @@ def test_verify_scheme_exhaustive_limit(monkeypatch):
         built.append((len(values), repeat))
         return iter([(0,) * repeat])
 
+    tables = []  # the words table is built after the demand set, so never here
+    real_words = sim._words
     monkeypatch.setattr(itertools, "product", product)
+    monkeypatch.setattr(sim, "_words", lambda p, lib: tables.append(p) or real_words(p, lib))
     assert sim.MAX_EXHAUSTIVE == 2 ** 20
     for n in (3, 4):
         with pytest.raises(ValueError, match=rf"{n}\^20 demand vectors.*2\^20"):
             verify_scheme(wide, n, mode="exhaustive")
-    assert built == []
+    assert built == [] and tables == []
     assert verify_scheme(wide, 2, mode="exhaustive").demands_tested == 1
     assert built == [(2, 20)]
 
@@ -253,6 +256,19 @@ def test_report_json():
 # --- fault injection: verify_scheme reads what place and delivery produced ---
 
 FANO_PG = construct_pda(ConstructionSpec("pg", 1, q=2, k=3, m=1, t=1))  # K=F=7
+
+
+def _loops(monkeypatch):
+    """Set verify_scheme's demand loop to each form in turn, yielding its
+    name: on the words table, then cell by cell (a table budget of 0)."""
+    for form, budget in (("words", sim.MAX_WORDS_BYTES), ("cells", 0)):
+        monkeypatch.setattr(sim, "MAX_WORDS_BYTES", budget)
+        yield form
+
+
+def _flip(payloads: int, p: Pda, symbol: int, bit: int, size: int) -> int:
+    """The packed payloads with bit `bit` of payload `symbol` flipped."""
+    return payloads ^ (1 << (bit + 8 * size * (p.s - symbol)))
 
 
 def test_decode_demand_outside_the_library():
@@ -321,29 +337,32 @@ def test_verify_records_faulty_cached_packet(monkeypatch, fault):
         return caches
 
     monkeypatch.setattr(sim, "place", place)
-    rep = verify_scheme(FANO_PG, 3, mode="exhaustive")
     expect = [(d, user) for d in itertools.product(range(3), repeat=7)
               if (file, row) in _reads(FANO_PG, user, d)]
-    assert not rep.ok
-    assert rep.failures == expect
-    assert 0 < len(expect) < rep.demands_tested
+    for _ in _loops(monkeypatch):
+        rep = verify_scheme(FANO_PG, 3, mode="exhaustive")
+        assert not rep.ok
+        assert rep.failures == expect
+        assert 0 < len(expect) < rep.demands_tested
 
 
 def test_verify_records_corrupt_transmission(monkeypatch):
     symbol = 2
-    real_transmit = sim._transmit
+    real_transmit, forms = sim._transmit, []
 
-    def transmit(p, ints, demand):
-        payloads = real_transmit(p, ints, demand)
-        payloads[symbol - 1] ^= 1 << 7
-        return payloads
+    def transmit(p, ints, demand, size, words=None):
+        forms.append("cells" if words is None else "words")
+        return _flip(real_transmit(p, ints, demand, size, words), p, symbol, 7, size)
 
     monkeypatch.setattr(sim, "_transmit", transmit)
-    rep = verify_scheme(FANO_PG, 2, mode="exhaustive")
     listeners = sorted({k for _, k in FANO_PG.symbol_cells[symbol]})
     assert 0 < len(listeners) < FANO_PG.k
-    assert rep.failures == [(d, u) for d in itertools.product(range(2), repeat=7)
-                            for u in listeners]
+    for loop in _loops(monkeypatch):
+        forms.clear()
+        rep = verify_scheme(FANO_PG, 2, mode="exhaustive")
+        assert set(forms) == {loop}
+        assert rep.failures == [(d, u) for d in itertools.product(range(2), repeat=7)
+                                for u in listeners]
 
 
 def test_verify_records_cancelling_double_fault(monkeypatch):
@@ -364,23 +383,22 @@ def test_verify_records_cancelling_double_fault(monkeypatch):
         seen.update(lib=lib, caches=caches)
         return caches
 
-    def transmit(p, ints, demand):
-        payloads = real_transmit(p, ints, demand)
-        payloads[s - 1] ^= 1 << bit
-        return payloads
+    def transmit(p, ints, demand, size, words=None):  # deliver's calls included
+        return _flip(real_transmit(p, ints, demand, size, words), p, s, bit, size)
 
     monkeypatch.setattr(sim, "place", place)
     monkeypatch.setattr(sim, "_transmit", transmit)
-    rep = verify_scheme(FANO_PG, 2, mode="exhaustive")
-    expect = decode_failures(FANO_PG, seen["lib"], seen["caches"], 2)  # deliver reads the patch
-    assert rep.failures == expect
-    cancelled = [d for d in itertools.product(range(2), repeat=7)
-                 if d[k2] == file and (d, user) not in expect]
-    assert cancelled
-    # the other users in symbol s's columns have clean caches and always fail
-    others = {k for _, k in FANO_PG.symbol_cells[s]} - {user}
-    assert {(d, k) for d, k in expect if k in others} == {
-        (d, k) for d in itertools.product(range(2), repeat=7) for k in others}
+    for _ in _loops(monkeypatch):
+        rep = verify_scheme(FANO_PG, 2, mode="exhaustive")
+        expect = decode_failures(FANO_PG, seen["lib"], seen["caches"], 2)  # deliver reads the patch
+        assert rep.failures == expect
+        cancelled = [d for d in itertools.product(range(2), repeat=7)
+                     if d[k2] == file and (d, user) not in expect]
+        assert cancelled
+        # the other users in symbol s's columns have clean caches and always fail
+        others = {k for _, k in FANO_PG.symbol_cells[s]} - {user}
+        assert {(d, k) for d, k in expect if k in others} == {
+            (d, k) for d in itertools.product(range(2), repeat=7) for k in others}
 
 
 def test_verify_scheme_streams_demands(monkeypatch):
@@ -394,15 +412,17 @@ def test_verify_scheme_streams_demands(monkeypatch):
             events.append("draw")
             yield demand
 
-    def transmit(p, ints, demand):
-        events.append("send")
-        return real_transmit(p, ints, demand)
+    def transmit(p, ints, demand, size, words=None):
+        events.append("send" if (words is None) == (loop == "cells") else "other form")
+        return real_transmit(p, ints, demand, size, words)
 
     monkeypatch.setattr(itertools, "product", product)
     monkeypatch.setattr(sim, "_transmit", transmit)
-    rep = verify_scheme(FANO_PG, 2, mode="exhaustive")
-    assert rep.ok and rep.demands_tested == 2 ** 7
-    assert events == ["draw", "send"] * 2 ** 7
+    for loop in _loops(monkeypatch):
+        events.clear()
+        rep = verify_scheme(FANO_PG, 2, mode="exhaustive")
+        assert rep.ok and rep.demands_tested == 2 ** 7
+        assert events == ["draw", "send"] * 2 ** 7
 
 
 def test_clean_users_are_never_peeled(monkeypatch):
@@ -416,9 +436,6 @@ def test_clean_users_are_never_peeled(monkeypatch):
         return real_peel(p, packets, by_row, user, *rest)
 
     monkeypatch.setattr(sim, "_peel", peel)
-    assert verify_scheme(FANO_PG, 3, mode="exhaustive").ok
-    assert calls == []
-
     user, file = 3, 1
     row = next(j for j, r in enumerate(FANO_PG.grid) if r[user] == STAR)
 
@@ -428,11 +445,17 @@ def test_clean_users_are_never_peeled(monkeypatch):
         caches[user].packets[(file, row)] = bytes([pk[0] ^ 1]) + pk[1:]
         return caches
 
-    monkeypatch.setattr(sim, "place", place)
-    rep = verify_scheme(FANO_PG, 3, mode="exhaustive")
-    assert calls == [user]
-    assert rep.failures == [(d, user) for d in itertools.product(range(3), repeat=7)
-                            if (file, row) in _reads(FANO_PG, user, d)]
+    for _ in _loops(monkeypatch):
+        calls.clear()
+        monkeypatch.setattr(sim, "place", real_place)
+        assert verify_scheme(FANO_PG, 3, mode="exhaustive").ok
+        assert calls == []
+
+        monkeypatch.setattr(sim, "place", place)
+        rep = verify_scheme(FANO_PG, 3, mode="exhaustive")
+        assert calls == [user]
+        assert rep.failures == [(d, user) for d in itertools.product(range(3), repeat=7)
+                                if (file, row) in _reads(FANO_PG, user, d)]
 
 
 def _count_decoders(monkeypatch) -> list:
@@ -473,8 +496,10 @@ def test_edited_cache_still_holding_the_library_is_peeled(monkeypatch, edit):
         return caches
 
     monkeypatch.setattr(sim, "place", place)
-    assert verify_scheme(FANO_PG, 3, mode="exhaustive").ok
-    assert calls == [user]
+    for _ in _loops(monkeypatch):
+        calls.clear()
+        assert verify_scheme(FANO_PG, 3, mode="exhaustive").ok
+        assert calls == [user]
 
 
 def test_plain_dict_caches_are_peeled(monkeypatch):
@@ -489,14 +514,16 @@ def test_plain_dict_caches_are_peeled(monkeypatch):
         caches[user].packets[(file, row)] = bytes([pk[0] ^ 1]) + pk[1:]
         return caches
 
-    monkeypatch.setattr(sim, "place", lambda p, lib: corrupt(real_place(p, lib)))
-    with_views = verify_scheme(FANO_PG, 3, mode="exhaustive").to_json()
     calls = _count_decoders(monkeypatch)
-    monkeypatch.setattr(sim, "place", lambda p, lib: corrupt(
-        [CacheContents(c.user, dict(c.packets)) for c in real_place(p, lib)]))
-    with_dicts = verify_scheme(FANO_PG, 3, mode="exhaustive").to_json()
-    assert calls == list(range(FANO_PG.k))
-    assert with_dicts == with_views and with_views["failures"]
+    for _ in _loops(monkeypatch):
+        monkeypatch.setattr(sim, "place", lambda p, lib: corrupt(real_place(p, lib)))
+        with_views = verify_scheme(FANO_PG, 3, mode="exhaustive").to_json()
+        calls.clear()
+        monkeypatch.setattr(sim, "place", lambda p, lib: corrupt(
+            [CacheContents(c.user, dict(c.packets)) for c in real_place(p, lib)]))
+        with_dicts = verify_scheme(FANO_PG, 3, mode="exhaustive").to_json()
+        assert calls == list(range(FANO_PG.k))
+        assert with_dicts == with_views and with_views["failures"]
 
 
 # --- decode checks its inputs as deliver does ---
@@ -590,10 +617,11 @@ def test_a_cached_packet_of_another_length_is_not_right(monkeypatch, kind):
                   (1,) * 7, user) == _LIB.file(1)  # this demand does not read it
 
     monkeypatch.setattr(sim, "place", place)
-    rep = verify_scheme(FANO_PG, 2, mode="exhaustive")
-    assert rep.failures == [(d, user) for d in itertools.product(range(2), repeat=7)
-                            if (file, row) in _reads(FANO_PG, user, d)]
-    assert rep.failures == decode_failures(FANO_PG, seen["lib"], seen["caches"], 2)
+    for _ in _loops(monkeypatch):
+        rep = verify_scheme(FANO_PG, 2, mode="exhaustive")
+        assert rep.failures == [(d, user) for d in itertools.product(range(2), repeat=7)
+                                if (file, row) in _reads(FANO_PG, user, d)]
+        assert rep.failures == decode_failures(FANO_PG, seen["lib"], seen["caches"], 2)
 
 
 # --- a placed cache is the library until its first write or delete ---
@@ -639,8 +667,9 @@ def test_deleting_an_absent_key_leaves_a_placed_cache_unedited(monkeypatch):
         return caches
 
     monkeypatch.setattr(sim, "place", place_and_delete)
-    assert verify_scheme(FANO_PG, 2, mode="exhaustive").ok
-    assert calls == []
+    for _ in _loops(monkeypatch):
+        assert verify_scheme(FANO_PG, 2, mode="exhaustive").ok
+        assert calls == []
 
 
 @pytest.mark.parametrize("edit", ["set", "del", "extra"])
@@ -673,3 +702,77 @@ def test_writing_one_cache_leaves_the_rest_alone(edit):
                for j, r in enumerate(FANO_PG.grid) if r[0] == STAR)
     assert sim._int_rows(caches[user].packets, 16)[row] is not lib._row_ints[row]
     assert lib._row_ints == row_ints_before
+
+
+# --- the demand loop's two forms ---
+
+def test_words_hold_each_users_packets_in_their_symbols_slots():
+    """words[k][i] from the definition: slot s (symbol 1 on top) holds packet
+    (i, j) for the cell (j, k) with symbol s, and every other byte is zero."""
+    p = FANO_PG
+    lib = FileLibrary.random(3, p.f, packet_size=4, seed=2)
+    words = sim._words(p, lib)
+    assert len(words) == p.k and all(len(row) == lib.n for row in words)
+    for k in range(p.k):
+        for i in range(lib.n):
+            slots = [bytes(4)] * p.s
+            for j, row in enumerate(p.grid):
+                if row[k] != STAR:
+                    slots[row[k] - 1] = lib.packets[i][j]
+            assert words[k][i].to_bytes(p.s * 4, "big") == b"".join(slots)
+    # a demand's payloads are the XOR of the users' words, as deliver sends them
+    demand = (0, 1, 2, 0, 1, 2, 0)
+    packed = b"".join(deliver(p, lib, demand))
+    total = 0
+    for k, i in enumerate(demand):
+        total ^= words[k][i]
+    assert total.to_bytes(p.s * 4, "big") == packed
+
+
+def test_words_budget_picks_the_loop(monkeypatch):
+    """The table is built exactly when K * N * S * packet_size fits in
+    MAX_WORDS_BYTES, and both forms give the same report."""
+    need = FANO_PG.k * 3 * FANO_PG.s * 16
+    reports = {}
+    for budget, form in ((need, "words"), (need - 1, "cells"), (1 << 20, "words")):
+        monkeypatch.setattr(sim, "MAX_WORDS_BYTES", budget)
+        stats = {}
+        reports[budget] = verify_scheme(FANO_PG, 3, stats=stats).to_json()
+        assert stats["loop"] == form and stats["words_bytes"] == need
+    assert reports[need] == reports[need - 1] == reports[1 << 20]
+
+
+def test_verify_scheme_stats(monkeypatch):
+    """stats on a sweep array (the words table) and on the K=651 array (cell
+    by cell: its table would need 27 MB); None leaves the report alone."""
+    p = construct_pda(ConstructionSpec("tdesign-b", 1, design="complete:6:3", t1=1, t2=2))
+    stats = {}
+    rep = verify_scheme(p, 4, stats=stats)
+    assert rep.to_json() == verify_scheme(p, 4, stats=None).to_json()
+    assert set(stats) == {"setup_s", "loop_s", "demands_per_s", "users_peeled", "loop",
+                          "words_bytes"}
+    assert stats["loop"] == "words" and stats["users_peeled"] == 0
+    assert stats["words_bytes"] == p.k * 4 * p.s * 16 <= sim.MAX_WORDS_BYTES
+    assert rep.demands_tested == 4 ** p.k == 4096
+    assert stats["setup_s"] > 0 and stats["loop_s"] > 0
+    assert stats["demands_per_s"] == pytest.approx(4096 / stats["loop_s"])
+
+    big = construct_pda(ConstructionSpec("pg", 1, q=2, k=6, m=2, t=2))
+    stats = {}
+    rep = verify_scheme(big, 4, mode="sampled", samples=2, stats=stats)
+    assert big.k == 651 and rep.ok
+    assert stats["loop"] == "cells" and stats["users_peeled"] == 0
+    assert stats["words_bytes"] == 651 * 4 * big.s * 16 > sim.MAX_WORDS_BYTES
+    assert stats["demands_per_s"] == pytest.approx(rep.demands_tested / stats["loop_s"])
+
+    user, real_place = 3, sim.place
+
+    def place(p, lib):
+        caches = real_place(p, lib)
+        caches[user].packets[(0, 0)] = caches[user].packets[(0, 0)]  # written: peeled
+        return caches
+
+    monkeypatch.setattr(sim, "place", place)
+    stats = {}
+    assert verify_scheme(FANO_PG, 2, stats=stats).ok
+    assert stats["users_peeled"] == 1

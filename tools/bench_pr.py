@@ -27,7 +27,11 @@ SHA-256 of the decoded files, and ru_maxrss; last, untimed, the same users
 and demands decode from faulty caches, one fault per cache written through
 the mapping (a corrupt, a dropped and a 17-byte starred packet of the
 demanded file), and the rung records the SHA-256 of the DecodeError texts
-raised (a decoded file counts as its digest) and how many were raised.
+raised (a decoded file counts as its digest) and how many were raised; it
+also times exhaustive verify_scheme (4096 demands, N=4, seed 7) on
+tdesign-b complete:6:3 t1=1 t2=2, set 1 (small_s), with its report's
+SHA-256, and records which demand loop form ("words" or "cells", from
+verify_scheme's stats) each verify_scheme call ran.
 Rung times are raw wall seconds.  Every rung is summarized by one rule
 (summarize_rung): a float field is reported with each side's runs, median
 and quartiles, and the number of rounds in which the change read lower; a
@@ -105,17 +109,33 @@ print(json.dumps({"params_kfqs": [p.k, p.f, p.q, p.s],
                   "total_s": round(total, 4), "peak_rss_mb": round(rss, 1)}))
 """
 
-# verify_scheme, then place and decode, on the K=651 array, built first and
-# outside the timed calls
+# verify_scheme, then place and decode, on the K=651 array, and exhaustive
+# verify_scheme on a small array, each built first and outside the timed calls
 SIM_RUNG = LADDER["pg_q2_k6_m2_t2"]
+SIM_SMALL = dict(family="tdesign-b", design="complete:6:3", t1=1, t2=2)  # K=6: 4^6 demands
 SIM_CODE = """
-import hashlib, json, random, resource, sys, time
+import hashlib, inspect, json, random, resource, sys, time
 from pdakit import (ConstructionSpec, DecodeError, FileLibrary, construct_pda, decode,
                     deliver, place, verify_scheme)
-p = construct_pda(ConstructionSpec(**json.loads(sys.argv[1])))
-t0 = time.perf_counter()
-rep = verify_scheme(p, 4, mode="sampled", samples=20, seed=7)
-total = time.perf_counter() - t0
+spec, small_spec = json.loads(sys.argv[1])
+p = construct_pda(ConstructionSpec(**spec))
+small = construct_pda(ConstructionSpec(**small_spec))
+takes_stats = "stats" in inspect.signature(verify_scheme).parameters
+
+
+def timed_verify(*args, **kwargs):  # report, wall seconds, loop form (from stats, if taken)
+    stats = {}
+    t0 = time.perf_counter()
+    rep = verify_scheme(*args, **kwargs, **({"stats": stats} if takes_stats else {}))
+    return rep, time.perf_counter() - t0, stats.get("loop", "unrecorded")
+
+
+def report_digest(rep):
+    return hashlib.sha256(json.dumps(rep.to_json()).encode()).hexdigest()
+
+
+rep, total, loop = timed_verify(p, 4, mode="sampled", samples=20, seed=7)
+small_rep, small_s, small_loop = timed_verify(small, 4, mode="exhaustive", seed=7)
 rng = random.Random(7)
 lib = FileLibrary.random(4, p.f, 16, seed=rng.randrange(2 ** 32))
 demands = [tuple(rng.randrange(4) for _ in range(p.k)) for _ in range(3)]
@@ -152,17 +172,21 @@ for demand in demands:
             except DecodeError as e:
                 texts.append(str(e))
                 errors += 1
-print(json.dumps({"demands": rep.demands_tested, "all_ok": rep.ok,
-                  "report_digest": hashlib.sha256(json.dumps(rep.to_json()).encode()).hexdigest(),
+print(json.dumps({"demands": rep.demands_tested, "all_ok": rep.ok and small_rep.ok,
+                  "report_digest": report_digest(rep),
+                  "small_demands": small_rep.demands_tested,
+                  "small_report_digest": report_digest(small_rep),
+                  "loops": f"{loop}, {small_loop}",
                   "decoded_digest": decoded.hexdigest(),
                   "error_digest": hashlib.sha256(json.dumps(texts).encode()).hexdigest(),
                   "decode_errors": errors,
-                  "total_s": round(total, 3), "place_s": round(place_s, 4),
+                  "total_s": round(total, 3), "small_s": round(small_s, 3),
+                  "place_s": round(place_s, 4),
                   "decode_s": round(decode_s, 4), "peak_rss_mb": round(rss, 1)}))
 """
 # name -> (script, its argument): the ladder, then the product and sim rungs
 RUNGS = {**{name: (RUNG_CODE, spec) for name, spec in LADDER.items()},
-         "product": (PRODUCT_CODE, PRODUCT_FACTORS), "sim": (SIM_CODE, SIM_RUNG)}
+         "product": (PRODUCT_CODE, PRODUCT_FACTORS), "sim": (SIM_CODE, (SIM_RUNG, SIM_SMALL))}
 
 
 def _stdout_lines(cmd: list, tree: Path) -> list:
@@ -271,7 +295,10 @@ def main(argv=None) -> int:
                        "wall seconds, and ru_maxrss of the process; error_digest is the "
                        "SHA-256 of the DecodeError texts (or decoded files' digests) of the "
                        "same calls on caches with a corrupt, a dropped or a 17-byte starred "
-                       "packet", "spec": SIM_RUNG, **rungs["sim"]}}
+                       "packet; small_s is verify_scheme(small, 4, mode='exhaustive', seed=7), "
+                       "4096 demands on tdesign-b complete:6:3 t1=1 t2=2 set 1; loops are the "
+                       "demand loop forms of the two verify_scheme calls, from their stats",
+               "spec": SIM_RUNG, "small_spec": SIM_SMALL, **rungs["sim"]}}
     args.out.write_text(json.dumps(out, indent=2) + "\n")
     return 0
 
