@@ -268,6 +268,8 @@ def design_from_json(obj: dict) -> Design:
         v = _int(obj["v"])
         blocks = tuple(tuple(map(_int, blk)) for blk in obj["blocks"])
         tag = obj.get("tag", {})
+        if not isinstance(tag, dict):
+            raise TypeError(f"tag must be an object, got {tag!r}")
         t_params = config_params = None
         if "t-design" in tag:
             t_params = tuple(_int(tag["t-design"][key]) for key in ("t", "v", "k", "lambda"))

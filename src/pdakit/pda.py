@@ -199,9 +199,12 @@ def canonical_relabel(p: Pda) -> Pda:
 
 # --- text format ----------------------------------------------------------
 #
-# First line: "K F Q S", each an ASCII decimal.  Then F lines of K
-# whitespace-separated tokens, each "*" or an ASCII decimal symbol without
-# leading zeros.
+# First line: "K F Q S", each an ASCII decimal.  Then F lines of K tokens,
+# each "*" or an ASCII decimal symbol without leading zeros.  A line ends at
+# "\n", and a "\r" just before it is dropped; tokens are separated by runs
+# of spaces and tabs; a line of only spaces and tabs is skipped.  Every other
+# character, other Unicode whitespace too, is part of a token, so makes it a
+# bad one.
 
 
 class _Tokens(dict):
@@ -235,11 +238,20 @@ class _Symbols(dict):
         return v
 
 
+def _fields(line: str) -> filter:
+    """The tokens of a line: its runs of other than spaces and tabs."""
+    return filter(None, line.replace("\t", " ").split(" "))
+
+
 def parse_pda(text: str) -> Pda:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    # str.split() splits at every whitespace character: in ASCII text that
+    # holds none but spaces, tabs and "\n", the grammar's split, done in C.
+    plain = text.isascii() and not any(map(text.__contains__, "\r\x0b\x0c\x1c\x1d\x1e\x1f"))
+    fields = str.split if plain else _fields
+    lines = [ln for ln in text.replace("\r\n", "\n").split("\n") if ln.strip(" \t")]
     if not lines:
         raise PdaFormatError("empty PDA file")
-    header = lines[0].split()
+    header = list(fields(lines[0]))
     if len(header) != 4:
         raise PdaFormatError(f"header must be 'K F Q S', got {lines[0]!r}")
     try:
@@ -253,7 +265,7 @@ def parse_pda(text: str) -> Pda:
     symbol = _Symbols({"*": STAR}).__getitem__
     grid = []
     for ln in lines[1:]:
-        row = tuple(map(symbol, ln.split()))  # raises on the row's first bad token
+        row = tuple(map(symbol, fields(ln)))  # raises on the row's first bad token
         if len(row) != k:
             raise PdaFormatError(f"row {ln!r} has {len(row)} entries, expected {k}")
         grid.append(row)

@@ -9,19 +9,20 @@ that symbol's cells.  Decoding peels each transmission with side packets that
 condition C3 guarantees are cached, read from the user's own cache, so a
 corrupt or missing packet is a failure that `verify_scheme` records.
 
-There is one sender, `_transmit`, which `deliver` and `verify_scheme` both
-call.  It gives a demand's S payloads packed in one int, payload 1 in the
-top packet_size bytes.  With the words table (`_words`: per user and file,
-that file's packets at the user's non-star cells, each in its symbol's slot)
-the payloads are the XOR of the K users' demanded words; without it they are
-XORed cell by cell and packed.  `verify_scheme` builds the table once when it
-fits in MAX_WORDS_BYTES (K * N * S * packet_size bytes) and otherwise runs
-cell by cell; `deliver` sends one demand and never builds it.
+A demand's S payloads take one form in this module: one int, or its bytes,
+payload s in the slot of packet_size bytes at (s-1)*packet_size from the top.
+There is one sender, `_transmit`, which `deliver` and `verify_scheme` call.
+With the words table (`_words`: per user and file, that file's packets at the
+user's non-star cells, each in its symbol's slot) the payloads are the XOR of
+the K users' demanded words; without it `_pack_cells` XORs them cell by cell.
+`verify_scheme` builds the table when it fits in MAX_WORDS_BYTES (K * N * S *
+packet_size bytes); `deliver` sends one demand and never builds it.
 
 There is one peel, `_peel`: one pass down the user's column, in row order,
-reading each packet from the cache as it reaches it.  A cache's packet is
-used only if it is exactly the transmissions' length.  `decode` runs the peel
-once, and `verify_scheme` on every demand for each user whose cache is
+reading a coded row's payload as its slot of the packed bytes, and a packet
+from the cache, only if it is bytes of the transmissions' length under a
+(file, row) key, as it reaches it.  `decode` peels the joined transmissions
+once; `verify_scheme` peels on every demand for each user whose cache is
 faulty.  By C3 every side packet a user needs sits in a starred row of its
 own cache, so for a user whose cache holds the library's packets a coded row
 decodes right iff its payload equals the library XOR over its symbol's
@@ -163,10 +164,11 @@ def _clean(packets, lib: FileLibrary, mask: bytes) -> bool:
 
 def _int_rows(packets, size: int) -> dict[int, dict[int, int]]:
     """row -> file -> packet as an int, over a cache's mapping of (file, row)
-    -> payload, leaving out packets of other than size bytes: the cache
-    grouped by row, as `_peel` reads it.  An untouched `PlacedPackets` gives
-    the library's own row dicts, shared and whole: read them only; none when
-    the library's packets are not size bytes."""
+    -> payload, leaving out each entry whose key is not a pair (as `_placed`
+    does) or whose payload is not bytes or a bytearray of size bytes: the
+    cache grouped by row, as `_peel` reads it.  An untouched `PlacedPackets`
+    gives the library's own row dicts, shared and whole: read them only;
+    none when the library's packets are not size bytes."""
     if isinstance(packets, PlacedPackets):
         if packets._own is None:
             lib, mask = packets._lib, packets._mask
@@ -175,9 +177,10 @@ def _int_rows(packets, size: int) -> dict[int, dict[int, int]]:
             return {j: lib._row_ints[j] for j in compress(range(len(mask)), mask)}
         packets = packets._own
     by_row = defaultdict(dict)
-    for (i, j), pk in packets.items():
-        if len(pk) == size:
-            by_row[j][i] = int.from_bytes(pk, "big")
+    for key, pk in packets.items():
+        if (isinstance(pk, (bytes, bytearray)) and len(pk) == size
+                and isinstance(key, tuple) and len(key) == 2):
+            by_row[key[1]][key[0]] = int.from_bytes(pk, "big")
     return by_row
 
 
@@ -234,24 +237,17 @@ def _words(p: Pda, lib: FileLibrary) -> list[list[int]]:
     return words
 
 
-def _cell_xors(p: Pda, ints: list[list[int]], demand: tuple) -> list[int]:
-    """The S payloads as ints, cell by cell: per symbol, the XOR of the
-    demanded packets."""
-    cells = p.symbol_cells
+def _pack_cells(p: Pda, ints: list[list[int]], demand: tuple, size: int) -> int:
+    """The S payloads packed in one int, cell by cell: per symbol 1..S, the
+    XOR of the demanded packets at its cells, appended as size bytes."""
     wanted = list(map(ints.__getitem__, demand))  # per user, its demanded file's packets
-    out = []
-    for s in range(1, p.s + 1):
+    packed = bytearray()
+    for cells in map(p.symbol_cells.get, range(1, p.s + 1), repeat(())):
         acc = 0
-        for j, k in cells.get(s, ()):
+        for j, k in cells:
             acc ^= wanted[k][j]
-        out.append(acc)
-    return out
-
-
-def _pack(payloads: list[int], size: int) -> int:
-    """S payload ints as one int, payload 1 in the top size bytes."""
-    return int.from_bytes(b"".join(map(int.to_bytes, payloads, repeat(size), repeat("big"))),
-                          "big")
+        packed += acc.to_bytes(size, "big")
+    return int.from_bytes(packed, "big")
 
 
 def _transmit(p: Pda, ints: list[list[int]], demand: tuple, size: int,
@@ -261,21 +257,17 @@ def _transmit(p: Pda, ints: list[list[int]], demand: tuple, size: int,
     words table when given, K XORs in C, otherwise cell by cell."""
     if words is not None:
         return reduce(xor, map(getitem, words, demand))
-    return _pack(_cell_xors(p, ints, demand), size)
-
-
-def _unpack(sent: int, size: int, s: int) -> list[int]:
-    """The S payload ints of a packed transmission."""
-    raw = sent.to_bytes(s * size, "big")
-    return [int.from_bytes(raw[at:at + size], "big") for at in range(0, s * size, size)]
+    return _pack_cells(p, ints, demand, size)
 
 
 def _unusable(p: Pda, packets, by_row: dict, size: int, user: int,
               f: int, j: int, k: int) -> DecodeError:
     """The error for packet (f, j), read for cell (j, k) by `_peel`."""
     pk = packets.get((f, j))
-    if pk is not None:  # held, but left out of by_row for its length
+    if isinstance(pk, (bytes, bytearray)):  # held, but left out of by_row for its length
         why = f"is {len(pk)} bytes, not the {size} bytes of a transmission"
+    elif pk is not None:  # held, but left out of by_row for its type
+        why = f"is a {type(pk).__name__}, not bytes"
     elif p.grid[j][user] != STAR:  # the crossing cell of a side packet, a star by C3
         why = "missing from cache; condition C3 is broken"
     elif k == user or any(f in got for got in by_row.values()):  # own cell, or a lost packet
@@ -285,15 +277,15 @@ def _unusable(p: Pda, packets, by_row: dict, size: int, user: int,
     return DecodeError(f"user {user}: packet ({f},{j}) for cell ({j},{k}) {why}")
 
 
-def _peel(p: Pda, packets, by_row: dict, user: int, tx: list[int], demand: tuple,
+def _peel(p: Pda, packets, by_row: dict, user: int, sent: bytes, demand: tuple,
           size: int) -> list[int]:
     """The user's demanded file as ints, in row order, from one pass down its
     column.  A starred row j is the cached packet (demand[user], j); a coded
-    row j with symbol s is payload s XOR, over each other cell (j2, k2) of s,
-    the cached packet (demand[k2], j2).  Each is read from by_row, the cache
-    (packets) as `_int_rows` groups it, when its row is reached.  Raises
-    DecodeError at the first packet, in row order, that the cache lacks or
-    holds at another length than size."""
+    row j with symbol s is payload s, the slot of size bytes at (s-1)*size in
+    the packed payloads sent, XOR, over each other cell (j2, k2) of s, the
+    cached packet (demand[k2], j2).  Cached packets come from by_row, the
+    cache (packets) as `_int_rows` groups it; DecodeError names the first,
+    in row order, that by_row lacks."""
     cells, none, want, out = p.symbol_cells, {}, demand[user], []
     for j, row in enumerate(p.grid):
         v = row[user]
@@ -302,7 +294,7 @@ def _peel(p: Pda, packets, by_row: dict, user: int, tx: list[int], demand: tuple
             if acc is None:
                 raise _unusable(p, packets, by_row, size, user, want, j, user)
         else:
-            acc = tx[v - 1]
+            acc = int.from_bytes(sent[(v - 1) * size:v * size], "big")
             for j2, k2 in cells[v]:
                 if j2 == j and k2 == user:
                     continue
@@ -314,12 +306,21 @@ def _peel(p: Pda, packets, by_row: dict, user: int, tx: list[int], demand: tuple
     return out
 
 
-def deliver(p: Pda, lib: FileLibrary, demand) -> list[bytes]:
-    """The S broadcast payloads for a demand vector (file index per user)."""
+def _demand_of(p: Pda, demand) -> tuple:
+    """demand as a tuple, or ValueError unless it has K entries, each an int."""
     demand = tuple(demand)
     if len(demand) != p.k:
         raise ValueError(f"demand vector needs {p.k} entries")
-    if any(not 0 <= d < lib.n for d in demand):
+    if set(map(type, demand)) != {int}:  # type(), in C: True is not file 1
+        bad = next(d for d in demand if type(d) is not int)
+        raise ValueError(f"demand entry {bad!r} is not an int")
+    return demand
+
+
+def deliver(p: Pda, lib: FileLibrary, demand) -> list[bytes]:
+    """The S broadcast payloads for a demand vector (file index per user)."""
+    demand = _demand_of(p, demand)
+    if min(demand) < 0 or max(demand) >= lib.n:
         raise ValueError("demand entry outside the library")
     size = lib.packet_size
     raw = _transmit(p, lib._ints, demand, size).to_bytes(p.s * size, "big")
@@ -330,29 +331,28 @@ def decode(p: Pda, cache: CacheContents, transmissions: list[bytes],
            demand, user: int) -> bytes:
     """Reassemble the user's demanded file from cache plus transmissions.
 
-    Raises ValueError unless user is a column of p, demand has K entries,
-    there are S transmissions of one length and no entry is negative, and
-    DecodeError naming the first packet, in row order, that the user's cache
-    lacks or holds at another length than a transmission.  A placed cache
-    never written to holds the library's packets, so none when those are of
-    another length."""
-    demand = tuple(demand)
+    Raises ValueError unless user is a column of p, demand has K int
+    entries, there are S transmissions of one length and no entry is
+    negative, and DecodeError naming the first packet, in row order, that
+    the user's cache lacks or holds as other than bytes of a transmission's
+    length; an entry whose key is not a (file, row) pair is never read.  A
+    placed cache never written to holds the library's packets, so none when
+    those are of another length."""
     if not 0 <= user < p.k:
         raise ValueError(f"user {user} outside 0..{p.k - 1}")
-    if len(demand) != p.k:
-        raise ValueError(f"demand vector needs {p.k} entries")
+    demand = _demand_of(p, demand)
     if len(transmissions) != p.s or not transmissions:
         raise ValueError(f"decoding needs the array's S={p.s} transmissions, "
                          f"got {len(transmissions)}")
     sizes = set(map(len, transmissions))
     if len(sizes) > 1:
         raise ValueError(f"transmissions differ in length: {min(sizes)} to {max(sizes)} bytes")
-    if any(d < 0 for d in demand):
+    if min(demand) < 0:
         raise ValueError("demand entry outside the library")
     size = sizes.pop()
-    tx = [int.from_bytes(t, "big") for t in transmissions]
     packets = cache.packets
-    rows = _peel(p, packets, _int_rows(packets, size), user, tx, demand, size)
+    rows = _peel(p, packets, _int_rows(packets, size), user, b"".join(transmissions), demand,
+                 size)
     return b"".join(x.to_bytes(size, "big") for x in rows)
 
 
@@ -445,11 +445,11 @@ def verify_scheme(p: Pda, n_files: int, mode: str = "auto", samples: int = 200,
     The demand loop has two forms with the same reports.  When the words
     table (`_words`: K * N * S * packet_size bytes) fits in MAX_WORDS_BYTES,
     it is built once, and the sender and the check each take a demand's
-    packed payloads as K big-int XORs of the users' demanded words.
-    Otherwise both XOR cell by cell and pack the S payloads.  Either way
-    the S payloads are compared as one int, and only a mismatch is split
-    into its symbols' slots; they are unpacked for `_peel` only when some
-    cache is faulty.
+    packed payloads as K big-int XORs of the users' demanded words;
+    otherwise both run the one cell-by-cell packer, `_pack_cells`.  The S
+    payloads are compared as one int, and only a mismatch is split into its
+    symbols' slots.  Only when some cache is faulty does the sent int become
+    bytes, once per demand, whose slots `_peel` reads.
 
     stats, when a dict, receives: setup_s and loop_s (seconds before the
     first demand and in the demand loop), demands_per_s, users_peeled (the
@@ -482,10 +482,8 @@ def verify_scheme(p: Pda, n_files: int, mode: str = "auto", samples: int = 200,
     for demand in demands:
         tested += 1
         sent = _transmit(p, ints, demand, packet_size, words)
-        if words is not None:
-            truth = reduce(xor, map(getitem, words, demand))
-        else:
-            truth = _pack(_cell_xors(p, ints, demand), packet_size)
+        truth = (_pack_cells(p, ints, demand, packet_size) if words is None
+                 else reduce(xor, map(getitem, words, demand)))
         if sent == truth and not faulty:
             continue
         failed = set()
@@ -495,10 +493,10 @@ def verify_scheme(p: Pda, n_files: int, mode: str = "auto", samples: int = 200,
                 if any(diff[at:at + packet_size]):
                     failed.update(clean)
         if faulty:
-            tx = _unpack(sent, packet_size, p.s)
+            raw = sent.to_bytes(width, "big")
             for user, packets, by_row in faulty:
                 try:
-                    right = _peel(p, packets, by_row, user, tx, demand,
+                    right = _peel(p, packets, by_row, user, raw, demand,
                                   packet_size) == ints[demand[user]]
                 except DecodeError:
                     right = False

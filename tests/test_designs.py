@@ -218,3 +218,11 @@ def test_json_malformed():
         design_from_json({"blocks": [[0, 1]]})
     with pytest.raises(ValueError):
         design_from_json({"v": 3, "blocks": "xy"})
+
+
+@pytest.mark.parametrize("tag", [[], "x", None, 5, [["t-design", {}]]])
+def test_json_tag_must_be_an_object(tag):
+    """A tag that is not an object is refused, not read as "no parameters"."""
+    with pytest.raises(ValueError, match="malformed design object: tag must be an object"):
+        design_from_json({"v": 3, "blocks": [[0, 1]], "tag": tag})
+    assert design_from_json({"v": 3, "blocks": [[0, 1]], "tag": {}}) == Design(3, ((0, 1),))

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -213,6 +214,30 @@ def test_json_names_the_first_fault(obj, text):
 def test_parse_accepts_only_ascii_decimals(text):
     with pytest.raises(PdaFormatError):
         parse_pda(text)
+
+
+@pytest.mark.parametrize("text, text_error", [
+    ("2 2 1 1\n* 1\x1c1 *\n", "expected 2 grid rows, found 1"),  # no row break but \n
+    ("2 2 1 1\n* 1\x0b\n1 *\n", r"bad token '1\x0b'"),
+    ("2 2 1 1\n* 1\x0c\n1 *\n", r"bad token '1\x0c'"),
+    ("2 2 1 1\n* 1\u2028\n1 *\n", r"bad token '1\u2028'"),
+    ("2 2 1 1\n*\x851\n1 *\n", r"bad token '*\x851'"),
+    ("2 2 1 1\n*\xa01\n1 *\n", r"bad token '*\xa01'"),  # NBSP splits no tokens
+    ("2 2 1 1\n*\u30001\n1 *\n", r"bad token '*\u30001'"),
+    ("2 2 1 1\n* 1\r\r\n1 *\n", r"bad token '1\r'"),  # one \r before \n is dropped
+    ("2 2 1 1\n* 1\r1 *\n1 *\n", r"bad token '1\r1'"),  # a lone \r ends no row
+    ("2\xa02 1 1\n* 1\n1 *\n", "header must be 'K F Q S'"),
+    ("2 2 1 1\x0c\n* 1\n1 *\n", "non-integer header field"),
+    ("2 2 1 1\n* 1\n1 *\n\x0c\n", "expected 2 grid rows, found 3"),  # not a blank line
+])
+def test_parse_reads_rows_at_newlines_and_tokens_at_spaces_and_tabs(text, text_error):
+    with pytest.raises(PdaFormatError, match=re.escape(text_error)):
+        parse_pda(text)
+
+
+def test_parse_drops_carriage_returns_and_skips_blank_lines():
+    assert parse_pda("2 2 1 1\r\n\r\n*\t 1 \r\n \t\n1\t\t*\r\n") == TINY
+    assert parse_pda("\n2 2 1 1\n* 1\n1 *") == TINY  # the last row needs no newline
 
 
 @pytest.mark.parametrize("field, value", [

@@ -14,6 +14,7 @@ derandomized, so every run sees the same inputs."""
 import itertools
 import json
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from math import comb
@@ -206,7 +207,7 @@ def test_format_reads_no_symbol_map():
 # Any code points, lone surrogates included, drawn without Hypothesis's
 # Unicode tables, which cost seconds to build on a cold cache.
 ANY_TEXT = st.lists(st.integers(0, 0x10FFFF)).map(lambda cs: "".join(map(chr, cs)))
-NEAR_PDA = st.text(alphabet="0123456789* \n\t\x0b\u2028\u3000+-_١²").map(
+NEAR_PDA = st.text(alphabet="0123456789* \n\r\t\x0b\x1c\x85\xa0\u2028\u3000+-_١²").map(
     lambda t: "2 2 1 1\n" + t)
 
 
@@ -220,11 +221,13 @@ def test_parse_fails_only_with_format_error(text):
 
 
 def parse_per_token(text: str) -> Pda:
-    """The text parser, checking each grid token as it is read."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """The text parser, checking each grid token as it is read.  The grammar
+    by regular expressions: a line ends at a newline, less one carriage
+    return before it; a token is a run of other than spaces and tabs."""
+    lines = [ln for ln in re.split(r"\r?\n", text) if re.search(r"[^ \t]", ln)]
     if not lines:
         raise PdaFormatError("empty PDA file")
-    header = lines[0].split()
+    header = re.findall(r"[^ \t]+", lines[0])
     if len(header) != 4:
         raise PdaFormatError(f"header must be 'K F Q S', got {lines[0]!r}")
     try:
@@ -238,7 +241,7 @@ def parse_per_token(text: str) -> Pda:
     grid = []
     for ln in lines[1:]:
         row = []
-        for tok in ln.split():
+        for tok in re.findall(r"[^ \t]+", ln):
             if tok == "*":
                 row.append(STAR)
                 continue
@@ -271,9 +274,10 @@ GRID_TOKEN = st.sampled_from(["*"] * 6 + ["1", "2", "17", "1" * 5000, "0", "01",
 @st.composite
 def near_grids(draw):
     rows = draw(st.lists(st.lists(GRID_TOKEN, min_size=1, max_size=4), min_size=1, max_size=4))
-    sep = draw(st.sampled_from([" ", "\t", "  ", "\u3000"]))
+    sep = draw(st.sampled_from([" ", "\t", "  ", " \t", "\u3000", "\xa0", "\x0b"]))
+    end = draw(st.sampled_from(["\n", "\r\n", "\n\n", "\r", "\x0c", "\x1c", "\u2028"]))
     k = draw(st.integers(1, 4))
-    return f"{k} {len(rows)} 1 1\n" + "\n".join(sep.join(r) for r in rows) + "\n"
+    return f"{k} {len(rows)} 1 1{end}" + end.join(sep.join(r) for r in rows) + end
 
 
 @settings(FIXED, max_examples=400)
@@ -338,6 +342,29 @@ def test_verify_scheme_agrees_with_decode_on_a_faulty_cache(p, n, fault, pick, b
                 expect.append((demand, user))
     assert rep.failures == expect
     assert rep.demands_tested == n ** p.k
+
+
+@settings(FIXED, max_examples=80)
+@given(valid_pdas(), st.integers(1, 3), st.integers(0, 2 ** 16), st.integers(0, 2 ** 16),
+       st.integers(0, 127))
+def test_a_flipped_transmission_bit_changes_only_the_rows_holding_its_symbol(
+        p, n, pick, symbol, bit):
+    """Flipping bit `bit` of transmission s changes each user's decoded file
+    in exactly the rows whose cell in its column holds s, in that same bit of
+    the row's packet: the peel reads payload s from s's slot."""
+    s = symbol % p.s + 1
+    lib = FileLibrary.random(n, p.f, packet_size=16, seed=pick)
+    demand = tuple(random.Random(pick).randrange(n) for _ in range(p.k))
+    tx = deliver(p, lib, demand)
+    flipped = list(tx)
+    flipped[s - 1] = (int.from_bytes(tx[s - 1], "big") ^ 1 << bit).to_bytes(16, "big")
+    for user, cache in enumerate(place(p, lib)):
+        want = lib.packets[demand[user]]
+        got = decode(p, cache, flipped, demand, user)
+        rows = [got[16 * j:16 * (j + 1)] for j in range(p.f)]
+        for j, row in enumerate(p.grid):
+            expect = int.from_bytes(want[j], "big") ^ (row[user] == s) << bit
+            assert rows[j] == expect.to_bytes(16, "big"), (user, j, s)
 
 
 @settings(FIXED, max_examples=80)

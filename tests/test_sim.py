@@ -551,6 +551,52 @@ def test_decode_checks_its_inputs(user, demand, tx, match):
         decode(FANO_PG, caches[user % 7], tx, demand, user)
 
 
+@pytest.mark.parametrize("bad", [1.5, True, "0", None])
+def test_a_demand_entry_that_is_not_an_int_is_refused(bad):
+    """Not served as file 1 (True) nor failing deep inside (1.5), in either
+    position, by deliver or decode."""
+    caches = place(FANO_PG, _LIB)
+    for demand in ((0,) * 6 + (bad,), (bad,) + (0,) * 6):
+        with pytest.raises(ValueError, match=f"^demand entry {bad!r} is not an int$"):
+            deliver(FANO_PG, _LIB, demand)
+        with pytest.raises(ValueError, match=f"^demand entry {bad!r} is not an int$"):
+            decode(FANO_PG, caches[0], _TX, demand, 0)
+
+
+@pytest.mark.parametrize("kind", ["view", "dict"])
+def test_cache_entries_decode_cannot_read_are_skipped(monkeypatch, kind):
+    """A key that is not a (file, row) pair is never read, and a payload that
+    is not bytes is not used: decode names the first packet it cannot use,
+    and verify_scheme records the failures instead of raising."""
+    user = 0
+    row = next(j for j, r in enumerate(FANO_PG.grid) if r[user] == STAR)
+    real_place, seen = sim.place, {}
+
+    def place(p, lib):
+        caches = real_place(p, lib)
+        if kind == "dict":
+            caches = [CacheContents(c.user, dict(c.packets)) for c in caches]
+        packets = caches[user].packets
+        packets[5] = packets[(1, 0, 0)] = packets["ab"] = b"\0" * 16  # not (file, row) keys
+        packets[(0, row)] = "abcd" * 4  # the right length, not bytes
+        seen.update(lib=lib, caches=caches)
+        return caches
+
+    caches = place(FANO_PG, _LIB)
+    assert decode(FANO_PG, caches[user], deliver(FANO_PG, _LIB, (1,) * 7), (1,) * 7,
+                  user) == _LIB.file(1)  # reads no packet of file 0
+    with pytest.raises(DecodeError, match=fr"^user 0: packet \(0,{row}\) for cell "
+                                          fr"\({row},0\) is a str, not bytes$"):
+        decode(FANO_PG, caches[user], _TX, (0,) * 7, user)
+
+    monkeypatch.setattr(sim, "place", place)
+    for _ in _loops(monkeypatch):
+        rep = verify_scheme(FANO_PG, 2, mode="exhaustive")
+        assert rep.failures == [(d, user) for d in itertools.product(range(2), repeat=7)
+                                if (0, row) in _reads(FANO_PG, user, d)]
+        assert rep.failures == decode_failures(FANO_PG, seen["lib"], seen["caches"], 2)
+
+
 def test_decode_rejects_a_cached_packet_longer_than_the_transmissions():
     caches = place(FANO_PG, _LIB)
     row = next(j for j, r in enumerate(FANO_PG.grid) if r[0] == STAR)

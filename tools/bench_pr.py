@@ -32,7 +32,13 @@ also times exhaustive verify_scheme (4096 demands, N=4, seed 7) on
 tdesign-b complete:6:3 t1=1 t2=2, set 1 (small_s), with its report's
 SHA-256, and records which demand loop form ("words" or "cells", from
 verify_scheme's stats) each verify_scheme call ran.
-Rung times are raw wall seconds.  Every rung is summarized by one rule
+Each rung script times its calls under the measured tree's SpeedClock
+(perfbench/speed.py, imported by CLOCK_CODE, which runs ahead of every rung
+script): a field NAME_s is raw wall seconds, which include any calibration
+that lands inside a call (one every 0.25 s), and NAME_ref_s beside it is the
+same calls in reference-speed seconds, which leave the calibrations out and
+scale by the host's speed, so that sides run minutes apart compare.  Every
+rung is summarized by one rule
 (summarize_rung): a float field is reported with each side's runs, median
 and quartiles, and the number of rounds in which the change read lower; a
 bool, whether it held in every run; a digest, whether every run gave the
@@ -65,48 +71,67 @@ LADDER = {"pg_q2_k5_m2_t1": dict(family="pg", q=2, k=5, m=2, t=1),
           "tdesign_lambda_complete_12_4": dict(family="tdesign-lambda", design="complete:12:4",
                                                t0=2, t1=1, t2=1)}
 
+# Run ahead of each rung script, from the measured tree's root, so that the
+# tree's own perfbench/speed.py times the calls.
+CLOCK_CODE = """
+import sys, time
+from contextlib import contextmanager
+sys.path.insert(0, "perfbench")
+from speed import SpeedClock
+clock, spans = SpeedClock(), {}  # field name -> raw (start, end) of each timed call
+
+
+@contextmanager
+def timing(name):
+    t0 = time.perf_counter()
+    yield
+    spans.setdefault(name, []).append((t0, time.perf_counter()))
+
+
+def seconds(name, digits=3, pick=sum):  # once the clock has stopped
+    return {name + "_s": round(pick(b - a for a, b in spans[name]), digits),
+            name + "_ref_s": round(pick(clock.seconds(a, b) for a, b in spans[name]), digits)}
+"""
+
 RUNG_CODE = """
-import hashlib, json, resource, sys, time
+import hashlib, json, resource, sys
 from pdakit import (ConstructionSpec, Pda, canonical_relabel, construct_pda, format_pda,
                     parse_pda, pda_from_json, pda_to_json, validate_pda)
 spec = ConstructionSpec(**json.loads(sys.argv[1]))
-t0 = time.perf_counter()
-p = construct_pda(spec)
-total = time.perf_counter() - t0
-rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-fresh = Pda(p.k, p.f, p.q, p.s, p.grid)  # equal, with nothing cached on it
-t0 = time.perf_counter()
-valid = validate_pda(fresh).ok
-validate_s = time.perf_counter() - t0
-t0 = time.perf_counter()
-canon = canonical_relabel(p)
-text = parse_pda(format_pda(p))
-obj = pda_from_json(json.loads(json.dumps(pda_to_json(p))))
-io_s = time.perf_counter() - t0
+with clock.running():
+    with timing("total"):
+        p = construct_pda(spec)
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    fresh = Pda(p.k, p.f, p.q, p.s, p.grid)  # equal, with nothing cached on it
+    with timing("validate"):
+        valid = validate_pda(fresh).ok
+    with timing("io"):
+        canon = canonical_relabel(p)
+        text = parse_pda(format_pda(p))
+        obj = pda_from_json(json.loads(json.dumps(pda_to_json(p))))
 print(json.dumps({"params_kfqs": [p.k, p.f, p.q, p.s],
                   "digest": hashlib.sha256(format_pda(p).encode()).hexdigest(),
                   "all_valid": valid, "round_trips_equal": canon == text == obj == p,
-                  "total_s": round(total, 3), "peak_rss_mb": round(rss, 1),
-                  "validate_s": round(validate_s, 3), "io_s": round(io_s, 3)}))
+                  **seconds("total"), "peak_rss_mb": round(rss, 1),
+                  **seconds("validate"), **seconds("io")}))
 """
 
 # direct_product of two arrays, each built and validated outside the timed
 # calls; the fastest of 7 calls in one process
 PRODUCT_FACTORS = (dict(family="pg", q=2, k=3, m=1, t=1), LADDER["pg_q2_k5_m2_t1"])
 PRODUCT_CODE = """
-import hashlib, json, resource, sys, time
+import hashlib, json, resource, sys
 from pdakit import ConstructionSpec, construct_pda, direct_product, format_pda, validate_pda
 a, b = (construct_pda(ConstructionSpec(**kw)) for kw in json.loads(sys.argv[1]))
 assert validate_pda(a).ok and validate_pda(b).ok
-total = float("inf")
-for _ in range(7):
-    t0 = time.perf_counter()
-    p = direct_product(a, b)
-    total = min(total, time.perf_counter() - t0)
+with clock.running():
+    for _ in range(7):
+        with timing("total"):
+            p = direct_product(a, b)
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps({"params_kfqs": [p.k, p.f, p.q, p.s],
                   "digest": hashlib.sha256(format_pda(p).encode()).hexdigest(),
-                  "total_s": round(total, 4), "peak_rss_mb": round(rss, 1)}))
+                  **seconds("total", 4, min), "peak_rss_mb": round(rss, 1)}))
 """
 
 # verify_scheme, then place and decode, on the K=651 array, and exhaustive
@@ -114,7 +139,7 @@ print(json.dumps({"params_kfqs": [p.k, p.f, p.q, p.s],
 SIM_RUNG = LADDER["pg_q2_k6_m2_t2"]
 SIM_SMALL = dict(family="tdesign-b", design="complete:6:3", t1=1, t2=2)  # K=6: 4^6 demands
 SIM_CODE = """
-import hashlib, inspect, json, random, resource, sys, time
+import hashlib, inspect, json, random, resource, sys
 from pdakit import (ConstructionSpec, DecodeError, FileLibrary, construct_pda, decode,
                     deliver, place, verify_scheme)
 spec, small_spec = json.loads(sys.argv[1])
@@ -123,34 +148,33 @@ small = construct_pda(ConstructionSpec(**small_spec))
 takes_stats = "stats" in inspect.signature(verify_scheme).parameters
 
 
-def timed_verify(*args, **kwargs):  # report, wall seconds, loop form (from stats, if taken)
+def timed_verify(name, *args, **kwargs):  # report, loop form (from stats, if taken)
     stats = {}
-    t0 = time.perf_counter()
-    rep = verify_scheme(*args, **kwargs, **({"stats": stats} if takes_stats else {}))
-    return rep, time.perf_counter() - t0, stats.get("loop", "unrecorded")
+    with timing(name):
+        rep = verify_scheme(*args, **kwargs, **({"stats": stats} if takes_stats else {}))
+    return rep, stats.get("loop", "unrecorded")
 
 
 def report_digest(rep):
     return hashlib.sha256(json.dumps(rep.to_json()).encode()).hexdigest()
 
 
-rep, total, loop = timed_verify(p, 4, mode="sampled", samples=20, seed=7)
-small_rep, small_s, small_loop = timed_verify(small, 4, mode="exhaustive", seed=7)
 rng = random.Random(7)
 lib = FileLibrary.random(4, p.f, 16, seed=rng.randrange(2 ** 32))
 demands = [tuple(rng.randrange(4) for _ in range(p.k)) for _ in range(3)]
-t0 = time.perf_counter()
-caches = place(p, lib)
-sizes = [c.size_bytes() for c in caches]
-place_s = time.perf_counter() - t0
-decode_s, decoded = 0.0, hashlib.sha256()
-for demand in demands:
-    tx = deliver(p, lib, demand)
-    for u in range(0, p.k, 41):
-        t0 = time.perf_counter()
-        out = decode(p, caches[u], tx, demand, u)
-        decode_s += time.perf_counter() - t0
-        decoded.update(out)
+decoded = hashlib.sha256()
+with clock.running():
+    rep, loop = timed_verify("total", p, 4, mode="sampled", samples=20, seed=7)
+    small_rep, small_loop = timed_verify("small", small, 4, mode="exhaustive", seed=7)
+    with timing("place"):
+        caches = place(p, lib)
+        sizes = [c.size_bytes() for c in caches]
+    for demand in demands:
+        tx = deliver(p, lib, demand)
+        for u in range(0, p.k, 41):
+            with timing("decode"):
+                out = decode(p, caches[u], tx, demand, u)
+            decoded.update(out)
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 texts, errors = [], 0  # per decode, the DecodeError text or the decoded file's digest
 for demand in demands:
@@ -180,9 +204,8 @@ print(json.dumps({"demands": rep.demands_tested, "all_ok": rep.ok and small_rep.
                   "decoded_digest": decoded.hexdigest(),
                   "error_digest": hashlib.sha256(json.dumps(texts).encode()).hexdigest(),
                   "decode_errors": errors,
-                  "total_s": round(total, 3), "small_s": round(small_s, 3),
-                  "place_s": round(place_s, 4),
-                  "decode_s": round(decode_s, 4), "peak_rss_mb": round(rss, 1)}))
+                  **seconds("total"), **seconds("small"), **seconds("place", 4),
+                  **seconds("decode", 4), "peak_rss_mb": round(rss, 1)}))
 """
 # name -> (script, its argument): the ladder, then the product and sim rungs
 RUNGS = {**{name: (RUNG_CODE, spec) for name, spec in LADDER.items()},
@@ -206,7 +229,7 @@ def perfbench(tree: Path, workload: str) -> dict:
 
 
 def rung(tree: Path, code: str, arg) -> dict:
-    lines = _stdout_lines([sys.executable, "-c", code, json.dumps(arg)], tree)
+    lines = _stdout_lines([sys.executable, "-c", CLOCK_CODE + code, json.dumps(arg)], tree)
     return json.loads(lines[-1])
 
 
@@ -277,27 +300,28 @@ def main(argv=None) -> int:
            "end_to_end": {w: {m: summarize([r[m] for r in bench["parent"][w]],
                                            [r[m] for r in bench["change"][w]])
                               for m in GATED} for w in WORKLOADS},
-           "ladder": {"what": "construct_pda(spec), one fresh process per rung "
-                              "and run; raw wall seconds and ru_maxrss after it; then "
-                              "validate_s, validate_pda on a fresh equal array, and io_s, "
-                              "canonical_relabel plus the text and JSON round trips",
+           "ladder": {"what": "construct_pda(spec), one fresh process per rung and run; "
+                              "wall seconds (raw and reference-speed) and ru_maxrss after "
+                              "it; then validate_s, validate_pda on a fresh equal array, "
+                              "and io_s, canonical_relabel plus the text and JSON round trips",
                       **{name: {"spec": spec, **rungs[name]} for name, spec in LADDER.items()}},
            "product": {
                "what": "direct_product(a, b), the factors built and validated first, one fresh "
-                       "process per run; raw wall seconds of the fastest of 7 calls in that "
-                       "process, and ru_maxrss after them",
+                       "process per run; wall seconds (raw and reference-speed) of the "
+                       "fastest of 7 calls in that process, and ru_maxrss after them",
                "factors": PRODUCT_FACTORS, **rungs["product"]},
            "sim": {
                "what": "on pg q=2 k=6 m=2 t=2 set 1, built first, one fresh process per run: "
                        "total_s is verify_scheme(p, 4, mode='sampled', samples=20, seed=7); "
                        "place_s is place plus size_bytes of every cache; decode_s is the 48 "
                        "decode calls (users 0, 41, ... on 3 demands, deliver untimed); raw "
-                       "wall seconds, and ru_maxrss of the process; error_digest is the "
-                       "SHA-256 of the DecodeError texts (or decoded files' digests) of the "
-                       "same calls on caches with a corrupt, a dropped or a 17-byte starred "
-                       "packet; small_s is verify_scheme(small, 4, mode='exhaustive', seed=7), "
-                       "4096 demands on tdesign-b complete:6:3 t1=1 t2=2 set 1; loops are the "
-                       "demand loop forms of the two verify_scheme calls, from their stats",
+                       "wall seconds and, as *_ref_s, reference-speed seconds, and ru_maxrss "
+                       "of the process; error_digest is the SHA-256 of the DecodeError "
+                       "texts (or decoded files' digests) of the same calls on caches with a "
+                       "corrupt, a dropped or a 17-byte starred packet; small_s is "
+                       "verify_scheme(small, 4, mode='exhaustive', seed=7), 4096 demands on "
+                       "tdesign-b complete:6:3 t1=1 t2=2 set 1; loops are the demand loop "
+                       "forms of the two verify_scheme calls, from their stats",
                "spec": SIM_RUNG, "small_spec": SIM_SMALL, **rungs["sim"]}}
     args.out.write_text(json.dumps(out, indent=2) + "\n")
     return 0
