@@ -244,14 +244,10 @@ def _fields(line: str) -> filter:
 
 
 def parse_pda(text: str) -> Pda:
-    # str.split() splits at every whitespace character: in ASCII text that
-    # holds none but spaces, tabs and "\n", the grammar's split, done in C.
-    plain = text.isascii() and not any(map(text.__contains__, "\r\x0b\x0c\x1c\x1d\x1e\x1f"))
-    fields = str.split if plain else _fields
     lines = [ln for ln in text.replace("\r\n", "\n").split("\n") if ln.strip(" \t")]
     if not lines:
         raise PdaFormatError("empty PDA file")
-    header = list(fields(lines[0]))
+    header = list(_fields(lines[0]))
     if len(header) != 4:
         raise PdaFormatError(f"header must be 'K F Q S', got {lines[0]!r}")
     try:
@@ -265,7 +261,7 @@ def parse_pda(text: str) -> Pda:
     symbol = _Symbols({"*": STAR}).__getitem__
     grid = []
     for ln in lines[1:]:
-        row = tuple(map(symbol, fields(ln)))  # raises on the row's first bad token
+        row = tuple(map(symbol, _fields(ln)))  # raises on the row's first bad token
         if len(row) != k:
             raise PdaFormatError(f"row {ln!r} has {len(row)} entries, expected {k}")
         grid.append(row)

@@ -311,7 +311,7 @@ def _demand_of(p: Pda, demand) -> tuple:
     demand = tuple(demand)
     if len(demand) != p.k:
         raise ValueError(f"demand vector needs {p.k} entries")
-    if set(map(type, demand)) != {int}:  # type(), in C: True is not file 1
+    if not set(map(type, demand)) <= {int}:  # type(), in C: True is not file 1
         bad = next(d for d in demand if type(d) is not int)
         raise ValueError(f"demand entry {bad!r} is not an int")
     return demand
@@ -320,7 +320,7 @@ def _demand_of(p: Pda, demand) -> tuple:
 def deliver(p: Pda, lib: FileLibrary, demand) -> list[bytes]:
     """The S broadcast payloads for a demand vector (file index per user)."""
     demand = _demand_of(p, demand)
-    if min(demand) < 0 or max(demand) >= lib.n:
+    if demand and (min(demand) < 0 or max(demand) >= lib.n):
         raise ValueError("demand entry outside the library")
     size = lib.packet_size
     raw = _transmit(p, lib._ints, demand, size).to_bytes(p.s * size, "big")
@@ -347,7 +347,7 @@ def decode(p: Pda, cache: CacheContents, transmissions: list[bytes],
     sizes = set(map(len, transmissions))
     if len(sizes) > 1:
         raise ValueError(f"transmissions differ in length: {min(sizes)} to {max(sizes)} bytes")
-    if min(demand) < 0:
+    if demand and min(demand) < 0:
         raise ValueError("demand entry outside the library")
     size = sizes.pop()
     packets = cache.packets

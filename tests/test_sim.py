@@ -563,6 +563,15 @@ def test_a_demand_entry_that_is_not_an_int_is_refused(bad):
             decode(FANO_PG, caches[0], _TX, demand, 0)
 
 
+def test_the_empty_demand_of_an_array_without_users_is_served():
+    """K = 0: the empty demand passes the entry checks, and no transmission
+    is sent."""
+    empty = Pda(0, 1, 0, 0, ((),))
+    assert deliver(empty, _LIB, ()) == deliver(empty, _LIB, []) == []
+    with pytest.raises(ValueError, match=r"^user 0 outside 0\.\.-1$"):
+        decode(empty, CacheContents(0, {}), [], (), 0)
+
+
 @pytest.mark.parametrize("kind", ["view", "dict"])
 def test_cache_entries_decode_cannot_read_are_skipped(monkeypatch, kind):
     """A key that is not a (file, row) pair is never read, and a payload that

@@ -37,9 +37,13 @@ Each rung script times its calls under the measured tree's SpeedClock
 script): a field NAME_s is raw wall seconds, which include any calibration
 that lands inside a call (one every 0.25 s), and NAME_ref_s beside it is the
 same calls in reference-speed seconds, which leave the calibrations out and
-scale by the host's speed, so that sides run minutes apart compare.  Every
-rung is summarized by one rule
-(summarize_rung): a float field is reported with each side's runs, median
+scale by the host's speed, so that sides run minutes apart compare; both
+are rounded to 10 us.  Each timed call starts right after a gc.collect(),
+so a cyclic collection lands in it by its own allocations alone.  A rung's
+peak_rss_mb can include one calibration's tables (about 0.7 MB), so it and
+the raw NAME_s fields do not compare with BENCH files written before the
+rungs ran under the clock (BENCH_24.json and earlier).  Every rung is
+summarized by one rule (summarize_rung): a float field is reported with each side's runs, median
 and quartiles, and the number of rounds in which the change read lower; a
 bool, whether it held in every run; a digest, whether every run gave the
 same one; any other field once, or per side when runs differ.  Each side's
@@ -74,7 +78,7 @@ LADDER = {"pg_q2_k5_m2_t1": dict(family="pg", q=2, k=5, m=2, t=1),
 # Run ahead of each rung script, from the measured tree's root, so that the
 # tree's own perfbench/speed.py times the calls.
 CLOCK_CODE = """
-import sys, time
+import gc, sys, time
 from contextlib import contextmanager
 sys.path.insert(0, "perfbench")
 from speed import SpeedClock
@@ -83,14 +87,19 @@ clock, spans = SpeedClock(), {}  # field name -> raw (start, end) of each timed 
 
 @contextmanager
 def timing(name):
+    # Each call starts with the collector's counts at zero, so a collection
+    # lands in it by its own allocations, not by how many the tree's imports
+    # and earlier calls made: otherwise one lands in pg_q2_k5's validate
+    # call on one side only (+1 ms, 10 of 10 pairs) when neither touches it.
+    gc.collect()
     t0 = time.perf_counter()
     yield
     spans.setdefault(name, []).append((t0, time.perf_counter()))
 
 
-def seconds(name, digits=3, pick=sum):  # once the clock has stopped
-    return {name + "_s": round(pick(b - a for a, b in spans[name]), digits),
-            name + "_ref_s": round(pick(clock.seconds(a, b) for a, b in spans[name]), digits)}
+def seconds(name, pick=sum):  # once the clock has stopped; to 10 us, for calls of a few ms
+    return {name + "_s": round(pick(b - a for a, b in spans[name]), 5),
+            name + "_ref_s": round(pick(clock.seconds(a, b) for a, b in spans[name]), 5)}
 """
 
 RUNG_CODE = """
@@ -131,7 +140,7 @@ with clock.running():
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(json.dumps({"params_kfqs": [p.k, p.f, p.q, p.s],
                   "digest": hashlib.sha256(format_pda(p).encode()).hexdigest(),
-                  **seconds("total", 4, min), "peak_rss_mb": round(rss, 1)}))
+                  **seconds("total", min), "peak_rss_mb": round(rss, 1)}))
 """
 
 # verify_scheme, then place and decode, on the K=651 array, and exhaustive
@@ -204,8 +213,8 @@ print(json.dumps({"demands": rep.demands_tested, "all_ok": rep.ok and small_rep.
                   "decoded_digest": decoded.hexdigest(),
                   "error_digest": hashlib.sha256(json.dumps(texts).encode()).hexdigest(),
                   "decode_errors": errors,
-                  **seconds("total"), **seconds("small"), **seconds("place", 4),
-                  **seconds("decode", 4), "peak_rss_mb": round(rss, 1)}))
+                  **seconds("total"), **seconds("small"), **seconds("place"),
+                  **seconds("decode"), "peak_rss_mb": round(rss, 1)}))
 """
 # name -> (script, its argument): the ladder, then the product and sim rungs
 RUNGS = {**{name: (RUNG_CODE, spec) for name, spec in LADDER.items()},
