@@ -101,7 +101,8 @@ def cmd_construct(args) -> int:
     row = closed_form_row(spec)
     if not row.admissible:
         raise SystemExit_(FAIL_PARSE, f"inadmissible orientation {spec.orientation}: {row.note}")
-    p = construct_pda(spec)
+    stats = {} if args.stats else None
+    p = construct_pda(spec, stats=stats)
     if (p.k, p.f, p.q, p.s) != (row.k, row.f, row.q, row.s):
         raise AssertionError("constructed array disagrees with its closed form")
     provenance = {"family": spec.family, "orientation": spec.orientation,
@@ -109,7 +110,14 @@ def cmd_construct(args) -> int:
     summary = sys.stdout if args.out else sys.stderr
     print(_row_summary(row), file=summary)
     _write_pda(p, args.out, args.json, provenance)
+    _print_stats(stats)
     return OK
+
+
+def _print_stats(stats: dict | None) -> None:
+    """The stats dict, when asked for, as one JSON line on stderr."""
+    if stats is not None:
+        print(json.dumps(stats), file=sys.stderr)
 
 
 def cmd_validate(args) -> int:
@@ -128,9 +136,11 @@ def cmd_validate(args) -> int:
 def cmd_simulate(args) -> int:
     p = _read_pda(args.path)
     n_files = min(p.k, 4) if args.files is None else args.files
+    stats = {} if args.stats else None
     report = verify_scheme(p, n_files, mode=args.mode, samples=args.samples,
-                           seed=args.seed, packet_size=args.packet_size)
+                           seed=args.seed, packet_size=args.packet_size, stats=stats)
     print(json.dumps(report.to_json(), indent=2))
+    _print_stats(stats)
     return OK if report.ok else FAIL_DECODE
 
 
@@ -233,6 +243,8 @@ def _build_parser() -> _Parser:
     c.add_argument("--set", type=int, default=1, choices=(1, 2, 3), help="orientation")
     c.add_argument("--out", help="write the array here instead of stdout")
     c.add_argument("--json", action="store_true", help="emit the JSON variant")
+    c.add_argument("--stats", action="store_true",
+                   help="print construct_pda's stage stats as one JSON line on stderr")
     c.set_defaults(fn=cmd_construct)
 
     v = sub.add_parser("validate", help="check a PDA file against C1-C3")
@@ -248,6 +260,8 @@ def _build_parser() -> _Parser:
     s.add_argument("--samples", type=int, default=200)
     s.add_argument("--seed", type=int, default=1)
     s.add_argument("--packet-size", type=int, default=16)
+    s.add_argument("--stats", action="store_true",
+                   help="print verify_scheme's stats as one JSON line on stderr")
     s.set_defaults(fn=cmd_simulate)
 
     t = sub.add_parser("tabulate", help="closed-form parameter tables")

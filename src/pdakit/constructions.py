@@ -15,10 +15,13 @@ Families (ids are the CLI tokens):
 """
 
 import itertools
+import sys
+import time
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 from math import comb, factorial, log, pi
 from operator import and_, or_
 
@@ -27,7 +30,8 @@ from .designs import (Design, certify_configuration, certify_t_design,
 from .gf import FieldSpec
 from .pda import Pda
 from .subspaces import gaussian_binomial, subspaces_and_masks
-from .triples import TripleSystem, _matched_pda, _oriented_parameters, rows_of, set_bits
+from .triples import (TripleSystem, _Matched, _matched_cells, _oriented_parameters,
+                      _oriented_pda, rows_of, set_bits)
 
 FAMILIES = ("pg", "config", "tdesign-a", "tdesign-b", "tdesign-lambda")
 
@@ -450,11 +454,73 @@ def _row(spec: ConstructionSpec, invariants: tuple) -> ParameterRow:
                         Fraction(s, f), r_star, f_mn, admissible, note)
 
 
-def construct_pda(spec: ConstructionSpec) -> Pda:
+# The stats dict of the construct_pda call running, which _matched_system
+# fills on a miss; None when the caller asked for none.
+_stage_stats: ContextVar[dict | None] = ContextVar("_stage_stats", default=None)
+
+
+def _rss_mb() -> float:
+    """ru_maxrss of this process in MB."""
+    import resource  # POSIX only: imported when stats are asked for
+    per_mb = 1 << 20 if sys.platform == "darwin" else 1 << 10  # macOS counts bytes, Linux KB
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / per_mb, 1)
+
+
+def _stage(stats: dict | None, name: str, fn, *args):
+    """fn(*args); with stats, its wall seconds go in as name_s and ru_maxrss
+    after it as name_rss_mb."""
+    if stats is None:
+        return fn(*args)
+    start = time.perf_counter()
+    out = fn(*args)
+    stats[f"{name}_s"] = time.perf_counter() - start
+    stats[f"{name}_rss_mb"] = _rss_mb()
+    return out
+
+
+@lru_cache(maxsize=1)
+def _matched_system(spec: ConstructionSpec) -> _Matched:
+    """The matched cells that all three orientations of spec's system share:
+    build_triple, then one E1-E3 scan, E6 and one Kuhn run per column key
+    (_matched_cells).  construct_pda keys it by the spec in orientation 1,
+    so the next orientation of the last system built reuses the cells.  It
+    holds no TripleSystem: the built one is freed on return, before any
+    array is emitted.  A spec that raises is not cached.  Every call that
+    hits gets the same cell arrays, which the emitter only reads."""
+    stats = _stage_stats.get()
+    built = _stage(stats, "build", build_triple, spec)
+    return _stage(stats, "match", _matched_cells, built)
+
+
+def construct_pda(spec: ConstructionSpec, stats: dict | None = None) -> Pda:
     """Full pipeline: build the triple, match it, emit the orientation's array.
 
-    The conditions are scanned once, on the built system; the array is
-    emitted from its matched cells, in the orientation's roles.
+    Builds and matches once per system: the conditions are scanned once, on
+    the built system, and the matched cells of the last system are kept, so
+    that another orientation of the same spec is only emitted from them, in
+    its roles.  With stats=None nothing is timed; a dict is filled with
+    reused (whether the cells were kept from an earlier call); build_s,
+    match_s and emit_s, wall seconds, each with ru_maxrss in MB after it
+    (build_rss_mb, match_rss_mb, emit_rss_mb), build and match None when
+    reused; size_x, size_y, size_z; nnz_xy, nnz_xz and nnz_yz, the ones of
+    the built matrices; column_keys, the distinct column graphs, and
+    kuhn_runs, those matched in this call.
     """
-    return _matched_pda(build_triple(spec), spec.orientation,
-                        f"orientation {spec.orientation} of {spec.family} ({spec.label()})")
+    if stats is not None:
+        # build and match stay None unless this call runs them
+        stats.update(dict.fromkeys(("reused", "build_s", "build_rss_mb", "match_s",
+                                    "match_rss_mb")))
+    token = _stage_stats.set(stats)
+    try:
+        matched = _matched_system(replace(spec, orientation=1))
+    finally:
+        _stage_stats.reset(token)
+    if stats is not None:
+        reused, ones = stats["build_s"] is None, len(matched.cells[0])
+        stats.update(zip(("size_x", "size_y", "size_z"), matched.sizes))
+        # each column's matching covers its rows and its symbols, one cell each
+        stats.update(reused=reused, nnz_xy=matched.nnz_xy, nnz_xz=ones, nnz_yz=ones,
+                     column_keys=matched.column_keys,
+                     kuhn_runs=0 if reused else matched.column_keys)
+    return _stage(stats, "emit", _oriented_pda, matched, spec.orientation,
+                  f"orientation {spec.orientation} of {spec.family} ({spec.label()})")

@@ -45,6 +45,10 @@ class Design:
             if b[0] < 0 or b[-1] >= self.v:
                 raise ValueError(f"block {b} uses points outside 0..{self.v - 1}")
         object.__setattr__(self, "blocks", canon)
+        # tuples of its own, so that a spec holding the design hashes
+        for name in ("t_params", "config_params"):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, tuple(getattr(self, name)))
 
     @property
     def b(self) -> int:

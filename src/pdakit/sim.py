@@ -194,13 +194,14 @@ class CacheContents:
 
     def size_bytes(self) -> int:
         """The bytes of every packet held: an untouched view's from the
-        library's packet size, any other mapping's by summing its own."""
+        library's packet size, any other mapping's by summing the lengths of
+        its bytes and bytearray payloads, the only ones `decode` reads."""
         packets = self.packets
         if isinstance(packets, PlacedPackets):
             if packets._own is None:
                 return len(packets) * packets._lib.packet_size
             packets = packets._own
-        return sum(map(len, packets.values()))
+        return sum(len(pk) for pk in packets.values() if isinstance(pk, (bytes, bytearray)))
 
 
 def place(p: Pda, lib: FileLibrary) -> list[CacheContents]:
@@ -332,18 +333,22 @@ def decode(p: Pda, cache: CacheContents, transmissions: list[bytes],
     """Reassemble the user's demanded file from cache plus transmissions.
 
     Raises ValueError unless user is a column of p, demand has K int
-    entries, there are S transmissions of one length and no entry is
-    negative, and DecodeError naming the first packet, in row order, that
-    the user's cache lacks or holds as other than bytes of a transmission's
-    length; an entry whose key is not a (file, row) pair is never read.  A
-    placed cache never written to holds the library's packets, so none when
-    those are of another length."""
+    entries, there are S transmissions, bytes-like and of one length, and
+    no entry is negative, and DecodeError naming the first packet, in row
+    order, that the user's cache lacks or holds as other than bytes of a
+    transmission's length; an entry whose key is not a (file, row) pair is
+    never read.  A placed cache never written to holds the library's
+    packets, so none when those are of another length."""
     if not 0 <= user < p.k:
         raise ValueError(f"user {user} outside 0..{p.k - 1}")
     demand = _demand_of(p, demand)
     if len(transmissions) != p.s or not transmissions:
         raise ValueError(f"decoding needs the array's S={p.s} transmissions, "
                          f"got {len(transmissions)}")
+    try:
+        sent = b"".join(transmissions)
+    except TypeError as exc:
+        raise ValueError(f"transmissions must be bytes-like: {exc}") from None
     sizes = set(map(len, transmissions))
     if len(sizes) > 1:
         raise ValueError(f"transmissions differ in length: {min(sizes)} to {max(sizes)} bytes")
@@ -351,8 +356,7 @@ def decode(p: Pda, cache: CacheContents, transmissions: list[bytes],
         raise ValueError("demand entry outside the library")
     size = sizes.pop()
     packets = cache.packets
-    rows = _peel(p, packets, _int_rows(packets, size), user, b"".join(transmissions), demand,
-                 size)
+    rows = _peel(p, packets, _int_rows(packets, size), user, sent, demand, size)
     return b"".join(x.to_bytes(size, "big") for x in rows)
 
 

@@ -28,7 +28,9 @@ The matching path scans only E1-E3 and the degrees, check_conditions
 everything; both take E6 from one pass that decides it once per distinct
 column graph (_local_graphs).  The matched cells, one triple (x, y, z) per
 non-star cell, are what every array is emitted from; an orientation picks
-which of x, y, z is row, column, symbol.
+which of x, y, z is row, column, symbol.  construct_pda runs the matching
+path once per system (_matched_cells) and emits each orientation from its
+cells (_oriented_pda).
 """
 
 from array import array
@@ -36,6 +38,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 from itertools import accumulate, repeat
 from operator import add, itemgetter
+from typing import NamedTuple
 
 from .pda import STAR, Pda, require_valid
 
@@ -302,7 +305,7 @@ def triple_to_pda(t: TripleSystem) -> Pda:
     """
     _raise_first(_scan(t, e4_e5=True)[0], ("E1", "E2", "E3", "E4", "E5"),
                  "triple system does not describe an array")
-    x, y, z = _cells(t)
+    (x, y, z), *_ = _cells(t)
     return _emit(len(t.labels_x), len(t.labels_z), x, z, y)
 
 
@@ -367,9 +370,12 @@ def _match_column(xs, ys: int, rows_xy: Masks) -> dict[int, int]:
     return owner
 
 
-def _cells(t: TripleSystem) -> tuple[array, array, array]:
+def _cells(t: TripleSystem) -> tuple[tuple[array, array, array], int, int]:
     """The cells of per-z perfect matchings of C_XY, as three arrays x, y, z:
-    cell i is the triple (x[i], y[i], z[i]), one per matched pair.
+    cell i is the triple (x[i], y[i], z[i]), one per matched pair; with the
+    count of Kuhn runs, one per distinct column key, and C_XY's ones, each
+    an edge of exactly one column's graph by E3, d * n of them on a column
+    of n rows by E6.
 
     _match_column runs once per distinct column key (_local_graphs) whose
     column passes E6, on the local masks; each column with that key takes
@@ -384,6 +390,7 @@ def _cells(t: TripleSystem) -> tuple[array, array, array]:
     """
     cells = cx, cy, cz = array("l"), array("l"), array("l")
     memo: dict[str, dict[int, int]] = {}  # key -> its matching
+    edges = 0
     for z, xs, ys, key, d in _local_graphs(t):
         if d is None:
             raise ConditionError("E6", "", (t.labels_z[z],))
@@ -397,16 +404,31 @@ def _cells(t: TripleSystem) -> tuple[array, array, array]:
         cx.extend(map(xs.__getitem__, pairs.values()))
         cy.extend(map(ys.__getitem__, pairs))
         cz.extend(repeat(z, len(pairs)))
-    return cells
+        edges += d * len(xs)
+    return cells, len(memo), edges
 
 
-def _matched_cells(t: TripleSystem) -> tuple[tuple[array, array, array], tuple]:
+class _Matched(NamedTuple):
+    """What the matching path keeps of a system, and no mask of it: the
+    matched cells (_cells), |X|, |Y|, |Z|, the degrees D_X, D_Y, D_Z, and
+    two counts for construct_pda's stats, the Kuhn runs (one per distinct
+    column key) and C_XY's ones."""
+    cells: tuple[array, array, array]
+    sizes: tuple[int, int, int]
+    degrees: tuple
+    column_keys: int
+    nnz_xy: int
+
+
+def _matched_cells(t: TripleSystem) -> _Matched:
     """_cells(t) and the degrees (D_X, D_Y, D_Z), after E1, E2, E3 and then
     E6 are required, each failure raised as check_conditions would report
     it.  Computes nothing else: no column of C_XY, no E4 or E5."""
     wit, *degrees = _scan(t)
     _raise_first(wit, ("E1", "E2", "E3"))
-    return _cells(t), tuple(degrees)
+    cells, keys, edges = _cells(t)
+    sizes = len(t.labels_x), len(t.labels_y), len(t.labels_z)
+    return _Matched(cells, sizes, tuple(degrees), keys, edges)
 
 
 def _require_degrees(d_x, d_y, d_z) -> None:
@@ -424,7 +446,7 @@ def complete_matching(t: TripleSystem) -> TripleSystem:
     (x,y) is incident iff the pair was matched within some z, which upgrades
     the system to the full E1-E5 family.  The result keeps t's C_XZ and C_YZ.
     """
-    (xs, ys, _), _ = _matched_cells(t)
+    xs, ys, _ = _matched_cells(t).cells
     return replace(t, xy=rows_of(zip(xs, ys), len(t.labels_x), len(t.labels_y)))
 
 
@@ -458,15 +480,14 @@ def orientations(t: TripleSystem) -> tuple[TripleSystem, TripleSystem, TripleSys
             TripleSystem(lz, ly, lx, t.cols_yz, t.cols_xz, t.cols_xy), t)
 
 
-def _matched_pda(t: TripleSystem, orientation: int, what: str) -> Pda:
-    """triple_to_pda(orientations(complete_matching(t))[orientation - 1]) from
-    one scan of t and its matched cells, read in the orientation's roles.  An
+def _oriented_pda(matched: _Matched, orientation: int, what: str) -> Pda:
+    """triple_to_pda(orientations(complete_matching(t))[orientation - 1]),
+    given matched = _matched_cells(t): E1'/E2'/E7 from its degrees, then the
+    array emitted from its cells in the orientation's roles.  An
     inadmissible orientation raises ValueError prefixed by what."""
-    cells, degrees = _matched_cells(t)
-    sizes = len(t.labels_x), len(t.labels_y), len(t.labels_z)
-    del t  # a caller that passes the built system on has it freed here
-    _require_degrees(*degrees)
+    _require_degrees(*matched.degrees)
     row, col, sym = _ROLES[orientation - 1]
+    sizes, cells = matched.sizes, matched.cells
     try:
         return _emit(sizes[row], sizes[col], cells[row], cells[col], cells[sym])
     except ValueError as exc:

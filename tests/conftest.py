@@ -9,6 +9,7 @@ import itertools
 
 import pytest
 
+import pdakit.constructions
 from pdakit import (ConstructionSpec, TripleSystem, closed_form_row, construct_pda,
                     direct_product, parse_pda, pda_to_triple, triple_to_pda)
 from pdakit.designs import as_t_design, complete_design
@@ -78,6 +79,17 @@ def product_cases(built):
     tb4 = _find(built, "tdesign-b", 1, design="complete:4:2")
     return [("tiny*tiny", TINY, TINY), ("pg7*tiny", pg7, TINY),
             ("pg7*pg7", pg7, pg7), ("tb4*tiny", tb4, TINY)]
+
+
+@pytest.fixture
+def fresh_cells():
+    """construct_pda's cache of the last system's matched cells, emptied
+    before and after the test: a test that patches a pipeline stage sees
+    every stage run, and leaves no cells built under its patch."""
+    cache = pdakit.constructions._matched_system
+    cache.cache_clear()
+    yield cache
+    cache.cache_clear()
 
 
 @pytest.fixture(scope="session")

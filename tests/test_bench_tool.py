@@ -1,6 +1,7 @@
 """tools/bench_pr.py reaches pdakit through its public names only: every
 name it imports from pdakit, in its own code or in the code strings it runs
-in fresh processes (RUNG_CODE, PRODUCT_CODE, SIM_CODE), is in pdakit.__all__;
+in fresh processes (every *_CODE: RUNG_CODE, ORIENTATIONS_CODE, PRODUCT_CODE,
+SIM_CODE and STATS_CODE among them), is in pdakit.__all__;
 each of those code strings compiles; and each rung prints its seconds both
 raw and in reference speed."""
 
@@ -58,11 +59,12 @@ def test_every_rung_script_compiles():
 def test_every_rung_prints_reference_seconds_beside_raw():
     """Each NAME_s field a rung prints has a NAME_ref_s float beside it: the
     same calls timed under the tree's SpeedClock.  The cheapest ladder rung,
-    the product rung and the sim rung are run on this tree."""
+    the orientations rung, the product rung and the sim rung are run on this
+    tree."""
     spec = importlib.util.spec_from_file_location("bench_pr", BENCH)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
-    for name in ("pg_q2_k5_m2_t1", "product", "sim"):
+    for name in ("pg_q2_k5_m2_t1", "orientations", "product", "sim"):
         code, arg = bench.RUNGS[name]
         out = bench.rung(bench.ROOT, code, arg)
         raw = [key for key in out if key.endswith("_s") and not key.endswith("_ref_s")]

@@ -133,13 +133,28 @@ def test_construct_design_without_t_parameters(run):
 def test_construct_condition_error_exits_3(run, monkeypatch):
     """A condition failing in the builder is a construction failure; no
     family input reaches it once the closed form has admitted the spec."""
-    def fail(spec):
+    def fail(spec, stats=None):
         raise pdakit.triples.ConditionError("E6", "columns differ in degree")
 
     monkeypatch.setattr(pdakit.cli, "construct_pda", fail)
     code, out, err = run("construct", "config", "--design", "fano")
     assert (code, out) == (3, "")
     assert err == "construction failed: E6 fails: columns differ in degree\n"
+
+
+def test_construct_stats_line(run, fresh_cells):
+    """--stats adds construct_pda's stats as the last stderr line, one JSON
+    object whose stage keys cover build, match and emit; stdout is unchanged."""
+    argv = ("construct", "pg", "--q", "2", "--k", "3", "--m", "1", "--t", "1")
+    code, out, err = run(*argv, "--stats")
+    assert code == 0 and (out, err.splitlines()[0] + "\n") == run(*argv)[1:]
+    lines = err.splitlines()
+    assert len(lines) == 2
+    stats = json.loads(lines[1])
+    for stage in ("build", "match", "emit"):
+        assert stats[f"{stage}_s"] > 0 and stats[f"{stage}_rss_mb"] > 0, stage
+    assert stats["reused"] is False and stats["kuhn_runs"] == stats["column_keys"] == 1
+    assert (stats["size_x"], stats["size_y"], stats["size_z"]) == (7, 7, 7)
 
 
 # --- validate -------------------------------------------------------------
@@ -217,6 +232,16 @@ def test_simulate_default_library_size(run, tiny_file):
     code, out, _ = run("simulate", tiny_file)
     assert code == 0
     assert json.loads(out)["demands_tested"] == 4  # N = min(K, 4) = 2
+
+
+def test_simulate_stats_line(run, tiny_file):
+    """--stats prints verify_scheme's stats as one JSON line on stderr."""
+    code, out, err = run("simulate", tiny_file, "--files", "2", "--stats")
+    assert code == 0 and out == run("simulate", tiny_file, "--files", "2")[1]
+    stats = json.loads(err)
+    assert set(stats) == {"setup_s", "loop_s", "demands_per_s", "users_peeled", "loop",
+                          "words_bytes"}
+    assert stats["loop"] == "words" and stats["users_peeled"] == 0
 
 
 def test_simulate_refuses_invalid(run, bad_file):

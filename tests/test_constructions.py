@@ -12,7 +12,7 @@ from pdakit.constructions import (FAMILIES, ConstructionSpec, _binomial, _invari
                                   configuration_triple, construct_pda, design_table,
                                   mn_baseline, pg_triple, tdesign_a_triple,
                                   tdesign_b_triple, tdesign_lambda_triple)
-from pdakit.designs import as_t_design, catalog_lookup, complete_design
+from pdakit.designs import Design, as_t_design, catalog_lookup, complete_design
 from pdakit.pda import STAR, Pda, canonical_relabel, format_pda, validate_pda
 from pdakit.sim import verify_scheme
 from pdakit.triples import TripleSystem, check_conditions, complete_matching, orientations
@@ -365,14 +365,67 @@ def test_every_admissible_design_table_row_constructs():
     assert built == 267
 
 
-def test_construct_pda_inadmissible_orientation():
-    with pytest.raises(ValueError, match="inadmissible") as exc:
-        construct_pda(ConstructionSpec("pg", 2, q=2, k=3, m=1, t=2))
-    assert str(exc.value) == ("orientation 2 of pg (q=2,k=3,m=1,t=2) is inadmissible: "
-                              "degenerate array: some column has no stars (Q = 0)")
+def test_construct_pda_inadmissible_orientation(fresh_cells):
+    # the same message whether the cells are built for it or held from set 1
+    spec = ConstructionSpec("pg", 2, q=2, k=3, m=1, t=2)
+    for held in (False, True):
+        if held:
+            construct_pda(replace(spec, orientation=1))
+        with pytest.raises(ValueError, match="inadmissible") as exc:
+            construct_pda(spec)
+        assert str(exc.value) == ("orientation 2 of pg (q=2,k=3,m=1,t=2) is inadmissible: "
+                                  "degenerate array: some column has no stars (Q = 0)")
 
 
-def test_a_catalog_design_is_certified_once_per_call(monkeypatch):
+def test_a_design_given_list_parameters_constructs_as_with_tuples():
+    fano = catalog_lookup("fano")
+    listed = Design(fano.v, fano.blocks, t_params=list(fano.t_params),
+                    config_params=list(fano.config_params))
+    assert listed == fano and hash(listed) == hash(fano)
+    assert (construct_pda(ConstructionSpec("config", 2, design=listed))
+            == construct_pda(ConstructionSpec("config", 2, design=fano)))
+
+
+def test_construct_pda_stats(monkeypatch, fresh_cells):
+    """Stage seconds and RSS for the stages that ran, sizes and ones of the
+    built matrices, column keys and Kuhn runs; reused from the second
+    orientation of a system on.  With stats=None nothing is timed."""
+    stage_keys = {f"{stage}_{what}" for stage in ("build", "match", "emit")
+                  for what in ("s", "rss_mb")}
+    specs = [ConstructionSpec("pg", o, q=q, k=4, m=1, t=1) for q in (2, 3) for o in (1, 2, 3)]
+    reused = []
+    for spec in specs:
+        stats = {}
+        p = construct_pda(spec, stats)
+        assert set(stats) == stage_keys | {"reused", "size_x", "size_y", "size_z", "nnz_xy",
+                                           "nnz_xz", "nnz_yz", "column_keys", "kuhn_runs"}
+        reused.append(stats["reused"])
+        ran = {"emit"} if stats["reused"] else {"build", "match", "emit"}
+        for stage in ("build", "match", "emit"):
+            took, rss = stats[f"{stage}_s"], stats[f"{stage}_rss_mb"]
+            if stage in ran:
+                assert type(took) is float and took > 0 and type(rss) is float and rss > 0
+            else:
+                assert took is None and rss is None
+        t = build_triple(spec)
+        assert (stats["size_x"], stats["size_y"], stats["size_z"]) == tuple(
+            map(len, (t.labels_x, t.labels_y, t.labels_z)))
+        assert (stats["nnz_xy"], stats["nnz_xz"], stats["nnz_yz"]) == tuple(
+            sum(map(int.bit_count, rows)) for rows in (t.xy, t.xz, t.yz))
+        assert stats["column_keys"] == 1  # a pg system has one column graph
+        assert stats["kuhn_runs"] == (0 if stats["reused"] else 1)
+        assert p == construct_pda(spec, None)
+    assert reused == [False, True, True, False, True, True]
+
+    monkeypatch.setattr(constructions, "time", None)  # any timing raises AttributeError
+    fresh_cells.cache_clear()
+    for spec in specs:
+        construct_pda(spec)
+    with pytest.raises(AttributeError):
+        construct_pda(specs[0], {})
+
+
+def test_a_catalog_design_is_certified_once_per_call(monkeypatch, fresh_cells):
     calls = []
     real = constructions.certify_t_design
 

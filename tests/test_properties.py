@@ -33,9 +33,9 @@ from pdakit.pda import (Pda, PdaFormatError, STAR, canonical_relabel, format_pda
                         parse_pda, pda_from_json, pda_to_json, validate_pda)
 from pdakit.sim import (CacheContents, DecodeError, FileLibrary, decode, deliver, place,
                         verify_scheme)
-from pdakit.triples import (ConditionError, TripleSystem, _match_column, _matched_pda,
-                            check_conditions, complete_matching, direct_product,
-                            pda_to_triple, set_bits, triple_to_pda)
+from pdakit.triples import (ConditionError, TripleSystem, _match_column, _matched_cells,
+                            _oriented_pda, check_conditions, complete_matching,
+                            direct_product, pda_to_triple, set_bits, triple_to_pda)
 
 from conftest import all_pdas, decode_failures, triple_route_product
 
@@ -666,14 +666,14 @@ def reference_matching_path(t: TripleSystem):
 
 
 def matching_path(t: TripleSystem):
-    """What _matched_pda, construct_pda's path, hands the emitter in
-    orientation 3, (X, Z, Y) as (row, column, symbol), as lists (x, y, z);
-    or the ConditionError's (condition, message, witness)."""
+    """What construct_pda's path, _matched_cells then _oriented_pda, hands
+    the emitter in orientation 3, (X, Z, Y) as (row, column, symbol), as
+    lists (x, y, z); or the ConditionError's (condition, message, witness)."""
     handed = []
     with mock.patch.object(pdakit.triples, "_emit", lambda f, k, x, z, y: handed.append(
             [list(x), list(y), list(z)])):
         try:
-            _matched_pda(t, 3, "test")
+            _oriented_pda(_matched_cells(t), 3, "test")
         except ConditionError as exc:
             return exc.condition, str(exc), exc.witness
     return tuple(handed[0])

@@ -78,6 +78,19 @@ def test_place_fills_starred_rows():
     assert caches[0].size_bytes() == 2 * 16
 
 
+def test_size_bytes_counts_only_bytes_payloads():
+    """On the 2x2 array: a plain mapping's bytes and bytearray payloads, the
+    ones decode reads, by length; an int or a str payload counts nothing."""
+    lib = FileLibrary.random(2, 2, seed=0)
+    edited = place(TINY, lib)[0]
+    edited.packets[(0, 0)] = 7
+    edited.packets[(1, 0)] = "seventeen chars.."
+    edited.packets[(0, 1)] = bytearray(3)
+    assert edited.size_bytes() == 3
+    plain = {(0, 0): b"ab", (1, 0): 5, (0, 1): "xyz", (1, 1): bytearray(b"c")}
+    assert CacheContents(0, plain).size_bytes() == 3
+
+
 def test_placed_cache_repr_shows_its_packets():
     lib = FileLibrary(2, 2, 1, ((b"a", b"b"), (b"c", b"d")))
     assert repr(place(TINY, lib)[0].packets) == "PlacedPackets({(0, 0): b'a', (1, 0): b'c'})"
@@ -544,6 +557,8 @@ _TX = deliver(FANO_PG, _LIB, (0,) * 7)
     (4, (0,) * 7, _TX[:-1] + [_TX[-1] + b"\0"], "differ in length: 16 to 17 bytes"),
     (0, (0,) * 7, [_TX[0] + b"\0"] + _TX[1:], "differ in length: 16 to 17 bytes"),
     (0, (0,) * 7, [_TX[0][:-1]] + _TX[1:], "differ in length: 15 to 16 bytes"),
+    (0, (0,) * 7, [tx.decode("latin-1") for tx in _TX], "must be bytes-like: .* str found"),
+    (0, (0,) * 7, _TX[:-1] + [0], "must be bytes-like: .* int found"),
 ])
 def test_decode_checks_its_inputs(user, demand, tx, match):
     caches = place(FANO_PG, _LIB)

@@ -241,7 +241,7 @@ def test_enumerator_checks_free_entries_against_the_field():
             subspaces_and_masks(_LeakyField.for_order(q), 3, 2)
 
 
-def test_no_subspace_outlives_its_system(monkeypatch):
+def test_no_subspace_outlives_its_system(monkeypatch, fresh_cells):
     # points masks come with the labels, and nothing in pdakit caches a
     # subspace, points_mask() included: a label is freed with the system
     # that holds it

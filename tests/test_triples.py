@@ -315,11 +315,12 @@ def test_every_orientation_of_a_matched_system_passes_e1_to_e5(sweep, k651):
             assert check_conditions(o).necessary_ok
 
 
-def test_construct_pda_scans_conditions_once(monkeypatch):
-    # and only what the matching path reads: E1-E3 in one scan of the built
-    # system, whose one row scan is E3's, and transposes of C_XZ and C_YZ
-    # alone.  No column of C_XY, no E4 or E5 scan, no full report, and no
-    # column mask of a matched or rotated system.
+def test_construct_pda_scans_conditions_once(monkeypatch, fresh_cells):
+    # once per system, and only what the matching path reads: E1-E3 in one
+    # scan of the built system, whose one row scan is E3's, and transposes of
+    # C_XZ and C_YZ alone.  No column of C_XY, no E4 or E5 scan, no full
+    # report, and no column mask of a matched or rotated system.  The other
+    # orientations of the same spec scan nothing; another spec scans again.
     scans, transposed, row_scans, reports = [], [], [], []
     real_scan, real_rows = pdakit.triples._scan, pdakit.triples._first_not_single
     monkeypatch.setattr(pdakit.triples, "_scan", lambda t: scans.append(t) or real_scan(t))
@@ -328,37 +329,94 @@ def test_construct_pda_scans_conditions_once(monkeypatch):
     monkeypatch.setattr(pdakit.triples, "check_conditions", reports.append)
     monkeypatch.setattr(pdakit.triples, "_columns",
                         lambda rows, ncols: transposed.append(rows) or _columns(rows, ncols))
-    for o in (1, 2, 3):
+    fano = ConstructionSpec("pg", 1, q=2, k=3, m=1, t=1)
+    for spec, scanned in ((fano, 1), (replace(fano, orientation=2), 0),
+                          (replace(fano, orientation=3), 0),
+                          (ConstructionSpec("pg", 2, q=3, k=3, m=1, t=1), 1)):
         scans.clear()
         transposed.clear()
         row_scans.clear()
-        p = construct_pda(ConstructionSpec("pg", o, q=2, k=3, m=1, t=1))
+        p = construct_pda(spec)
         assert validate_pda(p).ok
-        assert len(scans) == 1 and reports == []
-        built = scans[0]
-        assert list(map(id, transposed)) == [id(built.xz), id(built.yz)]
-        assert list(map(id, row_scans)) == [id(built.xy)]
-        assert "cols_xy" not in vars(built)
+        assert len(scans) == scanned and reports == [], spec
+        for built in scans:
+            assert list(map(id, transposed)) == [id(built.xz), id(built.yz)]
+            assert list(map(id, row_scans)) == [id(built.xy)]
+            assert "cols_xy" not in vars(built)
+        if not scanned:
+            assert transposed == row_scans == []
+
+
+def _staged(spec, matched=None):
+    """The staged pipeline: the matched system's rotation, scanned and emitted."""
+    matched = matched or complete_matching(build_triple(spec))
+    return triple_to_pda(orientations(matched)[spec.orientation - 1])
 
 
 def test_construct_pda_equals_the_staged_pipeline(sweep, k651):
     # construct_pda emits from the matched cells in the orientation's roles;
     # the staged route builds the matched system and its rotation
-    def staged(spec, matched=None):
-        matched = matched or complete_matching(build_triple(spec))
-        return triple_to_pda(orientations(matched)[spec.orientation - 1])
-
     for spec, _, p in sweep["built"]:
-        assert p == staged(spec), spec
+        assert p == _staged(spec), spec
     for k, m, t, matched in ((6, 2, 2, k651[1]), (7, 1, 1, None)):
         for o in (1, 2, 3):
             spec = ConstructionSpec("pg", o, q=2, k=k, m=m, t=t)
-            assert construct_pda(spec) == staged(spec, matched), spec
+            assert construct_pda(spec) == _staged(spec, matched), spec
+
+
+def test_construct_pda_in_any_order_equals_the_staged_pipeline(monkeypatch, fresh_cells):
+    # orientations 3 then 1 of one system, another system, then 2 of the
+    # first: each array is the staged one, whichever cells are held
+    fano = ConstructionSpec("pg", 3, q=2, k=3, m=1, t=1)
+    other = ConstructionSpec("config", 1, design="affine-9")
+    real, built = pdakit.constructions.build_triple, []
+    monkeypatch.setattr(pdakit.constructions, "build_triple",
+                        lambda spec: built.append(spec.label()) or real(spec))
+    for spec in (fano, replace(fano, orientation=1), other, replace(fano, orientation=2)):
+        assert construct_pda(spec) == _staged(spec), spec
+    assert built == [fano.label(), other.label(), fano.label()]
+
+
+def test_construct_pda_holds_one_system(fresh_cells):
+    for spec in (ConstructionSpec("pg", 1, q=2, k=3, m=1, t=1),
+                 ConstructionSpec("pg", 1, q=2, k=4, m=1, t=1),
+                 ConstructionSpec("pg", 3, q=2, k=4, m=1, t=1)):
+        construct_pda(spec)
+        info = fresh_cells.cache_info()
+        assert (info.maxsize, info.currsize) == (1, 1)
+    assert (info.hits, info.misses) == (1, 2)
+    held = fresh_cells(ConstructionSpec("pg", 1, q=2, k=4, m=1, t=1))
+    assert not any(isinstance(v, TripleSystem) for v in held)
+
+
+def test_a_spec_that_raises_is_not_cached(monkeypatch, fresh_cells):
+    # a built system that fails E3 raises on every call, with the full
+    # report's witness, and leaves the cells held before it in place
+    good = ConstructionSpec("pg", 1, q=2, k=3, m=1, t=1)
+    bad = ConstructionSpec("pg", 1, q=2, k=4, m=1, t=1)
+    raw = pg_triple(2, 4, 1, 1)
+    flipped = replace(raw, xy=(raw.xy[0] ^ 1,) + raw.xy[1:])
+    witness = check_conditions(flipped).witnesses["E3"]
+    real, builds = pdakit.constructions.build_triple, []
+
+    def build(spec):
+        builds.append(spec)
+        return flipped if spec == bad else real(spec)
+
+    monkeypatch.setattr(pdakit.constructions, "build_triple", build)
+    construct_pda(good)
+    for o in (1, 2, 3):
+        with pytest.raises(ConditionError) as exc:
+            construct_pda(replace(bad, orientation=o))
+        assert (exc.value.condition, exc.value.witness) == ("E3", witness)
+    assert builds == [good] + [bad] * 3
+    construct_pda(replace(good, orientation=2))
+    assert len(builds) == 4 and fresh_cells.cache_info().currsize == 1
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11),
                     reason="CPython 3.10 keeps call arguments alive on the caller's stack")
-def test_construct_pda_frees_the_built_system_before_emitting(monkeypatch):
+def test_construct_pda_frees_the_built_system_before_emitting(monkeypatch, fresh_cells):
     built, alive = [], []
     real_build, real_emit = pdakit.constructions.build_triple, pdakit.triples._emit
 
@@ -375,7 +433,7 @@ def test_construct_pda_frees_the_built_system_before_emitting(monkeypatch):
     monkeypatch.setattr(pdakit.triples, "_emit", emit)
     for o in (1, 2, 3):
         construct_pda(ConstructionSpec("pg", o, q=2, k=3, m=1, t=1))
-    assert alive == [False] * 3
+    assert len(built) == 1 and alive == [False] * 3
 
 
 def _per_column_matching(t: TripleSystem) -> tuple:
@@ -420,7 +478,7 @@ def test_complete_matching_tells_equal_sized_column_graphs_apart():
     assert matched.xy == _per_column_matching(t)
 
 
-def test_e6_is_decided_once_per_column_key(monkeypatch):
+def test_e6_is_decided_once_per_column_key(monkeypatch, fresh_cells):
     """check_conditions and construct_pda each run _regular_degree once per
     distinct column key: once on K=651 (pg q=2 k=6 m=2 t=2), whose 651
     columns share one key."""

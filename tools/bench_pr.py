@@ -11,10 +11,17 @@ SECONDS`, the gated settings; reference-speed seconds), then every ladder
 rung (LADDER: the six pg systems of ROADMAP.md's Baseline table, q = 3
 among them, two at k = 8, and one tdesign-lambda design, each in
 orientation 1) in a fresh process: construct_pda's wall seconds (total_s),
-the array's SHA-256 digest and ru_maxrss right after it, then, on that
+the array's SHA-256 digest and ru_maxrss right after it, and from its stats
+dict the seconds of its build, match and emit stages (build_s, match_s,
+emit_s, their reference-speed seconds at the whole call's rate) and
+ru_maxrss after each, which a tree without stats leaves out; then, on that
 array, the pda layer's two figures: validate_pda on a fresh equal array
 (validate_s), and canonical_relabel plus the text and the JSON round trips
-(io_s); then the product rung in a fresh process: direct_product of pg q=2
+(io_s); then the orientations rung in a fresh process: construct_pda on
+orientations 1, 2 and 3 of pg q=2 k=6 m=2 t=2, in that order, each call
+timed (o1_s, o2_s, o3_s, and total_s their sum) with its stats' reused
+flag, the only rung in which construct_pda reuses the cells of the call
+before; then the product rung in a fresh process: direct_product of pg q=2
 k=3 m=1 t=1 and pg q=2 k=5 m=2 t=1, both set 1, built and validated before
 the timer starts, called 7 times (total_s, the fastest call: a single cold
 call varies by tens of milliseconds from run to run), the product's SHA-256
@@ -102,14 +109,27 @@ def seconds(name, pick=sum):  # once the clock has stopped; to 10 us, for calls 
             name + "_ref_s": round(pick(clock.seconds(a, b) for a, b in spans[name]), 5)}
 """
 
+# Run ahead of each rung script after CLOCK_CODE: stats_kw(stats, fn) is
+# the keyword arguments that ask fn (construct_pda by default) to fill the
+# stats dict, {} on a tree whose fn takes none.
+STATS_CODE = """
+import inspect
+from pdakit import construct_pda
+
+
+def stats_kw(stats, fn=construct_pda):
+    return {"stats": stats} if "stats" in inspect.signature(fn).parameters else {}
+"""
+
 RUNG_CODE = """
 import hashlib, json, resource, sys
 from pdakit import (ConstructionSpec, Pda, canonical_relabel, construct_pda, format_pda,
                     parse_pda, pda_from_json, pda_to_json, validate_pda)
 spec = ConstructionSpec(**json.loads(sys.argv[1]))
+stats = {}
 with clock.running():
     with timing("total"):
-        p = construct_pda(spec)
+        p = construct_pda(spec, **stats_kw(stats))
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     fresh = Pda(p.k, p.f, p.q, p.s, p.grid)  # equal, with nothing cached on it
     with timing("validate"):
@@ -118,11 +138,42 @@ with clock.running():
         canon = canonical_relabel(p)
         text = parse_pda(format_pda(p))
         obj = pda_from_json(json.loads(json.dumps(pda_to_json(p))))
-print(json.dumps({"params_kfqs": [p.k, p.f, p.q, p.s],
-                  "digest": hashlib.sha256(format_pda(p).encode()).hexdigest(),
-                  "all_valid": valid, "round_trips_equal": canon == text == obj == p,
-                  **seconds("total"), "peak_rss_mb": round(rss, 1),
-                  **seconds("validate"), **seconds("io")}))
+out = {"params_kfqs": [p.k, p.f, p.q, p.s],
+       "digest": hashlib.sha256(format_pda(p).encode()).hexdigest(),
+       "all_valid": valid, "round_trips_equal": canon == text == obj == p,
+       **seconds("total"), "peak_rss_mb": round(rss, 1),
+       **seconds("validate"), **seconds("io")}
+# construct_pda's own stage seconds, in reference speed at the whole call's
+# rate, and its ru_maxrss after each stage
+scale = out["total_ref_s"] / out["total_s"] if out["total_s"] else 0.0
+for stage in ("build", "match", "emit"):
+    if stats.get(stage + "_s") is not None:
+        out.update({stage + "_s": round(stats[stage + "_s"], 5),
+                    stage + "_ref_s": round(stats[stage + "_s"] * scale, 5),
+                    stage + "_rss_mb": stats[stage + "_rss_mb"]})
+print(json.dumps(out))
+"""
+
+# orientations 1, 2 and 3 of one system in one process: the only rung that
+# runs construct_pda on cells held from the call before
+ORIENTATIONS = LADDER["pg_q2_k6_m2_t2"]
+ORIENTATIONS_CODE = """
+import hashlib, json, resource, sys
+from pdakit import ConstructionSpec, construct_pda, format_pda
+kw = json.loads(sys.argv[1])
+reused, digest = [], hashlib.sha256()
+with clock.running():
+    for o in (1, 2, 3):
+        stats = {}
+        with timing(f"o{o}"):
+            p = construct_pda(ConstructionSpec(orientation=o, **kw), **stats_kw(stats))
+        reused.append(str(stats.get("reused", "unrecorded")))
+        digest.update(format_pda(p).encode())
+rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+spans["total"] = spans["o1"] + spans["o2"] + spans["o3"]
+print(json.dumps({"digest": digest.hexdigest(), "reused": ", ".join(reused),
+                  **seconds("total"), **seconds("o1"), **seconds("o2"), **seconds("o3"),
+                  "peak_rss_mb": round(rss, 1)}))
 """
 
 # direct_product of two arrays, each built and validated outside the timed
@@ -148,19 +199,18 @@ print(json.dumps({"params_kfqs": [p.k, p.f, p.q, p.s],
 SIM_RUNG = LADDER["pg_q2_k6_m2_t2"]
 SIM_SMALL = dict(family="tdesign-b", design="complete:6:3", t1=1, t2=2)  # K=6: 4^6 demands
 SIM_CODE = """
-import hashlib, inspect, json, random, resource, sys
+import hashlib, json, random, resource, sys
 from pdakit import (ConstructionSpec, DecodeError, FileLibrary, construct_pda, decode,
                     deliver, place, verify_scheme)
 spec, small_spec = json.loads(sys.argv[1])
 p = construct_pda(ConstructionSpec(**spec))
 small = construct_pda(ConstructionSpec(**small_spec))
-takes_stats = "stats" in inspect.signature(verify_scheme).parameters
 
 
 def timed_verify(name, *args, **kwargs):  # report, loop form (from stats, if taken)
     stats = {}
     with timing(name):
-        rep = verify_scheme(*args, **kwargs, **({"stats": stats} if takes_stats else {}))
+        rep = verify_scheme(*args, **kwargs, **stats_kw(stats, verify_scheme))
     return rep, stats.get("loop", "unrecorded")
 
 
@@ -216,8 +266,10 @@ print(json.dumps({"demands": rep.demands_tested, "all_ok": rep.ok and small_rep.
                   **seconds("total"), **seconds("small"), **seconds("place"),
                   **seconds("decode"), "peak_rss_mb": round(rss, 1)}))
 """
-# name -> (script, its argument): the ladder, then the product and sim rungs
+# name -> (script, its argument): the ladder, then the orientations, product
+# and sim rungs
 RUNGS = {**{name: (RUNG_CODE, spec) for name, spec in LADDER.items()},
+         "orientations": (ORIENTATIONS_CODE, ORIENTATIONS),
          "product": (PRODUCT_CODE, PRODUCT_FACTORS), "sim": (SIM_CODE, (SIM_RUNG, SIM_SMALL))}
 
 
@@ -238,7 +290,8 @@ def perfbench(tree: Path, workload: str) -> dict:
 
 
 def rung(tree: Path, code: str, arg) -> dict:
-    lines = _stdout_lines([sys.executable, "-c", CLOCK_CODE + code, json.dumps(arg)], tree)
+    lines = _stdout_lines([sys.executable, "-c", CLOCK_CODE + STATS_CODE + code,
+                           json.dumps(arg)], tree)
     return json.loads(lines[-1])
 
 
@@ -262,22 +315,24 @@ def summarize(parent_runs: list, change_runs: list) -> dict:
 
 
 def summarize_rung(parent: list, change: list) -> dict:
-    """Each field of a rung's runs by one rule: a float through summarize; a
-    bool, whether it held in every run; a *digest field, whether it was the
-    same in every run (<name>s_equal) and its least value; any other field
-    once, or each side's runs when they differ."""
+    """Each field of a rung's runs by one rule: a float in every run through
+    summarize; a bool in every run, whether it held in every run; a *digest
+    field, whether it was the same in every run (<name>s_equal) and its
+    least value; any other field, one that a side lacks (None there)
+    included, once, or each side's runs when they differ."""
     out = {}
-    for name, first in parent[0].items():
-        runs = {"parent": [r[name] for r in parent], "change": [r[name] for r in change]}
+    for name in dict.fromkeys([*parent[0], *change[0]]):
+        runs = {"parent": [r.get(name) for r in parent], "change": [r.get(name) for r in change]}
         every = runs["parent"] + runs["change"]
-        if type(first) is float:
+        kinds = set(map(type, every))
+        if kinds == {float}:
             out[name] = summarize(runs["parent"], runs["change"])
-        elif type(first) is bool:
+        elif kinds == {bool}:
             out[name] = all(every)
         elif name.endswith("digest"):
             out[name + "s_equal"], out[name] = len(set(every)) == 1, min(every)
         else:
-            out[name] = first if all(v == first for v in every) else runs
+            out[name] = every[0] if all(v == every[0] for v in every) else runs
     return out
 
 
@@ -311,9 +366,19 @@ def main(argv=None) -> int:
                               for m in GATED} for w in WORKLOADS},
            "ladder": {"what": "construct_pda(spec), one fresh process per rung and run; "
                               "wall seconds (raw and reference-speed) and ru_maxrss after "
-                              "it; then validate_s, validate_pda on a fresh equal array, "
-                              "and io_s, canonical_relabel plus the text and JSON round trips",
+                              "it; build_s, match_s and emit_s with their ru_maxrss after, "
+                              "from construct_pda's stats, the reference-speed ones at the "
+                              "whole call's rate (absent on a tree without stats); then "
+                              "validate_s, validate_pda on a fresh equal array, and io_s, "
+                              "canonical_relabel plus the text and JSON round trips",
                       **{name: {"spec": spec, **rungs[name]} for name, spec in LADDER.items()}},
+           "orientations": {
+               "what": "construct_pda on orientations 1, 2 and 3 of the spec, in that order, "
+                       "in one fresh process per run: each call's wall seconds (o1_s, o2_s, "
+                       "o3_s; total_s their sum), raw and reference-speed; reused, each "
+                       "call's stats['reused'] ('unrecorded' on a tree without stats); the "
+                       "SHA-256 of the three arrays' text, and ru_maxrss after the calls",
+               "spec": ORIENTATIONS, **rungs["orientations"]},
            "product": {
                "what": "direct_product(a, b), the factors built and validated first, one fresh "
                        "process per run; wall seconds (raw and reference-speed) of the "
