@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 validation failure, 3 hypothesis or parse failure,
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -225,6 +226,7 @@ def cmd_designs(args) -> int:
     return code
 
 
+@functools.cache  # built on the first main call, then shared: parse_args keeps no state
 def _build_parser() -> _Parser:
     top = _Parser(prog="pdakit",
                   description="Placement delivery arrays: construct, validate, simulate.")

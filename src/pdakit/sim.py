@@ -26,10 +26,12 @@ once; `verify_scheme` peels on every demand for each user whose cache is
 faulty.  By C3 every side packet a user needs sits in a starred row of its
 own cache, so for a user whose cache holds the library's packets a coded row
 decodes right iff its payload equals the library XOR over its symbol's
-cells: `verify_scheme` checks the packed payloads once per demand, against
-the same XOR derived again apart from the sender so that a faulty sender
-shows up, instead of peeling those users.  Only a placed cache never written
-to or deleted from counts as holding them; every other cache is peeled.
+cells: `verify_scheme` checks the packed payloads once per demand against
+that XOR, instead of peeling those users.  The check computes the XOR with
+the sender's own `_words` table or `_pack_cells`, so it catches a fault in
+`_transmit`'s dispatch only, not one in the table or the packer (ROADMAP
+item 3, still open).  Only a placed cache never written to or deleted from
+counts as holding the library's packets; every other cache is peeled.
 """
 
 import itertools
@@ -390,6 +392,9 @@ MAX_EXHAUSTIVE = 1 << 20  # most demand vectors an explicit exhaustive run takes
 # small array's table is at most a few hundred KB, while K=651 with N=4 would
 # need 27 MB, near the whole process's resident memory, so it runs cell by cell.
 MAX_WORDS_BYTES = 1 << 20
+# Most 32-bit words one getrandbits call draws for sampled demands: 256 KB
+# of int and of bytes, however many samples x K values are wanted.
+DRAW_BATCH = 1 << 16
 
 
 def _demand_set(p: Pda, n: int, mode: str, samples: int, rng: random.Random):
@@ -410,12 +415,32 @@ def _demand_set(p: Pda, n: int, mode: str, samples: int, rng: random.Random):
         return list(seen), "adversarial"
     if mode != "sampled":
         raise ValueError(f"unknown mode {mode!r}")
-    # rng.randrange(n)'s own stream, drawn in C: it takes getrandbits of n's
-    # bit length until one is below n.  n >= 1 here (FileLibrary.random
-    # refuses less before this runs); for n = 0 the filter would never yield.
-    draws = filter(n.__gt__, map(rng.getrandbits, itertools.repeat(n.bit_length())))
-    for _ in range(samples):
-        seen.setdefault(tuple(itertools.islice(draws, p.k)), None)
+    if n < 1:  # no draw is ever below n, so neither route would end
+        raise ValueError(f"sampling demands needs at least one file, not {n}")
+    # rng.randrange(n)'s own stream: it takes getrandbits of n's bit length
+    # until one is below n, and getrandbits(b) for b <= 32 is the top b bits
+    # of one 32-bit Mersenne Twister word.  Below 256 the words come in bulk:
+    # getrandbits(32 * m) is the next m words, the first in the low 32 bits
+    # (CPython fills the int from its least significant word up), so the
+    # little-endian bytes hold each word's top byte at 3, 7, 11, ...  One
+    # translate keeps the top bits of those bytes and deletes the draws >= n.
+    # A batch takes no more words than values still wanted, so the stream
+    # stops where the last randrange would.
+    total = samples * p.k
+    if n < 256:
+        shift = 8 - n.bit_length()
+        table = bytes(b >> shift for b in range(256))
+        rejected = bytes(b for b in range(256) if b >> shift >= n)
+        values = bytearray()
+        while len(values) < total:
+            m = min(total - len(values), DRAW_BATCH)
+            top = rng.getrandbits(32 * m).to_bytes(4 * m, "little")[3::4]
+            values += top.translate(table, rejected)
+    else:
+        draws = filter(n.__gt__, map(rng.getrandbits, itertools.repeat(n.bit_length())))
+        values = list(itertools.islice(draws, total))
+    # demand i is values[i*K:(i+1)*K]; a repeat keeps its first place
+    seen.update(dict.fromkeys(zip(*[iter(values)] * p.k)))
     return list(seen), "sampled"
 
 
@@ -431,20 +456,22 @@ def verify_scheme(p: Pda, n_files: int, mode: str = "auto", samples: int = 200,
     raises ValueError beyond that, before building any.  A wrong or
     undecodable file is a (demand, user) failure, listed demand-major.
 
-    Demands are drawn one at a time and each is transmitted once, so neither
-    the demand set nor its payloads are held.  A user is clean when its
+    Each demand is transmitted once, and no payloads are held; the
+    exhaustive set is drawn lazily, never held.  A user is clean when its
     cache is the `PlacedPackets` view `place` gave it, never written to or
     deleted from, so it holds every starred packet of every file as the
     library does.  Any other cache, an edited view or another mapping, is
     peeled, whatever it holds.
     By C3 each side packet a user needs sits in one of its starred rows, so
     a clean user decodes coded row j with symbol s right iff payload s
-    equals the library XOR over all of s's cells: the check re-derives that
-    XOR from the library, apart from `_transmit`, so a faulty sender shows
-    up, and a wrong payload fails every clean user in its columns.  Clean
-    users are never peeled.  Every other user's cache is grouped by row
-    once, and `_peel` runs on it for every demand: it is exact for any
-    cache.
+    equals the library XOR over all of s's cells, and a wrong payload fails
+    every clean user in its columns.  The check computes that XOR again
+    but not apart from the sender: it runs the same words XOR or
+    `_pack_cells` that `_transmit` dispatches to, so it catches a fault in
+    that dispatch only, not one in `_words` or `_pack_cells` (ROADMAP item
+    3, still open).  Clean users are never peeled.  Every other user's
+    cache is grouped by row once, and `_peel` runs on it for every demand:
+    it is exact for any cache.
 
     The demand loop has two forms with the same reports.  When the words
     table (`_words`: K * N * S * packet_size bytes) fits in MAX_WORDS_BYTES,
@@ -456,16 +483,22 @@ def verify_scheme(p: Pda, n_files: int, mode: str = "auto", samples: int = 200,
     bytes, once per demand, whose slots `_peel` reads.
 
     stats, when a dict, receives: setup_s and loop_s (seconds before the
-    first demand and in the demand loop), demands_per_s, users_peeled (the
-    users whose cache is not clean), loop ("words" or "cells") and
-    words_bytes (the table's size, built or not).  None costs nothing.
+    first demand and in the demand loop), draw_s (the part of setup_s spent
+    resolving the demand set: the sampled draws, about 0 for the lazy
+    exhaustive product), demands_per_s, users_peeled (the users whose cache
+    is not clean), loop ("words" or "cells") and words_bytes (the table's
+    size, built or not).  None costs nothing.
     """
     if stats is not None:
         t0 = time.perf_counter()
     require_valid(p, "refusing to simulate an invalid PDA")
     rng = random.Random(seed)
     lib = FileLibrary.random(n_files, p.f, packet_size, seed=rng.randrange(2 ** 32))
+    if stats is not None:
+        t_draw = time.perf_counter()
     demands, mode_used = _demand_set(p, n_files, mode, samples, rng)
+    if stats is not None:
+        draw_s = time.perf_counter() - t_draw
     ints = lib._ints
     width = p.s * packet_size
     words_bytes = p.k * n_files * width
@@ -509,7 +542,7 @@ def verify_scheme(p: Pda, n_files: int, mode: str = "auto", samples: int = 200,
         failures.extend((demand, user) for user in sorted(failed))
     if stats is not None:
         t2 = time.perf_counter()
-        stats.update(setup_s=t1 - t0, loop_s=t2 - t1,
+        stats.update(setup_s=t1 - t0, draw_s=draw_s, loop_s=t2 - t1,
                      demands_per_s=tested / (t2 - t1) if t2 > t1 else 0.0,
                      users_peeled=len(faulty), loop="cells" if words is None else "words",
                      words_bytes=words_bytes)

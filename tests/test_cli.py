@@ -239,9 +239,25 @@ def test_simulate_stats_line(run, tiny_file):
     code, out, err = run("simulate", tiny_file, "--files", "2", "--stats")
     assert code == 0 and out == run("simulate", tiny_file, "--files", "2")[1]
     stats = json.loads(err)
-    assert set(stats) == {"setup_s", "loop_s", "demands_per_s", "users_peeled", "loop",
-                          "words_bytes"}
+    assert set(stats) == {"setup_s", "draw_s", "loop_s", "demands_per_s", "users_peeled",
+                          "loop", "words_bytes"}
     assert stats["loop"] == "words" and stats["users_peeled"] == 0
+    assert 0 <= stats["draw_s"] <= stats["setup_s"]
+
+
+def test_main_calls_share_no_state(run, tiny_file, fresh_cells):
+    """The parser is built once per process, yet each main call starts from
+    the defaults: no --stats and no --set carries over to the next call."""
+    assert pdakit.cli._build_parser() is pdakit.cli._build_parser()
+    code, _, err = run("simulate", tiny_file, "--stats")
+    assert code == 0 and json.loads(err)["loop"] == "words"
+    assert run("simulate", tiny_file)[::2] == (0, "")  # no stats line
+    argv = ("construct", "pg", "--q", "2", "--k", "3", "--m", "1", "--t", "1", "--json")
+    code, out, _ = run(*argv, "--set", "2")
+    assert code == 0 and json.loads(out)["provenance"]["orientation"] == 2
+    code, out, err = run(*argv)
+    assert code == 0 and json.loads(out)["provenance"]["orientation"] == 1
+    assert (out, err) == run(*argv, "--set", "1")[1:] and "set=1" in err
 
 
 def test_simulate_refuses_invalid(run, bad_file):

@@ -203,13 +203,21 @@ def sampled_per_draw(k: int, n: int, samples: int, rng: random.Random) -> list:
 
 @pytest.mark.parametrize("k", [1, 7, 130])
 def test_sampled_demands_follow_randrange(k):
+    """Both routes, bulk words below n = 256 and one getrandbits per draw
+    from 256 on, give rng.randrange(n)'s values and leave rng where it
+    would.  A non-power-of-two n rejects draws, so the bulk route tops its
+    first batch up; that it reads each word's top byte at offsets 3, 7, ...
+    of getrandbits(32 * m)'s little-endian bytes is pinned here."""
     users = Pda(k, 1, 0, 0, ((STAR,) * k,))  # only K is read
-    for n in range(1, 9):
-        for seed in range(5):
-            rng, ref = random.Random(seed), random.Random(seed)
-            got = sim._demand_set(users, n, "sampled", 20, rng)
-            assert got == (sampled_per_draw(k, n, 20, ref), "sampled")
-            assert rng.random() == ref.random()  # nothing drawn past the last demand
+    for n in [*range(1, 9), 127, 128, 255, 256, 257, 1000]:
+        for samples in (20, 200):
+            for seed in range(5 if samples == 20 else 2):
+                rng, ref = random.Random(seed), random.Random(seed)
+                got = sim._demand_set(users, n, "sampled", samples, rng)
+                assert got == (sampled_per_draw(k, n, samples, ref), "sampled")
+                assert rng.random() == ref.random()  # nothing drawn past the last demand
+    with pytest.raises(ValueError, match="at least one file"):
+        sim._demand_set(users, 0, "sampled", 1, random.Random(0))
 
 
 def test_verify_scheme_exhaustive_limit(monkeypatch):
@@ -819,12 +827,13 @@ def test_verify_scheme_stats(monkeypatch):
     stats = {}
     rep = verify_scheme(p, 4, stats=stats)
     assert rep.to_json() == verify_scheme(p, 4, stats=None).to_json()
-    assert set(stats) == {"setup_s", "loop_s", "demands_per_s", "users_peeled", "loop",
-                          "words_bytes"}
+    assert set(stats) == {"setup_s", "draw_s", "loop_s", "demands_per_s", "users_peeled",
+                          "loop", "words_bytes"}
     assert stats["loop"] == "words" and stats["users_peeled"] == 0
     assert stats["words_bytes"] == p.k * 4 * p.s * 16 <= sim.MAX_WORDS_BYTES
     assert rep.demands_tested == 4 ** p.k == 4096
     assert stats["setup_s"] > 0 and stats["loop_s"] > 0
+    assert 0 <= stats["draw_s"] <= stats["setup_s"]  # the lazy product: about 0
     assert stats["demands_per_s"] == pytest.approx(4096 / stats["loop_s"])
 
     big = construct_pda(ConstructionSpec("pg", 1, q=2, k=6, m=2, t=2))
@@ -834,6 +843,7 @@ def test_verify_scheme_stats(monkeypatch):
     assert stats["loop"] == "cells" and stats["users_peeled"] == 0
     assert stats["words_bytes"] == 651 * 4 * big.s * 16 > sim.MAX_WORDS_BYTES
     assert stats["demands_per_s"] == pytest.approx(rep.demands_tested / stats["loop_s"])
+    assert 0 <= stats["draw_s"] <= stats["setup_s"]  # 2 x 651 sampled draws
 
     user, real_place = 3, sim.place
 

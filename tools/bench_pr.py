@@ -36,9 +36,11 @@ the mapping (a corrupt, a dropped and a 17-byte starred packet of the
 demanded file), and the rung records the SHA-256 of the DecodeError texts
 raised (a decoded file counts as its digest) and how many were raised; it
 also times exhaustive verify_scheme (4096 demands, N=4, seed 7) on
-tdesign-b complete:6:3 t1=1 t2=2, set 1 (small_s), with its report's
-SHA-256, and records which demand loop form ("words" or "cells", from
-verify_scheme's stats) each verify_scheme call ran.
+tdesign-b complete:6:3 t1=1 t2=2, set 1 (small_s), and sampled
+verify_scheme (200 samples, N=4, seed 7) on the sweep's largest array, pg
+q=3 k=4 m=1 t=2, set 1 (K=130, the words form; sampled_s), each with its
+report's SHA-256, and records which demand loop form ("words" or "cells",
+from verify_scheme's stats) each verify_scheme call ran.
 Each rung script times its calls under the measured tree's SpeedClock
 (perfbench/speed.py, imported by CLOCK_CODE, which runs ahead of every rung
 script): a field NAME_s is raw wall seconds, which include any calibration
@@ -194,17 +196,20 @@ print(json.dumps({"params_kfqs": [p.k, p.f, p.q, p.s],
                   **seconds("total", min), "peak_rss_mb": round(rss, 1)}))
 """
 
-# verify_scheme, then place and decode, on the K=651 array, and exhaustive
-# verify_scheme on a small array, each built first and outside the timed calls
+# verify_scheme, then place and decode, on the K=651 array, exhaustive
+# verify_scheme on a small array and sampled verify_scheme on the sweep's
+# largest, each built first and outside the timed calls
 SIM_RUNG = LADDER["pg_q2_k6_m2_t2"]
 SIM_SMALL = dict(family="tdesign-b", design="complete:6:3", t1=1, t2=2)  # K=6: 4^6 demands
+SIM_SAMPLED = dict(family="pg", q=3, k=4, m=1, t=2)  # K=130: 200 samples, words form
 SIM_CODE = """
 import hashlib, json, random, resource, sys
 from pdakit import (ConstructionSpec, DecodeError, FileLibrary, construct_pda, decode,
                     deliver, place, verify_scheme)
-spec, small_spec = json.loads(sys.argv[1])
+spec, small_spec, sampled_spec = json.loads(sys.argv[1])
 p = construct_pda(ConstructionSpec(**spec))
 small = construct_pda(ConstructionSpec(**small_spec))
+wide = construct_pda(ConstructionSpec(**sampled_spec))
 
 
 def timed_verify(name, *args, **kwargs):  # report, loop form (from stats, if taken)
@@ -225,6 +230,8 @@ decoded = hashlib.sha256()
 with clock.running():
     rep, loop = timed_verify("total", p, 4, mode="sampled", samples=20, seed=7)
     small_rep, small_loop = timed_verify("small", small, 4, mode="exhaustive", seed=7)
+    sampled_rep, sampled_loop = timed_verify("sampled", wide, 4, mode="sampled",
+                                             samples=200, seed=7)
     with timing("place"):
         caches = place(p, lib)
         sizes = [c.size_bytes() for c in caches]
@@ -255,22 +262,27 @@ for demand in demands:
             except DecodeError as e:
                 texts.append(str(e))
                 errors += 1
-print(json.dumps({"demands": rep.demands_tested, "all_ok": rep.ok and small_rep.ok,
+print(json.dumps({"demands": rep.demands_tested,
+                  "all_ok": rep.ok and small_rep.ok and sampled_rep.ok,
                   "report_digest": report_digest(rep),
                   "small_demands": small_rep.demands_tested,
                   "small_report_digest": report_digest(small_rep),
-                  "loops": f"{loop}, {small_loop}",
+                  "sampled_demands": sampled_rep.demands_tested,
+                  "sampled_report_digest": report_digest(sampled_rep),
+                  "loops": f"{loop}, {small_loop}, {sampled_loop}",
                   "decoded_digest": decoded.hexdigest(),
                   "error_digest": hashlib.sha256(json.dumps(texts).encode()).hexdigest(),
                   "decode_errors": errors,
-                  **seconds("total"), **seconds("small"), **seconds("place"),
+                  **seconds("total"), **seconds("small"), **seconds("sampled"),
+                  **seconds("place"),
                   **seconds("decode"), "peak_rss_mb": round(rss, 1)}))
 """
 # name -> (script, its argument): the ladder, then the orientations, product
 # and sim rungs
 RUNGS = {**{name: (RUNG_CODE, spec) for name, spec in LADDER.items()},
          "orientations": (ORIENTATIONS_CODE, ORIENTATIONS),
-         "product": (PRODUCT_CODE, PRODUCT_FACTORS), "sim": (SIM_CODE, (SIM_RUNG, SIM_SMALL))}
+         "product": (PRODUCT_CODE, PRODUCT_FACTORS),
+         "sim": (SIM_CODE, (SIM_RUNG, SIM_SMALL, SIM_SAMPLED))}
 
 
 def _stdout_lines(cmd: list, tree: Path) -> list:
@@ -394,9 +406,12 @@ def main(argv=None) -> int:
                        "texts (or decoded files' digests) of the same calls on caches with a "
                        "corrupt, a dropped or a 17-byte starred packet; small_s is "
                        "verify_scheme(small, 4, mode='exhaustive', seed=7), 4096 demands on "
-                       "tdesign-b complete:6:3 t1=1 t2=2 set 1; loops are the demand loop "
-                       "forms of the two verify_scheme calls, from their stats",
-               "spec": SIM_RUNG, "small_spec": SIM_SMALL, **rungs["sim"]}}
+                       "tdesign-b complete:6:3 t1=1 t2=2 set 1; sampled_s is "
+                       "verify_scheme(wide, 4, mode='sampled', samples=200, seed=7) on pg "
+                       "q=3 k=4 m=1 t=2 set 1 (K=130, the words form); loops are the demand "
+                       "loop forms of the three verify_scheme calls, from their stats",
+               "spec": SIM_RUNG, "small_spec": SIM_SMALL, "sampled_spec": SIM_SAMPLED,
+               **rungs["sim"]}}
     args.out.write_text(json.dumps(out, indent=2) + "\n")
     return 0
 
