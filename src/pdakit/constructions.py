@@ -489,7 +489,11 @@ def _matched_system(spec: ConstructionSpec) -> _Matched:
     hits gets the same cell arrays, which the emitter only reads."""
     stats = _stage_stats.get()
     built = _stage(stats, "build", build_triple, spec)
-    return _stage(stats, "match", _matched_cells, built)
+    matched = _matched_cells(built, partial(_stage, stats))
+    if stats is not None:
+        stats.update(match_s=stats["scan_s"] + stats["cells_s"],
+                     match_rss_mb=stats["cells_rss_mb"])
+    return matched
 
 
 def construct_pda(spec: ConstructionSpec, stats: dict | None = None) -> Pda:
@@ -500,15 +504,18 @@ def construct_pda(spec: ConstructionSpec, stats: dict | None = None) -> Pda:
     that another orientation of the same spec is only emitted from them, in
     its roles.  With stats=None nothing is timed; a dict is filled with
     reused (whether the cells were kept from an earlier call); build_s,
-    match_s and emit_s, wall seconds, each with ru_maxrss in MB after it
-    (build_rss_mb, match_rss_mb, emit_rss_mb), build and match None when
+    scan_s (the E1-E3 and degree scan), cells_s (the matching, _cells),
+    match_s (scan_s + cells_s) and emit_s, wall seconds, each with ru_maxrss
+    in MB after it (build_rss_mb, scan_rss_mb, cells_rss_mb, match_rss_mb,
+    the same as cells_rss_mb, and emit_rss_mb), all but emit None when
     reused; size_x, size_y, size_z; nnz_xy, nnz_xz and nnz_yz, the ones of
     the built matrices; column_keys, the distinct column graphs, and
     kuhn_runs, those matched in this call.
     """
     if stats is not None:
-        # build and match stay None unless this call runs them
-        stats.update(dict.fromkeys(("reused", "build_s", "build_rss_mb", "match_s",
+        # the build and match stages stay None unless this call runs them
+        stats.update(dict.fromkeys(("reused", "build_s", "build_rss_mb", "scan_s",
+                                    "scan_rss_mb", "cells_s", "cells_rss_mb", "match_s",
                                     "match_rss_mb")))
     token = _stage_stats.set(stats)
     try:

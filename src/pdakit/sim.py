@@ -27,9 +27,14 @@ faulty.  By C3 every side packet a user needs sits in a starred row of its
 own cache, so for a user whose cache holds the library's packets a coded row
 decodes right iff its payload equals the library XOR over its symbol's
 cells: `verify_scheme` checks the packed payloads once per demand against
-that XOR, instead of peeling those users.  The check computes the XOR with
-the sender's own `_words` table or `_pack_cells`, so it catches a fault in
-`_transmit`'s dispatch only, not one in the table or the packer (ROADMAP
+that XOR, instead of peeling those users.  On an exhaustive run in the
+words form the check folds the users through a tail table (`_tail_table`:
+the XORs of the last r users' words over all their choices) and a head
+partial (the first K - r users' XOR, once per block of the product), a
+walk apart from the sender's K-word reduce, so a fault in `_transmit`
+shows.  Sampled and adversarial runs check with the sender's reduce, and
+the cells form with `_pack_cells`.  Every route reads the same `_words`
+table or packer as the sender, so a fault in those is not caught (ROADMAP
 item 3, still open).  Only a placed cache never written to or deleted from
 counts as holding the library's packets; every other cache is peeled.
 """
@@ -263,6 +268,37 @@ def _transmit(p: Pda, ints: list[list[int]], demand: tuple, size: int,
     return _pack_cells(p, ints, demand, size)
 
 
+def _tail_table(words: list[list[int]], n: int) -> tuple[list[list[int]], list[int]]:
+    """The head users' words, and the tail table: for each choice of files of
+    the last r users, in product order (the last user's file fastest), the
+    XOR of their words.  r is the most users whose table holds no more
+    entries than the words table (N^r <= K * N), all K when N is 1.  The
+    table doubles in N per user, one comprehension each."""
+    k, r = len(words), 0
+    while r < k and n ** (r + 1) <= k * n:
+        r += 1
+    tail = [0]
+    for row in words[k - r:]:
+        tail = [t ^ w for t in tail for w in row]
+    return words[:k - r], tail
+
+
+def _table_truths(heads: list[list[int]], tail: list[int], demands):
+    """Each demand of the exhaustive product, drawn from demands in its
+    order, with its packed payloads as head ^ tail[i]: a walk apart from
+    `_transmit`'s K-word reduce.  The product runs through the tail's
+    len(tail) choices once per choice of the head users' files, so a block
+    of len(tail) demands shares one head, the XOR of the head users' words,
+    refreshed from the block's first demand."""
+    rest = tail[1:]
+    demands = iter(demands)
+    for first in demands:
+        head = reduce(xor, map(getitem, heads, first), 0)
+        yield first, head ^ tail[0]
+        for t, demand in zip(rest, demands):  # tail first: the block ends without a draw
+            yield demand, head ^ t
+
+
 def _unusable(p: Pda, packets, by_row: dict, size: int, user: int,
               f: int, j: int, k: int) -> DecodeError:
     """The error for packet (f, j), read for cell (j, k) by `_peel`."""
@@ -465,29 +501,40 @@ def verify_scheme(p: Pda, n_files: int, mode: str = "auto", samples: int = 200,
     By C3 each side packet a user needs sits in one of its starred rows, so
     a clean user decodes coded row j with symbol s right iff payload s
     equals the library XOR over all of s's cells, and a wrong payload fails
-    every clean user in its columns.  The check computes that XOR again
-    but not apart from the sender: it runs the same words XOR or
-    `_pack_cells` that `_transmit` dispatches to, so it catches a fault in
-    that dispatch only, not one in `_words` or `_pack_cells` (ROADMAP item
-    3, still open).  Clean users are never peeled.  Every other user's
-    cache is grouped by row once, and `_peel` runs on it for every demand:
-    it is exact for any cache.
+    every clean user in its columns.  Clean users are never peeled.  Every
+    other user's cache is grouped by row once, and `_peel` runs on it for
+    every demand: it is exact for any cache.
 
     The demand loop has two forms with the same reports.  When the words
     table (`_words`: K * N * S * packet_size bytes) fits in MAX_WORDS_BYTES,
-    it is built once, and the sender and the check each take a demand's
-    packed payloads as K big-int XORs of the users' demanded words;
-    otherwise both run the one cell-by-cell packer, `_pack_cells`.  The S
-    payloads are compared as one int, and only a mismatch is split into its
-    symbols' slots.  Only when some cache is faulty does the sent int become
-    bytes, once per demand, whose slots `_peel` reads.
+    it is built once, and the sender takes a demand's packed payloads as K
+    big-int XORs of the users' demanded words; otherwise it runs the one
+    cell-by-cell packer, `_pack_cells`.  The check derives the payloads by
+    one of three routes (stats' truth).  An exhaustive run in the words
+    form folds users through a tail table and a head partial ("table"):
+    the table holds, in product order, the XOR of the last r users' words
+    for each of their N^r choices, r the most users whose table has no
+    more entries than the words table (N^r <= K * N), and a head, the XOR
+    of the first K - r users' words, is taken once per block of N^r
+    demands, in lockstep with the one lazy product, so a demand costs one
+    XOR.  That is a walk apart from the sender's reduce, so a fault in
+    `_transmit` shows; it reads the same `_words` table, so a fault in the
+    table does not (ROADMAP item 3, still open).  Sampled and adversarial
+    runs in the words form take the sender's reduce again ("words"), and
+    the cells form `_pack_cells` again ("cells"): those catch a fault in
+    `_transmit`'s dispatch only.  The S payloads are compared as one int,
+    and only a mismatch is split into its symbols' slots.  Only when some
+    cache is faulty does the sent int become bytes, once per demand, whose
+    slots `_peel` reads.
 
     stats, when a dict, receives: setup_s and loop_s (seconds before the
     first demand and in the demand loop), draw_s (the part of setup_s spent
     resolving the demand set: the sampled draws, about 0 for the lazy
     exhaustive product), demands_per_s, users_peeled (the users whose cache
-    is not clean), loop ("words" or "cells") and words_bytes (the table's
-    size, built or not).  None costs nothing.
+    is not clean), loop ("words" or "cells"), words_bytes (the table's
+    size, built or not), truth ("table", "words" or "cells": the check's
+    route) and table_bytes (the tail table's size, 0 when none is built).
+    None costs nothing.
     """
     if stats is not None:
         t0 = time.perf_counter()
@@ -513,14 +560,25 @@ def verify_scheme(p: Pda, n_files: int, mode: str = "auto", samples: int = 200,
     cells_of = p.symbol_cells
     listeners = [[k for _, k in cells_of[s] if k not in not_clean]
                  for s in range(1, p.s + 1)]  # per symbol, the clean users in its columns
+    # checked: each demand with its payloads as the check derives them
+    table_bytes = 0
+    if words is None:
+        route = "cells"
+        checked = ((d, _pack_cells(p, ints, d, packet_size)) for d in demands)
+    elif mode_used == "exhaustive":
+        route = "table"
+        heads, tail = _tail_table(words, n_files)
+        table_bytes = len(tail) * width
+        checked = _table_truths(heads, tail, demands)
+    else:
+        route = "words"
+        checked = ((d, reduce(xor, map(getitem, words, d))) for d in demands)
     failures, tested = [], 0
     if stats is not None:
         t1 = time.perf_counter()
-    for demand in demands:
+    for demand, truth in checked:
         tested += 1
         sent = _transmit(p, ints, demand, packet_size, words)
-        truth = (_pack_cells(p, ints, demand, packet_size) if words is None
-                 else reduce(xor, map(getitem, words, demand)))
         if sent == truth and not faulty:
             continue
         failed = set()
@@ -545,6 +603,6 @@ def verify_scheme(p: Pda, n_files: int, mode: str = "auto", samples: int = 200,
         stats.update(setup_s=t1 - t0, draw_s=draw_s, loop_s=t2 - t1,
                      demands_per_s=tested / (t2 - t1) if t2 > t1 else 0.0,
                      users_peeled=len(faulty), loop="cells" if words is None else "words",
-                     words_bytes=words_bytes)
+                     words_bytes=words_bytes, truth=route, table_bytes=table_bytes)
     return SimReport((p.k, p.f, p.q, p.s), mode_used, tested, failures,
                      Fraction(p.s, p.f), p.s * packet_size)

@@ -420,13 +420,19 @@ class _Matched(NamedTuple):
     nnz_xy: int
 
 
-def _matched_cells(t: TripleSystem) -> _Matched:
+def _untimed(name: str, fn, *args):
+    return fn(*args)
+
+
+def _matched_cells(t: TripleSystem, stage=_untimed) -> _Matched:
     """_cells(t) and the degrees (D_X, D_Y, D_Z), after E1, E2, E3 and then
     E6 are required, each failure raised as check_conditions would report
-    it.  Computes nothing else: no column of C_XY, no E4 or E5."""
-    wit, *degrees = _scan(t)
+    it.  Computes nothing else: no column of C_XY, no E4 or E5.  The scan
+    and the matching run as stage("scan", _scan, t) and stage("cells",
+    _cells, t), so that a caller can time each."""
+    wit, *degrees = stage("scan", _scan, t)
     _raise_first(wit, ("E1", "E2", "E3"))
-    cells, keys, edges = _cells(t)
+    cells, keys, edges = stage("cells", _cells, t)
     sizes = len(t.labels_x), len(t.labels_y), len(t.labels_z)
     return _Matched(cells, sizes, tuple(degrees), keys, edges)
 

@@ -240,8 +240,10 @@ def test_simulate_stats_line(run, tiny_file):
     assert code == 0 and out == run("simulate", tiny_file, "--files", "2")[1]
     stats = json.loads(err)
     assert set(stats) == {"setup_s", "draw_s", "loop_s", "demands_per_s", "users_peeled",
-                          "loop", "words_bytes"}
+                          "loop", "words_bytes", "truth", "table_bytes"}
     assert stats["loop"] == "words" and stats["users_peeled"] == 0
+    # 2x2 array, N=2: both users fold into a 4-entry tail of one 16-byte slot
+    assert stats["truth"] == "table" and stats["table_bytes"] == 4 * 16
     assert 0 <= stats["draw_s"] <= stats["setup_s"]
 
 

@@ -387,11 +387,12 @@ def test_a_design_given_list_parameters_constructs_as_with_tuples():
 
 
 def test_construct_pda_stats(monkeypatch, fresh_cells):
-    """Stage seconds and RSS for the stages that ran, sizes and ones of the
-    built matrices, column keys and Kuhn runs; reused from the second
-    orientation of a system on.  With stats=None nothing is timed."""
-    stage_keys = {f"{stage}_{what}" for stage in ("build", "match", "emit")
-                  for what in ("s", "rss_mb")}
+    """Stage seconds and RSS for the stages that ran (match split into its
+    scan and its matching), sizes and ones of the built matrices, column
+    keys and Kuhn runs; reused from the second orientation of a system on.
+    With stats=None nothing is timed."""
+    stages = ("build", "scan", "cells", "match", "emit")
+    stage_keys = {f"{stage}_{what}" for stage in stages for what in ("s", "rss_mb")}
     specs = [ConstructionSpec("pg", o, q=q, k=4, m=1, t=1) for q in (2, 3) for o in (1, 2, 3)]
     reused = []
     for spec in specs:
@@ -400,13 +401,16 @@ def test_construct_pda_stats(monkeypatch, fresh_cells):
         assert set(stats) == stage_keys | {"reused", "size_x", "size_y", "size_z", "nnz_xy",
                                            "nnz_xz", "nnz_yz", "column_keys", "kuhn_runs"}
         reused.append(stats["reused"])
-        ran = {"emit"} if stats["reused"] else {"build", "match", "emit"}
-        for stage in ("build", "match", "emit"):
+        ran = {"emit"} if stats["reused"] else set(stages)
+        for stage in stages:
             took, rss = stats[f"{stage}_s"], stats[f"{stage}_rss_mb"]
             if stage in ran:
                 assert type(took) is float and took > 0 and type(rss) is float and rss > 0
             else:
                 assert took is None and rss is None
+        if not stats["reused"]:  # match is the scan and the matching, timed apart
+            assert stats["match_s"] == stats["scan_s"] + stats["cells_s"]
+            assert stats["match_rss_mb"] == stats["cells_rss_mb"] >= stats["scan_rss_mb"]
         t = build_triple(spec)
         assert (stats["size_x"], stats["size_y"], stats["size_z"]) == tuple(
             map(len, (t.labels_x, t.labels_y, t.labels_z)))

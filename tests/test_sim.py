@@ -828,9 +828,11 @@ def test_verify_scheme_stats(monkeypatch):
     rep = verify_scheme(p, 4, stats=stats)
     assert rep.to_json() == verify_scheme(p, 4, stats=None).to_json()
     assert set(stats) == {"setup_s", "draw_s", "loop_s", "demands_per_s", "users_peeled",
-                          "loop", "words_bytes"}
+                          "loop", "words_bytes", "truth", "table_bytes"}
     assert stats["loop"] == "words" and stats["users_peeled"] == 0
     assert stats["words_bytes"] == p.k * 4 * p.s * 16 <= sim.MAX_WORDS_BYTES
+    # K=6, N=4: the tail folds the last 2 users (4^2 <= 24 < 4^3), 16 entries
+    assert stats["truth"] == "table" and stats["table_bytes"] == 16 * p.s * 16
     assert rep.demands_tested == 4 ** p.k == 4096
     assert stats["setup_s"] > 0 and stats["loop_s"] > 0
     assert 0 <= stats["draw_s"] <= stats["setup_s"]  # the lazy product: about 0
@@ -842,6 +844,7 @@ def test_verify_scheme_stats(monkeypatch):
     assert big.k == 651 and rep.ok
     assert stats["loop"] == "cells" and stats["users_peeled"] == 0
     assert stats["words_bytes"] == 651 * 4 * big.s * 16 > sim.MAX_WORDS_BYTES
+    assert stats["truth"] == "cells" and stats["table_bytes"] == 0
     assert stats["demands_per_s"] == pytest.approx(rep.demands_tested / stats["loop_s"])
     assert 0 <= stats["draw_s"] <= stats["setup_s"]  # 2 x 651 sampled draws
 
@@ -856,3 +859,61 @@ def test_verify_scheme_stats(monkeypatch):
     stats = {}
     assert verify_scheme(FANO_PG, 2, stats=stats).ok
     assert stats["users_peeled"] == 1
+
+    stats = {}  # sampled in the words form: the sender's reduce again, no table
+    assert verify_scheme(FANO_PG, 2, mode="sampled", samples=5, stats=stats).ok
+    assert stats["loop"] == "words" and stats["truth"] == "words"
+    assert stats["table_bytes"] == 0
+
+
+# --- the exhaustive check: a tail table and a head partial ---
+
+TD43 = construct_pda(ConstructionSpec("config", 1, design="td:4:3"))  # K=F=12, S=9
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 7, 12])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6])
+def test_tail_table_never_outgrows_the_words_table(k, n):
+    """The tail folds the last r users, r the most with N^r <= K * N (all K
+    when N is 1), so it never holds more entries than the words table; entry
+    i is the XOR of those users' words at the i-th choice in product order."""
+    rng = random.Random(k * 10 + n)
+    words = [[rng.getrandbits(64) for _ in range(n)] for _ in range(k)]
+    heads, tail = sim._tail_table(words, n)
+    r = k - len(heads)
+    assert heads == words[:k - r]
+    assert len(tail) == n ** r <= k * n
+    assert r == k or n ** (r + 1) > k * n
+    for i, choice in enumerate(itertools.product(range(n), repeat=r)):
+        want = 0
+        for row, file in zip(words[k - r:], choice):
+            want ^= row[file]
+        assert tail[i] == want
+
+
+@pytest.mark.parametrize("p, n, block, flip_at", [
+    (FANO_PG, 1, 1, [0]),             # N=1: r = K, one demand, no head
+    (TINY, 2, 4, [0, 3]),             # K <= r: the tail alone, one block
+    (TD43, 2, 16, [80, 95, 4095]),    # 256 blocks: a block's first and last, the last demand
+], ids=["one-file", "tail-only", "many-blocks"])
+def test_table_check_catches_a_flip_at_each_block_edge(monkeypatch, p, n, block, flip_at):
+    """An explicit exhaustive run with one bit of payload 1 flipped at the
+    demands of the given product indices fails exactly the users in symbol
+    1's columns at those demands, in the table route and cell by cell."""
+    order = {d: i for i, d in enumerate(itertools.product(range(n), repeat=p.k))}
+    real_transmit = sim._transmit
+
+    def transmit(p, ints, demand, size, words=None):
+        sent = real_transmit(p, ints, demand, size, words)
+        return _flip(sent, p, 1, 0, size) if order[demand] in flip_at else sent
+
+    monkeypatch.setattr(sim, "_transmit", transmit)
+    listeners = sorted({k for _, k in p.symbol_cells[1]})
+    demands = list(order)
+    expect = [(demands[i], u) for i in flip_at for u in listeners]
+    for loop in _loops(monkeypatch):
+        stats = {}
+        rep = verify_scheme(p, n, mode="exhaustive", stats=stats)
+        assert rep.demands_tested == n ** p.k and rep.failures == expect
+        if loop == "words":
+            assert stats["truth"] == "table" and stats["table_bytes"] == block * p.s * 16

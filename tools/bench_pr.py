@@ -57,15 +57,19 @@ and quartiles, and the number of rounds in which the change read lower; a
 bool, whether it held in every run; a digest, whether every run gave the
 same one; any other field once, or per side when runs differ.  Each side's
 src/pdakit/*.py line counts are recorded too.
+Both sides run uncompiled (BYTECODE), as a fresh checkout does: each from a
+copy of its src and perfbench made without any __pycache__.
 """
 
 import argparse
 import json
 import os
 import platform
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -74,6 +78,14 @@ SEED = 7
 SECONDS = 30
 WORKLOADS = ("construct", "simulate", "sweep")
 GATED = ("setup_s", "wall_s", "array_p50_s", "peak_rss_mb", "error_rate")
+# Both sides run uncompiled, as a fresh checkout does: a parent copied by
+# `git archive` has no __pycache__, while a working tree keeps what earlier
+# runs wrote, which cut perfbench's setup_s by half on that side alone.  A
+# PYTHONPYCACHEPREFIX would hide the standard library's .pyc as well and
+# more than double setup_s again, so each side runs from a copy instead.
+BYTECODE = ("uncompiled: each side runs from a copy of its src and perfbench made without "
+            "__pycache__, with PYTHONDONTWRITEBYTECODE=1, so every process compiles pdakit "
+            "and perfbench from source; the standard library's .pyc are read as usual")
 # name -> ConstructionSpec keywords, each built in orientation 1 (the default)
 LADDER = {"pg_q2_k5_m2_t1": dict(family="pg", q=2, k=5, m=2, t=1),
           "pg_q2_k6_m2_t2": dict(family="pg", q=2, k=6, m=2, t=2),
@@ -285,8 +297,17 @@ RUNGS = {**{name: (RUNG_CODE, spec) for name, spec in LADDER.items()},
          "sim": (SIM_CODE, (SIM_RUNG, SIM_SMALL, SIM_SAMPLED))}
 
 
+def fresh_copy(tree: Path, into: Path) -> Path:
+    """tree's src and perfbench copied into into, every __pycache__ left out."""
+    for sub in ("src", "perfbench"):
+        shutil.copytree(tree / sub, into / sub, ignore=shutil.ignore_patterns("__pycache__"))
+    return into
+
+
 def _stdout_lines(cmd: list, tree: Path) -> list:
-    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    """cmd's stdout lines, run in tree on its own src, writing no .pyc."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    env.pop("PYTHONPYCACHEPREFIX", None)
     proc = subprocess.run(cmd, cwd=tree, env=env, capture_output=True, text=True)
     if proc.returncode:
         sys.exit(f"{' '.join(cmd[1:4])} in {tree} exited {proc.returncode}:\n{proc.stderr}")
@@ -353,23 +374,26 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
-    sides = {"parent": args.parent.resolve(), "change": ROOT}
-    bench = {side: {w: [] for w in WORKLOADS} for side in sides}
-    runs = {side: {name: [] for name in RUNGS} for side in sides}
-    for i in range(RUNS):
-        for side in sorted(sides, reverse=i % 2 == 0):  # parent, change; then change, parent
-            for w in WORKLOADS:
-                bench[side][w].append(perfbench(sides[side], w))
-            for name, (code, arg) in RUNGS.items():
-                runs[side][name].append(rung(sides[side], code, arg))
-            print(f"round {i + 1}/{RUNS}: {side} done", file=sys.stderr)
+    trees = {"parent": args.parent.resolve(), "change": ROOT}
+    bench = {side: {w: [] for w in WORKLOADS} for side in trees}
+    runs = {side: {name: [] for name in RUNGS} for side in trees}
+    with tempfile.TemporaryDirectory() as tmp:
+        sides = {side: fresh_copy(tree, Path(tmp) / side) for side, tree in trees.items()}
+        for i in range(RUNS):
+            for side in sorted(sides, reverse=i % 2 == 0):  # parent, change; then change, parent
+                for w in WORKLOADS:
+                    bench[side][w].append(perfbench(sides[side], w))
+                for name, (code, arg) in RUNGS.items():
+                    runs[side][name].append(rung(sides[side], code, arg))
+                print(f"round {i + 1}/{RUNS}: {side} done", file=sys.stderr)
     rungs = {name: summarize_rung(runs["parent"][name], runs["change"][name]) for name in RUNGS}
 
     out = {"command": f"python3 tools/bench_pr.py --parent PARENT --out {args.out.name}",
            "runs_per_side": RUNS,
            "order": "alternating: parent first in odd rounds, change first in even ones",
            "host": {"python": platform.python_version(), "nproc": os.cpu_count()},
-           "src_lines": {side: src_lines(tree) for side, tree in sides.items()},
+           "bytecode": BYTECODE,
+           "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
            "perfbench": {"command": f"python3 perfbench/run.py --workload W --seed "
                                     f"{SEED} --seconds {SECONDS}",
                          "time_unit": "reference-speed seconds (perfbench/README.md)"},
