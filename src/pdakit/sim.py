@@ -290,12 +290,11 @@ def _table_truths(heads: list[list[int]], tail: list[int], demands):
     len(tail) choices once per choice of the head users' files, so a block
     of len(tail) demands shares one head, the XOR of the head users' words,
     refreshed from the block's first demand."""
-    rest = tail[1:]
     demands = iter(demands)
     for first in demands:
         head = reduce(xor, map(getitem, heads, first), 0)
-        yield first, head ^ tail[0]
-        for t, demand in zip(rest, demands):  # tail first: the block ends without a draw
+        # tail first: the block ends without drawing the next block's first demand
+        for t, demand in zip(tail, chain((first,), demands)):
             yield demand, head ^ t
 
 
@@ -492,12 +491,14 @@ def verify_scheme(p: Pda, n_files: int, mode: str = "auto", samples: int = 200,
     raises ValueError beyond that, before building any.  A wrong or
     undecodable file is a (demand, user) failure, listed demand-major.
 
-    Each demand is transmitted once, and no payloads are held; the
-    exhaustive set is drawn lazily, never held.  A user is clean when its
-    cache is the `PlacedPackets` view `place` gave it, never written to or
-    deleted from, so it holds every starred packet of every file as the
-    library does.  Any other cache, an edited view or another mapping, is
-    peeled, whatever it holds.
+    Each demand is transmitted once, and its payloads are not kept; the
+    exhaustive set is drawn lazily, never held.  An exhaustive run in the
+    words form holds the tail table (stats' table_bytes, never more than
+    the words table).  A user is clean when its cache is the
+    `PlacedPackets` view `place` gave it, never written to or deleted from,
+    so it holds every starred packet of every file as the library does.
+    Any other cache, an edited view or another mapping, is peeled, whatever
+    it holds.
     By C3 each side packet a user needs sits in one of its starred rows, so
     a clean user decodes coded row j with symbol s right iff payload s
     equals the library XOR over all of s's cells, and a wrong payload fails

@@ -1,13 +1,13 @@
 """Re-run the mutation checks: each mutant in MUTANTS replaces one exact
 snippet of src/pdakit with another, and must make a tier-1 test fail.
 
-    python3 tools/mutants.py --out MUTANTS_<n>.json [--only NAME ...] [--timeout 60]
+    python3 tools/mutants.py --out MUTANTS_<n>.json
 
 Each mutant runs on its own copy of src/ in a temporary directory, one at a
 time: the snippet (which must occur exactly once) is replaced, and pytest
 runs the mutant's tier-1 subset from the repository's root with PYTHONPATH
 on the copy, stopping at the first failure (-x).  A mutant is killed when a
-test fails or the run passes its timeout (a mutant can make a loop never
+test fails or the run passes TIMEOUT (a mutant can make a loop never
 end), and survived when every test of its subset passes.  Before the
 mutants, the union of their subsets runs once on an unmutated copy and must
 pass, or nothing is written.  The JSON holds, per mutant, its entry,
@@ -62,8 +62,8 @@ MUTANTS = [
          breaks="every block keeps the first block's head partial",
          tests=T_TABLE),
     dict(name="block draws past its end", file=SIM,
-         snippet="for t, demand in zip(rest, demands):",
-         replacement="for demand, t in zip(demands, rest):",
+         snippet="zip(tail, chain((first,), demands))",
+         replacement="zip(chain((first,), demands), tail)",
          breaks="zip draws a demand after the tail runs out, losing one per block",
          tests=T_TABLE),
     dict(name="tail one user past the bound", file=SIM,
@@ -170,7 +170,7 @@ def _last_test(output: str) -> str | None:
     return ids[-1] if ids else None
 
 
-def run_tests(src: Path, tests: list, timeout: int) -> tuple[str | None, float]:
+def run_tests(src: Path, tests: list) -> tuple[str | None, float]:
     """Run pytest on tests with src first on the path, stopping at the first
     failure: (the failing test, the one running at the timeout, or None
     when all passed; seconds)."""
@@ -184,11 +184,11 @@ def run_tests(src: Path, tests: list, timeout: int) -> tuple[str | None, float]:
     proc = subprocess.Popen(cmd, cwd=ROOT, env=env, stdout=subprocess.PIPE,
                             stderr=subprocess.STDOUT, text=True, start_new_session=True)
     try:
-        out, _ = proc.communicate(timeout=timeout)
+        out, _ = proc.communicate(timeout=TIMEOUT)
     except subprocess.TimeoutExpired:
         os.killpg(proc.pid, signal.SIGKILL)
         out, _ = proc.communicate()
-        return f"timeout after {timeout} s in {_last_test(out)}", time.perf_counter() - start
+        return f"timeout after {TIMEOUT} s in {_last_test(out)}", time.perf_counter() - start
     took = time.perf_counter() - start
     if proc.returncode == 0:
         return None, took
@@ -209,33 +209,27 @@ def apply(src: Path, mutant: dict) -> None:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--out", type=Path, required=True)
-    ap.add_argument("--only", nargs="*", help="names of the mutants to run (default: all)")
-    ap.add_argument("--timeout", type=int, default=TIMEOUT, help="seconds per pytest run")
     args = ap.parse_args(argv)
-    chosen = [m for m in MUTANTS if not args.only or m["name"] in args.only]
-    if args.only and len(chosen) != len(set(args.only)):
-        raise SystemExit(f"unknown mutant in {args.only}")
     ignore = shutil.ignore_patterns("__pycache__")
     with tempfile.TemporaryDirectory() as tmp:
         base = Path(tmp) / "base"
         shutil.copytree(SRC, base, ignore=ignore)
-        every = list(dict.fromkeys(t for m in chosen for t in m["tests"]))
-        failed, took = run_tests(base, every, args.timeout)
+        every = list(dict.fromkeys(t for m in MUTANTS for t in m["tests"]))
+        failed, took = run_tests(base, every)
         if failed:
             raise SystemExit(f"the unmutated subsets fail ({failed}); fix that first")
         results = []
-        for m in chosen:
+        for m in MUTANTS:
             src = Path(tmp) / "mutant"
             shutil.rmtree(src, ignore_errors=True)
             shutil.copytree(SRC, src, ignore=ignore)
             apply(src, m)
-            killer, secs = run_tests(src, m["tests"], args.timeout)
+            killer, secs = run_tests(src, m["tests"])
             results.append({**m, "status": "survived" if killer is None else "killed",
                             "killed_by": killer, "seconds": round(secs, 1)})
             print(f"{results[-1]['status']:8} {m['name']}: {killer}", file=sys.stderr)
-    out = {"command": f"python3 tools/mutants.py --out {args.out.name}"
-                      + (f" --timeout {args.timeout}" if args.timeout != TIMEOUT else ""),
-           "python": platform.python_version(), "timeout_s": args.timeout,
+    out = {"command": f"python3 tools/mutants.py --out {args.out.name}",
+           "python": platform.python_version(), "timeout_s": TIMEOUT,
            "baseline_s": round(took, 1),
            "killed": sum(r["status"] == "killed" for r in results),
            "survived": [r["name"] for r in results if r["status"] == "survived"],
