@@ -23,7 +23,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from math import comb, factorial, log, pi
-from operator import and_, or_
+from operator import itemgetter, mul, or_
 
 from .designs import (Design, certify_configuration, certify_t_design,
                       from_reference, lambda_s)
@@ -187,26 +187,29 @@ def _check_tdesign_lambda(t: int, k: int, t0: int, t1: int, t2: int):
 # --- triple builders ------------------------------------------------------
 
 
-def _block_triple(design: Design, size_x: int, size_y: int) -> TripleSystem:
+def _block_triple(design: Design, size_x: int, size_y: int, label=None) -> TripleSystem:
     """Rows are the size_x-subsets of the points, symbols the size_y-subsets,
     columns the blocks.  A row and a symbol are incident when they are
     disjoint and some block holds both; each is incident to the blocks
-    holding it."""
+    holding it, listed in block order as the walk meets them.  label, if
+    given, maps each subset to its row and symbol label."""
     xs = list(itertools.combinations(range(design.v), size_x))
     ys = list(itertools.combinations(range(design.v), size_y))
     ix = {sub: i for i, sub in enumerate(xs)}
     iy = {sub: i for i, sub in enumerate(ys)}
-    xy, xz, yz = [0] * len(xs), [0] * len(xs), [0] * len(ys)
+    xy = [0] * len(xs)
+    zs_of_x, zs_of_y = [[] for _ in xs], [[] for _ in ys]
     for i, blk in enumerate(design.blocks):
         for x in itertools.combinations(blk, size_x):
-            xz[ix[x]] |= 1 << i
+            zs_of_x[ix[x]].append(i)
             rest = [p for p in blk if p not in x]
             for y in itertools.combinations(rest, size_y):
                 xy[ix[x]] |= 1 << iy[y]
         for y in itertools.combinations(blk, size_y):
-            yz[iy[y]] |= 1 << i
-    return TripleSystem(tuple(xs), tuple(ys), tuple(range(design.b)),
-                        tuple(xy), tuple(xz), tuple(yz))
+            zs_of_y[iy[y]].append(i)
+    if label is not None:
+        xs, ys = list(map(label, xs)), list(map(label, ys))
+    return TripleSystem._of_lists(xs, ys, range(design.b), xy, zs_of_x, zs_of_y)
 
 
 def pg_triple(q: int, k: int, m: int, t: int) -> TripleSystem:
@@ -214,28 +217,49 @@ def pg_triple(q: int, k: int, m: int, t: int) -> TripleSystem:
 
     A row and symbol are incident when the subspaces meet trivially; rows and
     symbols are incident to the columns containing them.  With each subspace
-    a bitmask over the q^k points (zero vector at bit 0), a subspace lies in
-    exactly the columns that hold all its points, and meets trivially exactly
-    the symbols that hold none of its nonzero points.  The masks come with
-    the labels from one enumeration.
+    a bitmask over the q^k points (zero vector at bit 0), a row meets
+    trivially exactly the symbols that hold none of its nonzero points.  A
+    subspace lies in exactly the columns that hold every vector of its
+    basis: the columns holding each point are listed once, ascending, and a
+    subspace's are the entries those lists share, so C_XZ and C_YZ come as
+    index lists and no mask over the columns is made.  When m == t the rows
+    and symbols are the same subspaces, enumerated once, and C_XY, which
+    meeting trivially makes symmetric, is its own transpose.
     """
     field = _check_pg(q, k, m, t)
     xs, on_x = subspaces_and_masks(field, k, t)
-    ys, on_y = subspaces_and_masks(field, k, m)
+    ys, on_y = (xs, on_x) if m == t else subspaces_and_masks(field, k, m)
     zs, on_z = subspaces_and_masks(field, k, m + t)
-    # per point, the mask of the symbols (columns) that hold it
-    in_y, in_z = (rows_of(((p, i) for i, mask in enumerate(on) for p in set_bits(mask)),
-                          q ** k, len(on)) for on in (on_y, on_z))
+    # per point, the mask of the symbols that hold it
+    in_y = rows_of(((p, i) for i, mask in enumerate(on_y) for p in set_bits(mask)),
+                   q ** k, len(ys))
     all_y = (1 << len(ys)) - 1
 
     def meets_trivially(points):
         return all_y & ~reduce(or_, (in_y[p] for p in set_bits(points ^ 1)))
 
-    def within(points):
-        return reduce(and_, (in_z[p] for p in set_bits(points)))
+    holders = [[] for _ in range(q ** k)]  # per point, the columns holding it
+    for z, mask in enumerate(on_z):
+        for p in set_bits(mask):
+            holders[p].append(z)
+    weights = [q ** i for i in range(k)]  # a vector's point is its index in base q
 
-    return TripleSystem(tuple(xs), tuple(ys), tuple(zs), tuple(map(meets_trivially, on_x)),
-                        tuple(map(within, on_x)), tuple(map(within, on_y)))
+    def columns_of(subspaces) -> list:
+        out, last, held = [], None, None
+        for sub in subspaces:
+            first, *rest = (holders[sum(map(mul, weights, row))] for row in sub.basis)
+            if not rest:  # one basis vector: its point's list, shared
+                out.append(first)
+                continue
+            if first is not last:  # consecutive subspaces mostly share a first row
+                last, held = first, set(first)
+            out.append(sorted(held.intersection(*rest)))
+        return out
+
+    xy, zs_of_x = tuple(map(meets_trivially, on_x)), columns_of(xs)
+    if m == t:
+        return TripleSystem._of_lists(xs, ys, zs, xy, zs_of_x, zs_of_x, cols_xy=xy)
+    return TripleSystem._of_lists(xs, ys, zs, xy, zs_of_x, columns_of(ys))
 
 
 def configuration_triple(design: Design) -> TripleSystem:
@@ -243,9 +267,8 @@ def configuration_triple(design: Design) -> TripleSystem:
 
     Distinct points are incident when some block holds both.
     """
-    v = _configuration_of(design)[0]
-    return replace(_block_triple(design, 1, 1), labels_x=tuple(range(v)),
-                   labels_y=tuple(range(v)))
+    _configuration_of(design)
+    return _block_triple(design, 1, 1, itemgetter(0))
 
 
 def tdesign_a_triple(design: Design, t0: int) -> TripleSystem:
@@ -289,14 +312,15 @@ def tdesign_lambda_triple(design: Design, t0: int, t1: int, t2: int) -> TripleSy
     xs, ys, zs = flags(t1), flags(t2), flags(t0)
     ix = {flag: n for n, flag in enumerate(xs)}
     iy = {flag: n for n, flag in enumerate(ys)}
-    xy, xz, yz = [0] * len(xs), [0] * len(xs), [0] * len(ys)
+    xy = [0] * len(xs)
+    zs_of_x, zs_of_y = [[] for _ in xs], [[] for _ in ys]
     for n, (sub, i) in enumerate(zs):
         for x in itertools.combinations(sub, t1):
             row, sym = ix[x, i], iy[tuple(p for p in sub if p not in x), i]
             xy[row] |= 1 << sym
-            xz[row] |= 1 << n
-            yz[sym] |= 1 << n
-    return TripleSystem(tuple(xs), tuple(ys), tuple(zs), tuple(xy), tuple(xz), tuple(yz))
+            zs_of_x[row].append(n)
+            zs_of_y[sym].append(n)
+    return TripleSystem._of_lists(xs, ys, zs, xy, zs_of_x, zs_of_y)
 
 
 # --- baselines ------------------------------------------------------------

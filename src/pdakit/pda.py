@@ -8,6 +8,12 @@ broadcast transmission.  The validator checks the three defining conditions:
   C2: every symbol 1..S occurs somewhere,
   C3: two cells sharing a symbol sit in distinct rows and columns, and both
       "crossing" cells are stars.
+
+An array's non-star cells are held once more, on first use, as its symbol
+map (Pda.symbol_cells): per symbol two index lists, the rows and the
+columns of its cells, with no object per cell.  The validator, the
+simulator and the conversions to triples and products read the cells from
+it.
 """
 
 from collections import Counter
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain, compress
-from operator import itemgetter, not_
+from operator import not_
 
 STAR = 0  # grid sentinel for '*'; real symbols are 1..s
 
@@ -64,11 +70,12 @@ class Pda:
     # The cache materializes the instance __dict__, which slows every later
     # attribute load on the array: per-cell loops read p.grid into a local.
     @cached_property
-    def symbol_cells(self) -> dict[int, list[tuple[int, int]]]:
-        """Each symbol that occurs -> its (row, column) cells, row-major.
+    def symbol_cells(self) -> dict[int, tuple[list[int], list[int]]]:
+        """Each symbol that occurs -> its cells as two index lists (rows,
+        cols), cell i at (rows[i], cols[i]), row-major.
 
         Keys in first-occurrence order; only occurring symbols get one."""
-        out: dict[int, list[tuple[int, int]]] = {}
+        out: dict[int, tuple[list[int], list[int]]] = {}
         # one int per column for every row: a range makes a new one per cell past 256
         columns = list(range(self.k))
         for j, row in enumerate(self.grid):
@@ -76,9 +83,10 @@ class Pda:
             for k, v in zip(compress(columns, row), filter(None, row)):
                 cells = out.get(v)
                 if cells is None:
-                    out[v] = [(j, k)]
+                    out[v] = ([j], [k])
                 else:
-                    cells.append((j, k))
+                    cells[0].append(j)
+                    cells[1].append(k)
         return out
 
     @cached_property
@@ -129,10 +137,11 @@ def validate_pda(p: Pda) -> ValidationReport:
 def _scan(p: Pda) -> ValidationReport:
     """The first failing check, in the order params, range, C1, C2, C3.
 
-    Each condition is tested whole from the symbol map and per-row masks,
-    built in C loops over the grid, so Python code runs once per non-star
-    cell, not per cell; only a symbol failing C3 is walked cell pair by cell
-    pair, to name the same witness as the definition's scan."""
+    Each condition is tested whole from the symbol map, built in C loops
+    over the grid, and per-row non-star masks taken from its cells, so
+    Python code runs once per non-star cell, not per cell; only a symbol
+    failing C3 is walked cell pair by cell pair (_c3_failure), to name the
+    same witness as the definition's scan."""
     if min(p.k, p.f, p.q, p.s) < 1:
         return ValidationReport(False, "params", "K, F, Q, S must all be positive")
     if p.q >= p.f:
@@ -140,11 +149,11 @@ def _scan(p: Pda) -> ValidationReport:
     grid, s = p.grid, p.s
     cells = p.symbol_cells
     if max(cells, default=STAR) > s:  # entries are ints >= 0, so only a symbol past s is out
-        j, k = min(occ[0] for v, occ in cells.items() if v > s)  # each list is row-major
+        # each symbol's first cell is its first in row-major order
+        j, k = min((rows[0], cols[0]) for v, (rows, cols) in cells.items() if v > s)
         return ValidationReport(False, "range",
             f"cell ({j},{k}) holds {grid[j][k]}, outside 1..{s}")
-    column = itemgetter(1)
-    filled = Counter(map(column, chain.from_iterable(cells.values())))  # non-stars per column
+    filled = Counter(chain.from_iterable(cols for _, cols in cells.values()))  # non-stars per column
     for k in range(p.k):
         stars = p.f - filled[k]
         if stars != p.q:
@@ -153,30 +162,47 @@ def _scan(p: Pda) -> ValidationReport:
     if len(cells) != s:  # every symbol is in 1..s, so one is missing
         sym = next(v for v in range(1, s + 1) if v not in cells)
         return ValidationReport(False, "C2", f"symbol {sym} never occurs")
-    # C3 for a symbol's cells: their columns are distinct (a sum of n powers
-    # of two has n bits only when they are), and in each cell's row the
-    # symbol's other columns are stars, so masked by the symbol's columns the
-    # row's non-star mask is the cell's own bit.  A repeated row would leave
-    # two bits there, so rows are distinct too.
+    # C3 for a symbol's n cells: their columns are distinct (a sum of n
+    # powers of two has n bits only when they are), and in each cell's row
+    # the symbol's columns hold one non-star, the cell itself.  Each row's
+    # non-star mask, masked by the symbol's columns, holds its own cell's
+    # bit, so the n of them hold n bits in all exactly when no row holds
+    # more.  A repeated row would count both its cells twice, so rows are
+    # distinct too.  A plain loop over the rows, whose subscripts the
+    # interpreter specializes, beats chained maps here, most on symbols of
+    # few cells.
     bit = (1).__lshift__
-    columns = list(range(p.k))
-    nonstar = [sum(map(bit, compress(columns, row))) for row in grid]
-    for sym, occ in cells.items():
-        cols = sum(map(bit, map(column, occ)))
-        if cols.bit_count() == len(occ) and all(nonstar[j] & cols == bit(k) for j, k in occ):
-            continue
-        for a in range(len(occ)):
-            j1, k1 = occ[a]
-            for b in range(a + 1, len(occ)):
-                j2, k2 = occ[b]
-                if j1 == j2 or k1 == k2:
-                    return ValidationReport(False, "C3",
-                        f"symbol {sym} repeats in a row or column at ({j1},{k1}) and ({j2},{k2})")
-                if grid[j1][k2] != STAR or grid[j2][k1] != STAR:
-                    return ValidationReport(False, "C3",
-                        f"cells ({j1},{k1}) and ({j2},{k2}) share symbol {sym} "
-                        f"but a crossing cell is not a star")
+    nonstar = [0] * p.f
+    for rows, cols in cells.values():
+        for j, b in zip(rows, map(bit, cols)):
+            nonstar[j] |= b
+    for sym, (rows, cols) in cells.items():
+        mine, left = sum(map(bit, cols)), len(cols)
+        if mine.bit_count() == left:
+            for j in rows:
+                left -= (nonstar[j] & mine).bit_count()
+            if not left:
+                continue
+        detail = _c3_failure(grid, sym, rows, cols)
+        if detail:
+            return ValidationReport(False, "C3", detail)
     return ValidationReport(True)
+
+
+def _c3_failure(grid, sym: int, rows: list, cols: list) -> str | None:
+    """What the definition's scan says of the first pair of sym's cells, in
+    row-major pair order, that breaks C3; None if no pair does."""
+    occ = list(zip(rows, cols))
+    for a in range(len(occ)):
+        j1, k1 = occ[a]
+        for b in range(a + 1, len(occ)):
+            j2, k2 = occ[b]
+            if j1 == j2 or k1 == k2:
+                return f"symbol {sym} repeats in a row or column at ({j1},{k1}) and ({j2},{k2})"
+            if grid[j1][k2] != STAR or grid[j2][k1] != STAR:
+                return (f"cells ({j1},{k1}) and ({j2},{k2}) share symbol {sym} "
+                        f"but a crossing cell is not a star")
+    return None
 
 
 def scheme_parameters(p: Pda) -> tuple[int, int, Fraction, Fraction]:

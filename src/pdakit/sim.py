@@ -229,9 +229,9 @@ def _words(p: Pda, lib: FileLibrary) -> list[list[int]]:
     size = lib.packet_size
     width = p.s * size
     slots = [[] for _ in range(p.k)]  # per user, (row, first byte of the slot)
-    for s, cells in p.symbol_cells.items():
+    for s, (rows, cols) in p.symbol_cells.items():
         at = (s - 1) * size
-        for j, k in cells:
+        for j, k in zip(rows, cols):
             slots[k].append((j, at))
     words = []
     for mine in slots:
@@ -250,9 +250,9 @@ def _pack_cells(p: Pda, ints: list[list[int]], demand: tuple, size: int) -> int:
     XOR of the demanded packets at its cells, appended as size bytes."""
     wanted = list(map(ints.__getitem__, demand))  # per user, its demanded file's packets
     packed = bytearray()
-    for cells in map(p.symbol_cells.get, range(1, p.s + 1), repeat(())):
+    for rows, cols in map(p.symbol_cells.get, range(1, p.s + 1), repeat(((), ()))):
         acc = 0
-        for j, k in cells:
+        for j, k in zip(rows, cols):
             acc ^= wanted[k][j]
         packed += acc.to_bytes(size, "big")
     return int.from_bytes(packed, "big")
@@ -333,7 +333,7 @@ def _peel(p: Pda, packets, by_row: dict, user: int, sent: bytes, demand: tuple,
                 raise _unusable(p, packets, by_row, size, user, want, j, user)
         else:
             acc = int.from_bytes(sent[(v - 1) * size:v * size], "big")
-            for j2, k2 in cells[v]:
+            for j2, k2 in zip(*cells[v]):
                 if j2 == j and k2 == user:
                     continue
                 pk = by_row.get(j2, none).get(demand[k2])
@@ -559,7 +559,7 @@ def verify_scheme(p: Pda, n_files: int, mode: str = "auto", samples: int = 200,
             faulty.append((user, packets, _int_rows(packets, packet_size)))
     not_clean = {user for user, _, _ in faulty}
     cells_of = p.symbol_cells
-    listeners = [[k for _, k in cells_of[s] if k not in not_clean]
+    listeners = [[k for k in cells_of[s][1] if k not in not_clean]
                  for s in range(1, p.s + 1)]  # per symbol, the clean users in its columns
     # checked: each demand with its payloads as the check derives them
     table_bytes = 0

@@ -5,12 +5,19 @@ index sets X (rows), Y (symbols), Z (columns):
 
   C_XY on X x Y, C_XZ on X x Z, C_YZ on Y x Z.
 
-A TripleSystem stores each matrix only as row bitmasks (fields xy, xz, yz):
-bit j of row i is entry (i, j).  Column masks are derived once per system,
-on first use.  The 0/1 tuples c_xy, c_xz, c_yz are views built on demand,
-which no stage reads.
+A TripleSystem takes each matrix as row bitmasks (fields xy, xz, yz): bit j
+of row i is entry (i, j).  C_XZ and C_YZ are sparse, and the stages read
+them as index lists: per x and per y its z (zs_of_x, zs_of_y), and per z
+its x and its y (xs_of_z, ys_of_z), each ascending, one int per incidence,
+as in the hypergraph reading of an array, one hyperedge per non-star cell.
+A builder gives the per-x and per-y lists directly (TripleSystem._of_lists),
+and then the masks xz and yz are made only if read; C_XY stays row masks
+of |Y| bits, and its column masks (|X| bits) are derived once per system.
+No stage on construct_pda's path reads a mask wider than |X| or |Y|.  The
+0/1 tuples c_xy, c_xz, c_yz are views built on demand, which no stage
+reads.
 
-Conditions checked here, all by exhaustive scan (E3-E5 one pass per row):
+Conditions checked here, all by exhaustive scan of the lists:
 
   E1: every column of C_XZ sums to the same value (|X| - Q),
   E2: every y meets some z,
@@ -24,7 +31,9 @@ Conditions checked here, all by exhaustive scan (E3-E5 one pass per row):
 
 E1-E5 characterize valid arrays exactly; E1-E3 plus E6 suffice once C_XY is
 thinned to per-z perfect matchings (complete_matching, by augmenting paths).
-The matching path scans only E1-E3 and the degrees, check_conditions
+E1, E2 and the degrees are list lengths; E3 folds, per y, the x masks of
+its z; E4 and E5 count, per z, C_XY's ones among its rows and symbols.  The
+matching path scans only E1-E3 and the degrees, check_conditions
 everything; both take E6 from one pass that decides it once per distinct
 column graph (_local_graphs).  The matched cells, one triple (x, y, z) per
 non-star cell, are what every array is emitted from; an orientation picks
@@ -34,9 +43,9 @@ cells (_oriented_pda).
 """
 
 from array import array
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import accumulate, repeat
+from itertools import repeat
 from operator import add, itemgetter
 from typing import NamedTuple
 
@@ -80,10 +89,43 @@ class TripleSystem:
             if any(type(r) is not int or not 0 <= r < limit for r in rows):
                 raise ValueError(f"{name} rows must be int masks below 1 << {ncols}")
 
-    # Column masks, each derived from the rows once per system.
+    @classmethod
+    def _of_lists(cls, labels_x, labels_y, labels_z, xy: Masks, zs_of_x: list,
+                  zs_of_y: list, cols_xy: Masks | None = None) -> "TripleSystem":
+        """The system with C_XY's row masks xy and, per x and per y, the
+        ascending list of the z it is incident to, for a builder whose
+        entries are in range by construction: no check, and no mask of C_XZ
+        or C_YZ until one is read (__getattr__).  cols_xy, if given, are
+        C_XY's column masks, which are then not derived.  The lists are held
+        as given, and only read."""
+        t = object.__new__(cls)
+        t.__dict__.update(labels_x=tuple(labels_x), labels_y=tuple(labels_y),
+                          labels_z=tuple(labels_z), xy=tuple(xy), zs_of_x=zs_of_x,
+                          zs_of_y=zs_of_y)  # frozen: no __setattr__
+        if cols_xy is not None:
+            t.__dict__["cols_xy"] = tuple(cols_xy)
+        return t
+
+    def __getattr__(self, name: str):
+        # Reached only for a name not in the instance dict: the xz or yz
+        # masks of a system from _of_lists, made from its lists on first read.
+        if name not in ("xz", "yz"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        masks = self.__dict__[name] = _masks(self.zs_of_x if name == "xz" else self.zs_of_y)
+        return masks
+
+    # Index lists of C_XZ and C_YZ, each derived once per system.
+    zs_of_x = cached_property(lambda self: list(map(set_bits, self.xz)))
+    zs_of_y = cached_property(lambda self: list(map(set_bits, self.yz)))
+    xs_of_z = cached_property(lambda self: _transpose(self.zs_of_x, len(self.labels_z)))
+    # one transpose when a builder gave X and Y one set of lists
+    ys_of_z = cached_property(lambda self: self.xs_of_z if self.zs_of_y is self.zs_of_x
+                              else _transpose(self.zs_of_y, len(self.labels_z)))
+    # Column masks, each derived once per system: C_XY's from its rows, the
+    # others from the per-z lists.
     cols_xy = cached_property(lambda self: _columns(self.xy, len(self.labels_y)))
-    cols_xz = cached_property(lambda self: _columns(self.xz, len(self.labels_z)))
-    cols_yz = cached_property(lambda self: _columns(self.yz, len(self.labels_z)))
+    cols_xz = cached_property(lambda self: _masks(self.xs_of_z))
+    cols_yz = cached_property(lambda self: _masks(self.ys_of_z))
     # 0/1 row tuples, rebuilt on every access and never stored.
     c_xy = property(lambda self: _dense(self.xy, len(self.labels_y)))
     c_xz = property(lambda self: _dense(self.xz, len(self.labels_z)))
@@ -135,17 +177,22 @@ def set_bits(mask: int) -> list[int]:
     return out
 
 
-def _split_bits(mask: int) -> list[int]:
-    """set_bits(mask) from the runs of zeros between the ones, bit 0's first:
-    one pass over the width, then a constant per bit."""
-    runs = bin(mask)[:1:-1].split("1")
-    return list(accumulate(map((1).__add__, map(len, runs)), initial=-1))[1:-1]
+_bit = (1).__lshift__
 
 
-# The peel in set_bits copies the mask once per bit, so past this many bits a
-# mask on average the walks below take _split_bits instead (the crossover,
-# measured on masks of 40 to 260,000 bits).
-_SPLIT_PAST = 384
+def _masks(lists) -> Masks:
+    """Per index list, the mask with its bits set."""
+    return tuple(sum(map(_bit, js)) for js in lists)
+
+
+def _transpose(lists, n: int) -> list[list[int]]:
+    """Per index 0..n-1, the ascending list of the rows whose list holds it:
+    the index lists of the transpose."""
+    out: list[list[int]] = [[] for _ in range(n)]
+    for i, js in enumerate(lists):
+        for j in js:
+            out[j].append(i)
+    return out
 
 
 def rows_of(pairs, nrows: int, ncols: int) -> Masks:
@@ -163,12 +210,10 @@ def _columns(rows: Masks, ncols: int) -> Masks:
     ones = sum(map(int.bit_count, rows))
     flip = 2 * ones > len(rows) * ncols
     full, every = ((1 << ncols) - 1) * flip, ((1 << len(rows)) - 1) * flip
-    walked = len(rows) * ncols - ones if flip else ones
-    walk = _split_bits if walked > _SPLIT_PAST * len(rows) else set_bits
     out = [0] * ncols
     for i, row in enumerate(rows):
         bit = 1 << i
-        for j in walk(row ^ full):
+        for j in set_bits(row ^ full):
             out[j] |= bit
     return tuple(every ^ col for col in out) if flip else tuple(out)
 
@@ -178,51 +223,79 @@ def _dense(rows: Masks, ncols: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(c) for c in reversed(bin(row | 1 << ncols)[3:])) for row in rows)
 
 
-def _degree(masks) -> int | None:
-    """The popcount all masks share, if it is one and positive; else None."""
-    counts = {m.bit_count() for m in masks}
+def _degree(lists) -> int | None:
+    """The length all lists share, if it is one and positive; else None."""
+    counts = set(map(len, lists))
     return counts.pop() if len(counts) == 1 and 0 not in counts else None
 
 
-def _first_not_single(rows, via, cols, labels_a, labels_b):
-    """The first (labels_a[i], labels_b[j]), row-major, with bit j of rows[i]
-    set in cols[k] for other than exactly one k of via[i]; None if none.
-    One pass per row folds rows[i] & cols[k] into bits met once or again."""
-    walk = _split_bits if sum(map(int.bit_count, via)) > _SPLIT_PAST * len(via) else set_bits
-    for i, row in enumerate(rows):
+def _e3_pair(cols_xy: Masks, zs_of_y, x_masks: list) -> tuple[int, int] | None:
+    """E3's first failing pair (x, y), x-major, as indices: in C_XY, and in
+    other than exactly one z together; None if none.  One fold per y of the
+    x masks of its z, each ANDed with column y of C_XY, into bits met once
+    or again, so every y is scanned and the least x decides."""
+    first = None
+    for y, (col, zs) in enumerate(zip(cols_xy, zs_of_y)):
         seen = multi = 0
-        for k in walk(via[i]):
-            hit = row & cols[k]
+        for z in zs:
+            hit = col & x_masks[z]
             multi |= seen & hit
             seen |= hit
-        bad = row & ~seen | multi
+        bad = col & ~seen | multi
         if bad:
-            return labels_a[i], labels_b[(bad & -bad).bit_length() - 1]
-    return None
+            x = (bad & -bad).bit_length() - 1
+            if first is None or x < first[0]:
+                first = x, y
+    return first
+
+
+def _first_not_one(ones, rows: Masks, mask: int) -> int | None:
+    """The first of the ascending indices ones whose row, masked by mask,
+    holds other than exactly one bit; None if none."""
+    counts = map(int.bit_count, map(mask.__and__, map(rows.__getitem__, ones)))
+    return next((i for i, c in zip(ones, counts) if c != 1), None)
+
+
+def _e4_e5_pairs(t: TripleSystem, x_masks: list) -> tuple:
+    """E4's first failing pair (x, z), x-major, and E5's (y, z), y-major, as
+    indices, each None if none: an incident pair that has other than exactly
+    one y, or x, incident to both.  Per z, C_XY's rows of its x masked by its
+    y (|Y| bits), and C_XY's columns of its y masked by its x (|X| bits)."""
+    xy, cols_xy = t.xy, t.cols_xy
+    e4 = e5 = None
+    for z, (xs, ys) in enumerate(zip(t.xs_of_z, t.ys_of_z)):
+        x = _first_not_one(xs, xy, sum(map(_bit, ys)))
+        if x is not None and (e4 is None or x < e4[0]):
+            e4 = x, z
+        y = _first_not_one(ys, cols_xy, x_masks[z])
+        if y is not None and (e5 is None or y < e5[0]):
+            e5 = y, z
+    return e4, e5
 
 
 def _scan(t: TripleSystem, e4_e5: bool = False) -> tuple[dict, int | None, int | None, int | None]:
     """E1, E2 and E3, and with e4_e5 also E4 and E5, by exhaustive scan, as
     the witnesses of those that fail, in that order, and the degrees D_X,
-    D_Y, D_Z.  Reads the columns of C_XZ and C_YZ, and those of C_XY only
-    for E5."""
-    lx, ly, lz, cols_xz = t.labels_x, t.labels_y, t.labels_z, t.cols_xz
+    D_Y, D_Z.  Reads the index lists of C_XZ and C_YZ and C_XY's columns,
+    and no mask wider than |X| or |Y|."""
+    lx, ly, lz = t.labels_x, t.labels_y, t.labels_z
+    zs_of_y, xs_of_z = t.zs_of_y, t.xs_of_z
     wit: dict = {}
-    col_sums = {m.bit_count() for m in cols_xz}
+    col_sums = set(map(len, xs_of_z))
     if len(col_sums) > 1:
         wit["E1"] = tuple(sorted(col_sums))
     d_z = col_sums.pop() if len(col_sums) == 1 else None
-    if not all(t.yz):
-        wit["E2"] = (ly[t.yz.index(0)],)
-    # E3 walks the z of each xz[x], E4 the y of each xy[x], E5 the x of cols_xy[y]
-    scans = [("E3", t.xy, t.xz, t.cols_yz, lx, ly)]
+    if not all(zs_of_y):
+        wit["E2"] = (ly[list(map(bool, zs_of_y)).index(False)],)
+    x_masks = _masks(xs_of_z)  # per z, its x: |X| bits
+    pairs = [("E3", _e3_pair(t.cols_xy, zs_of_y, x_masks), lx, ly)]
     if e4_e5:
-        scans += [("E4", t.xz, t.xy, t.yz, lx, lz), ("E5", t.yz, t.cols_xy, t.xz, ly, lz)]
-    for name, *args in scans:
-        witness = _first_not_single(*args)
-        if witness is not None:
-            wit[name] = witness
-    return wit, _degree(t.xz), _degree(t.yz), d_z
+        e4, e5 = _e4_e5_pairs(t, x_masks)
+        pairs += [("E4", e4, lx, lz), ("E5", e5, ly, lz)]
+    for name, pair, labels_a, labels_b in pairs:
+        if pair is not None:
+            wit[name] = labels_a[pair[0]], labels_b[pair[1]]
+    return wit, _degree(t.zs_of_x), _degree(zs_of_y), d_z
 
 
 def _raise_first(wit: dict, names: tuple, detail: str = "") -> None:
@@ -246,8 +319,7 @@ def _local_graphs(t: TripleSystem):
     # char j of bits[x] is bit j of xy[x]
     bits = [format(row, f"0{len(t.labels_y)}b")[::-1] for row in t.xy]
     degrees: dict[str, int | None] = {}
-    for z, (mask1, mask2) in enumerate(zip(t.cols_xz, t.cols_yz)):
-        xs, ys = set_bits(mask1), set_bits(mask2)
+    for z, (xs, ys) in enumerate(zip(t.xs_of_z, t.ys_of_z)):
         key = d = None
         if not (xs or ys):
             d = 0
@@ -290,7 +362,8 @@ def pda_to_triple(p: Pda) -> TripleSystem:
     cell, of which Q < F leaves some, is one incident triple (x, y, z).
     """
     require_valid(p, "not a valid PDA")
-    x, y, z = zip(*[(j, s - 1, k) for s, occ in p.symbol_cells.items() for j, k in occ])
+    x, y, z = zip(*[(j, s - 1, k) for s, (rows, cols) in p.symbol_cells.items()
+                    for j, k in zip(rows, cols)])
     return TripleSystem(tuple(range(p.f)), tuple(range(1, p.s + 1)), tuple(range(p.k)),
                         rows_of(zip(x, y), p.f, p.s), rows_of(zip(x, z), p.f, p.k),
                         rows_of(zip(y, z), p.s, p.k))
@@ -427,9 +500,9 @@ def _untimed(name: str, fn, *args):
 def _matched_cells(t: TripleSystem, stage=_untimed) -> _Matched:
     """_cells(t) and the degrees (D_X, D_Y, D_Z), after E1, E2, E3 and then
     E6 are required, each failure raised as check_conditions would report
-    it.  Computes nothing else: no column of C_XY, no E4 or E5.  The scan
-    and the matching run as stage("scan", _scan, t) and stage("cells",
-    _cells, t), so that a caller can time each."""
+    it.  Computes nothing else: no E4 or E5, and no mask wider than |X| or
+    |Y|.  The scan and the matching run as stage("scan", _scan, t) and
+    stage("cells", _cells, t), so that a caller can time each."""
     wit, *degrees = stage("scan", _scan, t)
     _raise_first(wit, ("E1", "E2", "E3"))
     cells, keys, edges = stage("cells", _cells, t)
@@ -453,7 +526,9 @@ def complete_matching(t: TripleSystem) -> TripleSystem:
     the system to the full E1-E5 family.  The result keeps t's C_XZ and C_YZ.
     """
     xs, ys, _ = _matched_cells(t).cells
-    return replace(t, xy=rows_of(zip(xs, ys), len(t.labels_x), len(t.labels_y)))
+    return TripleSystem._of_lists(t.labels_x, t.labels_y, t.labels_z,
+                                  rows_of(zip(xs, ys), len(t.labels_x), len(t.labels_y)),
+                                  t.zs_of_x, t.zs_of_y)
 
 
 # --- orientations and products -------------------------------------------
@@ -480,7 +555,7 @@ def orientations(t: TripleSystem) -> tuple[TripleSystem, TripleSystem, TripleSys
     matrix are the row masks of its transpose.
     """
     # degrees D_X (rows of C_XZ), D_Y (rows of C_YZ), D_Z (columns of C_XZ)
-    _require_degrees(_degree(t.xz), _degree(t.yz), _degree(t.cols_xz))
+    _require_degrees(_degree(t.zs_of_x), _degree(t.zs_of_y), _degree(t.xs_of_z))
     lx, ly, lz = t.labels_x, t.labels_y, t.labels_z
     return (TripleSystem(ly, lz, lx, t.yz, t.cols_xy, t.cols_xz),
             TripleSystem(lz, ly, lx, t.cols_yz, t.cols_xz, t.cols_xy), t)
@@ -513,8 +588,8 @@ def direct_product(a: Pda, b: Pda) -> Pda:
     """
     require_valid(a, "first factor is not a valid PDA")
     require_valid(b, "second factor is not a valid PDA")
-    ca, cb = ([(j, k, s) for s, cells in p.symbol_cells.items() for j, k in cells]
-              for p in (a, b))
+    ca, cb = ([(j, k, s) for s, (rows, cols) in p.symbol_cells.items()
+               for j, k in zip(rows, cols)] for p in (a, b))
     rows, cols, syms = zip(*[(j1 * b.f + j2, k1 * b.k + k2, (s1 - 1) * b.s + s2)
                              for j1, k1, s1 in ca for j2, k2, s2 in cb])
     prod = _emit(a.f * b.f, a.k * b.k, rows, cols, syms)

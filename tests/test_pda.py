@@ -66,6 +66,20 @@ def test_c3_crossing_cell():
     assert rep.condition == "C3" and "crossing" in rep.detail
 
 
+def test_c3_walks_only_a_failing_symbol(monkeypatch, sweep):
+    # the per-symbol bit counts decide C3; the pairwise walk that names the
+    # witness runs for a symbol that fails them, so on no valid array
+    walked, real = [], pda._c3_failure
+    monkeypatch.setattr(pda, "_c3_failure",
+                        lambda grid, sym, *cells: walked.append(sym) or real(grid, sym, *cells))
+    for p in all_pdas(sweep):
+        assert validate_pda(Pda(p.k, p.f, p.q, p.s, p.grid)).ok  # a fresh array: no cached report
+    assert walked == []
+    # symbol 2 comes first and fails: (2,1), crossing its cells, holds 1
+    rep = validate_pda(Pda(2, 3, 1, 2, ((STAR, 2), (1, STAR), (2, 1))))
+    assert rep.condition == "C3" and walked == [2]
+
+
 def test_pda_shape_errors():
     with pytest.raises(ValueError):
         Pda(2, 2, 1, 1, ((STAR, 1),))  # wrong row count
@@ -290,10 +304,14 @@ def test_pda_rejects_bool_and_non_int_fields():
 
 
 def test_symbol_cells():
-    assert TINY.symbol_cells == {1: [(0, 1), (1, 0)]}
+    # symbol -> (rows, cols), cell i at (rows[i], cols[i]), row-major
+    assert TINY.symbol_cells == {1: ([0, 1], [1, 0])}
     p = Pda(3, 3, 2, 1, ((STAR, STAR, 1), (STAR, 1, STAR), (1, STAR, STAR)))
     assert p.symbol_cells is p.symbol_cells  # built once per array
-    assert p.symbol_cells == {1: [(0, 2), (1, 1), (2, 0)]}
+    assert p.symbol_cells == {1: ([0, 1, 2], [2, 1, 0])}
+    # keys in first-occurrence order, and only for symbols that occur
+    p = Pda(3, 2, 1, 4, ((STAR, 3, 1), (3, STAR, STAR)))
+    assert list(p.symbol_cells.items()) == [(3, ([0, 1], [1, 0])), (1, ([0], [2]))]
 
 
 def test_star_columns():

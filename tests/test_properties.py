@@ -530,7 +530,7 @@ def _reads(p: Pda, user: int, demand: tuple) -> list:
     for j, row in enumerate(p.grid):
         v = row[user]
         out += ([(demand[user], j)] if v == STAR else
-                [(demand[k2], j2) for j2, k2 in p.symbol_cells[v] if (j2, k2) != (j, user)])
+                [(demand[k2], j2) for j2, k2 in zip(*p.symbol_cells[v]) if (j2, k2) != (j, user)])
     return out
 
 
@@ -757,7 +757,7 @@ def triple_per_cell(p: Pda) -> tuple:
     C3 puts a symbol at most once in any row or column, so sums are unions."""
     xy = tuple(sum(1 << (v - 1) for v in row if v != STAR) for row in p.grid)
     xz = tuple(sum(1 << z for z, v in enumerate(row) if v != STAR) for row in p.grid)
-    yz = tuple(sum(1 << z for _, z in p.symbol_cells[y]) for y in range(1, p.s + 1))
+    yz = tuple(sum(1 << z for z in p.symbol_cells[y][1]) for y in range(1, p.s + 1))
     return xy, xz, yz
 
 
@@ -819,6 +819,45 @@ def test_matching_path_matches_the_full_scan(sweep_systems, data):
     # report's E6 and then the column-by-column matching
     t = _flipped(data, sweep_systems)
     assert matching_path(t) == reference_matching_path(t)
+
+
+def _lists_of(t: TripleSystem) -> TripleSystem:
+    """t as a builder gives it: C_XY's row masks, and C_XZ and C_YZ as each
+    row's ascending column indices, read off bit by bit."""
+    nz = len(t.labels_z)
+
+    def lists(rows):
+        return [[z for z in range(nz) if row >> z & 1] for row in rows]
+
+    return TripleSystem._of_lists(t.labels_x, t.labels_y, t.labels_z, t.xy,
+                                  lists(t.xz), lists(t.yz))
+
+
+def _matched_or_error(t: TripleSystem):
+    """_matched_cells(t) as plain values, or its ConditionError's (condition,
+    message, witness)."""
+    try:
+        m = _matched_cells(t)
+    except ConditionError as exc:
+        return exc.condition, str(exc), exc.witness
+    return [list(c) for c in m.cells], m.sizes, m.degrees, m.column_keys, m.nnz_xy
+
+
+@settings(FIXED, max_examples=150)
+@given(st.data())
+def test_the_list_path_matches_the_mask_path(sweep_systems, data):
+    # one system built from index lists, as the families build it, and from
+    # masks: the same _Matched cells, degrees and counts, or the same
+    # ConditionError, the definitions' first failing E1, E2, E3 or E6; the
+    # one from lists makes no mask of C_XZ or C_YZ on the way
+    t = _flipped(data, sweep_systems)
+    listed = _lists_of(t)
+    assert _matched_or_error(listed) == _matched_or_error(t)
+    assert matching_path(listed) == reference_matching_path(t)
+    report = check_conditions(listed)
+    assert not {"xz", "yz", "cols_xz", "cols_yz"} & vars(listed).keys()
+    assert report == check_conditions(t) and report.witnesses == reference_report(t)["witnesses"]
+    assert listed == t  # its masks, made on first read, are t's
 
 
 def test_matching_path_on_hand_made_failures():

@@ -339,7 +339,7 @@ def _reads(p, user, demand):
         if row[user] == STAR:
             out.add((demand[user], j))
         else:
-            out |= {(demand[k2], j2) for j2, k2 in p.symbol_cells[row[user]]
+            out |= {(demand[k2], j2) for j2, k2 in zip(*p.symbol_cells[row[user]])
                     if (j2, k2) != (j, user)}
     return out
 
@@ -376,7 +376,7 @@ def test_verify_records_corrupt_transmission(monkeypatch):
         return _flip(real_transmit(p, ints, demand, size, words), p, symbol, 7, size)
 
     monkeypatch.setattr(sim, "_transmit", transmit)
-    listeners = sorted({k for _, k in FANO_PG.symbol_cells[symbol]})
+    listeners = sorted(set(FANO_PG.symbol_cells[symbol][1]))
     assert 0 < len(listeners) < FANO_PG.k
     for loop in _loops(monkeypatch):
         forms.clear()
@@ -393,7 +393,7 @@ def test_verify_records_cancelling_double_fault(monkeypatch):
     the payload check alone."""
     user, file, bit = 3, 1, 5
     j, s = next((j, row[user]) for j, row in enumerate(FANO_PG.grid) if row[user] != STAR)
-    j2, k2 = next(c for c in FANO_PG.symbol_cells[s] if c != (j, user))
+    j2, k2 = next(c for c in zip(*FANO_PG.symbol_cells[s]) if c != (j, user))
     real_place, real_transmit, seen = sim.place, sim._transmit, {}
 
     def place(p, lib):
@@ -417,7 +417,7 @@ def test_verify_records_cancelling_double_fault(monkeypatch):
                      if d[k2] == file and (d, user) not in expect]
         assert cancelled
         # the other users in symbol s's columns have clean caches and always fail
-        others = {k for _, k in FANO_PG.symbol_cells[s]} - {user}
+        others = set(FANO_PG.symbol_cells[s][1]) - {user}
         assert {(d, k) for d, k in expect if k in others} == {
             (d, k) for d in itertools.product(range(2), repeat=7) for k in others}
 
@@ -908,7 +908,7 @@ def test_table_check_catches_a_flip_at_each_block_edge(monkeypatch, p, n, block,
         return _flip(sent, p, 1, 0, size) if order[demand] in flip_at else sent
 
     monkeypatch.setattr(sim, "_transmit", transmit)
-    listeners = sorted({k for _, k in p.symbol_cells[1]})
+    listeners = sorted(set(p.symbol_cells[1][1]))
     demands = list(order)
     expect = [(demands[i], u) for i in flip_at for u in listeners]
     for loop in _loops(monkeypatch):

@@ -12,7 +12,7 @@ from pdakit.constructions import (ConstructionSpec, build_triple, configuration_
 from pdakit.designs import catalog_lookup, complete_design
 from pdakit.pda import InvalidPdaError, Pda, STAR, canonical_relabel, validate_pda
 from pdakit.triples import (ConditionError, TripleSystem, _columns, _match_column,
-                            _split_bits, check_conditions, complete_matching,
+                            check_conditions, complete_matching,
                             direct_product, orientations, pda_to_triple, rows_of,
                             set_bits, triple_to_pda)
 
@@ -317,34 +317,76 @@ def test_every_orientation_of_a_matched_system_passes_e1_to_e5(sweep, k651):
 
 def test_construct_pda_scans_conditions_once(monkeypatch, fresh_cells):
     # once per system, and only what the matching path reads: E1-E3 in one
-    # scan of the built system, whose one row scan is E3's, and transposes of
-    # C_XZ and C_YZ alone.  No column of C_XY, no E4 or E5 scan, no full
-    # report, and no column mask of a matched or rotated system.  The other
-    # orientations of the same spec scan nothing; another spec scans again.
-    scans, transposed, row_scans, reports = [], [], [], []
-    real_scan, real_rows = pdakit.triples._scan, pdakit.triples._first_not_single
+    # scan of the built system, whose E3 fold runs once, over its lists and
+    # C_XY's columns.  No E4 or E5 scan, no full report, and no mask of C_XZ
+    # or C_YZ, rows or columns.  C_XY's columns come from one transpose of
+    # the built xy, or from none when m == t, where pg's C_XY is its own
+    # transpose.  The other orientations of the same spec scan nothing;
+    # another spec scans again.
+    scans, folds, transposed, reports, e4_e5 = [], [], [], [], []
+    real_scan, real_fold = pdakit.triples._scan, pdakit.triples._e3_pair
     monkeypatch.setattr(pdakit.triples, "_scan", lambda t: scans.append(t) or real_scan(t))
-    monkeypatch.setattr(pdakit.triples, "_first_not_single",
-                        lambda *args: row_scans.append(args[0]) or real_rows(*args))
+    monkeypatch.setattr(pdakit.triples, "_e3_pair",
+                        lambda *args: folds.append(args) or real_fold(*args))
+    monkeypatch.setattr(pdakit.triples, "_e4_e5_pairs", lambda *args: e4_e5.append(args))
     monkeypatch.setattr(pdakit.triples, "check_conditions", reports.append)
     monkeypatch.setattr(pdakit.triples, "_columns",
                         lambda rows, ncols: transposed.append(rows) or _columns(rows, ncols))
     fano = ConstructionSpec("pg", 1, q=2, k=3, m=1, t=1)
     for spec, scanned in ((fano, 1), (replace(fano, orientation=2), 0),
                           (replace(fano, orientation=3), 0),
-                          (ConstructionSpec("pg", 2, q=3, k=3, m=1, t=1), 1)):
+                          (ConstructionSpec("pg", 2, q=3, k=3, m=1, t=1), 1),
+                          (ConstructionSpec("pg", 1, q=2, k=4, m=1, t=2), 1)):
         scans.clear()
+        folds.clear()
         transposed.clear()
-        row_scans.clear()
         p = construct_pda(spec)
         assert validate_pda(p).ok
-        assert len(scans) == scanned and reports == [], spec
+        assert len(scans) == len(folds) == scanned and reports == e4_e5 == [], spec
         for built in scans:
-            assert list(map(id, transposed)) == [id(built.xz), id(built.yz)]
-            assert list(map(id, row_scans)) == [id(built.xy)]
-            assert "cols_xy" not in vars(built)
+            cols_xy, zs_of_y, _ = folds[0]
+            assert cols_xy is built.cols_xy and zs_of_y is built.zs_of_y
+            if spec.m == spec.t:
+                assert transposed == [] and cols_xy is built.xy
+            else:
+                assert list(map(id, transposed)) == [id(built.xy)]
+            assert not {"xz", "yz", "cols_xz", "cols_yz"} & vars(built).keys()
         if not scanned:
-            assert transposed == row_scans == []
+            assert transposed == []
+
+
+def test_construct_pda_makes_no_mask_over_the_columns(monkeypatch, fresh_cells):
+    # pg q=2 k=7 m=1 t=1: |X| = |Y| = 127 points, |Z| = 2667 lines.  C_XZ
+    # and C_YZ go from pg_triple to the emitter as index lists: no helper
+    # that makes or walks a mask sees one wider than the 128 points of
+    # F_2^7 (|X| + 1: the point masks of pg's subspaces), and the built
+    # system never makes its xz or yz rows or a column mask over them.
+    spec = ConstructionSpec("pg", 1, q=2, k=7, m=1, t=1)
+    widths, built = [], []
+
+    def record(fn, width):
+        def wrapped(*args):
+            out = fn(*args)
+            widths.append(width(args, out))
+            return out
+        return wrapped
+
+    for module in (pdakit.triples, pdakit.constructions):
+        monkeypatch.setattr(module, "set_bits",
+                            record(module.set_bits, lambda args, out: args[0].bit_length()))
+        monkeypatch.setattr(module, "rows_of", record(module.rows_of, lambda args, out: args[2]))
+    monkeypatch.setattr(pdakit.triples, "_columns",
+                        record(_columns, lambda args, out: max(args[1], len(args[0]))))
+    monkeypatch.setattr(pdakit.triples, "_masks", record(
+        pdakit.triples._masks, lambda args, out: max(map(int.bit_length, out), default=0)))
+    monkeypatch.setattr(pdakit.constructions, "build_triple", record(
+        pdakit.constructions.build_triple, lambda args, out: built.append(out) or 0))
+    p = construct_pda(spec)
+    assert (p.k, p.f, p.s) == (127, 127, 2667) and validate_pda(p).ok
+    sizes = tuple(map(len, (built[0].labels_x, built[0].labels_y, built[0].labels_z)))
+    assert sizes == (127, 127, 2667)
+    assert len(widths) > 2667 and max(widths) == 128
+    assert not {"xz", "yz", "cols_xz", "cols_yz"} & vars(built[0]).keys()
 
 
 def _staged(spec, matched=None):
@@ -601,8 +643,7 @@ def test_columns_and_rows_of_equal_dense_reference():
             # the ones in column-major order, as pg's point-holders give them
             ones = [(i, j) for j in range(nc) for i in range(nr) if mat[i][j]]
             assert rows_of(ones, nr, nc) == _masks(mat)
-    # rows of 1500 columns hold about 450 ones, or zeros through the
-    # complement: past 384 a row, the transpose takes the split walk
+    # rows of 1500 columns, walked by their ones or through the complement
     for density in (0.3, 0.7):
         mat = tuple(tuple(int(rng.random() < density) for _ in range(1500)) for _ in range(3))
         assert _columns(_masks(mat), 1500) == _masks(_transpose(mat))
@@ -610,30 +651,14 @@ def test_columns_and_rows_of_equal_dense_reference():
     assert rows_of([], 0, 5) == ()
 
 
-def test_set_bits_equals_the_bit_by_bit_reference_on_either_walk():
-    # the peel, and the split that the long walks take past 384 bits a mask
+def test_set_bits_equals_the_bit_by_bit_reference():
     rng = random.Random(5)
     for width in (1, 7, 64, 400, 1000, 5000):
         for count in {0, 1, 2, width // 3, 384, 385, width - 1, width}:
             if 0 <= count <= width:
                 mask = sum(1 << i for i in rng.sample(range(width), count))
                 want = [i for i in range(width) if mask >> i & 1]
-                assert set_bits(mask) == _split_bits(mask) == want
-
-
-def test_split_walks_report_as_the_peel(monkeypatch):
-    # each xz row of pg q=2 k=7 m=2 t=1 holds 651 of 11811 bits, so its
-    # transpose and E3's row scan take the split walk; the report, witnesses
-    # included, equals the one the peel gives
-    raw = pg_triple(2, 7, 2, 1)
-    rows = list(raw.xz)
-    rows[5] ^= 1 << 100
-    for t in (raw, replace(raw, xz=tuple(rows))):
-        split = check_conditions(replace(t))  # a copy, with no column cached
-        with monkeypatch.context() as patch:
-            patch.setattr(pdakit.triples, "_SPLIT_PAST", len(t.labels_z))
-            peeled = check_conditions(replace(t))
-        assert split == peeled and split.witnesses == peeled.witnesses
+                assert set_bits(mask) == want
 
 
 def test_triple_system_rejects_bad_masks():

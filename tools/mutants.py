@@ -37,9 +37,12 @@ SRC = ROOT / "src"
 TIMEOUT = 60  # seconds per pytest run; every subset passes in a few seconds
 
 SIM, CLI, CONS, TRI = "pdakit/sim.py", "pdakit/cli.py", "pdakit/constructions.py", "pdakit/triples.py"
-T_SIM, T_CLI = "tests/test_sim.py", "tests/test_cli.py"
+PDA = "pdakit/pda.py"
+T_SIM, T_CLI, T_PDA = "tests/test_sim.py", "tests/test_cli.py", "tests/test_pda.py"
 T_CONS, T_TRI = "tests/test_constructions.py", "tests/test_triples.py"
 T_PROP = "tests/test_properties.py"
+T_CHECKS = [T_TRI, T_PROP]  # the triple conditions and their oracles
+T_VALID = [T_PDA, T_PROP]  # the validator and its per-cell oracle
 T_TABLE = [f"{T_SIM}::test_tail_table_never_outgrows_the_words_table",
            f"{T_SIM}::test_table_check_catches_a_flip_at_each_block_edge"]
 
@@ -161,6 +164,120 @@ MUTANTS = [
          replacement="    if False:",
          breaks="a demand entry that is not an int (True, 1.5) is served as a file",
          tests=[T_SIM]),
+    # the triple conditions, scanned from the index lists
+    dict(name="E1 from the symbols' lists", file=TRI,
+         snippet="    col_sums = set(map(len, xs_of_z))\n",
+         replacement="    col_sums = set(map(len, t.ys_of_z))\n",
+         breaks="E1 and D_Z count each column's symbols instead of its rows",
+         tests=T_CHECKS),
+    dict(name="E1 tolerates two column sums", file=TRI,
+         snippet="    if len(col_sums) > 1:\n",
+         replacement="    if len(col_sums) > 2:\n",
+         breaks="E1 passes a C_XZ whose columns hold two different sums",
+         tests=T_CHECKS),
+    dict(name="E2 from the rows' lists", file=TRI,
+         snippet='    if not all(zs_of_y):\n'
+                 '        wit["E2"] = (ly[list(map(bool, zs_of_y)).index(False)],)\n',
+         replacement='    if not all(t.zs_of_x):\n'
+                     '        wit["E2"] = (ly[list(map(bool, t.zs_of_x)).index(False)],)\n',
+         breaks="E2 looks for a row, not a symbol, that meets no column",
+         tests=T_CHECKS),
+    dict(name="E2 names the first symbol that meets a column", file=TRI,
+         snippet="list(map(bool, zs_of_y)).index(False)",
+         replacement="list(map(bool, zs_of_y)).index(True)",
+         breaks="E2's witness is a symbol that does meet a column",
+         tests=T_CHECKS),
+    dict(name="D_X and D_Y from each other's lists", file=TRI,
+         snippet="    return wit, _degree(t.zs_of_x), _degree(zs_of_y), d_z\n",
+         replacement="    return wit, _degree(zs_of_y), _degree(t.zs_of_x), d_z\n",
+         breaks="E7 and E2' read the degrees of the other side",
+         tests=T_CHECKS),
+    dict(name="E3 fold skips a z", file=TRI,
+         snippet="        for z in zs:\n            hit = col & x_masks[z]\n",
+         replacement="        for z in zs[1:]:\n            hit = col & x_masks[z]\n",
+         breaks="E3 leaves each symbol's first column out of its fold",
+         tests=T_CHECKS),
+    dict(name="E3 passes a pair met twice", file=TRI,
+         snippet="            multi |= seen & hit\n",
+         replacement="",
+         breaks="E3 accepts an incident (x, y) that two columns hold",
+         tests=T_CHECKS),
+    dict(name="E4 and E5 pass a pair met by none", file=TRI,
+         snippet="if c != 1), None)",
+         replacement="if c > 1), None)",
+         breaks="E4 and E5 accept an incident pair with no third coordinate",
+         tests=T_CHECKS),
+    dict(name="E4 witness from the first failing column", file=TRI,
+         snippet="        if x is not None and (e4 is None or x < e4[0]):\n",
+         replacement="        if x is not None and e4 is None:\n",
+         breaks="E4 names the first failing column's pair, not the least row's",
+         tests=T_CHECKS),
+    dict(name="E5 never scanned", file=TRI,
+         snippet="        y = _first_not_one(ys, cols_xy, x_masks[z])\n",
+         replacement="        y = None\n",
+         breaks="E5 always holds",
+         tests=T_CHECKS),
+    dict(name="E6 accepts degree 0", file=TRI,
+         snippet="    return sums.pop() if len(sums) == 1 and 0 not in sums else None\n",
+         replacement="    return sums.pop() if len(sums) == 1 else None\n",
+         breaks="E6 passes a column whose graph has no edge",
+         tests=T_CHECKS),
+    dict(name="E6 skips column 0 in check_conditions", file=TRI,
+         snippet="    degrees = tuple(d for *_, d in _local_graphs(t))\n",
+         replacement="    degrees = tuple(d for *_, d in _local_graphs(t))[1:]\n",
+         breaks="check_conditions leaves the first column out of E6 and e6_degrees",
+         tests=T_CHECKS),
+    dict(name="E6 lets unequal sides through", file=TRI,
+         snippet="        elif len(xs) == len(ys):\n",
+         replacement="        elif xs and ys:\n",
+         breaks="a column with more rows than symbols, or fewer, is keyed and matched",
+         tests=T_CHECKS),
+    dict(name="E1' left out of _require_degrees", file=TRI,
+         snippet="""    for name, d in (("E1'", d_z), ("E2'", d_y), ("E7", d_x)):\n""",
+         replacement="""    for name, d in (("E2'", d_y), ("E7", d_x)):\n""",
+         breaks="an orientation is emitted although the column degree D_Z is not constant",
+         tests=T_CHECKS),
+    dict(name="E2' left out of _require_degrees", file=TRI,
+         snippet="""(("E1'", d_z), ("E2'", d_y), ("E7", d_x))""",
+         replacement="""(("E1'", d_z), ("E7", d_x))""",
+         breaks="an orientation is emitted although the symbol degree D_Y is not constant",
+         tests=T_CHECKS),
+    dict(name="E7 left out of _require_degrees", file=TRI,
+         snippet="""(("E1'", d_z), ("E2'", d_y), ("E7", d_x)):""",
+         replacement="""(("E1'", d_z), ("E2'", d_y)):""",
+         breaks="an orientation is emitted although the row degree D_X is not constant",
+         tests=T_CHECKS),
+    # the validator, from the symbol map's index lists
+    dict(name="C1 passes a column with too few stars", file=PDA,
+         snippet="        if stars != p.q:\n",
+         replacement="        if stars > p.q:\n",
+         breaks="C1 accepts a column with fewer than Q stars",
+         tests=T_VALID),
+    dict(name="C2 passes a missing symbol", file=PDA,
+         snippet="    if len(cells) != s:  # every symbol is in 1..s, so one is missing\n",
+         replacement="    if len(cells) > s:  # every symbol is in 1..s, so one is missing\n",
+         breaks="C2 accepts an array in which a declared symbol never occurs",
+         tests=T_VALID),
+    dict(name="non-star masks skip a cell", file=PDA,
+         snippet="        for j, b in zip(rows, map(bit, cols)):\n",
+         replacement="        for j, b in zip(rows[1:], map(bit, cols[1:])):\n",
+         breaks="each symbol's first cell is left out of its row's non-star mask",
+         tests=T_VALID),
+    dict(name="C3 drops the column-distinctness test", file=PDA,
+         snippet="        if mine.bit_count() == left:\n",
+         replacement="        if True:\n",
+         breaks="C3 accepts a symbol repeated in a column",
+         tests=T_VALID),
+    dict(name="C3 counts against len - 1", file=PDA,
+         snippet="        mine, left = sum(map(bit, cols)), len(cols)\n",
+         replacement="        mine, left = sum(map(bit, cols)), len(cols) - 1\n",
+         breaks="every symbol fails the bit counts and is walked pair by pair",
+         tests=T_VALID),
+    dict(name="C3 walk checks one crossing cell", file=PDA,
+         snippet="            if grid[j1][k2] != STAR or grid[j2][k1] != STAR:\n",
+         replacement="            if grid[j1][k2] != STAR:\n",
+         breaks="C3's walk misses a non-star crossing cell in the first cell's column",
+         tests=T_VALID),
 ]
 
 
