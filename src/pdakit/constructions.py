@@ -17,11 +17,10 @@ Families (ids are the CLI tokens):
 import itertools
 import sys
 import time
-from contextvars import ContextVar
 from dataclasses import dataclass, replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import lru_cache, partial, reduce
+from functools import partial, reduce
 from math import comb, factorial, log, pi
 from operator import itemgetter, mul, or_
 
@@ -478,9 +477,11 @@ def _row(spec: ConstructionSpec, invariants: tuple) -> ParameterRow:
                         Fraction(s, f), r_star, f_mn, admissible, note)
 
 
-# The stats dict of the construct_pda call running, which _matched_system
-# fills on a miss; None when the caller asked for none.
-_stage_stats: ContextVar[dict | None] = ContextVar("_stage_stats", default=None)
+# The last system construct_pda built: (its spec in orientation 1, its
+# matched cells), or None.  Every orientation is emitted from the same
+# cells, which the emitter only reads; the built TripleSystem is never held.
+# Only construct_pda reads or writes it.
+_held: tuple[ConstructionSpec, _Matched] | None = None
 
 
 def _rss_mb() -> float:
@@ -502,24 +503,6 @@ def _stage(stats: dict | None, name: str, fn, *args):
     return out
 
 
-@lru_cache(maxsize=1)
-def _matched_system(spec: ConstructionSpec) -> _Matched:
-    """The matched cells that all three orientations of spec's system share:
-    build_triple, then one E1-E3 scan, E6 and one Kuhn run per column key
-    (_matched_cells).  construct_pda keys it by the spec in orientation 1,
-    so the next orientation of the last system built reuses the cells.  It
-    holds no TripleSystem: the built one is freed on return, before any
-    array is emitted.  A spec that raises is not cached.  Every call that
-    hits gets the same cell arrays, which the emitter only reads."""
-    stats = _stage_stats.get()
-    built = _stage(stats, "build", build_triple, spec)
-    matched = _matched_cells(built, partial(_stage, stats))
-    if stats is not None:
-        stats.update(match_s=stats["scan_s"] + stats["cells_s"],
-                     match_rss_mb=stats["cells_rss_mb"])
-    return matched
-
-
 def construct_pda(spec: ConstructionSpec, stats: dict | None = None) -> Pda:
     """Full pipeline: build the triple, match it, emit the orientation's array.
 
@@ -536,18 +519,23 @@ def construct_pda(spec: ConstructionSpec, stats: dict | None = None) -> Pda:
     the built matrices; column_keys, the distinct column graphs, and
     kuhn_runs, those matched in this call.
     """
+    global _held
     if stats is not None:
         # the build and match stages stay None unless this call runs them
         stats.update(dict.fromkeys(("reused", "build_s", "build_rss_mb", "scan_s",
                                     "scan_rss_mb", "cells_s", "cells_rss_mb", "match_s",
                                     "match_rss_mb")))
-    token = _stage_stats.set(stats)
-    try:
-        matched = _matched_system(replace(spec, orientation=1))
-    finally:
-        _stage_stats.reset(token)
+    key = replace(spec, orientation=1)
+    reused = _held is not None and _held[0] == key
+    if not reused:  # the built system is freed once matched; one that raises is not held
+        stage = partial(_stage, stats)
+        _held = key, _matched_cells(stage("build", build_triple, key), stage)
+        if stats is not None:
+            stats.update(match_s=stats["scan_s"] + stats["cells_s"],
+                         match_rss_mb=stats["cells_rss_mb"])
+    matched = _held[1]
     if stats is not None:
-        reused, ones = stats["build_s"] is None, len(matched.cells[0])
+        ones = len(matched.cells[0])
         stats.update(zip(("size_x", "size_y", "size_z"), matched.sizes))
         # each column's matching covers its rows and its symbols, one cell each
         stats.update(reused=reused, nnz_xy=matched.nnz_xy, nnz_xz=ones, nnz_yz=ones,

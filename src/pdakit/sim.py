@@ -435,6 +435,8 @@ DRAW_BATCH = 1 << 16
 def _demand_set(p: Pda, n: int, mode: str, samples: int, rng: random.Random):
     """Resolve the demand vectors to run, as an iterable to draw once, and
     the mode label actually used.  Exhaustive mode draws them lazily."""
+    if samples < 0:  # else the bulk route draws none and the per-draw route fails in islice
+        raise ValueError(f"samples must be at least 0, not {samples}")
     exhaustive_size = n ** p.k
     if mode == "auto":
         mode = "exhaustive" if exhaustive_size <= 4096 else "sampled"
@@ -488,8 +490,9 @@ def verify_scheme(p: Pda, n_files: int, mode: str = "auto", samples: int = 200,
     otherwise runs seeded samples plus the adversarial demands (all users
     alike, and all distinct when the library allows it).  An explicit
     exhaustive run takes at most 2^20 (MAX_EXHAUSTIVE) demand vectors and
-    raises ValueError beyond that, before building any.  A wrong or
-    undecodable file is a (demand, user) failure, listed demand-major.
+    raises ValueError beyond that, before building any; samples < 0 raises
+    it in every mode.  A wrong or undecodable file is a (demand, user)
+    failure, listed demand-major.
 
     Each demand is transmitted once, and its payloads are not kept; the
     exhaustive set is drawn lazily, never held.  An exhaustive run in the

@@ -83,13 +83,12 @@ def product_cases(built):
 
 @pytest.fixture
 def fresh_cells():
-    """construct_pda's cache of the last system's matched cells, emptied
-    before and after the test: a test that patches a pipeline stage sees
-    every stage run, and leaves no cells built under its patch."""
-    cache = pdakit.constructions._matched_system
-    cache.cache_clear()
-    yield cache
-    cache.cache_clear()
+    """construct_pda's held system (constructions._held), emptied before and
+    after the test: a test that patches a pipeline stage sees every stage
+    run, and leaves no cells built under its patch."""
+    pdakit.constructions._held = None
+    yield
+    pdakit.constructions._held = None
 
 
 @pytest.fixture(scope="session")

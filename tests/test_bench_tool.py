@@ -1,7 +1,7 @@
 """tools/bench_pr.py reaches pdakit through its public names only: every
 name it imports from pdakit, in its own code or in the code strings it runs
-in fresh processes (every *_CODE: RUNG_CODE, ORIENTATIONS_CODE, PRODUCT_CODE,
-SIM_CODE and STATS_CODE among them), is in pdakit.__all__;
+in fresh processes (every *_CODE: RUNG_CODE, ORIENTATIONS_CODE, PRODUCT_CODE
+and SIM_CODE among them), is in pdakit.__all__;
 each of those code strings compiles; each rung prints its seconds both
 raw and in reference speed; and every process it starts runs uncompiled."""
 

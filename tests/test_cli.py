@@ -272,6 +272,11 @@ def test_simulate_rejects_empty_library(run, tiny_file):
     assert code == 3 and "error" in err
 
 
+def test_simulate_negative_samples_exits_3(run, tiny_file):
+    code, out, err = run("simulate", tiny_file, "--samples", "-1")
+    assert code == 3 and out == "" and "samples must be at least 0, not -1" in err
+
+
 def test_simulate_exhaustive_limit_exits_3(run, tmp_path, monkeypatch):
     path = tmp_path / "wide.pda"
     path.write_text(format_pda(construct_pda(ConstructionSpec("pg", 1, q=2, k=4, m=1, t=1))))

@@ -422,7 +422,7 @@ def test_construct_pda_stats(monkeypatch, fresh_cells):
     assert reused == [False, True, True, False, True, True]
 
     monkeypatch.setattr(constructions, "time", None)  # any timing raises AttributeError
-    fresh_cells.cache_clear()
+    constructions._held = None
     for spec in specs:
         construct_pda(spec)
     with pytest.raises(AttributeError):

@@ -220,6 +220,23 @@ def test_sampled_demands_follow_randrange(k):
         sim._demand_set(users, 0, "sampled", 1, random.Random(0))
 
 
+def test_negative_samples_are_refused_before_any_draw():
+    """samples < 0 raises one ValueError naming it, on either draw route
+    (N < 256 in bulk, N >= 256 one draw at a time) and in every mode,
+    before the generator moves."""
+    square = Pda(2, 2, 1, 1, ((STAR, 1), (1, STAR)))
+    for n in (2, 256):
+        for mode in ("sampled", "auto", "exhaustive", "adversarial"):
+            rng = random.Random(7)
+            with pytest.raises(ValueError, match="samples must be at least 0, not -3"):
+                sim._demand_set(square, n, mode, -3, rng)
+            assert rng.random() == random.Random(7).random()
+        with pytest.raises(ValueError, match="not -3"):
+            verify_scheme(square, n, mode="sampled", samples=-3)
+    assert sim._demand_set(square, 2, "sampled", 0, random.Random(7)) == (
+        [(0, 0), (1, 1), (0, 1)], "sampled")
+
+
 def test_verify_scheme_exhaustive_limit(monkeypatch):
     # K=20 columns, one star each, every symbol cell its own symbol
     wide = Pda(20, 2, 1, 20, tuple(tuple(STAR if (k + j) % 2 else k + 1 for k in range(20))

@@ -419,16 +419,23 @@ def test_construct_pda_in_any_order_equals_the_staged_pipeline(monkeypatch, fres
     assert built == [fano.label(), other.label(), fano.label()]
 
 
-def test_construct_pda_holds_one_system(fresh_cells):
+def test_construct_pda_holds_one_system(monkeypatch, fresh_cells):
+    # the slot holds the last system built, keyed by its spec in orientation
+    # 1, as cells and never as a TripleSystem; the system before is let go
+    real, builds = pdakit.constructions.build_triple, []
+    monkeypatch.setattr(pdakit.constructions, "build_triple",
+                        lambda spec: builds.append(spec) or real(spec))
+    cells = []
     for spec in (ConstructionSpec("pg", 1, q=2, k=3, m=1, t=1),
                  ConstructionSpec("pg", 1, q=2, k=4, m=1, t=1),
                  ConstructionSpec("pg", 3, q=2, k=4, m=1, t=1)):
         construct_pda(spec)
-        info = fresh_cells.cache_info()
-        assert (info.maxsize, info.currsize) == (1, 1)
-    assert (info.hits, info.misses) == (1, 2)
-    held = fresh_cells(ConstructionSpec("pg", 1, q=2, k=4, m=1, t=1))
-    assert not any(isinstance(v, TripleSystem) for v in held)
+        key, held = pdakit.constructions._held
+        assert key == replace(spec, orientation=1)
+        assert not any(isinstance(v, TripleSystem) for v in held)
+        cells.append(weakref.ref(held.cells[0]))
+    assert len(builds) == 2 and cells[1]() is cells[2]() is held.cells[0]
+    assert cells[0]() is None
 
 
 def test_a_spec_that_raises_is_not_cached(monkeypatch, fresh_cells):
@@ -452,8 +459,11 @@ def test_a_spec_that_raises_is_not_cached(monkeypatch, fresh_cells):
             construct_pda(replace(bad, orientation=o))
         assert (exc.value.condition, exc.value.witness) == ("E3", witness)
     assert builds == [good] + [bad] * 3
-    construct_pda(replace(good, orientation=2))
-    assert len(builds) == 4 and fresh_cells.cache_info().currsize == 1
+    assert pdakit.constructions._held[0] == good
+    stats = {}
+    construct_pda(replace(good, orientation=2), stats)
+    assert len(builds) == 4 and pdakit.constructions._held[0] == good
+    assert stats["reused"] is True and stats["kuhn_runs"] == 0
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11),

@@ -3,18 +3,18 @@ product rung and the sim rung, for a parent checkout against this one.
 
     python3 tools/bench_pr.py --parent ../parent --out BENCH_20.json
 
---parent is a plain copy of the parent commit's tree (`git archive` it into a
-directory).  The script runs RUNS rounds; the side that goes first alternates,
-parent first in round 1.  In a round each side runs every perfbench workload
-in its own process (`perfbench/run.py --workload NAME --seed SEED --seconds
-SECONDS`, the gated settings; reference-speed seconds), then every ladder
-rung (LADDER: the six pg systems of ROADMAP.md's Baseline table, q = 3
-among them, two at k = 8, and one tdesign-lambda design, each in
-orientation 1) in a fresh process: construct_pda's wall seconds (total_s),
-the array's SHA-256 digest and ru_maxrss right after it, and from its stats
-dict the seconds of its build, match and emit stages (build_s, match_s,
-emit_s, their reference-speed seconds at the whole call's rate) and
-ru_maxrss after each, which a tree without stats leaves out; then, on that
+--parent is a plain copy of the parent commit's tree (`git archive` it into
+a directory).  The script runs RUNS rounds; the side that goes first
+alternates, parent first in round 1.  In a round each side runs every
+perfbench workload in its own process (`perfbench/run.py --workload NAME
+--seed SEED --seconds SECONDS`, the gated settings; reference-speed
+seconds), then every ladder rung (LADDER: the six pg systems of
+ROADMAP.md's Baseline table, q = 3 among them, two at k = 8, and one
+tdesign-lambda design, each in orientation 1) in a fresh process:
+construct_pda's wall seconds (total_s), the array's SHA-256 digest and
+ru_maxrss right after it, and from its stats dict the seconds of its build,
+match and emit stages (build_s, match_s, emit_s, their reference-speed
+seconds at the whole call's rate) and ru_maxrss after each; then, on that
 array, the pda layer's two figures: validate_pda on a fresh equal array
 (validate_s), and canonical_relabel plus the text and the JSON round trips
 (io_s); then the orientations rung in a fresh process: construct_pda on
@@ -29,18 +29,19 @@ digest and ru_maxrss after the calls; then the sim rung in a fresh process
 on the K=651 array (pg q=2 k=6 m=2 t=2, set 1; N=4 files): verify_scheme's
 wall seconds (total_s, sampled, 20 samples) and the SHA-256 of its report's
 JSON, then, as in perfbench's simulate pass, place plus size_bytes of every
-cache (place_s) and decode for users 0, 41, 82, ... on 3 seeded demands (decode_s, the decode calls alone) with the
-SHA-256 of the decoded files, and ru_maxrss; last, untimed, the same users
-and demands decode from faulty caches, one fault per cache written through
-the mapping (a corrupt, a dropped and a 17-byte starred packet of the
-demanded file), and the rung records the SHA-256 of the DecodeError texts
-raised (a decoded file counts as its digest) and how many were raised; it
-also times exhaustive verify_scheme (4096 demands, N=4, seed 7) on
-tdesign-b complete:6:3 t1=1 t2=2, set 1 (small_s), and sampled
-verify_scheme (200 samples, N=4, seed 7) on the sweep's largest array, pg
-q=3 k=4 m=1 t=2, set 1 (K=130, the words form; sampled_s), each with its
-report's SHA-256, and records which demand loop form ("words" or "cells",
-from verify_scheme's stats) each verify_scheme call ran.
+cache (place_s) and decode for users 0, 41, 82, ... on 3 seeded demands
+(decode_s, the decode calls alone) with the SHA-256 of the decoded files,
+and ru_maxrss; last, untimed, the same users and demands decode from faulty
+caches, one fault per cache written through the mapping (a corrupt, a
+dropped and a 17-byte starred packet of the demanded file), and the rung
+records the SHA-256 of the DecodeError texts raised (a decoded file counts
+as its digest) and how many were raised; it also times exhaustive
+verify_scheme (4096 demands, N=4, seed 7) on tdesign-b complete:6:3 t1=1
+t2=2, set 1 (small_s), and sampled verify_scheme (200 samples, N=4, seed 7)
+on the sweep's largest array, pg q=3 k=4 m=1 t=2, set 1 (K=130, the words
+form; sampled_s), each with its report's SHA-256, and records which demand
+loop form ("words" or "cells", from verify_scheme's stats) each
+verify_scheme call ran.
 Each rung script times its calls under the measured tree's SpeedClock
 (perfbench/speed.py, imported by CLOCK_CODE, which runs ahead of every rung
 script): a field NAME_s is raw wall seconds, which include any calibration
@@ -123,18 +124,6 @@ def seconds(name, pick=sum):  # once the clock has stopped; to 10 us, for calls 
             name + "_ref_s": round(pick(clock.seconds(a, b) for a, b in spans[name]), 5)}
 """
 
-# Run ahead of each rung script after CLOCK_CODE: stats_kw(stats, fn) is
-# the keyword arguments that ask fn (construct_pda by default) to fill the
-# stats dict, {} on a tree whose fn takes none.
-STATS_CODE = """
-import inspect
-from pdakit import construct_pda
-
-
-def stats_kw(stats, fn=construct_pda):
-    return {"stats": stats} if "stats" in inspect.signature(fn).parameters else {}
-"""
-
 RUNG_CODE = """
 import hashlib, json, resource, sys
 from pdakit import (ConstructionSpec, Pda, canonical_relabel, construct_pda, format_pda,
@@ -143,7 +132,7 @@ spec = ConstructionSpec(**json.loads(sys.argv[1]))
 stats = {}
 with clock.running():
     with timing("total"):
-        p = construct_pda(spec, **stats_kw(stats))
+        p = construct_pda(spec, stats=stats)
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     fresh = Pda(p.k, p.f, p.q, p.s, p.grid)  # equal, with nothing cached on it
     with timing("validate"):
@@ -161,10 +150,9 @@ out = {"params_kfqs": [p.k, p.f, p.q, p.s],
 # rate, and its ru_maxrss after each stage
 scale = out["total_ref_s"] / out["total_s"] if out["total_s"] else 0.0
 for stage in ("build", "match", "emit"):
-    if stats.get(stage + "_s") is not None:
-        out.update({stage + "_s": round(stats[stage + "_s"], 5),
-                    stage + "_ref_s": round(stats[stage + "_s"] * scale, 5),
-                    stage + "_rss_mb": stats[stage + "_rss_mb"]})
+    out.update({stage + "_s": round(stats[stage + "_s"], 5),
+                stage + "_ref_s": round(stats[stage + "_s"] * scale, 5),
+                stage + "_rss_mb": stats[stage + "_rss_mb"]})
 print(json.dumps(out))
 """
 
@@ -180,8 +168,8 @@ with clock.running():
     for o in (1, 2, 3):
         stats = {}
         with timing(f"o{o}"):
-            p = construct_pda(ConstructionSpec(orientation=o, **kw), **stats_kw(stats))
-        reused.append(str(stats.get("reused", "unrecorded")))
+            p = construct_pda(ConstructionSpec(orientation=o, **kw), stats=stats)
+        reused.append(str(stats["reused"]))
         digest.update(format_pda(p).encode())
 rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 spans["total"] = spans["o1"] + spans["o2"] + spans["o3"]
@@ -224,11 +212,11 @@ small = construct_pda(ConstructionSpec(**small_spec))
 wide = construct_pda(ConstructionSpec(**sampled_spec))
 
 
-def timed_verify(name, *args, **kwargs):  # report, loop form (from stats, if taken)
+def timed_verify(name, *args, **kwargs):  # report, loop form (from its stats)
     stats = {}
     with timing(name):
-        rep = verify_scheme(*args, **kwargs, **stats_kw(stats, verify_scheme))
-    return rep, stats.get("loop", "unrecorded")
+        rep = verify_scheme(*args, **kwargs, stats=stats)
+    return rep, stats["loop"]
 
 
 def report_digest(rep):
@@ -323,7 +311,7 @@ def perfbench(tree: Path, workload: str) -> dict:
 
 
 def rung(tree: Path, code: str, arg) -> dict:
-    lines = _stdout_lines([sys.executable, "-c", CLOCK_CODE + STATS_CODE + code,
+    lines = _stdout_lines([sys.executable, "-c", CLOCK_CODE + code,
                            json.dumps(arg)], tree)
     return json.loads(lines[-1])
 
@@ -404,16 +392,16 @@ def main(argv=None) -> int:
                               "wall seconds (raw and reference-speed) and ru_maxrss after "
                               "it; build_s, match_s and emit_s with their ru_maxrss after, "
                               "from construct_pda's stats, the reference-speed ones at the "
-                              "whole call's rate (absent on a tree without stats); then "
-                              "validate_s, validate_pda on a fresh equal array, and io_s, "
-                              "canonical_relabel plus the text and JSON round trips",
+                              "whole call's rate; then validate_s, validate_pda on a fresh "
+                              "equal array, and io_s, canonical_relabel plus the text and "
+                              "JSON round trips",
                       **{name: {"spec": spec, **rungs[name]} for name, spec in LADDER.items()}},
            "orientations": {
                "what": "construct_pda on orientations 1, 2 and 3 of the spec, in that order, "
                        "in one fresh process per run: each call's wall seconds (o1_s, o2_s, "
                        "o3_s; total_s their sum), raw and reference-speed; reused, each "
-                       "call's stats['reused'] ('unrecorded' on a tree without stats); the "
-                       "SHA-256 of the three arrays' text, and ru_maxrss after the calls",
+                       "call's stats['reused']; the SHA-256 of the three arrays' text, and "
+                       "ru_maxrss after the calls",
                "spec": ORIENTATIONS, **rungs["orientations"]},
            "product": {
                "what": "direct_product(a, b), the factors built and validated first, one fresh "

@@ -95,6 +95,13 @@ MUTANTS = [
          replacement="    if False:  # no draw is ever below n, so neither route would end\n",
          breaks="sampling with no files spins forever instead of raising ValueError",
          tests=[f"{T_SIM}::test_sampled_demands_follow_randrange"]),
+    dict(name="negative samples check removed", file=SIM,
+         snippet="    if samples < 0:",
+         replacement="    if False:",
+         breaks="a negative sample count runs only the adversarial demands, labelled sampled, "
+                "or fails in islice, by the draw route",
+         tests=[f"{T_SIM}::test_negative_samples_are_refused_before_any_draw",
+                f"{T_CLI}::test_simulate_negative_samples_exits_3"]),
     dict(name="main keeps each call's options", file=CLI,
          snippet="        args = parser.parse_args(argv)\n",
          replacement="        args = parser.parse_args(argv)\n"
@@ -104,13 +111,17 @@ MUTANTS = [
          tests=[T_CLI]),
     # construct_pda's kept cells and its stats
     dict(name="cells keyed with the orientation", file=CONS,
-         snippet="_matched_system(replace(spec, orientation=1))",
-         replacement="_matched_system(spec)",
+         snippet="    key = replace(spec, orientation=1)\n",
+         replacement="    key = spec\n",
          breaks="another orientation of the same system builds and matches again",
          tests=[T_CONS, T_TRI]),
     dict(name="cells cache unbounded", file=CONS,
-         snippet="@lru_cache(maxsize=1)\ndef _matched_system(",
-         replacement="@lru_cache(maxsize=None)\ndef _matched_system(",
+         snippet="    reused = _held is not None and _held[0] == key\n",
+         replacement="    every = construct_pda.__dict__.setdefault(\"every\", {})\n"
+                     "    if _held is not None:\n"
+                     "        every[_held[0]] = _held\n"
+                     "    _held = every.get(key, _held)\n"
+                     "    reused = _held is not None and _held[0] == key\n",
          breaks="every system built stays held for the life of the process",
          tests=[T_CONS, T_TRI]),
     dict(name="C_XY's ones without d", file=TRI,
@@ -154,6 +165,24 @@ MUTANTS = [
          replacement='        packed[:0] = acc.to_bytes(size, "big")\n',
          breaks="the cell-by-cell packer puts symbol 1 in the bottom slot",
          tests=[T_SIM]),
+    # the packers that the sender and verify_scheme's check share: the check
+    # reads the same packer, so only deliver and decode tests kill these
+    dict(name="_pack_cells skips each symbol's first cell", file=SIM,
+         snippet="        for j, k in zip(rows, cols):\n            acc ^= wanted[k][j]\n",
+         replacement="        for j, k in zip(rows[1:], cols[1:]):\n"
+                     "            acc ^= wanted[k][j]\n",
+         breaks="deliver leaves each symbol's first cell out of its XOR; deliver and decode "
+                "tests kill it, not verify_scheme's check, which reads the same packer",
+         tests=[f"{T_SIM}::test_deliver_xors_demanded_packets",
+                f"{T_SIM}::test_decode_tiny_exhaustive"]),
+    dict(name="_words leaves each user's first slot zero", file=SIM,
+         snippet="            for j, at in mine:\n",
+         replacement="            for j, at in mine[1:]:\n",
+         breaks="the words table drops each user's first packet; the tests that hold it to "
+                "deliver and decode kill it, not verify_scheme's check, which reads the "
+                "same table",
+         tests=[f"{T_SIM}::test_words_hold_each_users_packets_in_their_symbols_slots",
+                f"{T_PROP}::test_verify_scheme_agrees_with_decode_on_a_faulty_cache"]),
     dict(name="_int_rows without its key check", file=SIM,
          snippet="\n                and isinstance(key, tuple) and len(key) == 2):\n",
          replacement="):\n",
