@@ -35,7 +35,7 @@ walk apart from the sender's K-word reduce, so a fault in `_transmit`
 shows.  Sampled and adversarial runs check with the sender's reduce, and
 the cells form with `_pack_cells`.  Every route reads the same `_words`
 table or packer as the sender, so a fault in those is not caught (ROADMAP
-item 3, still open).  Only a placed cache never written to or deleted from
+item 1, still open).  Only a placed cache never written to or deleted from
 counts as holding the library's packets; every other cache is peeled.
 """
 
@@ -57,6 +57,13 @@ class DecodeError(RuntimeError):
     """A packet the decoder needs is not in the user's cache."""
 
 
+def _require_sizes(n, f, packet_size) -> None:
+    """ValueError unless n, f and packet_size are each an int >= 1 (type(),
+    so neither 2.0 nor True passes)."""
+    if not all(type(x) is int and x >= 1 for x in (n, f, packet_size)):
+        raise ValueError("need n, f, packet_size >= 1")
+
+
 @dataclass(frozen=True)
 class FileLibrary:
     n: int
@@ -68,8 +75,7 @@ class FileLibrary:
         # files of its own, which no caller's list can change under the caches
         object.__setattr__(self, "packets", tuple(map(tuple, self.packets)))
         n, f, size, packets = self.n, self.f, self.packet_size, self.packets
-        if not all(type(x) is int and x >= 1 for x in (n, f, size)):
-            raise ValueError("need n, f, packet_size >= 1")
+        _require_sizes(n, f, size)
         if len(packets) != n or any(len(file) != f for file in packets):
             raise ValueError(f"a library of {n} files needs {f} packets in each")
         if not all(type(pk) is bytes and len(pk) == size for file in packets for pk in file):
@@ -77,8 +83,7 @@ class FileLibrary:
 
     @classmethod
     def random(cls, n: int, f: int, packet_size: int = 16, seed: int = 0) -> "FileLibrary":
-        if n < 1 or f < 1 or packet_size < 1:
-            raise ValueError("need n, f, packet_size >= 1")
+        _require_sizes(n, f, packet_size)  # before any draw
         rng = random.Random(seed)
         packets = tuple(tuple(rng.randbytes(packet_size) for _ in range(f))
                         for _ in range(n))
@@ -369,13 +374,16 @@ def decode(p: Pda, cache: CacheContents, transmissions: list[bytes],
            demand, user: int) -> bytes:
     """Reassemble the user's demanded file from cache plus transmissions.
 
-    Raises ValueError unless user is a column of p, demand has K int
-    entries, there are S transmissions, bytes-like and of one length, and
-    no entry is negative, and DecodeError naming the first packet, in row
-    order, that the user's cache lacks or holds as other than bytes of a
-    transmission's length; an entry whose key is not a (file, row) pair is
-    never read.  A placed cache never written to holds the library's
-    packets, so none when those are of another length."""
+    Raises ValueError unless user is an int naming a column of p (True is
+    not user 1), demand has K int entries, there are S transmissions,
+    bytes-like and of one length, and no entry is negative, and
+    DecodeError naming the first packet, in row order, that the user's
+    cache lacks or holds as other than bytes of a transmission's length;
+    an entry whose key is not a (file, row) pair is never read.  A placed
+    cache never written to holds the library's packets, so none when those
+    are of another length."""
+    if type(user) is not int:
+        raise ValueError(f"user {user!r} is not an int")
     if not 0 <= user < p.k:
         raise ValueError(f"user {user} outside 0..{p.k - 1}")
     demand = _demand_of(p, demand)
@@ -523,7 +531,7 @@ def verify_scheme(p: Pda, n_files: int, mode: str = "auto", samples: int = 200,
     demands, in lockstep with the one lazy product, so a demand costs one
     XOR.  That is a walk apart from the sender's reduce, so a fault in
     `_transmit` shows; it reads the same `_words` table, so a fault in the
-    table does not (ROADMAP item 3, still open).  Sampled and adversarial
+    table does not (ROADMAP item 1, still open).  Sampled and adversarial
     runs in the words form take the sender's reduce again ("words"), and
     the cells form `_pack_cells` again ("cells"): those catch a fault in
     `_transmit`'s dispatch only.  The S payloads are compared as one int,
@@ -561,9 +569,6 @@ def verify_scheme(p: Pda, n_files: int, mode: str = "auto", samples: int = 200,
         if not _clean(packets, lib, masks[user]):
             faulty.append((user, packets, _int_rows(packets, packet_size)))
     not_clean = {user for user, _, _ in faulty}
-    cells_of = p.symbol_cells
-    listeners = [[k for k in cells_of[s][1] if k not in not_clean]
-                 for s in range(1, p.s + 1)]  # per symbol, the clean users in its columns
     # checked: each demand with its payloads as the check derives them
     table_bytes = 0
     if words is None:
@@ -586,11 +591,11 @@ def verify_scheme(p: Pda, n_files: int, mode: str = "auto", samples: int = 200,
         if sent == truth and not faulty:
             continue
         failed = set()
-        if sent != truth:  # fail the clean listeners of each symbol whose slot differs
+        if sent != truth:  # fail the clean users in the columns of each symbol whose slot differs
             diff = (sent ^ truth).to_bytes(width, "big")
-            for at, clean in zip(range(0, width, packet_size), listeners):
+            for s, at in enumerate(range(0, width, packet_size), 1):
                 if any(diff[at:at + packet_size]):
-                    failed.update(clean)
+                    failed.update(k for k in p.symbol_cells[s][1] if k not in not_clean)
         if faulty:
             raw = sent.to_bytes(width, "big")
             for user, packets, by_row in faulty:

@@ -32,14 +32,15 @@ Conditions checked here, all by exhaustive scan of the lists:
 E1-E5 characterize valid arrays exactly; E1-E3 plus E6 suffice once C_XY is
 thinned to per-z perfect matchings (complete_matching, by augmenting paths).
 E1, E2 and the degrees are list lengths; E3 folds, per y, the x masks of
-its z; E4 and E5 count, per z, C_XY's ones among its rows and symbols.  The
-matching path scans only E1-E3 and the degrees, check_conditions
-everything; both take E6 from one pass that decides it once per distinct
-column graph (_local_graphs).  The matched cells, one triple (x, y, z) per
-non-star cell, are what every array is emitted from; an orientation picks
-which of x, y, z is row, column, symbol.  construct_pda runs the matching
-path once per system (_matched_cells) and emits each orientation from its
-cells (_oriented_pda).
+its z.  E4, E5 and E6 speak of one column's graph, the one C_XY induces on
+z's rows and symbols (the link of z in the hypergraph view): E4 asks each
+row of it for degree 1, E5 each symbol, E6 all of them for one d > 0.  One
+walk of the columns (_local_graphs) judges the three once per distinct
+graph; the matching path reads only E6 from it.  The matched cells, one
+triple (x, y, z) per non-star cell, are what every array is emitted from;
+an orientation picks which of x, y, z is row, column, symbol.
+construct_pda runs the matching path once per system (_matched_cells) and
+emits each orientation from its cells (_oriented_pda).
 """
 
 from array import array
@@ -249,36 +250,11 @@ def _e3_pair(cols_xy: Masks, zs_of_y, x_masks: list) -> tuple[int, int] | None:
     return first
 
 
-def _first_not_one(ones, rows: Masks, mask: int) -> int | None:
-    """The first of the ascending indices ones whose row, masked by mask,
-    holds other than exactly one bit; None if none."""
-    counts = map(int.bit_count, map(mask.__and__, map(rows.__getitem__, ones)))
-    return next((i for i, c in zip(ones, counts) if c != 1), None)
-
-
-def _e4_e5_pairs(t: TripleSystem, x_masks: list) -> tuple:
-    """E4's first failing pair (x, z), x-major, and E5's (y, z), y-major, as
-    indices, each None if none: an incident pair that has other than exactly
-    one y, or x, incident to both.  Per z, C_XY's rows of its x masked by its
-    y (|Y| bits), and C_XY's columns of its y masked by its x (|X| bits)."""
-    xy, cols_xy = t.xy, t.cols_xy
-    e4 = e5 = None
-    for z, (xs, ys) in enumerate(zip(t.xs_of_z, t.ys_of_z)):
-        x = _first_not_one(xs, xy, sum(map(_bit, ys)))
-        if x is not None and (e4 is None or x < e4[0]):
-            e4 = x, z
-        y = _first_not_one(ys, cols_xy, x_masks[z])
-        if y is not None and (e5 is None or y < e5[0]):
-            e5 = y, z
-    return e4, e5
-
-
-def _scan(t: TripleSystem, e4_e5: bool = False) -> tuple[dict, int | None, int | None, int | None]:
-    """E1, E2 and E3, and with e4_e5 also E4 and E5, by exhaustive scan, as
-    the witnesses of those that fail, in that order, and the degrees D_X,
-    D_Y, D_Z.  Reads the index lists of C_XZ and C_YZ and C_XY's columns,
-    and no mask wider than |X| or |Y|."""
-    lx, ly, lz = t.labels_x, t.labels_y, t.labels_z
+def _scan(t: TripleSystem) -> tuple[dict, int | None, int | None, int | None]:
+    """E1, E2 and E3 by exhaustive scan, as the witnesses of those that fail,
+    in that order, and the degrees D_X, D_Y, D_Z.  Reads the index lists of
+    C_XZ and C_YZ and C_XY's columns, and no mask wider than |X| or |Y|."""
+    lx, ly = t.labels_x, t.labels_y
     zs_of_y, xs_of_z = t.zs_of_y, t.xs_of_z
     wit: dict = {}
     col_sums = set(map(len, xs_of_z))
@@ -287,14 +263,9 @@ def _scan(t: TripleSystem, e4_e5: bool = False) -> tuple[dict, int | None, int |
     d_z = col_sums.pop() if len(col_sums) == 1 else None
     if not all(zs_of_y):
         wit["E2"] = (ly[list(map(bool, zs_of_y)).index(False)],)
-    x_masks = _masks(xs_of_z)  # per z, its x: |X| bits
-    pairs = [("E3", _e3_pair(t.cols_xy, zs_of_y, x_masks), lx, ly)]
-    if e4_e5:
-        e4, e5 = _e4_e5_pairs(t, x_masks)
-        pairs += [("E4", e4, lx, lz), ("E5", e5, ly, lz)]
-    for name, pair, labels_a, labels_b in pairs:
-        if pair is not None:
-            wit[name] = labels_a[pair[0]], labels_b[pair[1]]
+    e3 = _e3_pair(t.cols_xy, zs_of_y, _masks(xs_of_z))  # per z, its x: |X| bits
+    if e3 is not None:
+        wit["E3"] = lx[e3[0]], ly[e3[1]]
     return wit, _degree(t.zs_of_x), _degree(zs_of_y), d_z
 
 
@@ -306,47 +277,68 @@ def _raise_first(wit: dict, names: tuple, detail: str = "") -> None:
 
 
 def _local_graphs(t: TripleSystem):
-    """Per column z, in order, (z, xs, ys, key, d): its rows xs and symbols
-    ys in ascending order; if both are nonempty and as many, the graph C_XY
-    induces on them in local indices (else None), keyed as its n x n
-    adjacency in row-major chars: row i and symbol j are adjacent iff bit
-    ys[j] of xy[xs[i]] is set; and E6's verdict d on the column: its common
-    degree, 0 if xs and ys are both empty, None if the sides differ in size
-    (one of them empty included) or the graph is not regular with positive
-    degree.  Columns with equal keys have equal graphs up to the
-    order-keeping renaming of their rows and symbols, so d is decided once
-    per key."""
+    """Per column z, in order, (z, xs, ys, key, verdict): its rows xs and
+    symbols ys in ascending order; the graph C_XY induces on them in local
+    indices, keyed as (len(xs), len(ys), chars), chars its adjacency in
+    row-major order (row i and symbol j are adjacent iff bit ys[j] of
+    xy[xs[i]] is set); and the key's verdict, decided once per key
+    (_judge): columns with equal keys have equal graphs up to the
+    order-keeping renaming of their rows and symbols."""
     # char j of bits[x] is bit j of xy[x]
     bits = [format(row, f"0{len(t.labels_y)}b")[::-1] for row in t.xy]
-    degrees: dict[str, int | None] = {}
+    verdicts: dict[tuple, tuple] = {}
     for z, (xs, ys) in enumerate(zip(t.xs_of_z, t.ys_of_z)):
-        key = d = None
-        if not (xs or ys):
-            d = 0
-        elif len(xs) == len(ys):
-            pick = itemgetter(*ys)  # a char, or a tuple of chars, per row
-            key = "".join(map("".join, map(pick, map(bits.__getitem__, xs))))
-            if key not in degrees:
-                degrees[key] = _regular_degree(key, len(xs))
-            d = degrees[key]
-        yield z, xs, ys, key, d
+        # a char, or a tuple of chars, per row
+        rows = map(itemgetter(*ys), map(bits.__getitem__, xs)) if ys else ()
+        key = len(xs), len(ys), "".join(map("".join, rows))
+        if key not in verdicts:
+            verdicts[key] = _judge(*key)
+        yield z, xs, ys, key, verdicts[key]
 
 
-def _regular_degree(key: str, n: int) -> int | None:
-    """The degree d of the n x n graph key (_local_graphs) if every row and
-    column of it holds d ones and d > 0, else None: E6 for its columns."""
-    sums = {key.count("1", i, i + n) for i in range(0, n * n, n)}
-    sums.update(key[j::n].count("1") for j in range(n))
-    return sums.pop() if len(sums) == 1 and 0 not in sums else None
+def _judge(n: int, m: int, chars: str) -> tuple:
+    """The verdicts on the n x m graph chars (_local_graphs), (d, e4, e5):
+    E6's, its common degree d if every row and symbol has degree d > 0
+    (which makes n == m), 0 if it has neither rows nor symbols, else None;
+    and E4's and E5's, its first row and its first symbol whose degree is
+    not 1, each None if none."""
+    rows = [chars.count("1", i * m, i * m + m) for i in range(n)]
+    cols = [chars[j::m].count("1") for j in range(m)]
+    sums = set(rows + cols)
+    d = max(sums, default=0) if len(sums) < 2 and 0 not in sums else None
+    e4, e5 = (next((i for i, c in enumerate(s) if c != 1), None) for s in (rows, cols))
+    return d, e4, e5
+
+
+def _graph_scan(t: TripleSystem) -> tuple[dict, tuple]:
+    """E4, E5 and E6 from one walk of the column graphs, as the witnesses of
+    those that fail, in that order, and E6's verdict per column: E4's first
+    failing pair (x, z), x-major, and E5's (y, z), y-major, a column's first
+    failing row or symbol being its least, and E6's first failing column."""
+    e4 = e5 = None
+    degrees = []
+    for z, xs, ys, _, (d, i, j) in _local_graphs(t):
+        degrees.append(d)
+        if i is not None and (e4 is None or xs[i] < e4[0]):
+            e4 = xs[i], z
+        if j is not None and (e5 is None or ys[j] < e5[0]):
+            e5 = ys[j], z
+    degrees = tuple(degrees)
+    wit: dict = {}
+    for name, pair, labels in (("E4", e4, t.labels_x), ("E5", e5, t.labels_y)):
+        if pair is not None:
+            wit[name] = labels[pair[0]], t.labels_z[pair[1]]
+    if None in degrees:
+        wit["E6"] = (t.labels_z[degrees.index(None)],)
+    return wit, degrees
 
 
 def check_conditions(t: TripleSystem) -> ConditionReport:
-    """Evaluate every condition by exhaustive scan; never sampled.  E6 is
-    decided once per distinct column graph (_local_graphs)."""
-    wit, d_x, d_y, d_z = _scan(t, e4_e5=True)
-    degrees = tuple(d for *_, d in _local_graphs(t))
-    if None in degrees:
-        wit["E6"] = (t.labels_z[degrees.index(None)],)
+    """Evaluate every condition by exhaustive scan; never sampled.  E4, E5
+    and E6 come from one walk of the column graphs (_graph_scan)."""
+    wit, d_x, d_y, d_z = _scan(t)
+    graph_wit, degrees = _graph_scan(t)
+    wit.update(graph_wit)
     e1, e2, e3, e4, e5, e6 = (c not in wit for c in ("E1", "E2", "E3", "E4", "E5", "E6"))
     return ConditionReport(e1, e2, e3, e4, e5, e6, bool(d_z), d_y is not None,
                            d_x is not None, d_x, d_y, d_z, degrees, wit)
@@ -373,13 +365,17 @@ def triple_to_pda(t: TripleSystem) -> Pda:
     """Build the array a triple system describes; requires E1-E5.
 
     Cell (x,z) is a star where C_XZ is 0, else the y incident to both, which
-    E4 makes unique; E4 and E5 make each column's graph the matching _cells
-    returns.  Symbols are compacted to 1..S in first-occurrence row-major order.
+    E4 makes unique: the one bit of xy[x] & cols_yz[z].  Symbols are
+    compacted to 1..S in first-occurrence row-major order.
     """
-    _raise_first(_scan(t, e4_e5=True)[0], ("E1", "E2", "E3", "E4", "E5"),
-                 "triple system does not describe an array")
-    (x, y, z), *_ = _cells(t)
-    return _emit(len(t.labels_x), len(t.labels_z), x, z, y)
+    wit = _scan(t)[0] | _graph_scan(t)[0]
+    _raise_first(wit, ("E1", "E2", "E3", "E4", "E5"), "triple system does not describe an array")
+    xy, cx, cy, cz = t.xy, array("l"), array("l"), array("l")
+    for z, (xs, ys) in enumerate(zip(t.xs_of_z, t.cols_yz)):
+        cx.extend(xs)
+        cy.extend((xy[x] & ys).bit_length() - 1 for x in xs)
+        cz.extend(repeat(z, len(xs)))
+    return _emit(len(t.labels_x), len(t.labels_z), cx, cz, cy)
 
 
 def _emit(f: int, k: int, rows, cols, syms) -> Pda:
@@ -457,22 +453,22 @@ def _cells(t: TripleSystem) -> tuple[tuple[array, array, array], int, int]:
     give.  Every pg system tried has a single key.
 
     Raises ConditionError for E6, with check_conditions' witness, at the
-    first column whose graph is not regular with positive degree: its sides
-    differ in size (one of them empty included), or some row or symbol has
-    another degree.  A column with neither rows nor symbols holds no cell.
+    first column whose graph is not regular with positive degree, which
+    fails a column whose sides differ in size, one of them empty included.
+    A column with neither rows nor symbols holds no cell.
     """
     cells = cx, cy, cz = array("l"), array("l"), array("l")
-    memo: dict[str, dict[int, int]] = {}  # key -> its matching
+    memo: dict[tuple, dict[int, int]] = {}  # key -> its matching
     edges = 0
-    for z, xs, ys, key, d in _local_graphs(t):
+    for z, xs, ys, key, (d, _, _) in _local_graphs(t):
         if d is None:
             raise ConditionError("E6", "", (t.labels_z[z],))
         if not d:
             continue
         pairs = memo.get(key)
         if pairs is None:
-            n = len(xs)
-            local = [int(key[i * n:(i + 1) * n][::-1], 2) for i in range(n)]
+            n, _, chars = key
+            local = [int(chars[i * n:(i + 1) * n][::-1], 2) for i in range(n)]
             pairs = memo[key] = _match_column(range(n), (1 << n) - 1, local)
         cx.extend(map(xs.__getitem__, pairs.values()))
         cy.extend(map(ys.__getitem__, pairs))

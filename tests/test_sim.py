@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -65,6 +66,20 @@ def test_library_needs_positive_sizes():
             FileLibrary.random(n, f, size)
     lib = FileLibrary(1, 2, 1, ((b"a", b"b"),))
     assert deliver(TINY, lib, (0, 0)) == [bytes([ord("a") ^ ord("b")])]
+
+
+@pytest.mark.parametrize("n, f, size", [(2.0, 2, 1), (2, 2.0, 1), (2, 2, 2.0), (True, 2, 1)])
+def test_library_sizes_are_ints_on_every_route(n, f, size):
+    """One rule for the constructor and random, checked before any draw:
+    a float or a bool size is a ValueError, not a TypeError from range or
+    randbytes, and so it is for verify_scheme's library too."""
+    with pytest.raises(ValueError, match="^need n, f, packet_size >= 1$"):
+        FileLibrary(n, f, size, ((b"a", b"b"),) * 2)
+    with pytest.raises(ValueError, match="^need n, f, packet_size >= 1$"):
+        FileLibrary.random(n, f, size)
+    if type(f) is int:  # verify_scheme takes F from the array
+        with pytest.raises(ValueError, match="^need n, f, packet_size >= 1$"):
+            verify_scheme(TINY, n, packet_size=size)
 
 
 def test_place_fills_starred_rows():
@@ -601,6 +616,14 @@ def test_a_demand_entry_that_is_not_an_int_is_refused(bad):
             deliver(FANO_PG, _LIB, demand)
         with pytest.raises(ValueError, match=f"^demand entry {bad!r} is not an int$"):
             decode(FANO_PG, caches[0], _TX, demand, 0)
+
+
+@pytest.mark.parametrize("bad", [1.0, True, "0", None])
+def test_a_user_that_is_not_an_int_is_refused(bad):
+    """Not decoded as user 1 (True) nor failing in a tuple index (1.0)."""
+    caches = place(FANO_PG, _LIB)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'user {bad!r} is not an int')}$"):
+        decode(FANO_PG, caches[1], _TX, (0,) * 7, bad)
 
 
 def test_the_empty_demand_of_an_array_without_users_is_served():

@@ -318,7 +318,7 @@ def test_every_orientation_of_a_matched_system_passes_e1_to_e5(sweep, k651):
 def test_construct_pda_scans_conditions_once(monkeypatch, fresh_cells):
     # once per system, and only what the matching path reads: E1-E3 in one
     # scan of the built system, whose E3 fold runs once, over its lists and
-    # C_XY's columns.  No E4 or E5 scan, no full report, and no mask of C_XZ
+    # C_XY's columns.  No E4 or E5 witness, no full report, and no mask of C_XZ
     # or C_YZ, rows or columns.  C_XY's columns come from one transpose of
     # the built xy, or from none when m == t, where pg's C_XY is its own
     # transpose.  The other orientations of the same spec scan nothing;
@@ -328,7 +328,7 @@ def test_construct_pda_scans_conditions_once(monkeypatch, fresh_cells):
     monkeypatch.setattr(pdakit.triples, "_scan", lambda t: scans.append(t) or real_scan(t))
     monkeypatch.setattr(pdakit.triples, "_e3_pair",
                         lambda *args: folds.append(args) or real_fold(*args))
-    monkeypatch.setattr(pdakit.triples, "_e4_e5_pairs", lambda *args: e4_e5.append(args))
+    monkeypatch.setattr(pdakit.triples, "_graph_scan", lambda *args: e4_e5.append(args))
     monkeypatch.setattr(pdakit.triples, "check_conditions", reports.append)
     monkeypatch.setattr(pdakit.triples, "_columns",
                         lambda rows, ncols: transposed.append(rows) or _columns(rows, ncols))
@@ -531,22 +531,40 @@ def test_complete_matching_tells_equal_sized_column_graphs_apart():
 
 
 def test_e6_is_decided_once_per_column_key(monkeypatch, fresh_cells):
-    """check_conditions and construct_pda each run _regular_degree once per
-    distinct column key: once on K=651 (pg q=2 k=6 m=2 t=2), whose 651
-    columns share one key."""
+    """check_conditions and construct_pda each run _judge once per distinct
+    column key: once on K=651 (pg q=2 k=6 m=2 t=2), whose 651 columns share
+    one key."""
     spec = ConstructionSpec("pg", 1, q=2, k=6, m=2, t=2)
     t = build_triple(spec)
     keys = {key for _, _, _, key, _ in pdakit.triples._local_graphs(t)}
     assert len(keys) == 1 and len(t.labels_z) == 651
     calls = []
-    real = pdakit.triples._regular_degree
-    monkeypatch.setattr(pdakit.triples, "_regular_degree",
-                        lambda key, n: calls.append(key) or real(key, n))
+    real = pdakit.triples._judge
+    monkeypatch.setattr(pdakit.triples, "_judge",
+                        lambda *key: calls.append(key) or real(*key))
     assert check_conditions(t).e6
     assert calls == list(keys)
     calls.clear()
     assert construct_pda(spec).k == 651
     assert calls == list(keys)
+
+
+def test_each_column_graph_is_built_once_per_call(monkeypatch, k651):
+    """check_conditions and triple_to_pda each walk the column graphs once
+    (_local_graphs), E4, E5 and E6 together, and triple_to_pda reads its
+    cells without walking them again."""
+    walks = []
+    real = pdakit.triples._local_graphs
+    monkeypatch.setattr(pdakit.triples, "_local_graphs", lambda t: walks.append(t) or real(t))
+    raw, matched = k651
+    assert not check_conditions(raw).necessary_ok and walks == [raw]
+    for o in orientations(matched):
+        walks.clear()
+        assert validate_pda(triple_to_pda(o)).ok and walks == [o]
+    walks.clear()
+    with pytest.raises(ConditionError, match="E4"):
+        triple_to_pda(raw)
+    assert walks == [raw]
 
 
 def test_complete_matching_thins_to_constant_degree():

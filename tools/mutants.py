@@ -193,6 +193,16 @@ MUTANTS = [
          replacement="    if False:",
          breaks="a demand entry that is not an int (True, 1.5) is served as a file",
          tests=[T_SIM]),
+    dict(name="decode without its user int check", file=SIM,
+         snippet="    if type(user) is not int:\n",
+         replacement="    if False:\n",
+         breaks="decode takes True as user 1 and fails on 1.0 with a TypeError",
+         tests=[T_SIM]),
+    dict(name="FileLibrary.random without the size check", file=SIM,
+         snippet="        _require_sizes(n, f, packet_size)  # before any draw\n",
+         replacement="",
+         breaks="a float size fails in range or randbytes with a TypeError, not ValueError",
+         tests=[T_SIM]),
     # the triple conditions, scanned from the index lists
     dict(name="E1 from the symbols' lists", file=TRI,
          snippet="    col_sums = set(map(len, xs_of_z))\n",
@@ -231,35 +241,37 @@ MUTANTS = [
          replacement="",
          breaks="E3 accepts an incident (x, y) that two columns hold",
          tests=T_CHECKS),
+    # E4, E5 and E6 from one walk of the column graphs
     dict(name="E4 and E5 pass a pair met by none", file=TRI,
          snippet="if c != 1), None)",
          replacement="if c > 1), None)",
          breaks="E4 and E5 accept an incident pair with no third coordinate",
          tests=T_CHECKS),
     dict(name="E4 witness from the first failing column", file=TRI,
-         snippet="        if x is not None and (e4 is None or x < e4[0]):\n",
-         replacement="        if x is not None and e4 is None:\n",
+         snippet="        if i is not None and (e4 is None or xs[i] < e4[0]):\n",
+         replacement="        if i is not None and e4 is None:\n",
          breaks="E4 names the first failing column's pair, not the least row's",
          tests=T_CHECKS),
     dict(name="E5 never scanned", file=TRI,
-         snippet="        y = _first_not_one(ys, cols_xy, x_masks[z])\n",
-         replacement="        y = None\n",
+         snippet="        if j is not None and (e5 is None or ys[j] < e5[0]):\n",
+         replacement="        if False:\n",
          breaks="E5 always holds",
          tests=T_CHECKS),
     dict(name="E6 accepts degree 0", file=TRI,
-         snippet="    return sums.pop() if len(sums) == 1 and 0 not in sums else None\n",
-         replacement="    return sums.pop() if len(sums) == 1 else None\n",
+         snippet=" and 0 not in sums else None\n",
+         replacement=" else None\n",
          breaks="E6 passes a column whose graph has no edge",
          tests=T_CHECKS),
     dict(name="E6 skips column 0 in check_conditions", file=TRI,
-         snippet="    degrees = tuple(d for *_, d in _local_graphs(t))\n",
-         replacement="    degrees = tuple(d for *_, d in _local_graphs(t))[1:]\n",
+         snippet="    degrees = tuple(degrees)\n",
+         replacement="    degrees = tuple(degrees)[1:]\n",
          breaks="check_conditions leaves the first column out of E6 and e6_degrees",
          tests=T_CHECKS),
     dict(name="E6 lets unequal sides through", file=TRI,
-         snippet="        elif len(xs) == len(ys):\n",
-         replacement="        elif xs and ys:\n",
-         breaks="a column with more rows than symbols, or fewer, is keyed and matched",
+         snippet="    sums = set(rows + cols)\n",
+         replacement="    sums = set(rows)\n",
+         breaks="E6 reads the rows' degrees alone: a column with more symbols than rows, "
+                "or with symbols of another degree, passes",
          tests=T_CHECKS),
     dict(name="E1' left out of _require_degrees", file=TRI,
          snippet="""    for name, d in (("E1'", d_z), ("E2'", d_y), ("E7", d_x)):\n""",
