@@ -123,7 +123,8 @@ def _print_stats(stats: dict | None) -> None:
 
 def cmd_validate(args) -> int:
     p = _read_pda(args.path)
-    rep = validate_pda(p)
+    stats = {} if args.stats else None
+    rep = validate_pda(p, stats)
     if args.json:
         print(json.dumps({"ok": rep.ok, "condition": rep.condition, "detail": rep.detail,
                           "K": p.k, "F": p.f, "Q": p.q, "S": p.s}))
@@ -131,6 +132,7 @@ def cmd_validate(args) -> int:
         print(f"OK: valid PDA with K={p.k} F={p.f} Q={p.q} S={p.s}")
     else:
         print(f"{rep.condition} violated: {rep.detail}")
+    _print_stats(stats)
     return OK if rep.ok else FAIL_VALIDATE
 
 
@@ -146,7 +148,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_product(args) -> int:
-    prod = direct_product(_read_pda(args.a), _read_pda(args.b))
+    stats = {} if args.stats else None
+    prod = direct_product(_read_pda(args.a), _read_pda(args.b), stats)
     _, _, mn, rate = scheme_parameters(prod)
     r_star, _ = mn_baseline(prod.k, mn)
     summary = sys.stdout if args.out else sys.stderr
@@ -154,6 +157,7 @@ def cmd_product(args) -> int:
           f"M/N={mn} R={rate} R*={r_star} R/R*={rate / r_star}", file=summary)
     _write_pda(prod, args.out, args.json,
                {"family": "product", "parameters": f"{args.a} x {args.b}"})
+    _print_stats(stats)
     return OK
 
 
@@ -252,6 +256,8 @@ def _build_parser() -> _Parser:
     v = sub.add_parser("validate", help="check a PDA file against C1-C3")
     v.add_argument("path")
     v.add_argument("--json", action="store_true")
+    v.add_argument("--stats", action="store_true",
+                   help="print validate_pda's stage stats as one JSON line on stderr")
     v.set_defaults(fn=cmd_validate)
 
     s = sub.add_parser("simulate", help="run placement/delivery/decode over demands")
@@ -279,6 +285,8 @@ def _build_parser() -> _Parser:
     p.add_argument("b")
     p.add_argument("--out")
     p.add_argument("--json", action="store_true")
+    p.add_argument("--stats", action="store_true",
+                   help="print direct_product's stats as one JSON line on stderr")
     p.set_defaults(fn=cmd_product)
 
     d = sub.add_parser("designs", help="show or certify designs")

@@ -16,7 +16,6 @@ Families (ids are the CLI tokens):
 
 import itertools
 import sys
-import time
 from dataclasses import dataclass, replace
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -27,7 +26,7 @@ from operator import itemgetter, mul, or_
 from .designs import (Design, certify_configuration, certify_t_design,
                       from_reference, lambda_s)
 from .gf import FieldSpec
-from .pda import Pda
+from .pda import Pda, _timed
 from .subspaces import gaussian_binomial, subspaces_and_masks
 from .triples import (TripleSystem, _Matched, _matched_cells, _oriented_parameters,
                       _oriented_pda, rows_of, set_bits)
@@ -492,14 +491,11 @@ def _rss_mb() -> float:
 
 
 def _stage(stats: dict | None, name: str, fn, *args):
-    """fn(*args); with stats, its wall seconds go in as name_s and ru_maxrss
-    after it as name_rss_mb."""
-    if stats is None:
-        return fn(*args)
-    start = time.perf_counter()
-    out = fn(*args)
-    stats[f"{name}_s"] = time.perf_counter() - start
-    stats[f"{name}_rss_mb"] = _rss_mb()
+    """fn(*args); with stats, its wall seconds go in as name_s (pda._timed)
+    and ru_maxrss after it as name_rss_mb."""
+    out = _timed(stats, name, fn, *args)
+    if stats is not None:
+        stats[f"{name}_rss_mb"] = _rss_mb()
     return out
 
 

@@ -36,21 +36,22 @@ its z.  E4, E5 and E6 speak of one column's graph, the one C_XY induces on
 z's rows and symbols (the link of z in the hypergraph view): E4 asks each
 row of it for degree 1, E5 each symbol, E6 all of them for one d > 0.  One
 walk of the columns (_local_graphs) judges the three once per distinct
-graph; the matching path reads only E6 from it.  The matched cells, one
-triple (x, y, z) per non-star cell, are what every array is emitted from;
+graph; the matching path reads only E6 from it, and triple_to_pda reads
+E4 and E5 off the cells it emits, walking the graphs only to name a
+failure.  The matched cells, one triple (x, y, z) per non-star cell, are
+what every array is emitted from (_emit, into the array's row cells);
 an orientation picks which of x, y, z is row, column, symbol.
 construct_pda runs the matching path once per system (_matched_cells) and
 emits each orientation from its cells (_oriented_pda).
 """
 
-from array import array
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import repeat
-from operator import add, itemgetter
+from itertools import chain, repeat
+from operator import itemgetter
 from typing import NamedTuple
 
-from .pda import STAR, Pda, require_valid
+from .pda import Pda, _relabeled, _timed, require_valid
 
 Masks = tuple[int, ...]  # one bitmask per row: bit j of row i is entry (i, j)
 
@@ -367,21 +368,34 @@ def triple_to_pda(t: TripleSystem) -> Pda:
     Cell (x,z) is a star where C_XZ is 0, else the y incident to both, which
     E4 makes unique: the one bit of xy[x] & cols_yz[z].  Symbols are
     compacted to 1..S in first-occurrence row-major order.
+
+    E1-E3 come from _scan.  E4 and E5 are read off the cells themselves,
+    per column one AND per row: E4 holds when each row's AND has one bit,
+    and then E5 when those bits are distinct and as many as the column's
+    symbols.  Only a system that fails them walks the column graphs
+    (_graph_scan), which names check_conditions' witness.
     """
-    wit = _scan(t)[0] | _graph_scan(t)[0]
-    _raise_first(wit, ("E1", "E2", "E3", "E4", "E5"), "triple system does not describe an array")
-    xy, cx, cy, cz = t.xy, array("l"), array("l"), array("l")
-    for z, (xs, ys) in enumerate(zip(t.xs_of_z, t.cols_yz)):
-        cx.extend(xs)
-        cy.extend((xy[x] & ys).bit_length() - 1 for x in xs)
-        cz.extend(repeat(z, len(xs)))
-    return _emit(len(t.labels_x), len(t.labels_z), cx, cz, cy)
+    what = "triple system does not describe an array"
+    _raise_first(_scan(t)[0], ("E1", "E2", "E3"), what)
+    xy, hits = t.xy, []
+    for xs, ys in zip(t.xs_of_z, t.cols_yz):
+        got = list(map(ys.__and__, map(xy.__getitem__, xs)))  # per row, its symbols here
+        if not (set(map(int.bit_count, got)) <= {1} and len(set(got)) == len(got) == ys.bit_count()):
+            _raise_first(_graph_scan(t)[0], ("E4", "E5"), what)
+        hits.append(got)
+    # a cell's symbol as y + 1, the length of its one bit: _emit renumbers them
+    syms = list(map(int.bit_length, chain.from_iterable(hits)))
+    cz = list(chain.from_iterable(map(repeat, range(len(hits)), map(len, hits))))
+    return _emit(len(t.labels_x), len(t.labels_z), list(chain.from_iterable(t.xs_of_z)), cz, syms)
 
 
 def _emit(f: int, k: int, rows, cols, syms) -> Pda:
     """The F x K array with symbol syms[i] at cell (rows[i], cols[i]), stars
-    elsewhere, for cells that give every column as many symbols.  Symbols are
-    renumbered 1..S in first-occurrence row-major order, one int per symbol."""
+    elsewhere, for cells at distinct places that give every column as many
+    symbols, each row's cells given in ascending column order (column-major
+    order is one such; _cells gives another).  Its row cells come from one
+    stable bucket pass by row, and its symbols are then renumbered 1..S in
+    first-occurrence row-major order (pda._relabeled)."""
     if not f or not k:
         raise ValueError("empty row or column set")
     q = f - cols.count(0)
@@ -389,21 +403,12 @@ def _emit(f: int, k: int, rows, cols, syms) -> Pda:
         raise ValueError("degenerate array: some column has no stars (Q = 0)")
     if q >= f:
         raise ValueError("degenerate array: no symbol cells (Q = F)")
-    end = f * k
-    first = [end] * (max(syms) + 1)  # symbol -> row-major position of its first cell
-    for pos, s in zip(map(add, map(k.__mul__, rows), cols), syms):
-        if pos < first[s]:
-            first[s] = pos
-    label = [STAR] * len(first)  # symbol -> its number, for the symbols that occur
-    occurring = sorted((s for s, pos in enumerate(first) if pos < end), key=first.__getitem__)
-    for n, s in enumerate(occurring, 1):
-        label[s] = n
-    grid = [[STAR] * k for _ in range(f)]
+    row_cols = [[] for _ in range(f)]
+    row_syms = [[] for _ in range(f)]
     for r, c, s in zip(rows, cols, syms):
-        grid[r][c] = label[s]
-    for r, row in enumerate(grid):  # in place, so that one list row is alive at a time
-        grid[r] = tuple(row)
-    return Pda._trusted(k, f, q, len(occurring), tuple(grid))
+        row_cols[r].append(c)
+        row_syms[r].append(s)
+    return _relabeled(k, f, q, tuple(map(tuple, row_cols)), row_syms)
 
 
 # --- matching -------------------------------------------------------------
@@ -439,42 +444,55 @@ def _match_column(xs, ys: int, rows_xy: Masks) -> dict[int, int]:
     return owner
 
 
-def _cells(t: TripleSystem) -> tuple[tuple[array, array, array], int, int]:
-    """The cells of per-z perfect matchings of C_XY, as three arrays x, y, z:
-    cell i is the triple (x[i], y[i], z[i]), one per matched pair; with the
-    count of Kuhn runs, one per distinct column key, and C_XY's ones, each
-    an edge of exactly one column's graph by E3, d * n of them on a column
-    of n rows by E6.
+def _cells(t: TripleSystem) -> tuple[tuple[list, list, list], int, int]:
+    """The cells of per-z perfect matchings of C_XY, as three lists x, y, z:
+    cell i is the triple (x[i], y[i], z[i]), one per matched pair, in
+    x-major order, z ascending within an x; with the count of Kuhn runs,
+    one per distinct column key, and C_XY's ones, each an edge of exactly
+    one column's graph by E3, d * n of them on a column of n rows by E6.
+    The lists hold the system's own index ints, no new int per cell.  In
+    that order each orientation's rows list their cells in ascending
+    column order, as _emit takes them: x ascends within a y or a z, and z
+    within an x.
 
     _match_column runs once per distinct column key (_local_graphs) whose
     column passes E6, on the local masks; each column with that key takes
     its pairs through its own xs and ys.  Kuhn reads only order and
     adjacency, so every column gets the matching its global masks would
-    give.  Every pg system tried has a single key.
+    give.  Every pg system tried has a single key.  A perfect matching
+    covers every row of its column, so a column's x cells are its xs.
 
     Raises ConditionError for E6, with check_conditions' witness, at the
     first column whose graph is not regular with positive degree, which
     fails a column whose sides differ in size, one of them empty included.
     A column with neither rows nor symbols holds no cell.
     """
-    cells = cx, cy, cz = array("l"), array("l"), array("l")
-    memo: dict[tuple, dict[int, int]] = {}  # key -> its matching
+    memo: dict[tuple, list[int]] = {}  # key -> per local row, its matched local symbol
+    xs_out, cy, zs = [], [], []  # per matched column its xs, and its z; the y cells
     edges = 0
     for z, xs, ys, key, (d, _, _) in _local_graphs(t):
         if d is None:
             raise ConditionError("E6", "", (t.labels_z[z],))
         if not d:
             continue
-        pairs = memo.get(key)
-        if pairs is None:
+        picks = memo.get(key)
+        if picks is None:
             n, _, chars = key
             local = [int(chars[i * n:(i + 1) * n][::-1], 2) for i in range(n)]
-            pairs = memo[key] = _match_column(range(n), (1 << n) - 1, local)
-        cx.extend(map(xs.__getitem__, pairs.values()))
-        cy.extend(map(ys.__getitem__, pairs))
-        cz.extend(repeat(z, len(pairs)))
+            pairs = _match_column(range(n), (1 << n) - 1, local)
+            picks = memo[key] = sorted(pairs, key=pairs.__getitem__)
+        xs_out.append(xs)
+        cy.extend(map(ys.__getitem__, picks))
+        zs.append(z)
         edges += d * len(xs)
-    return cells, len(memo), edges
+    # column-major as found; one stable bucket pass by x makes it x-major
+    z_of, y_of = [[] for _ in t.labels_x], [[] for _ in t.labels_x]
+    cz = chain.from_iterable(map(repeat, zs, map(len, xs_out)))
+    for x, y, z in zip(chain.from_iterable(xs_out), cy, cz):
+        z_of[x].append(z)
+        y_of[x].append(y)
+    cx = list(chain.from_iterable(map(repeat, range(len(z_of)), map(len, z_of))))
+    return (cx, list(chain.from_iterable(y_of)), list(chain.from_iterable(z_of))), len(memo), edges
 
 
 class _Matched(NamedTuple):
@@ -482,7 +500,7 @@ class _Matched(NamedTuple):
     matched cells (_cells), |X|, |Y|, |Z|, the degrees D_X, D_Y, D_Z, and
     two counts for construct_pda's stats, the Kuhn runs (one per distinct
     column key) and C_XY's ones."""
-    cells: tuple[array, array, array]
+    cells: tuple[list, list, list]
     sizes: tuple[int, int, int]
     degrees: tuple
     column_keys: int
@@ -571,23 +589,42 @@ def _oriented_pda(matched: _Matched, orientation: int, what: str) -> Pda:
         raise ValueError(f"{what} is inadmissible: {exc}") from None
 
 
-def direct_product(a: Pda, b: Pda) -> Pda:
+def direct_product(a: Pda, b: Pda, stats: dict | None = None) -> Pda:
     """Componentwise product of two valid arrays.
 
     Rows and columns become pairs, (j1, j2) and (k1, k2) in lexicographic
     order, numbered j1*F2 + j2 and k1*K2 + k2.  A product cell is a star if
     either factor cell is; otherwise its symbol is the pair of factor symbols,
-    numbered (s1 - 1)*S2 + s2.  _emit builds the array from these cells, one
-    per pair of non-star factor cells, so parameters come out as K = K1*K2,
-    F = F1*F2, Q = F1*Q2 + F2*Q1 - Q1*Q2, S = S1*S2, with symbols compacted
-    to first-occurrence row-major order.
+    numbered (s1 - 1)*S2 + s2.  Parameters come out as K = K1*K2, F = F1*F2,
+    Q = F1*Q2 + F2*Q1 - Q1*Q2, S = S1*S2, with symbols compacted to
+    first-occurrence row-major order.  With stats=None nothing is timed; a
+    dict is filled with cells (the product's non-star cells), and emit_s
+    (building it, _product) and validate_s (validate_pda on it), wall
+    seconds.
     """
     require_valid(a, "first factor is not a valid PDA")
     require_valid(b, "second factor is not a valid PDA")
-    ca, cb = ([(j, k, s) for s, (rows, cols) in p.symbol_cells.items()
-               for j, k in zip(rows, cols)] for p in (a, b))
-    rows, cols, syms = zip(*[(j1 * b.f + j2, k1 * b.k + k2, (s1 - 1) * b.s + s2)
-                             for j1, k1, s1 in ca for j2, k2, s2 in cb])
-    prod = _emit(a.f * b.f, a.k * b.k, rows, cols, syms)
-    require_valid(prod, "product is not a valid PDA")
+    prod = _timed(stats, "emit", _product, a, b)
+    if stats is not None:
+        stats["cells"] = sum(map(len, prod.row_cols))
+    _timed(stats, "validate", require_valid, prod, "product is not a valid PDA")
     return prod
+
+
+def _product(a: Pda, b: Pda) -> Pda:
+    """The direct product's row cells, built row pair by row pair: row (j1,
+    j2) holds one cell per pair of non-star cells of rows j1 and j2, which
+    in that order are already in column order."""
+    # every product column and pair symbol as one shared int, looked up per cell
+    columns = list(range(a.k * b.k))
+    pair_symbols = list(range(a.s * b.s + 1))
+    row_cols, row_syms = [], []
+    for cols1, syms1 in zip(a.row_cols, a.row_syms):
+        # per cell of row j1, the lookup of its column or symbol paired with row j2's
+        col_of = [columns[k1 * b.k:(k1 + 1) * b.k].__getitem__ for k1 in cols1]
+        sym_of = [pair_symbols[(s1 - 1) * b.s:s1 * b.s + 1].__getitem__ for s1 in syms1]
+        for cols2, syms2 in zip(b.row_cols, b.row_syms):
+            row_cols.append(tuple(chain.from_iterable(map(map, col_of, repeat(cols2)))))
+            row_syms.append(tuple(chain.from_iterable(map(map, sym_of, repeat(syms2)))))
+    return _relabeled(a.k * b.k, a.f * b.f, a.f * b.q + b.f * a.q - a.q * b.q,
+                      tuple(row_cols), row_syms)

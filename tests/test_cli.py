@@ -177,6 +177,21 @@ def test_validate_json(run, tiny_file):
     assert obj["ok"] is True and obj["K"] == 2
 
 
+def test_validate_stats_line(run, tiny_file, bad_file):
+    """--stats prints validate_pda's stats as the one stderr line, a JSON
+    object with each stage's seconds and whether the report was cached;
+    stdout is unchanged.  A failing array times only the stages it reached."""
+    code, out, err = run("validate", tiny_file, "--stats")
+    assert code == 0 and out == run("validate", tiny_file)[1]
+    stats = json.loads(err)
+    assert set(stats) == {"cached", "symbol_map_s", "c1_c2_s", "c3_s"}
+    assert stats["cached"] is False
+    assert all(stats[f"{stage}_s"] >= 0 for stage in ("symbol_map", "c1_c2", "c3"))
+    code, _, err = run("validate", bad_file, "--stats")  # fails on its parameters
+    assert code == 2 and json.loads(err) == dict.fromkeys(
+        ("symbol_map_s", "c1_c2_s", "c3_s"), None) | {"cached": False}
+
+
 def test_validate_parse_error(run, tmp_path):
     junk = tmp_path / "junk.pda"
     junk.write_text("not a pda\n")
@@ -335,6 +350,20 @@ def test_product_to_file(run, tiny_file, tmp_path):
 def test_product_invalid_factor(run, tiny_file, bad_file):
     code, _, err = run("product", tiny_file, bad_file)
     assert code == 2 and "second factor is not a valid PDA" in err
+
+
+def test_product_stats_line(run, tiny_file):
+    """--stats prints direct_product's stats as the last stderr line: the
+    product's non-star cells and its emit and validation seconds; stdout is
+    unchanged."""
+    code, out, err = run("product", tiny_file, tiny_file, "--stats")
+    assert code == 0 and out == run("product", tiny_file, tiny_file)[1]
+    lines = err.splitlines()
+    assert len(lines) == 2 and lines[0].startswith("product K=4")
+    stats = json.loads(lines[1])
+    assert set(stats) == {"cells", "emit_s", "validate_s"}
+    # one cell per pair of the factors' non-star cells, 2 x 2
+    assert stats["cells"] == 4 and stats["emit_s"] > 0 and stats["validate_s"] > 0
 
 
 def test_product_validates_each_factor_once(run, tiny_file, tmp_path, counted):

@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from pdakit import constructions, designs
+from pdakit import constructions, designs, pda
 from pdakit.constructions import (FAMILIES, ConstructionSpec, _binomial, _invariants,
                                   bibd_rate_identity, build_triple, closed_form_row,
                                   configuration_rate_bound,
@@ -421,7 +421,7 @@ def test_construct_pda_stats(monkeypatch, fresh_cells):
         assert p == construct_pda(spec, None)
     assert reused == [False, True, True, False, True, True]
 
-    monkeypatch.setattr(constructions, "time", None)  # any timing raises AttributeError
+    monkeypatch.setattr(pda, "time", None)  # any timing raises AttributeError
     constructions._held = None
     for spec in specs:
         construct_pda(spec)

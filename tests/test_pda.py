@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 import pdakit.pda as pda
-from pdakit import direct_product
+from pdakit import ConstructionSpec, construct_pda, direct_product
 from pdakit.pda import (InvalidPdaError, Pda, PdaFormatError, STAR, canonical_relabel,
                         format_pda, parse_pda, pda_from_json, pda_to_json,
                         require_valid, scheme_parameters, validate_pda)
@@ -139,6 +139,82 @@ def test_trusted_producers_build_what_the_public_constructor_accepts(sweep):
         assert canonical_relabel(reversed_symbols) == p  # sweep arrays come out canonical
     for _, a, b, prod in sweep["products"]:
         assert prod == _public(prod) == direct_product(_public(a), _public(b))
+
+
+def test_every_form_of_a_sweep_array_is_equal_and_hashes_alike(sweep):
+    """An array is held as its row cells, and equality and hash read only
+    (K, F, Q, S) and those: the emitted array, the public constructor's on
+    its grid, and the text and JSON round trips agree on every sweep array."""
+    assert len(sweep["built"]) == 105
+    for _, _, p in sweep["built"]:
+        forms = [p, Pda(p.k, p.f, p.q, p.s, p.grid), parse_pda(format_pda(p)),
+                 pda_from_json(json.loads(json.dumps(pda_to_json(p))))]
+        assert all(q == p for q in forms) and len(set(map(hash, forms))) == 1
+
+
+def _edited(p: Pda, *cells) -> Pda:
+    """p with each (j, k, v) in cells written into its grid."""
+    grid = [list(row) for row in p.grid]
+    for j, k, v in cells:
+        grid[j][k] = v
+    return Pda(p.k, p.f, p.q, p.s, grid)
+
+
+def test_arrays_one_cell_apart_are_unequal(sweep):
+    """A star made a symbol, a symbol made a star, or two different symbols
+    swapped: each edit gives an array unequal to the original and to the
+    other edits."""
+    swapped = 0
+    for _, _, p in sweep["built"]:
+        cells = [(j, k, v) for j, row in enumerate(p.grid) for k, v in enumerate(row)]
+        (j0, k0, _), (j1, k1, v1) = (next(c for c in cells if (c[2] == STAR) == star)
+                                     for star in (True, False))
+        edits = [_edited(p, (j0, k0, v1)), _edited(p, (j1, k1, STAR))]
+        other = next((c for c in cells if c[2] not in (STAR, v1)), None)  # none when S = 1
+        if other is not None:
+            edits.append(_edited(p, (j1, k1, other[2]), (*other[:2], v1)))
+            swapped += 1
+        assert all(e != p for e in edits) and len(set(edits)) == len(edits)
+    assert swapped > 90
+
+
+def test_the_pipeline_never_builds_the_grid(fresh_cells):
+    """Validation, relabeling, both writers, the product and comparison read
+    the row cells and the symbol map, never the grid view."""
+    spec = ConstructionSpec("pg", 1, q=2, k=3, m=1, t=1)
+    p = construct_pda(spec)
+    assert validate_pda(p).ok and canonical_relabel(p) is p
+    format_pda(p)
+    pda_to_json(p)
+    direct_product(p, TINY)
+    assert p == construct_pda(spec) and hash(p) == hash(construct_pda(spec))
+    assert "grid" not in p.__dict__
+
+
+def test_validate_pda_stats(monkeypatch):
+    """stats times the symbol map, C1/C2 and C3 on the first call, and
+    records a cached report on the next, untimed.  Without stats nothing
+    is timed."""
+    p = Pda(3, 3, 2, 1, ((STAR, STAR, 1), (STAR, 1, STAR), (1, STAR, STAR)))
+    stats = {}
+    assert validate_pda(p, stats).ok and stats["cached"] is False
+    assert all(stats[f"{stage}_s"] >= 0 for stage in ("symbol_map", "c1_c2", "c3"))
+    again = {}
+    assert validate_pda(p, again) is validate_pda(p)
+    assert again == {"cached": True, "symbol_map_s": None, "c1_c2_s": None, "c3_s": None}
+    c1 = {}  # fails C1: C3 is never reached
+    assert validate_pda(Pda(1, 3, 1, 1, ((STAR,), (STAR,), (1,))), c1).condition == "C1"
+    assert c1["c1_c2_s"] >= 0 and c1["c3_s"] is None
+    monkeypatch.setattr(pda, "time", None)  # any timing raises AttributeError
+    assert validate_pda(Pda(2, 2, 1, 1, TINY.grid)).ok
+
+
+def test_direct_product_stats(monkeypatch):
+    stats = {}
+    prod = direct_product(TINY, TINY, stats)
+    assert set(stats) == {"cells", "emit_s", "validate_s"} and stats["cells"] == 4
+    monkeypatch.setattr(pda, "time", None)  # without stats, nothing is timed
+    assert prod == direct_product(TINY, TINY)
 
 
 def test_canonical_relabel():

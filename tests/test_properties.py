@@ -42,30 +42,33 @@ from conftest import all_pdas, decode_failures, triple_route_product
 FIXED = settings(derandomize=True, database=None, deadline=None)
 
 
-def oracle(p: Pda) -> str:
-    """The first condition p breaks, straight from the definitions; '' if none."""
-    cells = [(j, k, v) for j, row in enumerate(p.grid) for k, v in enumerate(row)]
-    if min(p.k, p.f, p.q, p.s) < 1 or p.q >= p.f:
+def oracle(k: int, f: int, q: int, s: int, grid: tuple) -> str:
+    """The first condition the array Pda(k, f, q, s, grid) breaks, straight
+    from the definitions on the grid as given, never on a view the array
+    derives; '' if none."""
+    cells = [(j, c, v) for j, row in enumerate(grid) for c, v in enumerate(row)]
+    if min(k, f, q, s) < 1 or q >= f:
         return "params"
-    if any(v != STAR and v > p.s for _, _, v in cells):
+    if any(v != STAR and v > s for _, _, v in cells):
         return "range"
-    if any([row[k] for row in p.grid].count(STAR) != p.q for k in range(p.k)):
+    if any([row[c] for row in grid].count(STAR) != q for c in range(k)):
         return "C1"
-    if {v for _, _, v in cells} - {STAR} != set(range(1, p.s + 1)):
+    if {v for _, _, v in cells} - {STAR} != set(range(1, s + 1)):
         return "C2"
     for j1, k1, v1 in cells:
         for j2, k2, v2 in cells:
             if v1 == v2 != STAR and (j1, k1) != (j2, k2) and (
                     j1 == j2 or k1 == k2
-                    or p.grid[j1][k2] != STAR or p.grid[j2][k1] != STAR):
+                    or grid[j1][k2] != STAR or grid[j2][k1] != STAR):
                 return "C3"
     return ""
 
 
 @st.composite
-def valid_pdas(draw):
-    """Q stars per column at random rows, then each other cell, row-major,
-    joins a symbol it is C3-compatible with or opens a new one."""
+def valid_grids(draw):
+    """(K, F, Q, S, grid) of a valid array: Q stars per column at random
+    rows, then each other cell, row-major, joins a symbol it is
+    C3-compatible with or opens a new one."""
     k, f = draw(st.integers(1, 5)), draw(st.integers(2, 5))
     q = draw(st.integers(1, f - 1))
     stars = [set(draw(st.permutations(range(f)))[:q]) for _ in range(k)]
@@ -83,34 +86,50 @@ def valid_pdas(draw):
                 fits.append(len(groups) - 1)
             groups[fits[pick]].append((j, c))
             grid[j][c] = fits[pick] + 1
-    return Pda(k, f, q, len(groups), tuple(map(tuple, grid)))
+    return k, f, q, len(groups), tuple(map(tuple, grid))
 
 
 @st.composite
-def any_pdas(draw):
+def any_grids(draw):
     """Well-formed grids of up to 5x5 with arbitrary declared Q and S."""
     k, f = draw(st.integers(1, 5)), draw(st.integers(1, 5))
     cell = st.sampled_from([STAR, 1, 2, 3, 4, 5, 6])
     grid = tuple(tuple(draw(cell) for _ in range(k)) for _ in range(f))
-    return Pda(k, f, draw(st.integers(0, 6)), draw(st.integers(0, 6)), grid)
+    return k, f, draw(st.integers(0, 6)), draw(st.integers(0, 6)), grid
 
 
 @st.composite
-def mutated_pdas(draw):
-    """A valid array with one symbol cell rewritten: close to the C1-C3 boundary."""
-    p = draw(valid_pdas())
-    j, c = draw(st.sampled_from([(j, c) for j, c in itertools.product(range(p.f), range(p.k))
-                                 if p.grid[j][c] != STAR]))
-    grid = [list(row) for row in p.grid]
-    grid[j][c] = draw(st.integers(STAR, p.s + 1))
-    return Pda(p.k, p.f, p.q, p.s, tuple(map(tuple, grid)))
+def mutated_grids(draw):
+    """A valid grid with one symbol cell rewritten: close to the C1-C3 boundary."""
+    k, f, q, s, grid = draw(valid_grids())
+    j, c = draw(st.sampled_from([(j, c) for j, c in itertools.product(range(f), range(k))
+                                 if grid[j][c] != STAR]))
+    rows = [list(row) for row in grid]
+    rows[j][c] = draw(st.integers(STAR, s + 1))
+    return k, f, q, s, tuple(map(tuple, rows))
+
+
+def _array(args: tuple) -> Pda:
+    return Pda(*args)
+
+
+def valid_pdas():
+    return valid_grids().map(_array)
+
+
+def any_pdas():
+    return any_grids().map(_array)
+
+
+def mutated_pdas():
+    return mutated_grids().map(_array)
 
 
 @settings(FIXED, max_examples=400)
-@given(st.one_of(valid_pdas(), mutated_pdas(), any_pdas()))
-def test_validator_matches_definitions(p):
-    rep = validate_pda(p)
-    assert (rep.ok, rep.condition) == (oracle(p) == "", oracle(p))
+@given(st.one_of(valid_grids(), mutated_grids(), any_grids()))
+def test_validator_matches_definitions(args):
+    rep = validate_pda(Pda(*args))
+    assert (rep.ok, rep.condition) == (oracle(*args) == "", oracle(*args))
 
 
 def per_cell_scan(p: Pda) -> tuple[bool, str, str]:
@@ -299,9 +318,10 @@ def test_parse_names_the_first_fault_in_reading_order(text, bad):
 
 
 @settings(FIXED, max_examples=60)
-@given(valid_pdas())
-def test_verify_scheme_decodes_every_valid_array(p):
-    assert oracle(p) == ""
+@given(valid_grids())
+def test_verify_scheme_decodes_every_valid_array(args):
+    p = Pda(*args)
+    assert oracle(*args) == ""
     rep = verify_scheme(p, 2)
     assert rep.ok and rep.demands_tested == 2 ** p.k
 
@@ -645,19 +665,19 @@ def reference_report(t: TripleSystem) -> dict:
 def reference_matching_path(t: TripleSystem):
     """construct_pda's matching path as the full scan gave it: the first of
     E1, E2, E3, E6 that fails; then column by column, _match_column run on
-    the global masks, without a memo; then the degrees.  The cells as lists
+    the global masks, without a memo; the cells in x-major order, z
+    ascending within an x; then the degrees.  The cells as lists
     (x, y, z), or the ConditionError's (condition, message, witness)."""
     ref = reference_report(t)
     for name in ("E1", "E2", "E3", "E6"):
         if name in ref["witnesses"]:
             return name, f"{name} fails", ref["witnesses"][name]
-    cells = ([], [], [])
+    triples = []
     for z, (xs, ys) in enumerate(zip(_transpose(t.xz, len(t.labels_z)),
                                      _transpose(t.yz, len(t.labels_z)))):
-        pairs = _match_column(set_bits(xs), ys, t.xy)
-        cells[0].extend(pairs.values())
-        cells[1].extend(pairs)
-        cells[2].extend([z] * len(pairs))
+        triples += [(x, y, z) for y, x in _match_column(set_bits(xs), ys, t.xy).items()]
+    triples.sort(key=lambda cell: (cell[0], cell[2]))  # x-major, z ascending within an x
+    cells = tuple(map(list, zip(*triples))) if triples else ([], [], [])
     d_x, d_y, d_z = ref["degrees"]
     for name, d in (("E1'", d_z), ("E2'", d_y), ("E7", d_x)):
         if not d:

@@ -1,3 +1,4 @@
+import gc
 import random
 import sys
 import weakref
@@ -127,9 +128,12 @@ def test_triple_to_pda_round_trip():
 
 
 def test_triple_to_pda_rejects_condition_failures():
-    with pytest.raises(ConditionError) as exc:
-        triple_to_pda(_ts(((1,), (1,)), ((1,), (1,)), ((1,),)))
-    assert exc.value.condition == "E5"
+    # each row holds one symbol in the column (E4), but y0 holds two rows:
+    # with one symbol, and with as many symbols as rows
+    for c_xy, c_yz in ((((1,), (1,)), ((1,),)), (((1, 0), (1, 0)), ((1,), (1,)))):
+        with pytest.raises(ConditionError) as exc:
+            triple_to_pda(_ts(c_xy, ((1,), (1,)), c_yz))
+        assert exc.value.condition == "E5" and exc.value.witness == ("y0", 0)
 
 
 def test_triple_to_pda_rejects_degenerate():
@@ -433,9 +437,10 @@ def test_construct_pda_holds_one_system(monkeypatch, fresh_cells):
         key, held = pdakit.constructions._held
         assert key == replace(spec, orientation=1)
         assert not any(isinstance(v, TripleSystem) for v in held)
-        cells.append(weakref.ref(held.cells[0]))
-    assert len(builds) == 2 and cells[1]() is cells[2]() is held.cells[0]
-    assert cells[0]() is None
+        cells.append(held.cells[0])
+    assert len(builds) == 2 and cells[1] is cells[2] is held.cells[0]
+    # only this test's list still refers to the first system's cells
+    assert cells[0] is not cells[1] and gc.get_referrers(cells[0]) == [cells]
 
 
 def test_a_spec_that_raises_is_not_cached(monkeypatch, fresh_cells):
@@ -550,9 +555,9 @@ def test_e6_is_decided_once_per_column_key(monkeypatch, fresh_cells):
 
 
 def test_each_column_graph_is_built_once_per_call(monkeypatch, k651):
-    """check_conditions and triple_to_pda each walk the column graphs once
-    (_local_graphs), E4, E5 and E6 together, and triple_to_pda reads its
-    cells without walking them again."""
+    """check_conditions walks the column graphs once (_local_graphs), E4, E5
+    and E6 together; triple_to_pda reads E4 and E5 off its cells and walks
+    the graphs only to name a failure's witness, once."""
     walks = []
     real = pdakit.triples._local_graphs
     monkeypatch.setattr(pdakit.triples, "_local_graphs", lambda t: walks.append(t) or real(t))
@@ -560,7 +565,7 @@ def test_each_column_graph_is_built_once_per_call(monkeypatch, k651):
     assert not check_conditions(raw).necessary_ok and walks == [raw]
     for o in orientations(matched):
         walks.clear()
-        assert validate_pda(triple_to_pda(o)).ok and walks == [o]
+        assert validate_pda(triple_to_pda(o)).ok and walks == []
     walks.clear()
     with pytest.raises(ConditionError, match="E4"):
         triple_to_pda(raw)

@@ -300,9 +300,9 @@ MUTANTS = [
          breaks="C2 accepts an array in which a declared symbol never occurs",
          tests=T_VALID),
     dict(name="non-star masks skip a cell", file=PDA,
-         snippet="        for j, b in zip(rows, map(bit, cols)):\n",
-         replacement="        for j, b in zip(rows[1:], map(bit, cols[1:])):\n",
-         breaks="each symbol's first cell is left out of its row's non-star mask",
+         snippet="    nonstar = [sum(map(bit, cols)) for cols in p.row_cols]\n",
+         replacement="    nonstar = [sum(map(bit, cols[1:])) for cols in p.row_cols]\n",
+         breaks="each row's first cell is left out of its non-star mask",
          tests=T_VALID),
     dict(name="C3 drops the column-distinctness test", file=PDA,
          snippet="        if mine.bit_count() == left:\n",
@@ -315,10 +315,64 @@ MUTANTS = [
          breaks="every symbol fails the bit counts and is walked pair by pair",
          tests=T_VALID),
     dict(name="C3 walk checks one crossing cell", file=PDA,
-         snippet="            if grid[j1][k2] != STAR or grid[j2][k1] != STAR:\n",
-         replacement="            if grid[j1][k2] != STAR:\n",
+         snippet="            if nonstar[j1] >> k2 & 1 or nonstar[j2] >> k1 & 1:\n",
+         replacement="            if nonstar[j1] >> k2 & 1:\n",
          breaks="C3's walk misses a non-star crossing cell in the first cell's column",
          tests=T_VALID),
+    # the array held as its row cells, and the views and writers made from them
+    dict(name="row cells to grid drop a cell", file=PDA,
+         snippet="            row = [STAR] * self.k\n            for k, v in zip(cols, syms):\n",
+         replacement="            row = [STAR] * self.k\n"
+                     "            for k, v in zip(cols[1:], syms[1:]):\n",
+         breaks="the grid view leaves each row's first non-star cell a star",
+         tests=[T_PDA]),
+    dict(name="row cells to symbol map skip a row's last cell", file=PDA,
+         snippet="            for k, v in zip(cols, syms):\n                cells = out.get(v)\n",
+         replacement="            for k, v in zip(cols[:-1], syms[:-1]):\n"
+                     "                cells = out.get(v)\n",
+         breaks="the symbol map, which the validator reads, leaves out each row's last cell",
+         tests=T_VALID),
+    dict(name="relabel shortcut takes keys out of order", file=PDA,
+         snippet="list(order) == list(range(1, p.s + 1)):",
+         replacement="sorted(order) == list(range(1, p.s + 1)):",
+         breaks="canonical_relabel returns an array whose symbols first occur out of order as is",
+         tests=T_VALID),
+    dict(name="equality ignores the symbols", file=PDA,
+         snippet="        return ((self.k, self.f, self.q, self.s, self.row_cols, self.row_syms)\n"
+                 "                == (other.k, other.f, other.q, other.s, other.row_cols, "
+                 "other.row_syms))\n",
+         replacement="        return ((self.k, self.f, self.q, self.s, self.row_cols)\n"
+                     "                == (other.k, other.f, other.q, other.s, other.row_cols))\n",
+         breaks="two arrays with stars in the same places compare equal whatever their symbols",
+         tests=[T_PDA]),
+    dict(name="format splices a token one column late", file=PDA,
+         snippet="            parts += stars[at:2 * k], token(v)\n",
+         replacement="            parts += stars[at:2 * k + 2], token(v)\n",
+         breaks="each token lands after its column's star, not in its place",
+         tests=T_VALID),
+    dict(name="matched cells left column-major", file=TRI,
+         snippet="    return (cx, list(chain.from_iterable(y_of)), list(chain.from_iterable(z_of))),",
+         replacement="    return (list(chain.from_iterable(xs_out)), cy, list(chain.from_iterable(\n"
+                     "        map(repeat, zs, map(len, xs_out))))),",
+         breaks="the emitter gets each column's cells in turn, so a row whose columns are "
+                "x (sets 1 and 2) lists them out of column order",
+         tests=T_CHECKS),
+    dict(name="product pairs each cell with itself", file=TRI,
+         snippet="        for cols2, syms2 in zip(b.row_cols, b.row_syms):\n",
+         replacement="        for cols2, syms2 in zip(b.row_cols[:1] * b.f, b.row_syms[:1] * b.f):\n",
+         breaks="every product row pairs row j1 of the first factor with row 0 of the second",
+         tests=[T_PDA, T_PROP]),
+    # triple_to_pda's E4 and E5, read off its cells
+    dict(name="triple_to_pda accepts a row with two symbols", file=TRI,
+         snippet="set(map(int.bit_count, got)) <= {1} and ",
+         replacement="",
+         breaks="E4 goes unchecked: a row with two symbols in a column is emitted",
+         tests=T_CHECKS),
+    dict(name="triple_to_pda accepts a symbol held twice", file=TRI,
+         snippet="len(set(got)) == len(got) == ys.bit_count()",
+         replacement="len(got) == ys.bit_count()",
+         breaks="E5 goes unchecked when a column's rows and symbols are as many",
+         tests=T_CHECKS),
 ]
 
 
